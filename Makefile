@@ -9,56 +9,9 @@ build:
 test:
 	go test ./...
 
-# check is the pre-merge gate: formatting, vet, a race-detector hammer
-# on the metrics registry, a one-iteration bench smoke, then the full
-# suite under the race detector. The parallel execution layer
-# (internal/experiments/runner.go) is exercised concurrently by the
-# runner tests, so this catches data races in drivers and the core
-# encode path.
+# check is the pre-merge gate; ci/check.sh is its one definition.
 check:
-	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	go vet ./...
-	go test -race -count=2 ./internal/obs
-	go test -race -count=2 ./internal/codec
-	go test -race -count=1 ./internal/workload
-	go test -race -count=1 -run 'TestCellMemoReuse|TestMetricsDeterministic' ./internal/experiments
-	go test -race -count=1 ./internal/fault
-	go test -race -count=1 -run 'FaultSoak|FaultDeterminism|ZeroRateInert' ./internal/sim
-	go test -run=NOTHING -fuzz=FuzzPayloadDecodeFaults -fuzztime=10s ./internal/core
-	go test -run=NOTHING -fuzz=FuzzBitsWordParity -fuzztime=10s ./internal/bits
-	go test -run=NOTHING -fuzz=FuzzParseSpec -fuzztime=10s ./internal/workload/spec
-	go test -run=NOTHING -fuzz=FuzzCodecFrameDecode -fuzztime=10s ./internal/codec
-	GOMAXPROCS=2 go test -race -run TestParallelDeterminism -count=1 ./internal/experiments
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	go run ./cmd/cablesim -exp fig12 -quick -parallel 1 -windows "$$tmp/w1.json" -timeline "$$tmp/t1.json" >/dev/null && \
-	go run ./cmd/cablesim -exp fig12 -quick -parallel 8 -nomemo -gomaxprocs 2 -windows "$$tmp/w8.json" -timeline "$$tmp/t8.json" >/dev/null && \
-	cmp "$$tmp/w1.json" "$$tmp/w8.json" && cmp "$$tmp/t1.json" "$$tmp/t8.json" && \
-	go run ./tools/traceexport -in "$$tmp/t1.json" -o "$$tmp/trace.json" && \
-	go run ./tools/traceexport -validate "$$tmp/trace.json"
-	go run ./tools/benchjson -compare BENCH_pr5.json BENCH_pr6.json -max-regress 10
-	go run ./tools/benchjson -compare BENCH_pr6.json BENCH_pr8.json -max-regress 10
-	go run ./tools/benchjson -compare BENCH_pr8.json BENCH_pr10.json -max-regress 10
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	go run ./cmd/cablepipe -encode -stats < cable.go > "$$tmp/c.cbl" && \
-	go run ./cmd/cablepipe -decode < "$$tmp/c.cbl" | cmp - cable.go
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	go run ./cmd/cablesim -exp mesh -quick -parallel 1 -metrics "$$tmp/mm1.json" >"$$tmp/m1.txt" && \
-	go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -gomaxprocs 2 -metrics "$$tmp/mm8.json" >"$$tmp/m8.txt" && \
-	cmp "$$tmp/m1.txt" "$$tmp/m8.txt" && cmp "$$tmp/mm1.json" "$$tmp/mm8.json"
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	go run ./cmd/cabletrace -spec examples/workloads/bursty-mix.json -n 24000 -o "$$tmp/mix" >/dev/null && \
-	go run ./cmd/cablesim -exp workload -quick -parallel 1 -workload-spec examples/workloads/bursty-mix.json | grep -v '^note:' >"$$tmp/wl-live.txt" && \
-	go run ./cmd/cablesim -exp workload -quick -parallel 8 -nomemo -gomaxprocs 2 -workload-spec examples/workloads/bursty-mix.json \
-		-replay "$$tmp/mix.frontend.trace,$$tmp/mix.batch.trace" | grep -v '^note:' >"$$tmp/wl-replay.txt" && \
-	cmp "$$tmp/wl-live.txt" "$$tmp/wl-replay.txt" && \
-	go run ./cmd/cablesim -exp mesh -quick -parallel 1 -workload-spec examples/workloads/bursty-mix.json >"$$tmp/ms1.txt" && \
-	go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -gomaxprocs 2 -workload-spec examples/workloads/bursty-mix.json >"$$tmp/ms8.txt" && \
-	cmp "$$tmp/ms1.txt" "$$tmp/ms8.txt"
-	GOMAXPROCS=2 go test -race -count=1 -run 'TestRunDeterministicAcrossParallelism' ./internal/topo
-	CABLE_MESH_SOAK_TRANSFERS=1000000 go test -count=1 -run 'TestMeshSoak' ./internal/topo
-	go test -run=NOTHING -bench=. -benchtime=1x .
-	go test -run=NOTHING -bench 'BenchmarkRunAllScaling$$|BenchmarkMemLinkProtocolScaling$$' -benchtime=1x -benchmem -cpu 1,2 . | go run ./tools/benchjson >/dev/null
-	go test -race -timeout 45m ./...
+	bash ci/check.sh
 
 # bench runs the hot-path microbenchmarks in benchstat-friendly form
 # (10 samples each); pipe the output of two builds into benchstat.

@@ -101,3 +101,28 @@ func TestRunNonInclusiveAllocBudget(t *testing.T) {
 		t.Fatalf("RunNonInclusive allocated %.0f times per run; budget is %d", avg, budget)
 	}
 }
+
+// TestRunTopologyAllocBudget pins the topology engine's allocations per
+// link transfer on BenchmarkMeshSoak's configuration. The typed event
+// heap took it from ~14.6 (two boxed events per queue operation) to
+// ~2.3; what remains is per-link state and slice growth, so the budget
+// catches any per-event or per-transfer allocation coming back.
+func TestRunTopologyAllocBudget(t *testing.T) {
+	const budget = 3.0
+	cfg := cable.DefaultTopologyConfig("dealII")
+	cfg.Transfers = 50000
+	cfg.Verify = false
+	cfg.Fault = cable.FaultConfig{BitRate: 1e-3, Seed: 1}
+	var transfers uint64
+	avg := testing.AllocsPerRun(3, func() {
+		res, err := cable.RunTopology(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transfers = res.LinkTransfers
+	})
+	if per := avg / float64(transfers); per > budget {
+		t.Fatalf("RunTopology allocated %.2f times per transfer (%.0f over %d); budget is %.0f",
+			per, avg, transfers, budget)
+	}
+}

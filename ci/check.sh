@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI gate: formatting, vet, the observability package under a tight
-# race loop, a one-iteration bench smoke (compiles and runs every
-# benchmark body, including the 0 allocs/op encode path), the full test
-# suite under the race detector, then a smoke run of the report CLI at
-# reduced scale with a parallel worker pool. Mirrors `make check`; kept
-# as a script so CI systems without make can call it directly.
+# The pre-merge gate, and the only copy of it (`make check` calls this
+# script): formatting, vet, targeted race loops, fuzz smokes, the CLI
+# determinism comparisons, the repository benchmark's smoke and harness
+# tests, a one-iteration bench smoke (compiles and runs every benchmark
+# body, including the 0 allocs/op encode path), the full test suite
+# under the race detector, then a smoke run of the report CLI.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +55,12 @@ echo "== bit-IO word/reference parity fuzz smoke"
 # bit/byte ops, truncated streams — images must stay byte-identical.
 go test -run=NOTHING -fuzz=FuzzBitsWordParity -fuzztime=10s ./internal/bits
 
+echo "== seeded-source parity fuzz smoke"
+# Differential fuzz of the lazily seeded content rng against
+# rand.NewSource: any seed, any draw count, fresh and reseeded
+# instances — the streams must be identical.
+go test -run=NOTHING -fuzz=FuzzSeededSourceParity -fuzztime=10s ./internal/workload
+
 echo "== workload-spec parse fuzz smoke"
 # Short fuzz over the spec DSL parser: arbitrary JSON must produce
 # typed errors (ErrInvalid) or a valid workload, never a panic.
@@ -88,11 +94,6 @@ cmp "$tmpdir/t1.json" "$tmpdir/t8.json"
 echo "== trace-export smoke (record -> convert -> validate)"
 go run ./tools/traceexport -in "$tmpdir/t1.json" -o "$tmpdir/trace.json"
 go run ./tools/traceexport -validate "$tmpdir/trace.json"
-
-echo "== bench regression gate (pr5 -> pr6 -> pr8 -> pr10 snapshots)"
-go run ./tools/benchjson -compare BENCH_pr5.json BENCH_pr6.json -max-regress 10
-go run ./tools/benchjson -compare BENCH_pr6.json BENCH_pr8.json -max-regress 10
-go run ./tools/benchjson -compare BENCH_pr8.json BENCH_pr10.json -max-regress 10
 
 echo "== cablepipe encode|decode pipe smoke"
 # The codec CLI round trip at the process boundary: encode a real file,
@@ -148,6 +149,13 @@ echo "== parallel determinism under 2 workers (-race)"
 # fault-injected, under a deliberately tiny GOMAXPROCS so the pool is
 # oversubscribed and interleavings are forced.
 GOMAXPROCS=2 go test -race -run TestParallelDeterminism -count=1 ./internal/experiments
+
+echo "== repository benchmark smoke + harness tests"
+# benchmark/ is a module of its own, invisible to the root `go test
+# ./...`: run every workload and ladder rung at tiny sizes, then the
+# harness's own tests.
+bash benchmark/run.sh -smoke
+(cd benchmark && go test ./...)
 
 echo "== bench smoke (1 iteration)"
 go test -run=NOTHING -bench=. -benchtime=1x .

@@ -1,20 +1,17 @@
 package topo
 
-import (
-	"container/heap"
-
-	"cable/internal/obs"
-)
+import "cable/internal/obs"
 
 // This file is the discrete-event core shared by the schedule pass
 // (raw service times, records the per-link transfer sequences) and the
 // replay pass (measured CABLE service times, records timing and flight
 // windows). Determinism rules:
 //
-//   - The event queue is a container/heap ordered by (time, seq): seq
-//     is a monotonically increasing push counter, so simultaneous
-//     events pop in push order. No map iteration, no randomness —
-//     event order is a pure function of the config.
+//   - The event queue is a binary min-heap ordered by (time, seq):
+//     seq is a monotonically increasing push counter, so the order is
+//     total and simultaneous events pop in push order. No map
+//     iteration, no randomness — event order is a pure function of
+//     the config.
 //   - Every server (one encoder per chip, one wire per directed link)
 //     is FIFO: arrivals queue in event-pop order and are served in
 //     queue order.
@@ -47,23 +44,55 @@ type event struct {
 	ref  uint64
 }
 
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is the event queue, typed rather than container/heap:
+// boxing an event through interface{} allocated on every push and pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n] // sifted down from the root into q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
+	*h = q[:n]
+	return top
 }
 
 // fifo is a ref queue that remembers each entry's arrival time (for
@@ -178,7 +207,7 @@ const rawHeaderBits = 32
 
 func (e *engine) push(at uint64, kind uint8, id int32, ref uint64) {
 	e.seq++
-	heap.Push(&e.heap, event{at: at, seq: e.seq, kind: kind, id: id, ref: ref})
+	e.heap.push(event{at: at, seq: e.seq, kind: kind, id: id, ref: ref})
 }
 
 // reset clears the server and queue state between passes.
@@ -284,8 +313,8 @@ func (e *engine) simulate(record bool, feed injectFeed, rec *obs.Recorder, track
 	}
 
 	var routeBuf []int32
-	for e.heap.Len() > 0 {
-		ev := heap.Pop(&e.heap).(event)
+	for len(e.heap) > 0 {
+		ev := e.heap.pop()
 		t := ev.at
 		if t > ps.makespan {
 			ps.makespan = t

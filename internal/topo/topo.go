@@ -6,7 +6,7 @@
 // The engine runs in three passes (see engine.go):
 //
 //  1. Schedule (serial DES): a monotonic virtual-time event queue
-//     (container/heap, ordered by (time, seq)) drives per-chip arrival
+//     (a binary heap ordered by (time, seq)) drives per-chip arrival
 //     processes through each chip's shared encoder queue and each
 //     directed link's FIFO wire queue at raw (uncompressed) line cost.
 //     This pass discovers, per link, the exact ordered transfer

@@ -1,8 +1,10 @@
 package topo
 
 import (
+	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -12,6 +14,37 @@ import (
 
 // testConfig is a small-but-nontrivial cell: every chip sends, every
 // link carries traffic, and the caches are small enough to evict.
+// TestEventHeapOrder checks the typed heap against a sort: interleaved
+// pushes and pops must yield events in (at, seq) order, ties included.
+func TestEventHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h eventHeap
+	var pending []event
+	pops := 0
+	drain := func(n int) {
+		sort.Slice(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
+		for ; n > 0 && len(h) > 0; n-- {
+			pops++
+			if got, want := h.pop(), pending[0]; got != want {
+				t.Fatalf("pop %d = %+v, want %+v", pops, got, want)
+			}
+			pending = pending[1:]
+		}
+	}
+	for seq := uint64(1); seq <= 5000; seq++ {
+		ev := event{at: uint64(rng.Intn(64)), seq: seq, id: int32(seq)}
+		h.push(ev)
+		pending = append(pending, ev)
+		if rng.Intn(3) == 0 {
+			drain(1 + rng.Intn(4))
+		}
+	}
+	drain(len(h))
+	if len(h) != 0 || len(pending) != 0 {
+		t.Fatalf("heap holds %d events, reference %d, after draining", len(h), len(pending))
+	}
+}
+
 func testConfig(shape string, chips int) Config {
 	cfg := DefaultConfig("dealII")
 	cfg.Shape = shape

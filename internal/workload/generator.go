@@ -50,11 +50,9 @@ type Generator struct {
 	lines []byte   // contiguous slot storage, slots × LineSize
 	mask  uint64
 
-	// mutRng/editRng are the reusable scratch rngs of materializeInto,
-	// reseeded in place per line instead of allocating ~5 KB of rng
-	// state per call.
-	mutRng  *rand.Rand
-	editRng *rand.Rand
+	// lineRng is materializeInto's scratch rng, reseeded per line; its
+	// lazySource makes that O(1).
+	lineRng *rand.Rand
 
 	mx    *lineCounters
 	shard uint32
@@ -110,8 +108,7 @@ func NewFromSpecIn(spec Spec, instance int, addrBase uint64, reg *obs.Registry) 
 		addrBase: addrBase,
 		seed:     nameSeed(spec.Name),
 		rng:      rand.New(rand.NewSource(int64(nameSeed(spec.Name)) + int64(instance)*7919)),
-		mutRng:   rand.New(rand.NewSource(0)),
-		editRng:  rand.New(rand.NewSource(0)),
+		lineRng:  rand.New(newLazySource(0)),
 	}
 	g.mx, g.shard = lineMetricsIn(reg)
 	// Prototypes depend only on the benchmark: every copy lays out
@@ -263,19 +260,20 @@ func (g *Generator) LineData(lineAddr uint64) []byte {
 
 // materializeInto is the pure derivation behind LineData: it derives
 // the contents of lineAddr into dst (LineSize bytes, stale contents
-// allowed — every path fully overwrites). It is bit-identical to the
-// historical allocate-per-call path by construction: reseeding the
-// scratch rngs via (*rand.Rand).Seed runs the same generator seeding
-// as rand.New(rand.NewSource(seed)) and also resets Read state.
+// allowed — every path fully overwrites). Each (*rand.Rand).Seed below
+// stands for a fresh rand.New(rand.NewSource(seed)): lazySource yields
+// the stdlib stream and Seed also resets Read state. No path returns to
+// the first seed's stream after the second Seed, so one scratch rng
+// serves both.
 func (g *Generator) materializeInto(dst []byte, lineAddr uint64) {
 	rel := lineAddr - g.addrBase
 	h := splitmix64(g.seed ^ rel)
 	u := unit(h)
-	mutRng := g.mutRng
-	mutRng.Seed(int64(splitmix64(h ^ uint64(g.instance)*0x9E37)))
+	rng := g.lineRng
+	rng.Seed(int64(splitmix64(h ^ uint64(g.instance)*0x9E37)))
 	switch {
 	case u < g.spec.ZeroFrac:
-		zeroLineInto(dst, mutRng)
+		zeroLineInto(dst, rng)
 	case u < g.spec.ZeroFrac+g.spec.ProtoFrac:
 		objID := rel / uint64(g.spec.ObjLines)
 		oh := splitmix64(g.seed ^ objID ^ 0x6F626A)
@@ -287,14 +285,12 @@ func (g *Generator) materializeInto(dst []byte, lineAddr uint64) {
 		// copies at the same relative address — the cross-program
 		// sharing the cooperative study measures, §VI-C); the rest are
 		// execution-dependent and differ per instance.
-		editRng := mutRng
 		if unit(splitmix64(h^0xC0DE)) < 0.6 {
-			editRng = g.editRng
-			editRng.Seed(int64(splitmix64(h ^ 0x1D3)))
+			rng.Seed(int64(splitmix64(h ^ 0x1D3)))
 		}
-		for k := editRng.Intn(g.spec.MutateWords + 1); k > 0; k-- {
-			off := editRng.Intn(LineSize/4) * 4
-			binary.LittleEndian.PutUint32(dst[off:], editRng.Uint32())
+		for k := rng.Intn(g.spec.MutateWords + 1); k > 0; k-- {
+			off := rng.Intn(LineSize/4) * 4
+			binary.LittleEndian.PutUint32(dst[off:], rng.Uint32())
 		}
 		if unit(splitmix64(oh^0x73686966)) < g.spec.ByteShiftFrac {
 			shift := 1 + int(oh%3)
@@ -304,9 +300,9 @@ func (g *Generator) materializeInto(dst []byte, lineAddr uint64) {
 			copy(dst, tmp[:])
 		}
 	default:
-		freshLineInto(dst, g.spec.Model, mutRng)
+		freshLineInto(dst, g.spec.Model, rng)
 		if g.spec.ZeroDominant {
-			sparsify(dst, mutRng)
+			sparsify(dst, rng)
 		}
 	}
 }
