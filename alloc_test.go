@@ -36,23 +36,42 @@ func TestEncodeFillAllocs(t *testing.T) {
 // TestRunMemoryLinkAllocBudget pins the whole-simulation allocation
 // count, BenchmarkMemLinkProtocol's configuration measured as a hard
 // test. The budget is the issue's target (20% of the 37,455 allocs/op
-// baseline before the scratch-reuse work); the measured value is ~4.6k,
+// baseline before the scratch-reuse work); the measured value is ~350,
 // so the margin absorbs noise without ever letting a per-line
-// allocation (≥2000 allocs here) sneak back into a hot path.
+// allocation (≥2000 allocs here) sneak back into a hot path. The
+// faulted case covers the guarded half of sim.LinkTransfer — CRC
+// marshal, injector, scratch unmarshal, raw resend — which the
+// hand-written drivers share and a clean run never enters: ~800
+// measured (the clean run plus two per rejected frame, the wrapped
+// decode error, over ~220 faults in ~1860 transfers), so its budget
+// sits below what one allocation per transfer would cost.
 func TestRunMemoryLinkAllocBudget(t *testing.T) {
-	const budget = 7492
-	cfg := cable.DefaultMemoryLinkConfig("dealII")
-	cfg.AccessesPerProgram = 2000
-	cfg.WithMeters = false
-	cfg.Chip.LLCBytes = 256 << 10
-	cfg.Chip.L4Bytes = 1 << 20
-	avg := testing.AllocsPerRun(5, func() {
-		if _, err := cable.RunMemoryLink(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > budget {
-		t.Fatalf("RunMemoryLink allocated %.0f times per run; budget is %d", avg, budget)
+	for _, tc := range []struct {
+		name   string
+		fault  cable.FaultConfig
+		budget float64
+	}{
+		{"clean", cable.FaultConfig{}, 7492},
+		{"faulted", cable.FaultConfig{BitRate: 1e-3, Seed: 1}, 1500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cable.DefaultMemoryLinkConfig("dealII")
+			cfg.AccessesPerProgram = 2000
+			cfg.WithMeters = false
+			cfg.Chip.LLCBytes = 256 << 10
+			cfg.Chip.L4Bytes = 1 << 20
+			cfg.Chip.Fault = tc.fault
+			cfg.Chip.Verify = !tc.fault.Enabled()
+			avg := testing.AllocsPerRun(5, func() {
+				if _, err := cable.RunMemoryLink(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocs/run", avg)
+			if avg > tc.budget {
+				t.Fatalf("RunMemoryLink allocated %.0f times per run; budget is %.0f", avg, tc.budget)
+			}
+		})
 	}
 }
 
@@ -105,10 +124,14 @@ func TestRunNonInclusiveAllocBudget(t *testing.T) {
 // TestRunTopologyAllocBudget pins the topology engine's allocations per
 // link transfer on BenchmarkMeshSoak's configuration. The typed event
 // heap took it from ~14.6 (two boxed events per queue operation) to
-// ~2.3; what remains is per-link state and slice growth, so the budget
-// catches any per-event or per-transfer allocation coming back.
+// ~2.3, and sending through sim.LinkTransfer (scratch unmarshal, no
+// error value built per degraded frame) to ~0.7; what remains is
+// per-link state and slice growth. The budget sits below the ~1.7 that
+// one allocation per transfer (or per event) coming back would read,
+// and above the ~1.25 the race detector reads (under it sync.Pool drops
+// a quarter of its Puts, so pooled link state is rebuilt more often).
 func TestRunTopologyAllocBudget(t *testing.T) {
-	const budget = 3.0
+	const budget = 1.5
 	cfg := cable.DefaultTopologyConfig("dealII")
 	cfg.Transfers = 50000
 	cfg.Verify = false
@@ -121,8 +144,10 @@ func TestRunTopologyAllocBudget(t *testing.T) {
 		}
 		transfers = res.LinkTransfers
 	})
-	if per := avg / float64(transfers); per > budget {
-		t.Fatalf("RunTopology allocated %.2f times per transfer (%.0f over %d); budget is %.0f",
+	per := avg / float64(transfers)
+	t.Logf("%.2f allocs/transfer", per)
+	if per > budget {
+		t.Fatalf("RunTopology allocated %.2f times per transfer (%.0f over %d); budget is %.1f",
 			per, avg, transfers, budget)
 	}
 }

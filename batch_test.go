@@ -3,9 +3,12 @@ package cable_test
 // Equivalence contract of the batched encode/decode API: EncodeFills and
 // DecodeFills must be observably indistinguishable from the one-line
 // EncodeFill/DecodeFill loop — same payload bytes, same latencies, same
-// HomeStats/RemoteStats, same metric totals — at every batch size. The
-// batch path only defers counter publication; it must never change a
-// decision.
+// HomeStats/RemoteStats, same metric totals, same flight-recorder
+// windows — at every batch size. Both are entry points over one
+// pipeline (internal/core/batch.go), so what this pins is the part that
+// does differ: when counters are flushed, and that nothing carries over
+// a batch boundary. internal/core's reference encoder pins the payload
+// bits themselves.
 
 import (
 	"bytes"
@@ -74,6 +77,18 @@ type encOut struct {
 	decoded []byte
 }
 
+// attachRecorder puts a fresh flight recorder on both link ends of a
+// warm chip and returns a function yielding its window dump. Windows
+// only: the timeline interleaves encodes and decodes per line in the
+// one-line loop and per batch in the batched one, by construction.
+func attachRecorder(chip *sim.Chip) func() []obs.TrackDump {
+	rec := obs.NewRecorder(obs.FlightConfig{})
+	track := rec.Track("cable")
+	chip.Home.SetRecorder(rec, track)
+	chip.Remote.SetRecorder(rec, track)
+	return func() []obs.TrackDump { return rec.Dump(false).Tracks }
+}
+
 func registryJSON(t *testing.T, reg *obs.Registry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -87,7 +102,9 @@ func registryJSON(t *testing.T, reg *obs.Registry) []byte {
 // identical request stream — one through the per-line API, the others
 // through EncodeFills at several batch sizes including a non-divisor
 // tail — and requires bit-identical payloads, equal latency models,
-// equal Stats, and byte-equal metric dumps.
+// equal Stats, byte-equal metric dumps, and equal flight-recorder
+// windows (encodes, classes, skips, payload bits, decodes: the batched
+// entry points once recorded none of them).
 func TestEncodeFillsMatchesSequential(t *testing.T) {
 	const n = 257
 
@@ -96,6 +113,7 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 	ways := seqChip.LLC.Config().Ways
 	idxBits, wayBits := seqChip.LLC.IndexBits(), seqChip.LLC.WayBits()
 	reqs := batchFillSeq(addrs, ways, n)
+	seqWindows := attachRecorder(seqChip)
 
 	seq := make([]encOut, n)
 	for i, rq := range reqs {
@@ -118,6 +136,10 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 	seqHome := seqChip.Home.Stats
 	seqRemote := seqChip.Remote.Stats
 	seqDump := registryJSON(t, regSeq)
+	seqWin := seqWindows()
+	if w := seqWin[0].Windows[0]; w.Encodes != n || w.Decodes != n {
+		t.Fatalf("sequential run recorded %d encodes, %d decodes, want %d each", w.Encodes, w.Decodes, n)
+	}
 
 	for _, k := range []int{1, 5, 32} {
 		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
@@ -126,6 +148,7 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(addrs2, addrs) {
 				t.Fatal("warm chips disagree on resident lines; simulation is not deterministic")
 			}
+			windows := attachRecorder(chip)
 			got := make([]encOut, 0, n)
 			payloads := make([]cable.Payload, 0, k)
 			for off := 0; off < n; off += k {
@@ -175,6 +198,9 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 			}
 			if dump := registryJSON(t, reg); !bytes.Equal(dump, seqDump) {
 				t.Errorf("metric totals diverge from sequential run:\n--- batch ---\n%s\n--- seq ---\n%s", dump, seqDump)
+			}
+			if win := windows(); !reflect.DeepEqual(win, seqWin) {
+				t.Errorf("flight-recorder windows diverge:\nbatch: %+v\nseq:   %+v", win, seqWin)
 			}
 		})
 	}

@@ -176,52 +176,9 @@ func BenchmarkRunAllSerial(b *testing.B) { benchRunAll(b, 1) }
 
 func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, runtime.GOMAXPROCS(0)) }
 
-// BenchmarkRunAllScaling is the experiment-runner scaling probe: the
-// worker pool tracks GOMAXPROCS, so driving one binary with the -cpu
-// list (`make bench-scaling`, i.e. go test -cpu 1,2,4,8,16) yields one
-// wall-clock point per core count, and tools/benchjson turns the -N
-// name suffixes into the speedup/efficiency columns BENCH_pr6.json and
-// the README's scaling table quote. The cell memo is disabled: all -cpu
-// points share one process, so later points would otherwise be served
-// from the first point's cache and measure nothing.
-func BenchmarkRunAllScaling(b *testing.B) {
-	ids := []string{"fig21", "tab3"}
-	opt := cable.ExperimentOptions{Quick: true, Parallelism: runtime.GOMAXPROCS(0), DisableCellMemo: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cable.RunExperiments(ids, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMemLinkProtocolScaling measures aggregate protocol
-// throughput over GOMAXPROCS concurrent chips (each op is one full
-// memory-link run on a private chip). The workload is embarrassingly
-// parallel by construction, so efficiency lost under -cpu scaling is
-// runtime, allocator, or metrics-registry contention — the serial
-// bottlenecks this PR removes — not algorithm.
-func BenchmarkMemLinkProtocolScaling(b *testing.B) {
-	cfg := cable.DefaultMemoryLinkConfig("dealII")
-	cfg.AccessesPerProgram = 2000
-	cfg.WithMeters = false
-	cfg.Chip.LLCBytes = 256 << 10
-	cfg.Chip.L4Bytes = 1 << 20
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := cable.RunMemoryLink(cfg); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
 // BenchmarkMeshSoak is the topology engine's throughput benchmark: one
 // op is a full fault-injected 16-chip mesh run (schedule, parallel
-// per-link encode, replay) at 50k transfers. transfers/s is the number
-// BENCH_pr8.json quotes; MB/s is the simulated source data pushed
+// per-link encode, replay) at 50k transfers. MB/s is the simulated source data pushed
 // through the per-link CABLE pipelines per wall-clock second.
 func BenchmarkMeshSoak(b *testing.B) {
 	cfg := cable.DefaultTopologyConfig("dealII")

@@ -160,12 +160,6 @@ bash benchmark/run.sh -smoke
 echo "== bench smoke (1 iteration)"
 go test -run=NOTHING -bench=. -benchtime=1x .
 
-echo "== bench-scaling smoke (1 iteration, 2 cpu points)"
-# Compiles and runs the scaling family at two -cpu points and pushes the
-# output through tools/benchjson, so neither the benchmarks nor the
-# converter's cpu-suffix/efficiency path can rot.
-go test -run=NOTHING -bench 'BenchmarkRunAllScaling$|BenchmarkMemLinkProtocolScaling$' -benchtime=1x -benchmem -cpu 1,2 . | go run ./tools/benchjson >/dev/null
-
 echo "== go test -race"
 # The race detector is ~5x CPU; the experiment drivers need more than
 # the 10m default on small CI machines.

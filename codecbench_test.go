@@ -12,7 +12,7 @@ package cable_test
 //
 // Each sub-benchmark reports MB/s (plaintext throughput) and the
 // end-to-end compression ratio (plaintext bytes per encoded byte, >1 is
-// compression) so `make bench-json` snapshots both columns.
+// compression).
 
 import (
 	"bytes"

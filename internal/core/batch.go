@@ -1,32 +1,32 @@
 package core
 
 import (
-	"fmt"
-
 	"cable/internal/cache"
 	"cable/internal/compress"
 	"cable/internal/obs"
 	"cable/internal/sig"
 )
 
-// This file is the batched encode/decode API. EncodeFill's per-line cost
-// is dominated not by compression but by bookkeeping: ~30 atomic metric
-// increments (htHits per signature, per-candidate WMT/read counters, the
-// payload histogram's three atomics, CompressWith's two per engine
-// call), a duplicate home-cache Probe in the Shared branch, per-call
-// interface dispatch for the engine and way-map, and the RemoteLIDBits
-// override check per Bits() evaluation. EncodeFills runs the exact same
-// pipeline over K lines but accumulates every counter and Stats field in
-// plain locals flushed once per batch, probes once per line, hoists the
-// pointer width, devirtualizes the way-map and engine, and fuses the
-// hash-table probe with candidate deduplication.
+// This file is the fill pipeline — the one implementation behind
+// EncodeFill, EncodeFillData and EncodeFills (remote.go does the same
+// for DecodeFill and DecodeFills). A fill's cost is dominated not by
+// compression but by bookkeeping: ~30 atomic metric increments (htHits
+// per signature, per-candidate WMT/read counters, the payload
+// histogram's three atomics, two per engine call), per-call interface
+// dispatch for the engine and way-map, and the pointer-width override
+// check per Bits() evaluation. So the pipeline accumulates every counter and Stats field
+// in plain fields (encodeAcc) that an entry point flushes when it is
+// done — after its one line, or after its whole batch — probes the home
+// cache once per line, reads the pointer width and the devirtualized
+// way-map from the end, and fuses the hash-table probe with candidate
+// deduplication.
 //
-// Bit-identity with the sequential path is a hard contract: line i+1 may
-// reference line i (the Shared branch inserts the filled line into the
-// HT/WMT before the next encode), so lines are processed strictly in
-// order and every structural mutation happens at the same point as in
-// EncodeFill. TestEncodeFillsMatchesSequential pins payload bytes,
-// Stats, and metric totals against the one-line path.
+// Line i+1 may reference line i (the Shared branch inserts the filled
+// line into the HT/WMT before the next encode), so lines are processed
+// strictly in order and a batch differs from the same lines sent one by
+// one only in when the counters become visible.
+// TestEncodeFillsMatchesSequential pins that; the reference encoder in
+// reference_test.go pins the payload bits themselves.
 
 // BatchFill is one fill request of a batch: the same triple EncodeFill
 // takes.
@@ -36,10 +36,10 @@ type BatchFill struct {
 	ReplWay  int
 }
 
-// batchAcc accumulates one batch's worth of counter and HomeStats
-// updates in plain fields. flush publishes them with one atomic add per
-// touched counter instead of one per event.
-type batchAcc struct {
+// encodeAcc accumulates counter and HomeStats updates in plain fields.
+// flush publishes them with one atomic add per touched counter instead
+// of one per event.
+type encodeAcc struct {
 	fills          uint64
 	sourceBits     uint64
 	thresholdSkips uint64
@@ -59,19 +59,12 @@ type batchAcc struct {
 	payloadDist    obs.HistAcc
 }
 
-// batchState is the per-EncodeFills context: the accumulator plus
-// everything hoisted out of the per-line loop.
-type batchState struct {
-	acc     batchAcc
-	wmt     *WMT // non-nil when the way-map is a private WMT (devirtualized)
-	lidBits int
-}
-
 // flush publishes the accumulated events to the metrics registry and the
-// exported Stats block. Stats and counters therefore advance when the
-// batch completes (or fails), not per line — totals are identical to the
-// sequential path's.
-func (h *HomeEnd) flushBatch(a *batchAcc) {
+// exported Stats block, and the compressors' deferred counters with
+// them. Stats and counters therefore advance when an entry point
+// returns, not per line of a batch.
+func (h *HomeEnd) flush() {
+	a := &h.acc
 	s := &h.Stats
 	s.Fills += a.fills
 	s.SourceBits += a.sourceBits
@@ -135,7 +128,8 @@ func (h *HomeEnd) flushBatch(a *batchAcc) {
 		}
 	}
 	a.payloadDist.FlushTo(mx.payloadDist)
-	*a = batchAcc{}
+	*a = encodeAcc{}
+	h.scr.flushCompress()
 }
 
 // EncodeFills encodes a batch of fills in request order, invoking emit
@@ -143,128 +137,205 @@ func (h *HomeEnd) flushBatch(a *batchAcc) {
 // Like EncodeFill's result, the payload aliases the end's scratch and is
 // valid only for the duration of the callback; retainers must Clone.
 //
-// Every observable effect — payload bits, HT/WMT state, trace records,
-// and (once the call returns) HomeStats and metric totals — is identical
-// to calling EncodeFill once per request; Stats and counters are
-// published at batch completion rather than per line. On an error (line
-// absent from the home cache) the effects of the already-emitted prefix
-// stand, matching a sequential caller that stopped at the failing line.
+// Every observable effect — payload bits, HT/WMT state, trace and
+// flight-recorder records, and (once the call returns) HomeStats and
+// metric totals — is identical to calling EncodeFill once per request;
+// Stats and counters are published at batch completion rather than per
+// line. On an error (line absent from the home cache) the effects of the
+// already-emitted prefix stand, matching a sequential caller that
+// stopped at the failing line.
 func (h *HomeEnd) EncodeFills(reqs []BatchFill, emit func(i int, p Payload, lat FillLatency)) error {
-	standalone := compress.NewBatchCompressor(h.engine, &h.scr.standalone)
-	diff := compress.NewBatchCompressor(h.engine, &h.scr.diff)
-	bs := batchState{lidBits: h.RemoteLIDBits()}
-	bs.wmt, _ = h.wmt.(*WMT)
-	acc := &bs.acc
+	defer h.flush()
 	var payload Payload
 	for i := range reqs {
-		req := &reqs[i]
-		line, homeID, ok := h.home.Probe(req.LineAddr)
+		line, homeID, ok := h.home.Probe(reqs[i].LineAddr)
 		if !ok {
-			h.flushBatch(acc)
-			standalone.Flush()
-			diff.Flush()
-			return fmt.Errorf("core: EncodeFill %#x: line not present in home cache %q", req.LineAddr, h.home.Config().Name)
+			return h.errNotPresent(reqs[i].LineAddr)
 		}
-		data := line.Data
-		acc.fills++
-		acc.sourceBits += uint64(len(data) * 8)
-
-		bestBits, lat := h.encodeBatch(data, &bs, &standalone, &diff, &payload)
-
-		rSlot := cache.LineID{Index: int(req.LineAddr & uint64(h.remoteSets-1)), Way: req.ReplWay}
-		h.noteDisplacementBatch(rSlot, &bs)
-		if req.State == cache.Shared {
-			// The sequential path re-probes here; nothing between the
-			// probe above and this point mutates the home cache, so the
-			// first probe's result is still exact.
-			if bs.wmt != nil {
-				bs.wmt.Set(rSlot, homeID)
-			} else {
-				h.wmt.Set(rSlot, homeID)
-			}
-			h.insertLineBatch(data, homeID, acc)
-		}
-		payload.AckSeq = h.AckSeq
-		// bestBits is Payload.Bits(lidBits) by construction (AckSeq is
-		// not transmitted in the sized header), so skip the recompute.
-		acc.payloadBits += uint64(bestBits)
-		acc.payloadDist.Observe(uint64(bestBits))
-		h.recordOutcomeBatch(&payload, acc)
-		if h.tr != nil {
-			h.tr.Record(obs.EncodeRecord{
-				LineAddr:      req.LineAddr,
-				Class:         payloadClass(payload),
-				Refs:          uint8(len(payload.Refs)),
-				SigsSearched:  uint8(h.lastSigs),
-				Candidates:    uint8(h.lastCands),
-				ThresholdSkip: h.lastSkip,
-				PayloadBits:   uint32(bestBits),
-			})
-		}
+		lat := h.fill(reqs[i], line.Data, line.Data, homeID, &payload)
 		if emit != nil {
 			emit(i, payload, lat)
 		}
 	}
-	h.flushBatch(acc)
-	standalone.Flush()
-	diff.Flush()
 	return nil
 }
 
-// encodeBatch is encode with deferred counters: identical decisions,
-// identical scratch usage, and the winning payload's exact bit size
-// returned so the caller need not re-derive it. The winner is written
-// through out, sparing the per-line copy of a returned Payload.
-func (h *HomeEnd) encodeBatch(data []byte, bs *batchState, standalone, diff *compress.BatchCompressor, out *Payload) (int, FillLatency) {
+// fill is the per-line step: encode data (§III-C/E), then synchronize
+// the home-side structures for the transfer (§III-F), then tell the
+// tracer and recorder. cached is the home cache's own copy of the line,
+// at homeID — data itself for an inclusive home, nil when the line is
+// not to become a reference (a non-inclusive home forwarding a line it
+// does not hold). The winning payload is written through out and
+// aliases the end's scratch.
+func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, out *Payload) FillLatency {
+	acc := &h.acc
+	acc.fills++
+	acc.sourceBits += uint64(len(data) * 8)
+	var encStart int64
+	if h.rec != nil {
+		encStart = h.rec.Clock()
+	}
+	// bits is out.Bits(lidBits) by construction (AckSeq is not
+	// transmitted in the sized header), so nothing below recomputes it.
+	bits, lat := h.encode(data, out)
+
+	// The displaced occupant of the target slot can no longer serve as a
+	// reference; a Shared line becomes one if the home caches it (always
+	// true for inclusive hierarchies).
+	rSlot := cache.LineID{Index: int(req.LineAddr & uint64(h.remoteSets-1)), Way: req.ReplWay}
+	acc.htRemoves += h.noteDisplacement(rSlot)
+	if req.State == cache.Shared && cached != nil {
+		if h.pwmt != nil {
+			h.pwmt.Set(rSlot, homeID)
+		} else {
+			h.wmt.Set(rSlot, homeID)
+		}
+		h.insertLine(cached, homeID)
+	}
+	out.AckSeq = h.AckSeq
+	acc.payloadBits += uint64(bits)
+	acc.payloadDist.Observe(uint64(bits))
+	class := payloadClass(out)
+	switch class {
+	case obs.ClassRaw:
+		acc.outcomeRaw++
+	case obs.ClassStandalone:
+		acc.outcomeStand++
+	default:
+		acc.outcomeDiff++
+	}
+	if out.Compressed {
+		acc.refsUsed[len(out.Refs)]++
+	}
+	if h.rec != nil {
+		h.rec.Encode(h.recTrack, class, bits, h.lastSkip, h.rec.Clock()-encStart)
+	}
+	if h.tr != nil {
+		h.tr.Record(obs.EncodeRecord{
+			LineAddr:      req.LineAddr,
+			Class:         class,
+			Refs:          uint8(len(out.Refs)),
+			SigsSearched:  uint8(h.lastSigs),
+			Candidates:    uint8(h.lastCands),
+			ThresholdSkip: h.lastSkip,
+			PayloadBits:   uint32(bits),
+		})
+	}
+	return lat
+}
+
+// encode runs the §III-C/§III-E decision sequence on one line:
+// standalone compression, threshold check, signature search, CBV
+// ranking, DIFF compression, smallest payload wins. It returns the
+// winner's exact transmitted size.
+func (h *HomeEnd) encode(data []byte, out *Payload) (int, FillLatency) {
 	h.lastSigs, h.lastCands, h.lastSkip = 0, 0, false
 	scr := &h.scr
-	acc := &bs.acc
-	stand := standalone.Compress(data, nil)
-	rawBits := flagBits + len(data)*8
-
-	*out = Payload{Compressed: true, Diff: stand}
-	bestBits := out.Bits(bs.lidBits)
-	if rawBits < bestBits {
-		scr.raw = append(scr.raw[:0], data...)
-		*out = Payload{Raw: scr.raw}
-		bestBits = rawBits
-	}
+	bestBits, standBits := scr.floor(data, out)
 	lat := FillLatency{CompressCycles: CompressLatency, DecompressCycles: DecompressLatency}
-
-	if h.standaloneSkips(stand.NBits) {
-		acc.thresholdSkips++
+	if h.standaloneSkips(standBits) {
+		h.acc.thresholdSkips++
 		h.lastSkip = true
 		return bestBits, lat
 	}
-
 	scr.searchSigs = h.ex.AppendSearchSignatures(scr.searchSigs[:0], data, h.cfg.MaxSearchSigs)
-	sigs := scr.searchSigs
-	h.lastSigs = len(sigs)
-	acc.sigsSearched += uint64(len(sigs))
-	lat.SearchCycles = searchLatency(len(sigs))
-	cands := h.gatherCandidatesBatch(data, sigs, bs)
+	h.lastSigs = len(scr.searchSigs)
+	h.acc.sigsSearched += uint64(len(scr.searchSigs))
+	lat.SearchCycles = searchLatency(len(scr.searchSigs))
+	cands := h.gatherCandidates(data, scr.searchSigs)
 	h.lastCands = len(cands)
-	scr.refs = scr.pick.pick(cands, h.cfg.MaxRefs, scr.refs[:0])
-	if refs := scr.refs; len(refs) > 0 {
-		scr.refData = scr.refData[:0]
-		scr.refIDs = scr.refIDs[:0]
-		for _, c := range refs {
-			scr.refData = append(scr.refData, c.data)
-			scr.refIDs = append(scr.refIDs, c.remoteID)
-		}
-		d := diff.Compress(data, scr.refData)
-		p := Payload{Compressed: true, Refs: scr.refIDs, Diff: d}
-		if b := p.Bits(bs.lidBits); b < bestBits {
-			*out, bestBits = p, b
+	return scr.tryDiff(data, cands, h.cfg.MaxRefs, bestBits, out), lat
+}
+
+// init binds the scratch to its end's engine, registry and pointer
+// width (geomBits unless the tag-pointer ablation overrides it), and
+// draws pooled word buffers so the first encodes start warm.
+func (s *encScratch) init(e compress.Engine, cfg Config, geomBits int) {
+	s.prime()
+	s.standalone.UseRegistry(cfg.Metrics)
+	s.diff.UseRegistry(cfg.Metrics)
+	s.standaloneC = compress.NewBatchCompressor(e, &s.standalone)
+	s.diffC = compress.NewBatchCompressor(e, &s.diff)
+	s.lidBits = geomBits
+	if cfg.PointerBitsOverride > 0 {
+		s.lidBits = cfg.PointerBitsOverride
+	}
+}
+
+// flushCompress publishes the two compressors' deferred counters.
+func (s *encScratch) flushCompress() {
+	s.standaloneC.Flush()
+	s.diffC.Flush()
+}
+
+// floor compresses data without references and keeps the raw line when
+// that is smaller: the payload any reference-seeded DIFF has to beat.
+// It returns the winner's transmitted size and the standalone size the
+// threshold check reads.
+func (s *encScratch) floor(data []byte, out *Payload) (bestBits, standBits int) {
+	stand := s.standaloneC.Compress(data, nil)
+	*out = Payload{Compressed: true, Diff: stand}
+	bestBits = out.Bits(s.lidBits)
+	if rawBits := flagBits + len(data)*8; rawBits < bestBits {
+		s.raw = append(s.raw[:0], data...)
+		*out = Payload{Raw: s.raw}
+		bestBits = rawBits
+	}
+	return bestBits, stand.NBits
+}
+
+// tryDiff picks up to maxRefs references from cands by CBV coverage,
+// DIFF-compresses data against them, and replaces out when the result
+// is smaller than bestBits. It returns the winner's transmitted size.
+func (s *encScratch) tryDiff(data []byte, cands []candidate, maxRefs, bestBits int, out *Payload) int {
+	s.refs = s.pick.pick(cands, maxRefs, s.refs[:0])
+	if len(s.refs) == 0 {
+		return bestBits
+	}
+	s.refData = s.refData[:0]
+	s.refIDs = s.refIDs[:0]
+	for _, c := range s.refs {
+		s.refData = append(s.refData, c.data)
+		s.refIDs = append(s.refIDs, c.remoteID)
+	}
+	p := Payload{Compressed: true, Refs: s.refIDs, Diff: s.diffC.Compress(data, s.refData)}
+	if b := p.Bits(s.lidBits); b < bestBits {
+		*out, bestBits = p, b
+	}
+	return bestBits
+}
+
+// probe looks every search signature up in ht, deduplicating the
+// results in first-seen order through the scratch index (O(1) per
+// result) while counting how many signatures mapped to each line, then
+// pre-ranks by that count. It returns candidates carrying only id and
+// dups, and the number of live entries the lookups returned.
+func (s *encScratch) probe(ht *HashTable, sigs []sig.Signature, accessCount int) ([]candidate, uint64) {
+	cands := s.cands[:0]
+	s.dedup.begin(len(sigs) * ht.depth)
+	var hits uint64
+	for _, sg := range sigs {
+		ht.Lookups++
+		for _, e := range ht.bucket(sg) {
+			if !e.valid {
+				continue
+			}
+			hits++
+			if pos, dup := s.dedup.insert(e.id, int32(len(cands))); dup {
+				cands[pos].dups++
+			} else {
+				cands = append(cands, candidate{id: e.id, dups: 1})
+			}
 		}
 	}
-	return bestBits, lat
+	s.cands = cands
+	return preRank(cands, accessCount), hits
 }
 
 // standaloneSkips reports whether a standalone encode of nbits clears
-// the threshold, via the memoized table (built on first use). Out-of-
-// range sizes — possible only for an engine that expands beyond LBE's
-// worst case — fall back to the float comparison.
+// the threshold, via the memoized table. Out-of-range sizes — possible
+// only for an engine that expands beyond LBE's worst case — are compared
+// directly.
 func (h *HomeEnd) standaloneSkips(nbits int) bool {
 	if h.thrSkip == nil {
 		// LBE's worst case is a 34-bit literal code per 32-bit source
@@ -281,165 +352,81 @@ func (h *HomeEnd) standaloneSkips(nbits int) bool {
 	return compress.Ratio(h.lineSize, nbits) >= h.cfg.StandaloneThreshold
 }
 
-// gatherCandidatesBatch is gatherCandidates with deferred counters, the
-// hash-table probe fused with deduplication (no intermediate LineID
-// buffer), and the way-map devirtualized.
-func (h *HomeEnd) gatherCandidatesBatch(data []byte, sigs []sig.Signature, bs *batchState) []candidate {
-	scr := &h.scr
-	acc := &bs.acc
-	ht := h.ht
-	cands := scr.cands[:0]
-	scr.dedup.begin(len(sigs) * h.cfg.BucketDepth)
-	for _, s := range sigs {
-		ht.Lookups++
-		for _, e := range ht.bucket(s) {
-			if !e.valid {
-				continue
-			}
-			acc.htHits++
-			if pos, dup := scr.dedup.insert(e.id, int32(len(cands))); dup {
-				cands[pos].dups++
-			} else {
-				cands = append(cands, candidate{homeID: e.id, dups: 1})
-			}
-		}
-	}
-	scr.cands = cands
-	cands = preRank(cands, h.cfg.AccessCount)
-
+// gatherCandidates probes the hash table with every search signature,
+// reads the pre-ranked candidates that the WMT says are still resident
+// at the remote from the data array, and builds their CBVs.
+func (h *HomeEnd) gatherCandidates(data []byte, sigs []sig.Signature) []candidate {
+	acc := &h.acc
+	cands, hits := h.scr.probe(h.ht, sigs, h.cfg.AccessCount)
+	acc.htHits += hits
 	out := cands[:0]
 	for _, c := range cands {
-		var remoteID cache.LineID
 		var resident bool
-		if bs.wmt != nil {
-			remoteID, resident = bs.wmt.Lookup(c.homeID)
+		if h.pwmt != nil {
+			c.remoteID, resident = h.pwmt.Lookup(c.id)
 		} else {
-			remoteID, resident = h.wmt.Lookup(c.homeID)
+			c.remoteID, resident = h.wmt.Lookup(c.id)
 		}
 		if !resident {
 			acc.wmtMisses++
 			continue
 		}
 		acc.wmtHits++
-		ref := h.home.ReadByID(c.homeID)
+		ref := h.home.ReadByID(c.id)
 		acc.candidatesRead++
 		if ref == nil {
 			continue
 		}
-		c.remoteID = remoteID
 		c.data = ref.Data
 		c.cbv = CoverageVector(data, ref.Data)
 		if c.cbv == 0 {
-			continue
+			continue // hash collision: no similarity at all (Fig 7)
 		}
 		out = append(out, c)
 	}
 	return out
 }
 
-func (h *HomeEnd) insertLineBatch(data []byte, id cache.LineID, acc *batchAcc) {
+// insertLine records data's insert-signatures for id through the reused
+// signature scratch.
+func (h *HomeEnd) insertLine(data []byte, id cache.LineID) {
 	h.scr.insertSigs = h.ex.AppendInsertSignatures(h.scr.insertSigs[:0], data)
 	collisionsBefore := h.ht.Collisions
 	for _, s := range h.scr.insertSigs {
 		h.ht.Insert(s, id)
 	}
-	acc.htInserts += uint64(len(h.scr.insertSigs))
-	acc.htCollisions += h.ht.Collisions - collisionsBefore
+	h.acc.htInserts += uint64(len(h.scr.insertSigs))
+	h.acc.htCollisions += h.ht.Collisions - collisionsBefore
 }
 
-func (h *HomeEnd) removeLineBatch(data []byte, id cache.LineID, acc *batchAcc) {
+// removeLine scrubs data's insert-signatures for id and returns how many
+// it looked up, for the caller's ht_removes counter (deferred inside the
+// pipeline, immediate in the synchronization handlers).
+func (h *HomeEnd) removeLine(data []byte, id cache.LineID) uint64 {
 	h.scr.insertSigs = h.ex.AppendInsertSignatures(h.scr.insertSigs[:0], data)
 	for _, s := range h.scr.insertSigs {
 		h.ht.Remove(s, id)
 	}
-	acc.htRemoves += uint64(len(h.scr.insertSigs))
+	return uint64(len(h.scr.insertSigs))
 }
 
-func (h *HomeEnd) noteDisplacementBatch(rSlot cache.LineID, bs *batchState) {
-	var displacedHome cache.LineID
+// noteDisplacement handles the implicit eviction conveyed by the
+// way-replacement info: whatever the WMT tracked in the target remote
+// slot is about to be displaced, so its signatures must be removed.
+// Returns removeLine's count (0 when the slot tracked nothing).
+func (h *HomeEnd) noteDisplacement(rSlot cache.LineID) uint64 {
+	var displaced cache.LineID
 	var ok bool
-	if bs.wmt != nil {
-		displacedHome, ok = bs.wmt.Clear(rSlot)
+	if h.pwmt != nil {
+		displaced, ok = h.pwmt.Clear(rSlot)
 	} else {
-		displacedHome, ok = h.wmt.Clear(rSlot)
+		displaced, ok = h.wmt.Clear(rSlot)
 	}
 	if !ok {
-		return
+		return 0
 	}
-	if line := h.home.ReadByID(displacedHome); line != nil {
-		h.removeLineBatch(line.Data, displacedHome, &bs.acc)
+	if line := h.home.ReadByID(displaced); line != nil {
+		return h.removeLine(line.Data, displaced)
 	}
-}
-
-func (h *HomeEnd) recordOutcomeBatch(p *Payload, acc *batchAcc) {
-	switch {
-	case !p.Compressed:
-		acc.outcomeRaw++
-	case len(p.Refs) == 0:
-		acc.outcomeStand++
-	default:
-		acc.outcomeDiff++
-	}
-	if p.Compressed {
-		acc.refsUsed[len(p.Refs)]++
-	}
-}
-
-// DecodeFills decodes a batch of fill payloads in order, invoking emit
-// for each reconstructed line. The data slice aliases the end's decode
-// scratch and is valid only for the duration of the callback (the same
-// contract as DecodeFill); per-decode counters and Stats are flushed
-// once per batch. Decoding stops at the first corrupt payload, after the
-// prefix's counters are published — identical to a sequential caller.
-func (r *RemoteEnd) DecodeFills(ps []Payload, emit func(i int, data []byte)) error {
-	var decodes, rescues uint64
-	flush := func() {
-		r.Stats.FillDecodes += decodes
-		r.Stats.RescuedRefs += rescues
-		if decodes != 0 {
-			r.mx.fillDecodes.Add(r.shard, decodes)
-		}
-		if rescues != 0 {
-			r.mx.evictRescues.Add(r.shard, rescues)
-		}
-	}
-	for i := range ps {
-		p := &ps[i]
-		decodes++
-		var out []byte
-		if !p.Compressed {
-			if len(p.Raw) != r.lineSize {
-				flush()
-				return fmt.Errorf("core: raw fill of %dB, want %dB: %w", len(p.Raw), r.lineSize, ErrTruncatedPayload)
-			}
-			r.scr.decOut = append(r.scr.decOut[:0], p.Raw...)
-			out = r.scr.decOut
-		} else {
-			r.scr.decRefs = r.scr.decRefs[:0]
-			for _, rid := range p.Refs {
-				if data := r.evbuf.Resolve(rid, p.AckSeq); data != nil {
-					rescues++
-					r.scr.decRefs = append(r.scr.decRefs, data)
-					continue
-				}
-				line := r.remote.ReadByID(rid)
-				if line == nil {
-					flush()
-					return fmt.Errorf("core: fill references empty remote slot %v: %w", rid, ErrBadReference)
-				}
-				r.scr.decRefs = append(r.scr.decRefs, line.Data)
-			}
-			dec, err := compress.DecompressWith(r.engine, &r.scr.dec, p.Diff, r.scr.decRefs, r.lineSize)
-			if err != nil {
-				flush()
-				return fmt.Errorf("core: fill diff: %w: %w", ErrCorruptDiff, err)
-			}
-			out = dec
-		}
-		if emit != nil {
-			emit(i, out)
-		}
-	}
-	flush()
-	return nil
+	return 0
 }

@@ -22,12 +22,17 @@ type HomeEnd struct {
 	ht     *HashTable
 	wmt    WayMap
 
-	remoteSets    int
-	remoteIdxBits int
-	remoteWayBits int
-	lineSize      int
+	// pwmt is wmt when that is a private WMT: the pipeline calls it
+	// directly instead of through the interface.
+	pwmt *WMT
+
+	remoteSets int
+	lineSize   int
 
 	scr encScratch
+	// acc holds the pipeline's counter and Stats updates between
+	// flushes (per EncodeFill call, per EncodeFills batch).
+	acc encodeAcc
 
 	// mx/shard feed the process-wide metrics registry: the counter
 	// block is shared, the shard (a padded cache line per counter) is
@@ -52,9 +57,8 @@ type HomeEnd struct {
 
 	// thrSkip[nbits] caches the standalone-threshold decision for every
 	// possible standalone output size (lineSize and threshold are fixed
-	// per end). Entries are computed with the exact float expression the
-	// sequential path evaluates, so a table hit is bit-identical to it.
-	// Built lazily by the batch path; nil until first EncodeFills.
+	// per end), each entry computed with the float comparison the paper
+	// states. Built by the first encode; Reset keeps it.
 	thrSkip []bool
 
 	// AckSeq is the highest remote EvictSeq this end has processed;
@@ -66,13 +70,19 @@ type HomeEnd struct {
 }
 
 // encScratch holds the reusable buffers of the encode pipeline so that
-// steady-state encodes allocate nothing. A link end owns exactly one
-// (ends are not goroutine-safe; parallel simulations build one link
-// per worker).
+// steady-state encodes allocate nothing, plus the two steps of the
+// decision sequence both ends run over them (floor, tryDiff). A link
+// end owns exactly one (ends are not goroutine-safe; parallel
+// simulations build one link per worker).
 type encScratch struct {
+	// standaloneC/diffC compress through standalone/diff with their
+	// counters deferred to flushCompress; lidBits is the link's
+	// transmitted pointer width. All three are fixed by init.
+	standaloneC, diffC compress.BatchCompressor
+	lidBits            int
+
 	searchSigs []sig.Signature
 	insertSigs []sig.Signature
-	lookup     []cache.LineID
 	cands      []candidate
 	refs       []candidate
 	refData    [][]byte
@@ -129,21 +139,18 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 		wm = NewWMT(home, remote)
 	}
 	h := &HomeEnd{
-		cfg:           cfg,
-		home:          home,
-		engine:        eng,
-		ex:            sig.NewExtractorN(home.Config().LineSize, cfg.SigSeed, cfg.InsertSigs),
-		ht:            NewHashTable(buckets, cfg.BucketDepth),
-		wmt:           wm,
-		remoteSets:    remote.NumSets(),
-		remoteIdxBits: remote.IndexBits(),
-		remoteWayBits: remote.WayBits(),
-		lineSize:      home.Config().LineSize,
+		cfg:        cfg,
+		home:       home,
+		engine:     eng,
+		ex:         sig.NewExtractorN(home.Config().LineSize, cfg.SigSeed, cfg.InsertSigs),
+		ht:         NewHashTable(buckets, cfg.BucketDepth),
+		wmt:        wm,
+		remoteSets: remote.NumSets(),
+		lineSize:   home.Config().LineSize,
 	}
+	h.pwmt, _ = wm.(*WMT)
 	h.mx, h.shard = homeMetricsIn(cfg.Metrics)
-	h.scr.prime()
-	h.scr.standalone.UseRegistry(cfg.Metrics)
-	h.scr.diff.UseRegistry(cfg.Metrics)
+	h.scr.init(eng, cfg, remote.IndexBits()+remote.WayBits())
 	return h, nil
 }
 
@@ -160,12 +167,7 @@ func (h *HomeEnd) SetRecorder(rec *obs.Recorder, t *obs.Track) { h.rec, h.recTra
 
 // RemoteLIDBits is the transmitted pointer width (Table III), or the
 // configured override for the tag-pointer ablation.
-func (h *HomeEnd) RemoteLIDBits() int {
-	if h.cfg.PointerBitsOverride > 0 {
-		return h.cfg.PointerBitsOverride
-	}
-	return h.remoteIdxBits + h.remoteWayBits
-}
+func (h *HomeEnd) RemoteLIDBits() int { return h.scr.lidBits }
 
 // HashTable exposes the hash table (for tests and the area model).
 func (h *HomeEnd) HashTable() *HashTable { return h.ht }
@@ -211,12 +213,19 @@ func searchLatency(nsigs int) int {
 // state is the coherence state granted to the remote copy and replWay
 // the way-replacement info carried in the request (§II-C). EncodeFill
 // also performs the home-side synchronization for this transfer.
+//
+// Every buffer the returned Payload carries (Raw, Refs, Diff bits)
+// aliases this end's scratch, so a payload is valid only until the
+// next encode on the same end; callers that retain one must Clone it.
+// The simulators and link drivers all consume payloads immediately.
 func (h *HomeEnd) EncodeFill(lineAddr uint64, state cache.State, replWay int) (Payload, FillLatency, error) {
-	line, _, ok := h.home.Probe(lineAddr)
+	line, homeID, ok := h.home.Probe(lineAddr)
 	if !ok {
-		return Payload{}, FillLatency{}, fmt.Errorf("core: EncodeFill %#x: line not present in home cache %q", lineAddr, h.home.Config().Name)
+		return Payload{}, FillLatency{}, h.errNotPresent(lineAddr)
 	}
-	p, lat := h.encodeFillData(lineAddr, line.Data, state, replWay)
+	var p Payload
+	lat := h.fill(BatchFill{lineAddr, state, replWay}, line.Data, line.Data, homeID, &p)
+	h.flush()
 	return p, lat, nil
 }
 
@@ -229,59 +238,26 @@ func (h *HomeEnd) EncodeFillData(lineAddr uint64, data []byte, state cache.State
 	if len(data) != h.lineSize {
 		return Payload{}, FillLatency{}, fmt.Errorf("core: EncodeFillData %#x: %dB line, want %dB", lineAddr, len(data), h.lineSize)
 	}
-	p, lat := h.encodeFillData(lineAddr, data, state, replWay)
+	// Only a Shared line the home happens to cache becomes a reference.
+	var cached []byte
+	var homeID cache.LineID
+	if state == cache.Shared {
+		if line, id, ok := h.home.Probe(lineAddr); ok {
+			cached, homeID = line.Data, id
+		}
+	}
+	var p Payload
+	lat := h.fill(BatchFill{lineAddr, state, replWay}, data, cached, homeID, &p)
+	h.flush()
 	return p, lat, nil
 }
 
-func (h *HomeEnd) encodeFillData(lineAddr uint64, data []byte, state cache.State, replWay int) (Payload, FillLatency) {
-	h.Stats.Fills++
-	h.Stats.SourceBits += uint64(len(data) * 8)
-	h.mx.fills.Inc(h.shard)
-	h.mx.sourceBits.Add(h.shard, uint64(len(data)*8))
-
-	var encStart int64
-	if h.rec != nil {
-		encStart = h.rec.Clock()
-	}
-	payload, lat := h.encode(data)
-
-	// Synchronization (§III-F). The displaced occupant of the target
-	// slot can no longer serve as a reference.
-	rSlot := cache.LineID{Index: int(lineAddr & uint64(h.remoteSets-1)), Way: replWay}
-	h.noteDisplacement(rSlot)
-	if state == cache.Shared {
-		// The line becomes a reference only if the home caches it
-		// (always true for inclusive hierarchies).
-		if line, homeID, ok := h.home.Probe(lineAddr); ok {
-			h.wmt.Set(rSlot, homeID)
-			h.insertLine(line.Data, homeID)
-		}
-	}
-	payload.AckSeq = h.AckSeq
-	pbits := payload.Bits(h.RemoteLIDBits())
-	h.Stats.PayloadBits += uint64(pbits)
-	h.mx.payloadBits.Add(h.shard, uint64(pbits))
-	h.mx.payloadDist.Observe(uint64(pbits))
-	h.recordOutcome(payload)
-	if h.rec != nil {
-		h.rec.Encode(h.recTrack, payloadClass(payload), pbits, h.lastSkip, h.rec.Clock()-encStart)
-	}
-	if h.tr != nil {
-		h.tr.Record(obs.EncodeRecord{
-			LineAddr:      lineAddr,
-			Class:         payloadClass(payload),
-			Refs:          uint8(len(payload.Refs)),
-			SigsSearched:  uint8(h.lastSigs),
-			Candidates:    uint8(h.lastCands),
-			ThresholdSkip: h.lastSkip,
-			PayloadBits:   uint32(pbits),
-		})
-	}
-	return payload, lat
+func (h *HomeEnd) errNotPresent(lineAddr uint64) error {
+	return fmt.Errorf("core: EncodeFill %#x: line not present in home cache %q", lineAddr, h.home.Config().Name)
 }
 
 // payloadClass maps a winning payload to its encoding class.
-func payloadClass(p Payload) obs.EncodeClass {
+func payloadClass(p *Payload) obs.EncodeClass {
 	switch {
 	case !p.Compressed:
 		return obs.ClassRaw
@@ -292,170 +268,12 @@ func payloadClass(p Payload) obs.EncodeClass {
 	}
 }
 
-// encode runs the §III-C/§III-E pipeline on one line: concurrent
-// standalone compression, threshold check, signature search, CBV
-// ranking, DIFF compression, and the smallest-payload decision.
-//
-// Every buffer the returned Payload carries (Raw, Refs, Diff bits)
-// aliases this end's scratch, so a payload is valid only until the
-// next encode on the same end; callers that retain one must Clone it.
-// The simulators and link drivers all consume payloads immediately.
-func (h *HomeEnd) encode(data []byte) (Payload, FillLatency) {
-	h.lastSigs, h.lastCands, h.lastSkip = 0, 0, false
-	scr := &h.scr
-	standalone := compress.CompressWith(h.engine, &scr.standalone, data, nil)
-	rawBits := flagBits + len(data)*8
-
-	best := Payload{Compressed: true, Diff: standalone}
-	bestBits := best.Bits(h.RemoteLIDBits())
-	if rawBits < bestBits {
-		scr.raw = append(scr.raw[:0], data...)
-		best = Payload{Raw: scr.raw}
-		bestBits = rawBits
-	}
-	lat := FillLatency{CompressCycles: CompressLatency, DecompressCycles: DecompressLatency}
-
-	if compress.Ratio(len(data), standalone.NBits) >= h.cfg.StandaloneThreshold {
-		h.Stats.ThresholdSkips++
-		h.mx.thresholdSkips.Inc(h.shard)
-		h.lastSkip = true
-		return best, lat
-	}
-
-	scr.searchSigs = h.ex.AppendSearchSignatures(scr.searchSigs[:0], data, h.cfg.MaxSearchSigs)
-	sigs := scr.searchSigs
-	h.Stats.SigsSearched += uint64(len(sigs))
-	h.lastSigs = len(sigs)
-	h.mx.sigsSearched.Add(h.shard, uint64(len(sigs)))
-	h.mx.htProbes.Add(h.shard, uint64(len(sigs)))
-	lat.SearchCycles = searchLatency(len(sigs))
-	cands := h.gatherCandidates(data, sigs)
-	h.lastCands = len(cands)
-	scr.refs = scr.pick.pick(cands, h.cfg.MaxRefs, scr.refs[:0])
-	if refs := scr.refs; len(refs) > 0 {
-		scr.refData = scr.refData[:0]
-		scr.refIDs = scr.refIDs[:0]
-		for _, c := range refs {
-			scr.refData = append(scr.refData, c.data)
-			scr.refIDs = append(scr.refIDs, c.remoteID)
-		}
-		diff := compress.CompressWith(h.engine, &scr.diff, data, scr.refData)
-		p := Payload{Compressed: true, Refs: scr.refIDs, Diff: diff}
-		if b := p.Bits(h.RemoteLIDBits()); b < bestBits {
-			best, bestBits = p, b
-		}
-	}
-	return best, lat
-}
-
-// gatherCandidates probes the hash table with every search signature,
-// pre-ranks by duplication, reads the top candidates from the data
-// array, checks remote residency through the WMT, and builds CBVs.
-// Candidates are deduplicated in first-seen order through the scratch
-// dedup index — O(1) per lookup result instead of the former O(n²)
-// rescan of the candidate slice, with bit-identical output.
-func (h *HomeEnd) gatherCandidates(data []byte, sigs []sig.Signature) []candidate {
-	scr := &h.scr
-	cands := scr.cands[:0]
-	scr.dedup.begin(len(sigs) * h.cfg.BucketDepth)
-	for _, s := range sigs {
-		scr.lookup = h.ht.Lookup(s, scr.lookup[:0])
-		h.mx.htHits.Add(h.shard, uint64(len(scr.lookup)))
-		for _, id := range scr.lookup {
-			if pos, dup := scr.dedup.insert(id, int32(len(cands))); dup {
-				cands[pos].dups++
-			} else {
-				cands = append(cands, candidate{homeID: id, dups: 1})
-			}
-		}
-	}
-	scr.cands = cands
-	cands = preRank(cands, h.cfg.AccessCount)
-
-	out := cands[:0]
-	for _, c := range cands {
-		remoteID, resident := h.wmt.Lookup(c.homeID)
-		if !resident {
-			h.mx.wmtMisses.Inc(h.shard)
-			continue
-		}
-		h.mx.wmtHits.Inc(h.shard)
-		ref := h.home.ReadByID(c.homeID)
-		h.Stats.CandidatesRead++
-		h.mx.candidatesRead.Inc(h.shard)
-		if ref == nil {
-			continue
-		}
-		c.remoteID = remoteID
-		c.data = ref.Data
-		c.cbv = CoverageVector(data, ref.Data)
-		if c.cbv == 0 {
-			continue // hash collision: no similarity at all (Fig 7)
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// insertLine records data's insert-signatures for id through the
-// reused signature scratch.
-func (h *HomeEnd) insertLine(data []byte, id cache.LineID) {
-	h.scr.insertSigs = h.ex.AppendInsertSignatures(h.scr.insertSigs[:0], data)
-	collisionsBefore := h.ht.Collisions
-	for _, s := range h.scr.insertSigs {
-		h.ht.Insert(s, id)
-	}
-	h.mx.htInserts.Add(h.shard, uint64(len(h.scr.insertSigs)))
-	h.mx.htCollisions.Add(h.shard, h.ht.Collisions-collisionsBefore)
-}
-
-// removeLine scrubs data's insert-signatures for id through the reused
-// signature scratch.
-func (h *HomeEnd) removeLine(data []byte, id cache.LineID) {
-	h.scr.insertSigs = h.ex.AppendInsertSignatures(h.scr.insertSigs[:0], data)
-	for _, s := range h.scr.insertSigs {
-		h.ht.Remove(s, id)
-	}
-	h.mx.htRemoves.Add(h.shard, uint64(len(h.scr.insertSigs)))
-}
-
-// noteDisplacement handles the implicit eviction conveyed by the
-// way-replacement info: whatever the WMT tracked in the target remote
-// slot is about to be displaced, so its signatures must be removed.
-func (h *HomeEnd) noteDisplacement(rSlot cache.LineID) {
-	displacedHome, ok := h.wmt.Clear(rSlot)
-	if !ok {
-		return
-	}
-	if line := h.home.ReadByID(displacedHome); line != nil {
-		h.removeLine(line.Data, displacedHome)
-	}
-}
-
-func (h *HomeEnd) recordOutcome(p Payload) {
-	switch {
-	case !p.Compressed:
-		h.Stats.RawWins++
-		h.mx.outcomeRaw.Inc(h.shard)
-	case len(p.Refs) == 0:
-		h.Stats.StandaloneWins++
-		h.mx.outcomeStand.Inc(h.shard)
-	default:
-		h.Stats.DiffWins++
-		h.mx.outcomeDiff.Inc(h.shard)
-	}
-	if p.Compressed {
-		h.Stats.RefsUsed[len(p.Refs)]++
-		h.mx.refsUsed[len(p.Refs)].Inc(h.shard)
-	}
-}
-
 // OnRemoteEviction processes an explicit (non-silent) eviction notice:
 // the remote slot no longer holds the line, so it cannot serve as a
 // reference. seq is the eviction's EvictSeq; processing it advances the
 // acknowledged sequence echoed in future responses.
 func (h *HomeEnd) OnRemoteEviction(rSlot cache.LineID, seq uint64) {
-	h.noteDisplacement(rSlot)
+	h.mx.htRemoves.Add(h.shard, h.noteDisplacement(rSlot))
 	if seq > h.AckSeq {
 		h.AckSeq = seq
 	}
@@ -464,25 +282,22 @@ func (h *HomeEnd) OnRemoteEviction(rSlot cache.LineID, seq uint64) {
 // OnHomeEviction must be called before the home cache evicts lineAddr
 // (with inclusive caches this also back-invalidates the remote copy).
 // It scrubs the WMT entry and hash-table signatures.
-func (h *HomeEnd) OnHomeEviction(lineAddr uint64) {
-	line, homeID, ok := h.home.Probe(lineAddr)
-	if !ok {
-		return
-	}
-	h.wmt.ClearHome(homeID)
-	h.removeLine(line.Data, homeID)
-}
+func (h *HomeEnd) OnHomeEviction(lineAddr uint64) { h.scrub(lineAddr) }
 
 // OnUpgrade processes a shared→modified upgrade request: the remote
 // copy is about to be written, so the line must stop serving as a
 // reference on both sides (§III-F).
-func (h *HomeEnd) OnUpgrade(lineAddr uint64) {
+func (h *HomeEnd) OnUpgrade(lineAddr uint64) { h.scrub(lineAddr) }
+
+// scrub stops lineAddr from serving as a reference: its WMT entry and
+// hash-table signatures go.
+func (h *HomeEnd) scrub(lineAddr uint64) {
 	line, homeID, ok := h.home.Probe(lineAddr)
 	if !ok {
 		return
 	}
 	h.wmt.ClearHome(homeID)
-	h.removeLine(line.Data, homeID)
+	h.mx.htRemoves.Add(h.shard, h.removeLine(line.Data, homeID))
 }
 
 // DecodeWriteback reconstructs a write-back payload produced by the

@@ -27,6 +27,9 @@ type linkHarness struct {
 	protos   [][]byte // prototype pool generating similar lines
 	fills    int
 	wbs      int
+	// checkReference compares every fill's payload with referenceFill
+	// (reference_test.go).
+	checkReference bool
 }
 
 func newLinkHarness(t *testing.T, cfg Config, homeKB, remoteKB int) *linkHarness {
@@ -172,9 +175,17 @@ func (h *linkHarness) request(addr uint64, write bool) {
 	if write {
 		state = cache.Modified
 	}
+	var ref Payload
+	if h.checkReference {
+		line, _, _ := h.home.Probe(addr)
+		ref = referenceFill(h.he, h.remote, line.Data)
+	}
 	p, lat, err := h.he.EncodeFill(addr, state, way)
 	if err != nil {
 		h.t.Fatalf("encode fill %#x: %v", addr, err)
+	}
+	if h.checkReference {
+		requireSamePayload(h.t, addr, p, ref, h.remote)
 	}
 	if lat.Total() > EndToEndLatency {
 		h.t.Fatalf("latency %d exceeds worst case %d", lat.Total(), EndToEndLatency)

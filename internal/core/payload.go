@@ -107,43 +107,13 @@ func (p Payload) MarshalGuardedInto(w *bits.Writer, idxBits, wayBits int) compre
 	return compress.Encoded{Data: w.Bytes(), NBits: w.Len()}
 }
 
-// UnmarshalPayload parses a wire payload. lineSize bounds the raw form.
-// Anomalies surface as wrapped ErrTruncatedPayload, never a panic: the
-// bit reader bounds every access to the physical buffer even when
-// enc.NBits overstates it.
+// UnmarshalPayload parses a wire payload into buffers it allocates; the
+// result owns them. See UnmarshalPayloadScratch for the parser.
 func UnmarshalPayload(enc compress.Encoded, idxBits, wayBits, lineSize int) (Payload, error) {
-	r := enc.Reader()
-	flag, err := r.ReadBit()
-	if err != nil {
-		return Payload{}, fmt.Errorf("core: empty payload: %w: %w", ErrTruncatedPayload, err)
+	var p Payload
+	if err := UnmarshalPayloadScratch(&p, new(PayloadScratch), enc, idxBits, wayBits, lineSize); err != nil {
+		return Payload{}, err
 	}
-	if flag == 0 {
-		raw, err := r.ReadBytes(lineSize)
-		if err != nil {
-			return Payload{}, fmt.Errorf("core: raw payload: %w: %w", ErrTruncatedPayload, err)
-		}
-		return Payload{Raw: raw}, nil
-	}
-	n, err := r.ReadBits(refCountBits)
-	if err != nil {
-		return Payload{}, fmt.Errorf("core: refcount: %w: %w", ErrTruncatedPayload, err)
-	}
-	p := Payload{Compressed: true}
-	for i := 0; i < int(n); i++ {
-		idx, err := r.ReadBits(idxBits)
-		if err != nil {
-			return Payload{}, fmt.Errorf("core: ref %d index: %w: %w", i, ErrTruncatedPayload, err)
-		}
-		way, err := r.ReadBits(wayBits)
-		if err != nil {
-			return Payload{}, fmt.Errorf("core: ref %d way: %w: %w", i, ErrTruncatedPayload, err)
-		}
-		p.Refs = append(p.Refs, cache.LineID{Index: int(idx), Way: int(way)})
-	}
-	nbits := r.Remaining()
-	var dw bits.Writer
-	dw.CopyRemaining(r)
-	p.Diff = compress.Encoded{Data: dw.Bytes(), NBits: nbits}
 	return p, nil
 }
 
@@ -158,9 +128,12 @@ type PayloadScratch struct {
 	diff bits.Writer
 }
 
-// UnmarshalPayloadScratch is UnmarshalPayload into caller scratch: the
-// parsed payload is written through p and aliases s, so steady-state
-// decodes allocate nothing once the scratch has grown to payload size.
+// UnmarshalPayloadScratch is the payload parser: the parsed payload is
+// written through p and aliases s, so steady-state decodes allocate
+// nothing once the scratch has grown to payload size. lineSize bounds
+// the raw form. Anomalies surface as wrapped ErrTruncatedPayload, never a
+// panic: the bit reader bounds every access to the physical buffer even
+// when enc.NBits overstates it.
 func UnmarshalPayloadScratch(p *Payload, s *PayloadScratch, enc compress.Encoded, idxBits, wayBits, lineSize int) error {
 	*p = Payload{}
 	r := enc.Reader()
@@ -203,8 +176,11 @@ func UnmarshalPayloadScratch(p *Payload, s *PayloadScratch, enc compress.Encoded
 	return nil
 }
 
-// UnmarshalPayloadGuardedScratch is UnmarshalPayloadGuarded into caller
-// scratch (see UnmarshalPayloadScratch).
+// UnmarshalPayloadGuardedScratch verifies and strips the CRC-8 guard
+// appended by MarshalGuarded, then parses the remaining image into
+// caller scratch (see UnmarshalPayloadScratch). A failed check returns a
+// wrapped ErrCRCMismatch; an image too short to carry the guard returns a
+// wrapped ErrTruncatedPayload.
 func UnmarshalPayloadGuardedScratch(p *Payload, s *PayloadScratch, enc compress.Encoded, idxBits, wayBits, lineSize int) error {
 	if enc.NBits < crcBits+flagBits {
 		return fmt.Errorf("core: %d-bit image below guard size: %w", enc.NBits, ErrTruncatedPayload)
@@ -224,25 +200,12 @@ func UnmarshalPayloadGuardedScratch(p *Payload, s *PayloadScratch, enc compress.
 	return UnmarshalPayloadScratch(p, s, compress.Encoded{Data: enc.Data, NBits: bodyBits}, idxBits, wayBits, lineSize)
 }
 
-// UnmarshalPayloadGuarded verifies and strips the CRC-8 guard appended
-// by MarshalGuarded, then parses the remaining image. A failed check
-// returns a wrapped ErrCRCMismatch; an image too short to carry the
-// guard returns a wrapped ErrTruncatedPayload.
+// UnmarshalPayloadGuarded is UnmarshalPayloadGuardedScratch into buffers
+// it allocates; the result owns them.
 func UnmarshalPayloadGuarded(enc compress.Encoded, idxBits, wayBits, lineSize int) (Payload, error) {
-	if enc.NBits < crcBits+flagBits {
-		return Payload{}, fmt.Errorf("core: %d-bit image below guard size: %w", enc.NBits, ErrTruncatedPayload)
+	var p Payload
+	if err := UnmarshalPayloadGuardedScratch(&p, new(PayloadScratch), enc, idxBits, wayBits, lineSize); err != nil {
+		return Payload{}, err
 	}
-	if enc.NBits > 8*len(enc.Data) {
-		return Payload{}, fmt.Errorf("core: %d-bit image in %d-byte buffer: %w", enc.NBits, len(enc.Data), ErrTruncatedPayload)
-	}
-	bodyBits := enc.NBits - crcBits
-	var got byte
-	for i := 0; i < crcBits; i++ {
-		pos := bodyBits + i
-		got = got<<1 | enc.Data[pos/8]>>(7-uint(pos%8))&1
-	}
-	if want := crc8Image(enc.Data, bodyBits); got != want {
-		return Payload{}, fmt.Errorf("core: guard %#02x, image CRC %#02x: %w", got, want, ErrCRCMismatch)
-	}
-	return UnmarshalPayload(compress.Encoded{Data: enc.Data, NBits: bodyBits}, idxBits, wayBits, lineSize)
+	return p, nil
 }

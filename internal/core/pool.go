@@ -77,7 +77,7 @@ func (h *HomeEnd) Release() {
 	}
 	h.scr.release()
 	h.ht = nil
-	h.wmt = nil
+	h.wmt, h.pwmt = nil, nil
 	h.home = nil
 }
 

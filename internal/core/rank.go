@@ -9,9 +9,11 @@ import (
 )
 
 // candidate is one reference candidate surviving the hash-table probe
-// and WMT residency check.
+// and residency check. id is the position the hash table returned (in
+// the home cache on the home end, in the remote cache on the remote
+// end); remoteID is the RemoteLID the payload would carry.
 type candidate struct {
-	homeID   cache.LineID
+	id       cache.LineID
 	remoteID cache.LineID
 	data     []byte
 	cbv      uint32 // coverage bit vector: bit i = word i matches exactly

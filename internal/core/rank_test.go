@@ -38,7 +38,7 @@ func TestCoverageVectorIdentical(t *testing.T) {
 func candList(cbvs ...uint32) []candidate {
 	cands := make([]candidate, len(cbvs))
 	for i, v := range cbvs {
-		cands[i] = candidate{homeID: cache.LineID{Index: i, Way: 0}, cbv: v, dups: 1}
+		cands[i] = candidate{id: cache.LineID{Index: i, Way: 0}, cbv: v, dups: 1}
 	}
 	return cands
 }
@@ -112,7 +112,7 @@ func TestPreRank(t *testing.T) {
 		t.Fatalf("pre-rank order wrong: %+v", top)
 	}
 	// Stability: ties keep first-seen order (homeID index 0 next).
-	if top[2].homeID.Index != 0 {
+	if top[2].id.Index != 0 {
 		t.Fatalf("pre-rank not stable: %+v", top[2])
 	}
 }

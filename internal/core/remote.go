@@ -74,9 +74,7 @@ func NewRemoteEnd(cfg Config, remote *cache.Cache) (*RemoteEnd, error) {
 		lineSize: remote.Config().LineSize,
 	}
 	r.mx, r.shard = remoteMetricsIn(cfg.Metrics)
-	r.scr.prime()
-	r.scr.standalone.UseRegistry(cfg.Metrics)
-	r.scr.diff.UseRegistry(cfg.Metrics)
+	r.scr.init(eng, cfg, remote.IndexBits()+remote.WayBits())
 	return r, nil
 }
 
@@ -92,11 +90,20 @@ func (r *RemoteEnd) EvictionBuffer() *EvictionBuffer { return r.evbuf }
 
 // RemoteLIDBits is the pointer width for this cache's geometry, or the
 // configured override for the tag-pointer ablation.
-func (r *RemoteEnd) RemoteLIDBits() int {
-	if r.cfg.PointerBitsOverride > 0 {
-		return r.cfg.PointerBitsOverride
+func (r *RemoteEnd) RemoteLIDBits() int { return r.scr.lidBits }
+
+// remoteDecodeAcc defers a decode batch's two counters.
+type remoteDecodeAcc struct{ decodes, rescues uint64 }
+
+func (r *RemoteEnd) flushDecodes(a remoteDecodeAcc) {
+	r.Stats.FillDecodes += a.decodes
+	r.Stats.RescuedRefs += a.rescues
+	if a.decodes != 0 {
+		r.mx.fillDecodes.Add(r.shard, a.decodes)
 	}
-	return r.remote.IndexBits() + r.remote.WayBits()
+	if a.rescues != 0 {
+		r.mx.evictRescues.Add(r.shard, a.rescues)
+	}
 }
 
 // DecodeFill reconstructs a fill payload. References are read from the
@@ -106,14 +113,52 @@ func (r *RemoteEnd) RemoteLIDBits() int {
 // is valid until the next decode; retainers must copy (the simulators'
 // caches all copy on install).
 func (r *RemoteEnd) DecodeFill(p Payload) ([]byte, error) {
-	r.Stats.FillDecodes++
-	r.mx.fillDecodes.Inc(r.shard)
-	if r.rec != nil {
-		start := r.rec.Clock()
-		defer func() {
-			r.rec.Span(r.recTrack, obs.EvDecode, p.Bits(r.RemoteLIDBits()), r.rec.Clock()-start)
-		}()
+	var acc remoteDecodeAcc
+	out, err := r.decodeFill(&p, &acc)
+	r.flushDecodes(acc)
+	return out, err
+}
+
+// DecodeFills decodes a batch of fill payloads in order, invoking emit
+// for each reconstructed line. The data slice aliases the end's decode
+// scratch and is valid only for the duration of the callback (the same
+// contract as DecodeFill); per-decode counters and Stats are flushed
+// once per batch. Decoding stops at the first corrupt payload, after the
+// prefix's counters are published — identical to a sequential caller.
+func (r *RemoteEnd) DecodeFills(ps []Payload, emit func(i int, data []byte)) error {
+	var acc remoteDecodeAcc
+	for i := range ps {
+		out, err := r.decodeFill(&ps[i], &acc)
+		if err != nil {
+			r.flushDecodes(acc)
+			return err
+		}
+		if emit != nil {
+			emit(i, out)
+		}
 	}
+	r.flushDecodes(acc)
+	return nil
+}
+
+// decodeFill is the per-payload step of DecodeFill and DecodeFills,
+// with the counters left in acc for the caller to flush.
+func (r *RemoteEnd) decodeFill(p *Payload, acc *remoteDecodeAcc) ([]byte, error) {
+	acc.decodes++
+	var start int64
+	if r.rec != nil {
+		start = r.rec.Clock()
+	}
+	out, err := r.reconstruct(p, acc)
+	if r.rec != nil {
+		r.rec.Span(r.recTrack, obs.EvDecode, p.Bits(r.scr.lidBits), r.rec.Clock()-start)
+	}
+	return out, err
+}
+
+// reconstruct rebuilds the line: a raw payload is copied out, a
+// compressed one is decompressed against its resolved references.
+func (r *RemoteEnd) reconstruct(p *Payload, acc *remoteDecodeAcc) ([]byte, error) {
 	if !p.Compressed {
 		if len(p.Raw) != r.lineSize {
 			return nil, fmt.Errorf("core: raw fill of %dB, want %dB: %w", len(p.Raw), r.lineSize, ErrTruncatedPayload)
@@ -124,8 +169,7 @@ func (r *RemoteEnd) DecodeFill(p Payload) ([]byte, error) {
 	r.scr.decRefs = r.scr.decRefs[:0]
 	for _, rid := range p.Refs {
 		if data := r.evbuf.Resolve(rid, p.AckSeq); data != nil {
-			r.Stats.RescuedRefs++
-			r.mx.evictRescues.Inc(r.shard)
+			acc.rescues++
 			r.scr.decRefs = append(r.scr.decRefs, data)
 			continue
 		}
@@ -214,36 +258,14 @@ func (r *RemoteEnd) EncodeWriteback(data []byte) Payload {
 		wbStart = r.rec.Clock()
 	}
 	scr := &r.scr
-
-	standalone := compress.CompressWith(r.engine, &scr.standalone, data, nil)
-	best := Payload{Compressed: true, Diff: standalone}
-	bestBits := best.Bits(r.RemoteLIDBits())
-	if rawBits := flagBits + len(data)*8; rawBits < bestBits {
-		scr.raw = append(scr.raw[:0], data...)
-		best = Payload{Raw: scr.raw}
-		bestBits = rawBits
-	}
-
-	searchRefs := r.cfg.WritebackCompression &&
-		compress.Ratio(len(data), standalone.NBits) < r.cfg.StandaloneThreshold
-	if searchRefs {
+	var best Payload
+	bestBits, standBits := scr.floor(data, &best)
+	if r.cfg.WritebackCompression && compress.Ratio(len(data), standBits) < r.cfg.StandaloneThreshold {
 		scr.searchSigs = r.ex.AppendSearchSignatures(scr.searchSigs[:0], data, r.cfg.MaxSearchSigs)
 		cands := r.gatherWBCandidates(data, scr.searchSigs)
-		scr.refs = scr.pick.pick(cands, r.cfg.MaxRefs, scr.refs[:0])
-		if refs := scr.refs; len(refs) > 0 {
-			scr.refData = scr.refData[:0]
-			scr.refIDs = scr.refIDs[:0]
-			for _, c := range refs {
-				scr.refData = append(scr.refData, c.data)
-				scr.refIDs = append(scr.refIDs, c.remoteID)
-			}
-			diff := compress.CompressWith(r.engine, &scr.diff, data, scr.refData)
-			p := Payload{Compressed: true, Refs: scr.refIDs, Diff: diff}
-			if b := p.Bits(r.RemoteLIDBits()); b < bestBits {
-				best, bestBits = p, b
-			}
-		}
+		bestBits = scr.tryDiff(data, cands, r.cfg.MaxRefs, bestBits, &best)
 	}
+	scr.flushCompress()
 	if r.rec != nil {
 		r.rec.Span(r.recTrack, obs.EvWBEncode, bestBits, r.rec.Clock()-wbStart)
 	}
@@ -269,27 +291,14 @@ func (r *RemoteEnd) EncodeWriteback(data []byte) Payload {
 // that was upgraded or evicted has left the hash table, but verify
 // anyway — the structure is allowed to be inexact, the result is not).
 func (r *RemoteEnd) gatherWBCandidates(data []byte, sigs []sig.Signature) []candidate {
-	scr := &r.scr
-	cands := scr.cands[:0]
-	scr.dedup.begin(len(sigs) * r.cfg.BucketDepth)
-	for _, s := range sigs {
-		scr.lookup = r.ht.Lookup(s, scr.lookup[:0])
-		for _, id := range scr.lookup {
-			if pos, dup := scr.dedup.insert(id, int32(len(cands))); dup {
-				cands[pos].dups++
-			} else {
-				cands = append(cands, candidate{remoteID: id, dups: 1})
-			}
-		}
-	}
-	scr.cands = cands
-	cands = preRank(cands, r.cfg.AccessCount)
+	cands, _ := r.scr.probe(r.ht, sigs, r.cfg.AccessCount)
 	out := cands[:0]
 	for _, c := range cands {
-		line := r.remote.ReadByID(c.remoteID)
+		line := r.remote.ReadByID(c.id)
 		if line == nil || line.State != cache.Shared {
 			continue
 		}
+		c.remoteID = c.id
 		c.data = line.Data
 		c.cbv = CoverageVector(data, line.Data)
 		if c.cbv == 0 {

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 
-	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 	"cable/internal/core"
@@ -122,26 +120,17 @@ type Chip struct {
 	cableTotal  stats.Ratio
 
 	// writeVersions drives deterministic store-data mutation.
-	writeVersions map[uint64]uint32
+	writeVersions writeVersions
 
 	// schemeMeter computes Transfer bits when CABLE is disabled.
 	schemeMeter Meter
 
-	// mw is the reusable payload-marshal writer; its image is consumed
-	// by SendWire before the next marshal.
-	mw bits.Writer
-
-	// injector corrupts CABLE wire images when cfg.Fault is enabled
-	// (nil otherwise — the hot path pays one pointer check).
-	injector *fault.Injector
-	// rec/recTrack feed the optional flight recorder (nil = disabled).
-	rec      *obs.Recorder
-	recTrack *obs.Track
-	// dmx holds the graceful-degradation counters, resolved lazily on
-	// the first decode error so fault-free runs register no new metric
-	// names (keeping zero-rate `-metrics` dumps byte-identical).
-	dmx    *degradeCounters
-	dshard uint32
+	// xfer carries every CABLE fill and write-back over CableLink (nil
+	// when CABLE is disabled); it owns the fault injector and the
+	// degradation accounting.
+	xfer *LinkTransfer
+	// rec feeds the optional flight recorder (nil = disabled).
+	rec *obs.Recorder
 
 	// Stats
 	Accesses  uint64
@@ -153,11 +142,9 @@ type Chip struct {
 	// Notices counts explicit eviction messages (zero under the
 	// silent-eviction protocol).
 	Notices uint64
-	// FaultsInjected counts transfers whose wire image the injector
-	// altered; DecodeErrors counts transfers the receiver could not
-	// (or must not) reconstruct from the received image; RawFallbacks
-	// counts the uncompressed re-transfers that recovered them. With
-	// injection on, the three stay equal by construction.
+	// FaultsInjected / DecodeErrors / RawFallbacks mirror the link
+	// transfer's degradation counts (see LinkTransfer) since the last
+	// ResetStats.
 	FaultsInjected uint64
 	DecodeErrors   uint64
 	RawFallbacks   uint64
@@ -173,7 +160,7 @@ func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 		cfg: cfg, LLC: llc, L4: l4,
 		Store:         mem.NewStore(cfg.LineSize, fill),
 		cableOwners:   map[int]*stats.Ratio{},
-		writeVersions: map[uint64]uint32{},
+		writeVersions: writeVersions{},
 	}
 	if cfg.TagPointers {
 		cfg.Cable.PointerBitsOverride = 40
@@ -189,16 +176,21 @@ func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 			return nil, err
 		}
 		c.Home, c.Remote = he, re
-		if cfg.Recorder != nil {
-			c.rec = cfg.Recorder
-			c.recTrack = c.rec.Track("cable")
-			he.SetRecorder(c.rec, c.recTrack)
-			re.SetRecorder(c.rec, c.recTrack)
-		}
 		c.CableLink = link.NewIn(cfg.Link, cfg.Metrics)
 		// Fault injection targets the CABLE payload stream (the
 		// baseline scheme meters never materialize wire images).
-		c.injector = fault.NewIn(cfg.Fault, cfg.Metrics)
+		c.xfer = &LinkTransfer{
+			Link: c.CableLink, Injector: fault.NewIn(cfg.Fault, cfg.Metrics),
+			IdxBits: llc.IndexBits(), WayBits: llc.WayBits(), LineSize: cfg.LineSize,
+			LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify,
+			degrade: &degradeCounters{reg: cfg.Metrics},
+		}
+		if cfg.Recorder != nil {
+			c.rec = cfg.Recorder
+			c.xfer.Recorder, c.xfer.Track = c.rec, c.rec.Track("cable")
+			he.SetRecorder(c.rec, c.xfer.Track)
+			re.SetRecorder(c.rec, c.xfer.Track)
+		}
 		return c, nil
 	}
 	m, err := newSchemeMeter(cfg.Scheme, cfg.Link, cfg.Metrics)
@@ -260,11 +252,14 @@ func (c *Chip) ResetStats() {
 	c.Accesses, c.Fills, c.WBs, c.Upgrades = 0, 0, 0, 0
 	c.CompOps, c.DecompOps, c.Notices = 0, 0, 0
 	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = 0, 0, 0
-	if c.injector != nil {
-		// Zero the accounting but keep the rng position: the fault
-		// pattern stays one deterministic stream across warm-up and
-		// measurement.
-		c.injector.Stats = fault.Stats{}
+	if c.xfer != nil {
+		c.xfer.FaultsInjected, c.xfer.DecodeErrors, c.xfer.RawFallbacks = 0, 0, 0
+		if c.xfer.Injector != nil {
+			// Zero the accounting but keep the rng position: the fault
+			// pattern stays one deterministic stream across warm-up and
+			// measurement.
+			c.xfer.Injector.Stats = fault.Stats{}
+		}
 	}
 	c.cableOwners = map[int]*stats.Ratio{}
 	c.cableTotal = stats.Ratio{}
@@ -319,112 +314,17 @@ func (c *Chip) cableAccount(owner, sourceBits int, wire int) {
 	c.cableTotal.Add(sourceBits, wire)
 }
 
-// mutate applies a deterministic store-data edit for a write to addr.
-// Stores write small program-like values (counters, flags), so dirty
-// lines get somewhat harder to compress without degenerating to random
-// noise.
-func (c *Chip) mutate(data []byte, addr uint64) {
-	v := c.writeVersions[addr]
-	c.writeVersions[addr] = v + 1
-	word := int(addr^uint64(v)) % (len(data) / 4)
-	x := uint32((addr*2654435761+uint64(v)*40503)&0x3FF | 1)
-	data[word*4] = byte(x)
-	data[word*4+1] = byte(x >> 8)
-	data[word*4+2] = 0
-	data[word*4+3] = 0
-}
-
-// degrade lazily resolves the graceful-degradation counter block: a
-// run that never faults and never mis-decodes registers none of the
-// sim.decode_errors / sim.raw_fallbacks / sim.faults_injected names,
-// keeping zero-rate `-metrics` dumps byte-identical.
-func (c *Chip) degrade() *degradeCounters {
-	if c.dmx == nil {
-		c.dmx, c.dshard = degradeMetricsIn(c.cfg.Metrics)
-	}
-	return c.dmx
-}
-
-func (c *Chip) noteFault() {
-	c.FaultsInjected++
-	c.degrade().faultsInjected.Inc(c.dshard)
-	if c.rec != nil {
-		c.rec.Fault(c.recTrack)
-	}
-}
-
-func (c *Chip) noteDecodeError() {
-	c.DecodeErrors++
-	c.degrade().decodeErrors.Inc(c.dshard)
-}
-
-// rawResend recovers a failed decode by re-requesting the line as an
-// uncompressed raw transfer, modeling the link-level retransmission a
-// production link pairs with its CRC guard. The retry itself is
-// delivered clean (it is a fresh transmission, not a replay of the
-// corrupted image) and its wire cost is charged on top of the failed
-// attempt. Returns the retry's wire bits.
-func (c *Chip) rawResend(data []byte, ackSeq uint64) int {
-	c.RawFallbacks++
-	c.degrade().rawFallbacks.Inc(c.dshard)
-	p := core.Payload{Raw: data, AckSeq: ackSeq}
-	var enc compress.Encoded
-	if c.injector != nil {
-		enc = p.MarshalGuardedInto(&c.mw, c.LLC.IndexBits(), c.LLC.WayBits())
-	} else {
-		enc = p.MarshalInto(&c.mw, c.LLC.IndexBits(), c.LLC.WayBits())
-	}
-	wire := c.CableLink.SendWire(enc.Data, enc.NBits)
-	if c.rec != nil {
-		c.rec.Degrade(c.recTrack, wire)
-	}
-	return wire
-}
-
-// corruptAndDecode runs one guarded payload image through the fault
-// pipeline: marshal with CRC guard, meter the wire, corrupt the image,
-// then unmarshal + decode from what survived. decode is the
-// end-specific reconstruction (fill or write-back); want is the ground
-// truth the simulator holds. It returns the wire bits of the attempt
-// and the decode error to degrade on (nil only for a clean,
-// verified-correct transfer).
-func (c *Chip) corruptAndDecode(p core.Payload, want []byte, lineAddr uint64,
-	decode func(core.Payload) ([]byte, error)) (wire int, derr error) {
-	enc := p.MarshalGuardedInto(&c.mw, c.LLC.IndexBits(), c.LLC.WayBits())
-	wire = c.CableLink.SendWire(enc.Data, enc.NBits)
-	nb, corrupted := c.injector.Corrupt(enc.Data, enc.NBits)
-	var got []byte
-	q, derr := core.UnmarshalPayloadGuarded(compress.Encoded{Data: enc.Data, NBits: nb},
-		c.LLC.IndexBits(), c.LLC.WayBits(), c.cfg.LineSize)
-	if derr == nil {
-		// AckSeq rides the transport header, not the marshaled image.
-		q.AckSeq = p.AckSeq
-		got, derr = decode(q)
+// send runs one encoded payload through the link transfer and folds
+// what happened into the chip's counters and the owner's ratio.
+func (c *Chip) send(p core.Payload, decode func(core.Payload) ([]byte, error), want []byte, lineAddr uint64, owner int) TransferResult {
+	c.CompOps++
+	r := c.xfer.Send(p, decode, want, lineAddr)
+	if r.Decoded {
 		c.DecompOps++
 	}
-	if corrupted {
-		c.noteFault()
-		// Every injector-touched frame is degraded, even the ~2^-8 of
-		// multi-bit patterns that alias the CRC: the simulator's
-		// ground truth catches silent escapes, and frames that decode
-		// bit-exact anyway are still retransmitted (the receiver
-		// cannot distinguish luck from integrity). This keeps
-		// DecodeErrors == FaultsInjected == RawFallbacks exact.
-		if derr == nil && !bytes.Equal(got, want) {
-			derr = fmt.Errorf("sim: corruption of line %#x escaped the CRC guard: %w", lineAddr, core.ErrCRCMismatch)
-		}
-		if derr == nil {
-			derr = fmt.Errorf("sim: corrupted frame for line %#x absorbed: %w", lineAddr, core.ErrCRCMismatch)
-		}
-	} else {
-		if derr != nil && c.cfg.Verify {
-			panic(fmt.Sprintf("sim: decode of clean image for line %#x: %v", lineAddr, derr))
-		}
-		if derr == nil && c.cfg.Verify && !bytes.Equal(got, want) {
-			panic(fmt.Sprintf("sim: clean transfer corrupted for line %#x", lineAddr))
-		}
-	}
-	return wire, derr
+	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = c.xfer.FaultsInjected, c.xfer.DecodeErrors, c.xfer.RawFallbacks
+	c.cableAccount(owner, len(want)*8, r.Wire)
+	return r
 }
 
 // evictLLC processes an LLC eviction: dirty data is write-back
@@ -434,45 +334,9 @@ func (c *Chip) evictLLC(ev cache.Eviction, owner int, t *Transfer) {
 	if ev.State == cache.Modified {
 		c.WBs++
 		t.WB = true
-		lineBits := len(ev.Data) * 8
 		if c.Remote != nil {
-			var togglesBefore uint64
-			if c.rec != nil {
-				togglesBefore = c.CableLink.Toggles
-			}
 			p := c.Remote.EncodeWriteback(ev.Data)
-			c.CompOps++
-			var wire int
-			if c.injector != nil {
-				var derr error
-				wire, derr = c.corruptAndDecode(p, ev.Data, ev.LineAddr, c.Home.DecodeWriteback)
-				if derr != nil {
-					c.noteDecodeError()
-					wire += c.rawResend(ev.Data, p.AckSeq)
-				}
-			} else {
-				got, err := c.Home.DecodeWriteback(p)
-				c.DecompOps++
-				if err != nil && c.cfg.Verify {
-					panic(fmt.Sprintf("sim: writeback decode %#x: %v", ev.LineAddr, err))
-				}
-				if err == nil && c.cfg.Verify && !bytes.Equal(got, ev.Data) {
-					panic(fmt.Sprintf("sim: writeback corrupted for line %#x", ev.LineAddr))
-				}
-				enc := p.MarshalInto(&c.mw, c.LLC.IndexBits(), c.LLC.WayBits())
-				wire = c.CableLink.SendWire(enc.Data, p.Bits(c.Remote.RemoteLIDBits()))
-				if err != nil {
-					// Graceful degradation without injection: count
-					// the anomaly and recover via a raw re-transfer.
-					c.noteDecodeError()
-					wire += c.rawResend(ev.Data, p.AckSeq)
-				}
-			}
-			t.WBBits = wire
-			c.cableAccount(owner, lineBits, wire)
-			if c.rec != nil {
-				c.rec.Transfer(c.recTrack, lineBits, wire, c.CableLink.Toggles-togglesBefore)
-			}
+			t.WBBits = c.send(p, c.Home.DecodeWriteback, ev.Data, ev.LineAddr, owner).Wire
 		} else {
 			c.schemeMeter.OnWriteback(ev.Data, owner)
 			t.WBBits = c.schemeMeter.LastWire()
@@ -560,7 +424,7 @@ func (c *Chip) Access(a workload.Access, owner int) Transfer {
 				}
 				line.State = cache.Modified
 			}
-			c.mutate(line.Data, a.LineAddr)
+			c.writeVersions.mutate(line.Data, a.LineAddr)
 		}
 		return t
 	}
@@ -584,14 +448,9 @@ func (c *Chip) Access(a workload.Access, owner int) Transfer {
 	}
 	l4Line, _, _ := c.L4.Probe(a.LineAddr)
 	want := l4Line.Data
-	lineBits := len(want) * 8
 	t.Fill = true
 	c.Fills++
 	if c.Home != nil {
-		var togglesBefore uint64
-		if c.rec != nil {
-			togglesBefore = c.CableLink.Toggles
-		}
 		p, lat, err := c.Home.EncodeFill(a.LineAddr, state, way)
 		if err != nil {
 			// Encode runs against the sender's own structures; failure
@@ -599,50 +458,12 @@ func (c *Chip) Access(a workload.Access, owner int) Transfer {
 			// fault, so it stays fatal regardless of cfg.Verify.
 			panic(fmt.Sprintf("sim: encode fill %#x: %v", a.LineAddr, err))
 		}
-		c.CompOps++
 		t.Latency = lat
-		var data []byte
-		var wire int
-		if c.injector != nil {
-			var derr error
-			wire, derr = c.corruptAndDecode(p, want, a.LineAddr, c.Remote.DecodeFill)
-			if derr != nil {
-				c.noteDecodeError()
-				wire += c.rawResend(want, p.AckSeq)
-				data = want
-			} else {
-				// Clean transfers decoded bit-exact; install the
-				// ground-truth copy (scratch aliasing makes the
-				// decoded buffer unsafe to hold across the resend
-				// bookkeeping above, and the bytes are equal).
-				data = want
-			}
-		} else {
-			var derr error
-			data, derr = c.Remote.DecodeFill(p)
-			c.DecompOps++
-			if derr != nil && c.cfg.Verify {
-				panic(fmt.Sprintf("sim: decode fill %#x: %v", a.LineAddr, derr))
-			}
-			if derr == nil && c.cfg.Verify && !bytes.Equal(data, want) {
-				panic(fmt.Sprintf("sim: fill corrupted for line %#x", a.LineAddr))
-			}
-			enc := p.MarshalInto(&c.mw, c.LLC.IndexBits(), c.LLC.WayBits())
-			wire = c.CableLink.SendWire(enc.Data, p.Bits(c.Home.RemoteLIDBits()))
-			if derr != nil {
-				c.noteDecodeError()
-				wire += c.rawResend(want, p.AckSeq)
-				data = want
-			}
-		}
-		t.FillBits = wire
-		c.cableAccount(owner, lineBits, wire)
-		if c.rec != nil {
-			c.rec.Transfer(c.recTrack, lineBits, wire, c.CableLink.Toggles-togglesBefore)
-		}
+		r := c.send(p, c.Remote.DecodeFill, want, a.LineAddr, owner)
+		t.FillBits = r.Wire
 		c.silentDisplace(victim, haveVictim, owner, &t)
-		c.LLC.InsertAt(a.LineAddr, data, state, way)
-		c.Remote.OnFillInstalled(cache.LineID{Index: idx, Way: way}, data, state)
+		c.LLC.InsertAt(a.LineAddr, r.Data, state, way)
+		c.Remote.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, state)
 		c.Remote.OnAck(p.AckSeq)
 	} else {
 		c.schemeMeter.OnFill(want, owner)
@@ -655,7 +476,7 @@ func (c *Chip) Access(a workload.Access, owner int) Transfer {
 	}
 	if a.Write {
 		l, _, _ := c.LLC.Probe(a.LineAddr)
-		c.mutate(l.Data, a.LineAddr)
+		c.writeVersions.mutate(l.Data, a.LineAddr)
 	}
 	return t
 }

@@ -88,14 +88,14 @@ func TestMemLinkZeroRateInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Chip
-	if c.injector != nil {
+	if c.xfer.Injector != nil {
 		t.Fatal("zero-rate run built an injector")
 	}
 	if c.FaultsInjected != 0 || c.DecodeErrors != 0 || c.RawFallbacks != 0 {
 		t.Fatalf("zero-rate run counted degradation events: %d/%d/%d",
 			c.FaultsInjected, c.DecodeErrors, c.RawFallbacks)
 	}
-	if c.dmx != nil {
+	if c.xfer.degrade.faultsInjected != nil {
 		t.Fatal("zero-rate run resolved the degradation counters (would register metric names)")
 	}
 }

@@ -45,21 +45,27 @@ func simMetricsIn(reg *obs.Registry) (*simCounters, uint32) {
 // registers none of these names and its deterministic `-metrics` dump
 // stays byte-identical to a build without the fault layer.
 type degradeCounters struct {
+	reg   *obs.Registry // nil means the process default
+	shard uint32
+
 	faultsInjected *obs.Counter
 	decodeErrors   *obs.Counter
 	rawFallbacks   *obs.Counter
 }
 
-// degradeMetricsIn resolves the block against reg (nil means the
-// process default). Registry lookups are idempotent, so every caller
-// shares the underlying counters while drawing a private shard.
-func degradeMetricsIn(reg *obs.Registry) (*degradeCounters, uint32) {
-	if reg == nil {
-		reg = obs.Default()
+// resolve registers the three names on first use. Registry lookups are
+// idempotent, so every block shares the underlying counters while
+// drawing a private shard.
+func (d *degradeCounters) resolve() *degradeCounters {
+	if d.faultsInjected == nil {
+		reg := d.reg
+		if reg == nil {
+			reg = obs.Default()
+		}
+		d.faultsInjected = reg.Counter("sim.faults_injected")
+		d.decodeErrors = reg.Counter("sim.decode_errors")
+		d.rawFallbacks = reg.Counter("sim.raw_fallbacks")
+		d.shard = obs.NextShard()
 	}
-	return &degradeCounters{
-		faultsInjected: reg.Counter("sim.faults_injected"),
-		decodeErrors:   reg.Counter("sim.decode_errors"),
-		rawFallbacks:   reg.Counter("sim.raw_fallbacks"),
-	}, obs.NextShard()
+	return d
 }

@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
-	"cable/internal/bits"
 	"cable/internal/cache"
-	"cable/internal/compress"
 	"cable/internal/core"
 	"cable/internal/fault"
 	"cable/internal/link"
@@ -86,12 +83,11 @@ type coherenceLink struct {
 	homeLLC *cache.Cache
 	he      *core.HomeEnd
 	re      *core.RemoteEnd
-	lnk     *link.Link
-	ratio   stats.Ratio
-	meters  []Meter
-	// track is this link's flight-recorder track (nil when recording
-	// is off).
-	track *obs.Track
+	// xfer carries this pair's fills and write-backs; its Track is the
+	// link's flight-recorder track (nil when recording is off).
+	xfer   *LinkTransfer
+	ratio  stats.Ratio
+	meters []Meter
 }
 
 // MultiChipResult reports the coherence-link compression outcomes.
@@ -144,6 +140,11 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		pool = core.NewSuperWMT(int(float64(geom.NumLines())*factor), 4, geom, reqLLC)
 	}
 	links := make([]*coherenceLink, cfg.Nodes) // index by home node; [0] unused
+	rec := cfg.Recorder
+	// One injector covers every link in access order, and one counter
+	// block every link's degradations.
+	injector := fault.New(cfg.Fault)
+	degrade := &degradeCounters{}
 	for h := 1; h < cfg.Nodes; h++ {
 		homeLLC := cache.New(cache.Config{Name: fmt.Sprintf("llc%d", h), SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
 		var wm core.WayMap
@@ -158,100 +159,23 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl := &coherenceLink{homeLLC: homeLLC, he: he, re: re, lnk: link.New(cfg.Link)}
+		cl := &coherenceLink{homeLLC: homeLLC, he: he, re: re, xfer: &LinkTransfer{
+			Link: link.New(cfg.Link), Injector: injector,
+			IdxBits: reqLLC.IndexBits(), WayBits: reqLLC.WayBits(), LineSize: 64,
+			LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify, degrade: degrade,
+		}}
 		if cfg.WithMeters {
 			cl.meters = DefaultMeters(cfg.Link)
 		}
-		if cfg.Recorder != nil {
-			cl.track = cfg.Recorder.Track(fmt.Sprintf("link%d", h))
-			he.SetRecorder(cfg.Recorder, cl.track)
-			re.SetRecorder(cfg.Recorder, cl.track)
+		if rec != nil {
+			cl.xfer.Recorder, cl.xfer.Track = rec, rec.Track(fmt.Sprintf("link%d", h))
+			he.SetRecorder(rec, cl.xfer.Track)
+			re.SetRecorder(rec, cl.xfer.Track)
 		}
 		links[h] = cl
 	}
-	rec := cfg.Recorder
 	res := &MultiChipResult{Total: map[string]stats.Ratio{}}
-	injector := fault.New(cfg.Fault)
-	var dmx *degradeCounters
-	var dshard uint32
-	degrade := func() *degradeCounters {
-		if dmx == nil {
-			dmx, dshard = degradeMetricsIn(nil)
-		}
-		return dmx
-	}
-	// rawResend recovers a failed decode with an uncompressed raw
-	// re-transfer (delivered clean — a fresh transmission, not a replay
-	// of the corrupted image), charged on top of the failed attempt.
-	// mw is the run's marshal scratch: every wire image is consumed
-	// (sent + corrupted + unmarshaled) before the next marshal, so one
-	// buffer serves the whole serial access loop instead of allocating
-	// per transfer.
-	var mw bits.Writer
-	rawResend := func(cl *coherenceLink, data []byte, ackSeq uint64) int {
-		res.RawFallbacks++
-		degrade().rawFallbacks.Inc(dshard)
-		p := core.Payload{Raw: data, AckSeq: ackSeq}
-		var enc compress.Encoded
-		if injector != nil {
-			enc = p.MarshalGuardedInto(&mw, reqLLC.IndexBits(), reqLLC.WayBits())
-		} else {
-			enc = p.MarshalInto(&mw, reqLLC.IndexBits(), reqLLC.WayBits())
-		}
-		wire := cl.lnk.SendWire(enc.Data, enc.NBits)
-		if rec != nil {
-			rec.Degrade(cl.track, wire)
-		}
-		return wire
-	}
-	// corruptAndDecode runs one guarded payload image over cl's link
-	// through the fault pipeline; see Chip.corruptAndDecode for the
-	// accounting contract.
-	corruptAndDecode := func(cl *coherenceLink, p core.Payload, want []byte, lineAddr uint64,
-		decode func(core.Payload) ([]byte, error)) (wire int, derr error) {
-		enc := p.MarshalGuardedInto(&mw, reqLLC.IndexBits(), reqLLC.WayBits())
-		wire = cl.lnk.SendWire(enc.Data, enc.NBits)
-		nb, corrupted := injector.Corrupt(enc.Data, enc.NBits)
-		var got []byte
-		q, derr := core.UnmarshalPayloadGuarded(compress.Encoded{Data: enc.Data, NBits: nb},
-			reqLLC.IndexBits(), reqLLC.WayBits(), 64)
-		if derr == nil {
-			q.AckSeq = p.AckSeq
-			got, derr = decode(q)
-		}
-		if corrupted {
-			res.FaultsInjected++
-			degrade().faultsInjected.Inc(dshard)
-			if rec != nil {
-				rec.Fault(cl.track)
-			}
-			if derr == nil && !bytes.Equal(got, want) {
-				derr = fmt.Errorf("sim: corruption of line %#x escaped the CRC guard: %w", lineAddr, core.ErrCRCMismatch)
-			}
-			if derr == nil {
-				derr = fmt.Errorf("sim: corrupted frame for line %#x absorbed: %w", lineAddr, core.ErrCRCMismatch)
-			}
-		} else {
-			if derr != nil && cfg.Verify {
-				panic(fmt.Sprintf("sim: multichip decode of clean image %#x: %v", lineAddr, derr))
-			}
-			if derr == nil && cfg.Verify && !bytes.Equal(got, want) {
-				panic(fmt.Sprintf("sim: multichip clean transfer corrupted %#x", lineAddr))
-			}
-		}
-		return wire, derr
-	}
-	writeVersions := writeVersionPool.Get().(map[uint64]uint32)
-	mutate := func(data []byte, addr uint64) {
-		v := writeVersions[addr]
-		writeVersions[addr] = v + 1
-		word := int(addr^uint64(v)) % (len(data) / 4)
-		x := uint32((addr*2654435761+uint64(v)*40503)&0x3FF | 1)
-		data[word*4] = byte(x)
-		data[word*4+1] = byte(x >> 8)
-		data[word*4+2] = 0
-		data[word*4+3] = 0
-	}
+	versions := writeVersionPool.Get().(writeVersions)
 
 	// evictReq processes a requester-LLC eviction, routing the
 	// notices (and a dirty write-back) to the owning home node.
@@ -266,40 +190,9 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		cl := links[h]
 		if ev.State == cache.Modified {
 			res.DirtyWBs++
-			var togglesBefore uint64
-			if rec != nil {
-				togglesBefore = cl.lnk.Toggles
-			}
 			p := cl.re.EncodeWriteback(ev.Data)
-			var wire int
-			if injector != nil {
-				var derr error
-				wire, derr = corruptAndDecode(cl, p, ev.Data, ev.LineAddr, cl.he.DecodeWriteback)
-				if derr != nil {
-					res.DecodeErrors++
-					degrade().decodeErrors.Inc(dshard)
-					wire += rawResend(cl, ev.Data, p.AckSeq)
-				}
-			} else {
-				got, err := cl.he.DecodeWriteback(p)
-				if err != nil && cfg.Verify {
-					panic(fmt.Sprintf("sim: multichip WB decode %#x: %v", ev.LineAddr, err))
-				}
-				if err == nil && cfg.Verify && !bytes.Equal(got, ev.Data) {
-					panic(fmt.Sprintf("sim: multichip WB corrupted %#x", ev.LineAddr))
-				}
-				enc := p.MarshalInto(&mw, reqLLC.IndexBits(), reqLLC.WayBits())
-				wire = cl.lnk.SendWire(enc.Data, enc.NBits)
-				if err != nil {
-					res.DecodeErrors++
-					degrade().decodeErrors.Inc(dshard)
-					wire += rawResend(cl, ev.Data, p.AckSeq)
-				}
-			}
-			cl.ratio.Add(len(ev.Data)*8, wire)
-			if rec != nil {
-				rec.Transfer(cl.track, len(ev.Data)*8, wire, cl.lnk.Toggles-togglesBefore)
-			}
+			r := cl.xfer.Send(p, cl.he.DecodeWriteback, ev.Data, ev.LineAddr)
+			cl.ratio.Add(len(ev.Data)*8, r.Wire)
 			for _, m := range cl.meters {
 				m.OnWriteback(ev.Data, 0)
 			}
@@ -354,7 +247,7 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 				line.State = cache.Modified
 			}
 			if a.Write {
-				mutate(line.Data, a.LineAddr)
+				versions.mutate(line.Data, a.LineAddr)
 			}
 			continue
 		}
@@ -374,17 +267,13 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 			reqLLC.InsertAt(a.LineAddr, store.Read(a.LineAddr), state, way)
 			if a.Write {
 				l, _, _ := reqLLC.Probe(a.LineAddr)
-				mutate(l.Data, a.LineAddr)
+				versions.mutate(l.Data, a.LineAddr)
 			}
 			continue
 		}
 		cl := links[h]
 		ensureHomeLLC(cl, a.LineAddr)
 		res.RemoteFills++
-		var togglesBefore uint64
-		if rec != nil {
-			togglesBefore = cl.lnk.Toggles
-		}
 		p, _, err := cl.he.EncodeFill(a.LineAddr, state, way)
 		if err != nil {
 			// Encode failure is a sender-side invariant violation, not
@@ -392,48 +281,17 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 			panic(fmt.Sprintf("sim: multichip fill %#x: %v", a.LineAddr, err))
 		}
 		want, _, _ := cl.homeLLC.Probe(a.LineAddr)
-		var data []byte
-		var wire int
-		if injector != nil {
-			var derr error
-			wire, derr = corruptAndDecode(cl, p, want.Data, a.LineAddr, cl.re.DecodeFill)
-			if derr != nil {
-				res.DecodeErrors++
-				degrade().decodeErrors.Inc(dshard)
-				wire += rawResend(cl, want.Data, p.AckSeq)
-			}
-			data = want.Data
-		} else {
-			var derr error
-			data, derr = cl.re.DecodeFill(p)
-			if derr != nil && cfg.Verify {
-				panic(fmt.Sprintf("sim: multichip decode %#x: %v", a.LineAddr, derr))
-			}
-			if derr == nil && cfg.Verify && !bytes.Equal(data, want.Data) {
-				panic(fmt.Sprintf("sim: multichip fill corrupted %#x", a.LineAddr))
-			}
-			enc := p.MarshalInto(&mw, reqLLC.IndexBits(), reqLLC.WayBits())
-			wire = cl.lnk.SendWire(enc.Data, enc.NBits)
-			if derr != nil {
-				res.DecodeErrors++
-				degrade().decodeErrors.Inc(dshard)
-				wire += rawResend(cl, want.Data, p.AckSeq)
-				data = want.Data
-			}
-		}
-		cl.ratio.Add(len(data)*8, wire)
-		if rec != nil {
-			rec.Transfer(cl.track, len(data)*8, wire, cl.lnk.Toggles-togglesBefore)
-		}
+		r := cl.xfer.Send(p, cl.re.DecodeFill, want.Data, a.LineAddr)
+		cl.ratio.Add(len(want.Data)*8, r.Wire)
 		for _, m := range cl.meters {
 			m.OnFill(want.Data, 0)
 		}
-		reqLLC.InsertAt(a.LineAddr, data, state, way)
-		cl.re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, data, state)
+		reqLLC.InsertAt(a.LineAddr, r.Data, state, way)
+		cl.re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, state)
 		cl.re.OnAck(p.AckSeq)
 		if a.Write {
 			l, _, _ := reqLLC.Probe(a.LineAddr)
-			mutate(l.Data, a.LineAddr)
+			versions.mutate(l.Data, a.LineAddr)
 		}
 	}
 
@@ -441,6 +299,9 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	meterTotals := map[string]*stats.Ratio{}
 	for h := 1; h < cfg.Nodes; h++ {
 		cableTotal.Merge(links[h].ratio)
+		res.FaultsInjected += links[h].xfer.FaultsInjected
+		res.DecodeErrors += links[h].xfer.DecodeErrors
+		res.RawFallbacks += links[h].xfer.RawFallbacks
 		for _, m := range links[h].meters {
 			if t, ok := meterTotals[m.Name()]; ok {
 				tt := m.Total()
@@ -460,8 +321,8 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	// its pool and every cache backing and CABLE-end table goes back to
 	// the shared pools, so sweeps that run many multichip cells stop
 	// re-growing the same multi-megabyte allocations per cell.
-	clear(writeVersions)
-	writeVersionPool.Put(writeVersions)
+	clear(versions)
+	writeVersionPool.Put(versions)
 	for h := 1; h < cfg.Nodes; h++ {
 		links[h].he.Release()
 		links[h].re.Release()
@@ -474,10 +335,28 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	return res, nil
 }
 
-// writeVersionPool recycles the per-run write-version maps (address →
-// mutation count). A full run touches tens of thousands of addresses,
-// so rebuilding the map each cell was a measurable slice of multichip
-// sweep allocations.
+// writeVersions drives deterministic store-data mutation: address →
+// number of writes so far.
+type writeVersions map[uint64]uint32
+
+// mutate applies a deterministic store-data edit for a write to addr.
+// Stores write small program-like values (counters, flags), so dirty
+// lines get somewhat harder to compress without degenerating to random
+// noise.
+func (wv writeVersions) mutate(data []byte, addr uint64) {
+	v := wv[addr]
+	wv[addr] = v + 1
+	word := int(addr^uint64(v)) % (len(data) / 4)
+	x := uint32((addr*2654435761+uint64(v)*40503)&0x3FF | 1)
+	data[word*4] = byte(x)
+	data[word*4+1] = byte(x >> 8)
+	data[word*4+2] = 0
+	data[word*4+3] = 0
+}
+
+// writeVersionPool recycles the per-run write-version maps. A full run
+// touches tens of thousands of addresses, so rebuilding the map each
+// cell was a measurable slice of multichip sweep allocations.
 var writeVersionPool = sync.Pool{
-	New: func() interface{} { return make(map[uint64]uint32, 1<<12) },
+	New: func() interface{} { return make(writeVersions, 1<<12) },
 }

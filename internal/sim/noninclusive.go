@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 
-	"cable/internal/bits"
 	"cable/internal/cache"
-	"cable/internal/compress"
 	"cable/internal/core"
 	"cable/internal/fault"
 	"cable/internal/link"
@@ -106,94 +103,19 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lnk := link.New(cfg.Link)
 	rec := cfg.Recorder
-	var track *obs.Track
+	xfer := &LinkTransfer{
+		Link: link.New(cfg.Link), Injector: fault.New(cfg.Fault),
+		IdxBits: remote.IndexBits(), WayBits: remote.WayBits(), LineSize: 64,
+		LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify, degrade: &degradeCounters{},
+	}
 	if rec != nil {
-		track = rec.Track("cable")
-		he.SetRecorder(rec, track)
-		re.SetRecorder(rec, track)
+		xfer.Recorder, xfer.Track = rec, rec.Track("cable")
+		he.SetRecorder(rec, xfer.Track)
+		re.SetRecorder(rec, xfer.Track)
 	}
 	res := &NonInclusiveResult{}
-	injector := fault.New(cfg.Fault)
-	var dmx *degradeCounters
-	var dshard uint32
-	degrade := func() *degradeCounters {
-		if dmx == nil {
-			dmx, dshard = degradeMetricsIn(nil)
-		}
-		return dmx
-	}
-	// rawResend recovers a failed decode with an uncompressed raw
-	// re-transfer, delivered clean and charged on top of the attempt.
-	// mw is the run's marshal scratch: every wire image is consumed
-	// (sent + corrupted + unmarshaled) before the next marshal, so one
-	// buffer serves the whole serial access loop instead of allocating
-	// per transfer.
-	var mw bits.Writer
-	rawResend := func(data []byte, ackSeq uint64) int {
-		res.RawFallbacks++
-		degrade().rawFallbacks.Inc(dshard)
-		p := core.Payload{Raw: data, AckSeq: ackSeq}
-		var enc compress.Encoded
-		if injector != nil {
-			enc = p.MarshalGuardedInto(&mw, remote.IndexBits(), remote.WayBits())
-		} else {
-			enc = p.MarshalInto(&mw, remote.IndexBits(), remote.WayBits())
-		}
-		wire := lnk.SendWire(enc.Data, enc.NBits)
-		if rec != nil {
-			rec.Degrade(track, wire)
-		}
-		return wire
-	}
-	// corruptAndDecode runs one guarded payload image through the fault
-	// pipeline; see Chip.corruptAndDecode for the accounting contract.
-	corruptAndDecode := func(p core.Payload, want []byte, lineAddr uint64,
-		decode func(core.Payload) ([]byte, error)) (wire int, derr error) {
-		enc := p.MarshalGuardedInto(&mw, remote.IndexBits(), remote.WayBits())
-		wire = lnk.SendWire(enc.Data, enc.NBits)
-		nb, corrupted := injector.Corrupt(enc.Data, enc.NBits)
-		var got []byte
-		q, derr := core.UnmarshalPayloadGuarded(compress.Encoded{Data: enc.Data, NBits: nb},
-			remote.IndexBits(), remote.WayBits(), 64)
-		if derr == nil {
-			q.AckSeq = p.AckSeq
-			got, derr = decode(q)
-		}
-		if corrupted {
-			res.FaultsInjected++
-			degrade().faultsInjected.Inc(dshard)
-			if rec != nil {
-				rec.Fault(track)
-			}
-			if derr == nil && !bytes.Equal(got, want) {
-				derr = fmt.Errorf("sim: corruption of line %#x escaped the CRC guard: %w", lineAddr, core.ErrCRCMismatch)
-			}
-			if derr == nil {
-				derr = fmt.Errorf("sim: corrupted frame for line %#x absorbed: %w", lineAddr, core.ErrCRCMismatch)
-			}
-		} else {
-			if derr != nil && cfg.Verify {
-				panic(fmt.Sprintf("sim: non-inclusive decode of clean image %#x: %v", lineAddr, derr))
-			}
-			if derr == nil && cfg.Verify && !bytes.Equal(got, want) {
-				panic(fmt.Sprintf("sim: non-inclusive clean transfer corrupted %#x", lineAddr))
-			}
-		}
-		return wire, derr
-	}
-	writeVersions := writeVersionPool.Get().(map[uint64]uint32)
-	mutate := func(data []byte, addr uint64) {
-		v := writeVersions[addr]
-		writeVersions[addr] = v + 1
-		word := int(addr^uint64(v)) % (len(data) / 4)
-		x := uint32((addr*2654435761+uint64(v)*40503)&0x3FF | 1)
-		data[word*4] = byte(x)
-		data[word*4+1] = byte(x >> 8)
-		data[word*4+2] = 0
-		data[word*4+3] = 0
-	}
+	versions := writeVersionPool.Get().(writeVersions)
 
 	// installHome caches a line at the Home Agent, evicting LRU
 	// victims WITHOUT back-invalidating the remote — the defining
@@ -227,7 +149,7 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 					he.OnUpgrade(a.LineAddr)
 					line.State = cache.Modified
 				}
-				mutate(line.Data, a.LineAddr)
+				versions.mutate(line.Data, a.LineAddr)
 			}
 			continue
 		}
@@ -239,45 +161,14 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 			ev, _ := remote.Invalidate(victim)
 			if ev.State == cache.Modified {
 				res.WBs++
-				var togglesBefore uint64
-				if rec != nil {
-					togglesBefore = lnk.Toggles
-				}
 				p := re.EncodeWriteback(ev.Data)
 				if len(p.Refs) != 0 {
 					// Sender-side protocol invariant (§IV-C), not a
 					// link fault: always fatal.
 					panic("sim: non-inclusive WB used references")
 				}
-				var wire int
-				if injector != nil {
-					var derr error
-					wire, derr = corruptAndDecode(p, ev.Data, ev.LineAddr, he.DecodeWriteback)
-					if derr != nil {
-						res.DecodeErrors++
-						degrade().decodeErrors.Inc(dshard)
-						wire += rawResend(ev.Data, p.AckSeq)
-					}
-				} else {
-					got, err := he.DecodeWriteback(p)
-					if err != nil && cfg.Verify {
-						panic(fmt.Sprintf("sim: non-inclusive WB decode: %v", err))
-					}
-					if err == nil && cfg.Verify && !bytes.Equal(got, ev.Data) {
-						panic(fmt.Sprintf("sim: non-inclusive WB corrupted %#x", ev.LineAddr))
-					}
-					enc := p.MarshalInto(&mw, remote.IndexBits(), remote.WayBits())
-					wire = lnk.SendWire(enc.Data, enc.NBits)
-					if err != nil {
-						res.DecodeErrors++
-						degrade().decodeErrors.Inc(dshard)
-						wire += rawResend(ev.Data, p.AckSeq)
-					}
-				}
-				res.Cable.Add(len(ev.Data)*8, wire)
-				if rec != nil {
-					rec.Transfer(track, len(ev.Data)*8, wire, lnk.Toggles-togglesBefore)
-				}
+				r := xfer.Send(p, he.DecodeWriteback, ev.Data, ev.LineAddr)
+				res.Cable.Add(len(ev.Data)*8, r.Wire)
 				// The home may or may not cache the WB; it caches. It
 				// absorbs the remote's dirty data (what the decode
 				// reconstructed, or the raw retry delivered).
@@ -308,63 +199,29 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 			res.ForwardedFills++
 			installHome(a.LineAddr, data)
 		}
-		var togglesBefore uint64
-		if rec != nil {
-			togglesBefore = lnk.Toggles
-		}
 		p, _, err := he.EncodeFillData(a.LineAddr, data, state, way)
 		if err != nil {
 			// Encode failure is a sender-side invariant violation, not
 			// a link fault: always fatal.
 			panic(fmt.Sprintf("sim: non-inclusive fill: %v", err))
 		}
-		var got []byte
-		var wire int
-		if injector != nil {
-			var derr error
-			wire, derr = corruptAndDecode(p, data, a.LineAddr, re.DecodeFill)
-			if derr != nil {
-				res.DecodeErrors++
-				degrade().decodeErrors.Inc(dshard)
-				wire += rawResend(data, p.AckSeq)
-			}
-			got = data
-		} else {
-			var derr error
-			got, derr = re.DecodeFill(p)
-			if derr != nil && cfg.Verify {
-				panic(fmt.Sprintf("sim: non-inclusive decode %#x: %v", a.LineAddr, derr))
-			}
-			if derr == nil && cfg.Verify && !bytes.Equal(got, data) {
-				panic(fmt.Sprintf("sim: non-inclusive fill corrupted %#x", a.LineAddr))
-			}
-			enc := p.MarshalInto(&mw, remote.IndexBits(), remote.WayBits())
-			wire = lnk.SendWire(enc.Data, enc.NBits)
-			if derr != nil {
-				res.DecodeErrors++
-				degrade().decodeErrors.Inc(dshard)
-				wire += rawResend(data, p.AckSeq)
-				got = data
-			}
-		}
-		res.Cable.Add(len(data)*8, wire)
-		if rec != nil {
-			rec.Transfer(track, len(data)*8, wire, lnk.Toggles-togglesBefore)
-		}
-		remote.InsertAt(a.LineAddr, got, state, way)
-		re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, got, state)
+		r := xfer.Send(p, re.DecodeFill, data, a.LineAddr)
+		res.Cable.Add(len(data)*8, r.Wire)
+		remote.InsertAt(a.LineAddr, r.Data, state, way)
+		re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, state)
 		re.OnAck(p.AckSeq)
 		if a.Write {
 			l, _, _ := remote.Probe(a.LineAddr)
-			mutate(l.Data, a.LineAddr)
+			versions.mutate(l.Data, a.LineAddr)
 		}
 	}
+	res.FaultsInjected, res.DecodeErrors, res.RawFallbacks = xfer.FaultsInjected, xfer.DecodeErrors, xfer.RawFallbacks
 	// Recycle the run's state: the write-version map returns to its pool
 	// and the CABLE-end tables and cache backings go back to the shared
 	// pools, so fault soaks and sweeps that run many non-inclusive cells
 	// stop re-growing the same multi-megabyte allocations per cell.
-	clear(writeVersions)
-	writeVersionPool.Put(writeVersions)
+	clear(versions)
+	writeVersionPool.Put(versions)
 	he.Release()
 	re.Release()
 	remote.Release()

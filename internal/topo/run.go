@@ -1,20 +1,18 @@
 package topo
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"cable/internal/bits"
 	"cable/internal/cache"
-	"cable/internal/compress"
 	"cable/internal/core"
 	"cable/internal/fault"
 	"cable/internal/link"
 	"cable/internal/mem"
 	"cable/internal/obs"
+	"cable/internal/sim"
 	"cable/internal/stats"
 )
 
@@ -154,9 +152,7 @@ type linkPipe struct {
 	home, remote *cache.Cache
 	he           *core.HomeEnd
 	re           *core.RemoteEnd
-	lnk          *link.Link
-	inj          *fault.Injector
-	mw           bits.Writer
+	xfer         sim.LinkTransfer
 	ctrlBits     int
 }
 
@@ -180,8 +176,14 @@ func (e *engine) newLinkPipe(li int, reg *obs.Registry) (*linkPipe, error) {
 	}
 	return &linkPipe{
 		home: home, remote: remote, he: he, re: re,
-		lnk: link.NewIn(e.cfg.Link, reg),
-		inj: fault.NewIn(linkFaultConfig(e.cfg.Fault, li), reg),
+		// The link's degradation counts reach the registry as topo.*
+		// totals at the end of the run, not per event.
+		xfer: sim.LinkTransfer{
+			Link:     link.NewIn(e.cfg.Link, reg),
+			Injector: fault.NewIn(linkFaultConfig(e.cfg.Fault, li), reg),
+			IdxBits:  remote.IndexBits(), WayBits: remote.WayBits(), LineSize: 64,
+			LIDBits: he.RemoteLIDBits(), Verify: e.cfg.Verify,
+		},
 		// A dictionary hit crosses the wire as a line reference plus a
 		// small message header instead of data.
 		ctrlBits: remote.LineIDBits() + 8,
@@ -211,52 +213,6 @@ func (e *engine) encodeLink(li int, p *linkPipe, store *mem.Store, st *LinkStat,
 		s.recToggles[li] = make([]uint32, len(addrs))
 		s.recFlags[li] = make([]uint8, len(addrs))
 	}
-	idxBits, wayBits := p.remote.IndexBits(), p.remote.WayBits()
-
-	// rawResend recovers a failed decode with a clean uncompressed
-	// re-transfer, charged on top of the failed attempt (same contract
-	// as the two-chip simulators).
-	rawResend := func(data []byte, ackSeq uint64) int {
-		st.RawFallbacks++
-		pay := core.Payload{Raw: data, AckSeq: ackSeq}
-		var enc compress.Encoded
-		if p.inj != nil {
-			enc = pay.MarshalGuardedInto(&p.mw, idxBits, wayBits)
-		} else {
-			enc = pay.MarshalInto(&p.mw, idxBits, wayBits)
-		}
-		return p.lnk.SendWire(enc.Data, enc.NBits)
-	}
-	corruptAndDecode := func(pay core.Payload, want []byte, lineAddr uint64) (wire int, faulted bool, derr error) {
-		enc := pay.MarshalGuardedInto(&p.mw, idxBits, wayBits)
-		wire = p.lnk.SendWire(enc.Data, enc.NBits)
-		nb, corrupted := p.inj.Corrupt(enc.Data, enc.NBits)
-		var got []byte
-		q, derr := core.UnmarshalPayloadGuarded(compress.Encoded{Data: enc.Data, NBits: nb},
-			idxBits, wayBits, 64)
-		if derr == nil {
-			q.AckSeq = pay.AckSeq
-			got, derr = p.re.DecodeFill(q)
-		}
-		if corrupted {
-			st.FaultsInjected++
-			if derr == nil && !bytes.Equal(got, want) {
-				derr = fmt.Errorf("topo: corruption of line %#x escaped the CRC guard: %w", lineAddr, core.ErrCRCMismatch)
-			}
-			if derr == nil {
-				derr = fmt.Errorf("topo: corrupted frame for line %#x absorbed: %w", lineAddr, core.ErrCRCMismatch)
-			}
-		} else {
-			if derr != nil && e.cfg.Verify {
-				panic(fmt.Sprintf("topo: decode of clean image %#x: %v", lineAddr, derr))
-			}
-			if derr == nil && e.cfg.Verify && !bytes.Equal(got, want) {
-				panic(fmt.Sprintf("topo: clean transfer corrupted %#x", lineAddr))
-			}
-		}
-		return wire, corrupted, derr
-	}
-
 	for k, addr := range addrs {
 		st.Transfers++
 		st.SourceBits += 64 * 8
@@ -277,7 +233,7 @@ func (e *engine) encodeLink(li int, p *linkPipe, store *mem.Store, st *LinkStat,
 		// reference (the multi-hop payoff of a cache-based encoder).
 		if _, _, ok := p.remote.Access(addr); ok {
 			st.Hits++
-			wire := p.lnk.Send(p.ctrlBits)
+			wire := p.xfer.Link.Send(p.ctrlBits)
 			st.WireBits += uint64(wire)
 			s.wireBits[li][k] = int32(wire)
 			continue
@@ -297,50 +253,24 @@ func (e *engine) encodeLink(li int, p *linkPipe, store *mem.Store, st *LinkStat,
 			panic(fmt.Sprintf("topo: fill encode %#x on %s: %v", addr, st.Name, err))
 		}
 		want, _, _ := p.home.Probe(addr)
-		togglesBefore := p.lnk.Toggles
-		var wire int
-		var data []byte
-		if p.inj != nil {
-			w, faulted, derr := corruptAndDecode(pay, want.Data, addr)
-			wire = w
-			if recording && faulted {
+		r := p.xfer.Send(pay, p.re.DecodeFill, want.Data, addr)
+		st.WireBits += uint64(r.Wire)
+		st.Toggles += r.Toggles
+		if recording {
+			s.recToggles[li][k] = uint32(r.Toggles)
+			if r.Faulted {
 				s.recFlags[li][k] |= flagFault
 			}
-			if derr != nil {
-				st.DecodeErrors++
-				wire += rawResend(want.Data, pay.AckSeq)
-				if recording {
-					s.recFlags[li][k] |= flagDegrade
-				}
-			}
-			data = want.Data
-		} else {
-			var derr error
-			data, derr = p.re.DecodeFill(pay)
-			if derr != nil && e.cfg.Verify {
-				panic(fmt.Sprintf("topo: decode %#x on %s: %v", addr, st.Name, derr))
-			}
-			if derr == nil && e.cfg.Verify && !bytes.Equal(data, want.Data) {
-				panic(fmt.Sprintf("topo: fill corrupted %#x on %s", addr, st.Name))
-			}
-			enc := pay.MarshalInto(&p.mw, idxBits, wayBits)
-			wire = p.lnk.SendWire(enc.Data, enc.NBits)
-			if derr != nil {
-				st.DecodeErrors++
-				wire += rawResend(want.Data, pay.AckSeq)
-				data = want.Data
+			if r.Degraded {
+				s.recFlags[li][k] |= flagDegrade
 			}
 		}
-		st.WireBits += uint64(wire)
-		st.Toggles += p.lnk.Toggles - togglesBefore
-		if recording {
-			s.recToggles[li][k] = uint32(p.lnk.Toggles - togglesBefore)
-		}
-		s.wireBits[li][k] = int32(wire)
-		p.remote.InsertAt(addr, data, cache.Shared, way)
-		p.re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, data, cache.Shared)
+		s.wireBits[li][k] = int32(r.Wire)
+		p.remote.InsertAt(addr, r.Data, cache.Shared, way)
+		p.re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, cache.Shared)
 		p.re.OnAck(pay.AckSeq)
 	}
+	st.FaultsInjected, st.DecodeErrors, st.RawFallbacks = p.xfer.FaultsInjected, p.xfer.DecodeErrors, p.xfer.RawFallbacks
 }
 
 // Run executes one topology simulation.
