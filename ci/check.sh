@@ -40,9 +40,12 @@ go test -race -count=1 -run 'TestCellMemoReuse|TestMetricsDeterministic' ./inter
 echo "== fault-injection race loop"
 # One injector per simulation is the concurrency contract; the shared
 # piece is the process-default metric counters. Hammer the injector
-# and the three topology soaks under the race detector.
+# and the three topology soaks under the race detector, along with the
+# protocol pair's step tests and the golden hashes that pin every
+# driver's results (clean and fault-injected) bit for bit.
 go test -race -count=1 ./internal/fault
-go test -race -count=1 -run 'FaultSoak|FaultDeterminism|ZeroRateInert' ./internal/sim
+go test -race -count=1 -run 'FaultSoak|FaultDeterminism|ZeroRateInert|TestPairSteps|TestCheckSyncDetects|TestGoldenDrivers' ./internal/sim
+go test -race -count=1 -run 'TestGoldenTopology' ./internal/topo
 
 echo "== payload fault fuzz smoke"
 # Short corruption fuzz over the guarded decode path: bit flips and
@@ -167,5 +170,8 @@ go test -race -timeout 45m ./...
 
 echo "== cablereport smoke (quick, parallel)"
 go run ./cmd/cablereport -quick -exp tab3 -parallel 4 -o /dev/null
+
+# The one reproducible size figure simplicity PRs cite.
+echo "non-test Go LOC: $(git ls-files '*.go' | grep -v _test.go | xargs wc -l | tail -1 | awk '{print $1}')"
 
 echo "ci: OK"

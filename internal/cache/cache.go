@@ -256,6 +256,15 @@ func (c *Cache) VictimWay(idx int) int {
 	return victim
 }
 
+// Victim returns the way a fill of lineAddr would replace and, when that
+// way is occupied, the line it holds.
+func (c *Cache) Victim(lineAddr uint64) (way int, victim uint64, occupied bool) {
+	idx := c.IndexOf(lineAddr)
+	way = c.VictimWay(idx)
+	victim, occupied = c.LineAddrOf(LineID{Index: idx, Way: way})
+	return way, victim, occupied
+}
+
 // Eviction describes a line displaced by an insertion.
 type Eviction struct {
 	LineAddr uint64

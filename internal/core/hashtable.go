@@ -147,6 +147,16 @@ func (h *HashTable) Occupancy() int {
 	return n
 }
 
+// ForEach visits the LineID of every live entry (for the pair-level
+// synchronization checker).
+func (h *HashTable) ForEach(fn func(id cache.LineID)) {
+	for i := range h.entries {
+		if h.entries[i].valid {
+			fn(h.entries[i].id)
+		}
+	}
+}
+
 // SizeBits returns the storage cost of the table given the LineID
 // width, for the Table III area model.
 func (h *HashTable) SizeBits(lineIDBits int) int {

@@ -116,8 +116,8 @@ type Chip struct {
 	// CableLink quantizes CABLE payloads (nil when disabled).
 	CableLink *link.Link
 
-	cableOwners map[int]*stats.Ratio
-	cableTotal  stats.Ratio
+	// cable accumulates CABLE's ratios, as a meter does for its scheme.
+	cable ownerRatios
 
 	// writeVersions drives deterministic store-data mutation.
 	writeVersions writeVersions
@@ -125,10 +125,10 @@ type Chip struct {
 	// schemeMeter computes Transfer bits when CABLE is disabled.
 	schemeMeter Meter
 
-	// xfer carries every CABLE fill and write-back over CableLink (nil
-	// when CABLE is disabled); it owns the fault injector and the
-	// degradation accounting.
-	xfer *LinkTransfer
+	// pair runs the protocol between the L4 (home) and the LLC (remote).
+	// When CABLE is disabled it has no ends — Home == nil — and only
+	// moves lines.
+	pair *Pair
 	// rec feeds the optional flight recorder (nil = disabled).
 	rec *obs.Recorder
 
@@ -142,9 +142,8 @@ type Chip struct {
 	// Notices counts explicit eviction messages (zero under the
 	// silent-eviction protocol).
 	Notices uint64
-	// FaultsInjected / DecodeErrors / RawFallbacks mirror the link
-	// transfer's degradation counts (see LinkTransfer) since the last
-	// ResetStats.
+	// FaultsInjected / DecodeErrors / RawFallbacks mirror the pair's
+	// degradation counts (see LinkTransfer) since the last ResetStats.
 	FaultsInjected uint64
 	DecodeErrors   uint64
 	RawFallbacks   uint64
@@ -156,48 +155,35 @@ func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 	cfg.Cable.Metrics = cfg.Metrics
 	llc := cache.New(cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: cfg.LineSize, Policy: cfg.LLCPolicy})
 	l4 := cache.New(cache.Config{Name: "l4", SizeBytes: cfg.L4Bytes, Ways: cfg.L4Ways, LineSize: cfg.LineSize, Policy: cfg.L4Policy})
+	if cfg.TagPointers {
+		cfg.Cable.PointerBitsOverride = 40
+	}
 	c := &Chip{
 		cfg: cfg, LLC: llc, L4: l4,
 		Store:         mem.NewStore(cfg.LineSize, fill),
-		cableOwners:   map[int]*stats.Ratio{},
 		writeVersions: writeVersions{},
 	}
-	if cfg.TagPointers {
-		cfg.Cable.PointerBitsOverride = 40
-		c.cfg = cfg
-	}
 	if cfg.EnableCable || cfg.Scheme == "cable" {
-		he, err := core.NewHomeEnd(cfg.Cable, l4, llc)
-		if err != nil {
-			return nil, err
-		}
-		re, err := core.NewRemoteEnd(cfg.Cable, llc)
-		if err != nil {
-			return nil, err
-		}
-		c.Home, c.Remote = he, re
 		c.CableLink = link.NewIn(cfg.Link, cfg.Metrics)
 		// Fault injection targets the CABLE payload stream (the
 		// baseline scheme meters never materialize wire images).
-		c.xfer = &LinkTransfer{
-			Link: c.CableLink, Injector: fault.NewIn(cfg.Fault, cfg.Metrics),
-			IdxBits: llc.IndexBits(), WayBits: llc.WayBits(), LineSize: cfg.LineSize,
-			LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify,
+		pair, err := NewPair(l4, llc, PairConfig{
+			Cable: cfg.Cable, Link: c.CableLink, Injector: fault.NewIn(cfg.Fault, cfg.Metrics),
+			Verify: cfg.Verify, Silent: cfg.SilentEvictions,
+			Recorder: cfg.Recorder, Track: "cable",
 			degrade: &degradeCounters{reg: cfg.Metrics},
+		})
+		if err != nil {
+			return nil, err
 		}
-		if cfg.Recorder != nil {
-			c.rec = cfg.Recorder
-			c.xfer.Recorder, c.xfer.Track = c.rec, c.rec.Track("cable")
-			he.SetRecorder(c.rec, c.xfer.Track)
-			re.SetRecorder(c.rec, c.xfer.Track)
-		}
+		c.pair, c.Home, c.Remote, c.rec = pair, pair.Home, pair.Remote, cfg.Recorder
 		return c, nil
 	}
 	m, err := newSchemeMeter(cfg.Scheme, cfg.Link, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	c.schemeMeter = m
+	c.schemeMeter, c.pair = m, &Pair{HomeCache: l4, RemoteCache: llc}
 	return c, nil
 }
 
@@ -225,22 +211,8 @@ func newSchemeMeter(scheme string, cfg link.Config, reg *obs.Registry) (Meter, e
 // (memoized results carry Chip == nil), and RunTiming releases its
 // private chip before returning. A released chip is unusable.
 func (c *Chip) Release() {
-	if c.Home != nil {
-		c.Home.Release()
-		c.Home = nil
-	}
-	if c.Remote != nil {
-		c.Remote.Release()
-		c.Remote = nil
-	}
-	if c.LLC != nil {
-		c.LLC.Release()
-		c.LLC = nil
-	}
-	if c.L4 != nil {
-		c.L4.Release()
-		c.L4 = nil
-	}
+	c.pair.Release()
+	c.Home, c.Remote = nil, nil
 }
 
 // ResetStats zeroes every accumulated counter — event counts, meter
@@ -252,17 +224,15 @@ func (c *Chip) ResetStats() {
 	c.Accesses, c.Fills, c.WBs, c.Upgrades = 0, 0, 0, 0
 	c.CompOps, c.DecompOps, c.Notices = 0, 0, 0
 	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = 0, 0, 0
-	if c.xfer != nil {
-		c.xfer.FaultsInjected, c.xfer.DecodeErrors, c.xfer.RawFallbacks = 0, 0, 0
-		if c.xfer.Injector != nil {
-			// Zero the accounting but keep the rng position: the fault
-			// pattern stays one deterministic stream across warm-up and
-			// measurement.
-			c.xfer.Injector.Stats = fault.Stats{}
-		}
+	x := &c.pair.Xfer
+	x.FaultsInjected, x.DecodeErrors, x.RawFallbacks = 0, 0, 0
+	if x.Injector != nil {
+		// Zero the accounting but keep the rng position: the fault
+		// pattern stays one deterministic stream across warm-up and
+		// measurement.
+		x.Injector.Stats = fault.Stats{}
 	}
-	c.cableOwners = map[int]*stats.Ratio{}
-	c.cableTotal = stats.Ratio{}
+	c.cable = ownerRatios{}
 	c.LLC.Stats = cache.Stats{}
 	c.L4.Stats = cache.Stats{}
 	c.Store.Reads, c.Store.Writes = 0, 0
@@ -278,21 +248,16 @@ func (c *Chip) ResetStats() {
 }
 
 // CableRatio returns CABLE's accumulated ratio for one owner.
-func (c *Chip) CableRatio(owner int) stats.Ratio {
-	if r := c.cableOwners[owner]; r != nil {
-		return *r
-	}
-	return stats.Ratio{}
-}
+func (c *Chip) CableRatio(owner int) stats.Ratio { return c.cable.Ratio(owner) }
 
 // CableTotal returns CABLE's aggregate ratio.
-func (c *Chip) CableTotal() stats.Ratio { return c.cableTotal }
+func (c *Chip) CableTotal() stats.Ratio { return c.cable.Total() }
 
 // SchemeRatio returns the ratio of whatever scheme drives this chip's
 // Transfer bits (CABLE or the configured baseline).
 func (c *Chip) SchemeRatio() stats.Ratio {
 	if c.Home != nil {
-		return c.cableTotal
+		return c.cable.Total()
 	}
 	return c.schemeMeter.Total()
 }
@@ -305,38 +270,38 @@ func (c *Chip) WireLink() *link.Link {
 	return c.schemeMeter.Link()
 }
 
-func (c *Chip) cableAccount(owner, sourceBits int, wire int) {
-	if r := c.cableOwners[owner]; r != nil {
-		r.Add(sourceBits, wire)
-	} else {
-		c.cableOwners[owner] = &stats.Ratio{SourceBits: uint64(sourceBits), WireBits: uint64(wire)}
-	}
-	c.cableTotal.Add(sourceBits, wire)
-}
-
-// send runs one encoded payload through the link transfer and folds
-// what happened into the chip's counters and the owner's ratio.
-func (c *Chip) send(p core.Payload, decode func(core.Payload) ([]byte, error), want []byte, lineAddr uint64, owner int) TransferResult {
+// account folds one CABLE transfer of sourceBits into the chip's
+// counters and the owner's ratio.
+func (c *Chip) account(r TransferResult, sourceBits, owner int) {
 	c.CompOps++
-	r := c.xfer.Send(p, decode, want, lineAddr)
 	if r.Decoded {
 		c.DecompOps++
 	}
-	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = c.xfer.FaultsInjected, c.xfer.DecodeErrors, c.xfer.RawFallbacks
-	c.cableAccount(owner, len(want)*8, r.Wire)
-	return r
+	x := &c.pair.Xfer
+	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = x.FaultsInjected, x.DecodeErrors, x.RawFallbacks
+	c.cable.add(owner, sourceBits, r.Wire)
 }
 
-// evictLLC processes an LLC eviction: dirty data is write-back
-// compressed over the link; either way the eviction is scrubbed from
-// both ends' structures.
+// evictLLC processes an LLC eviction: dirty data is written back over
+// the link and absorbed by the L4 copy; with CABLE on, the pair scrubs
+// the eviction from both ends' structures.
 func (c *Chip) evictLLC(ev cache.Eviction, owner int, t *Transfer) {
+	wb, absorbed := c.pair.EvictRemote(ev)
+	if ev.State == cache.Modified && !absorbed {
+		panic(fmt.Sprintf("sim: inclusive violation: LLC victim %#x absent from L4", ev.LineAddr))
+	}
+	c.noteEviction(ev, wb, owner, t)
+}
+
+// noteEviction folds a processed LLC eviction and its write-back into
+// the chip's counters, the access's Transfer and the meters.
+func (c *Chip) noteEviction(ev cache.Eviction, wb TransferResult, owner int, t *Transfer) {
 	if ev.State == cache.Modified {
 		c.WBs++
 		t.WB = true
-		if c.Remote != nil {
-			p := c.Remote.EncodeWriteback(ev.Data)
-			t.WBBits = c.send(p, c.Home.DecodeWriteback, ev.Data, ev.LineAddr, owner).Wire
+		if c.Home != nil {
+			t.WBBits = wb.Wire
+			c.account(wb, len(ev.Data)*8, owner)
 		} else {
 			c.schemeMeter.OnWriteback(ev.Data, owner)
 			t.WBBits = c.schemeMeter.LastWire()
@@ -344,63 +309,10 @@ func (c *Chip) evictLLC(ev cache.Eviction, owner int, t *Transfer) {
 		for _, m := range c.Meters {
 			m.OnWriteback(ev.Data, owner)
 		}
-		// The home (L4) copy absorbs the dirty data.
-		if l4l, _, ok := c.L4.Probe(ev.LineAddr); ok {
-			copy(l4l.Data, ev.Data)
-			l4l.State = cache.Modified
-		} else {
-			panic(fmt.Sprintf("sim: inclusive violation: LLC victim %#x absent from L4", ev.LineAddr))
-		}
 	}
-	if c.Remote != nil {
-		if c.cfg.SilentEvictions {
-			c.Remote.OnSilentEviction(ev.ID, ev.Data)
-		} else {
-			seq := c.Remote.OnEviction(ev.ID, ev.Data)
-			c.Home.OnRemoteEviction(ev.ID, seq)
-			c.Notices++
-		}
+	if c.Home != nil && !c.cfg.SilentEvictions {
+		c.Notices++
 	}
-}
-
-// silentDisplace evicts a fill's victim under the silent protocol: it
-// runs after the fill is decoded (the victim may have served as a
-// reference) and immediately before the install that displaces it.
-func (c *Chip) silentDisplace(victim uint64, haveVictim bool, owner int, t *Transfer) {
-	if !c.cfg.SilentEvictions || !haveVictim {
-		return
-	}
-	if ev, ok := c.LLC.Invalidate(victim); ok {
-		c.evictLLC(ev, owner, t)
-	}
-}
-
-// ensureL4 installs addr in the L4, evicting (and back-invalidating)
-// as needed. It reports DRAM traffic into t.
-func (c *Chip) ensureL4(addr uint64, owner int, t *Transfer) {
-	if _, _, ok := c.L4.Probe(addr); ok {
-		t.L4Hit = true
-		return
-	}
-	idx := c.L4.IndexOf(addr)
-	way := c.L4.VictimWay(idx)
-	if victim, ok := c.L4.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
-		// Inclusive: force the LLC copy out first.
-		if ev, hit := c.LLC.Invalidate(victim); hit {
-			c.evictLLC(ev, owner, t)
-		}
-		if c.Home != nil {
-			c.Home.OnHomeEviction(victim)
-		}
-		vl, _, _ := c.L4.Probe(victim)
-		if vl.State == cache.Modified {
-			c.Store.Write(victim, vl.Data)
-			t.DRAMWrites++
-		}
-	}
-	data := c.Store.Read(addr)
-	t.DRAMReads++
-	c.L4.InsertAt(addr, data, cache.Shared, way)
 }
 
 // Access runs one LLC-level reference through the hierarchy.
@@ -418,9 +330,8 @@ func (c *Chip) Access(a workload.Access, owner int) Transfer {
 			if line.State == cache.Shared {
 				t.Upgrade = true
 				c.Upgrades++
-				if c.Remote != nil {
-					c.Remote.OnUpgrade(id, line.Data)
-					c.Home.OnUpgrade(a.LineAddr)
+				if c.Home != nil {
+					c.pair.Upgrade(id, line.Data, a.LineAddr)
 				}
 				line.State = cache.Modified
 			}
@@ -429,46 +340,52 @@ func (c *Chip) Access(a workload.Access, owner int) Transfer {
 		return t
 	}
 
-	c.ensureL4(a.LineAddr, owner, &t)
+	// The L4 line is installed before the LLC victim is chosen: an
+	// inclusive back-invalidation lands in the fill's own set (same index
+	// bits) and frees a way the fill then takes.
+	l4Line, l4Hit, _, wroteBack := c.pair.EnsureHome(a.LineAddr, c.Store, func(victim uint64) {
+		if ev, hit := c.LLC.Invalidate(victim); hit {
+			c.evictLLC(ev, owner, &t)
+		}
+	})
+	t.L4Hit = l4Hit
+	if !l4Hit {
+		t.DRAMReads++
+	}
+	if wroteBack {
+		t.DRAMWrites++
+	}
 
-	idx := c.LLC.IndexOf(a.LineAddr)
-	way := c.LLC.VictimWay(idx)
-	victim, haveVictim := c.LLC.LineAddrOf(cache.LineID{Index: idx, Way: way})
+	way, victim, haveVictim := c.LLC.Victim(a.LineAddr)
 	if haveVictim && !c.cfg.SilentEvictions {
 		ev, _ := c.LLC.Invalidate(victim)
 		c.evictLLC(ev, owner, &t)
 	}
 	// Under silent evictions the victim stays resident until the fill
-	// installs — it may even serve as a reference for this very fill;
-	// the home cleans its structures from the replacement-way info.
+	// installs (see Pair.Fill).
 
 	state := cache.Shared
 	if a.Write {
 		state = cache.Modified
 	}
-	l4Line, _, _ := c.L4.Probe(a.LineAddr)
 	want := l4Line.Data
 	t.Fill = true
 	c.Fills++
 	if c.Home != nil {
-		p, lat, err := c.Home.EncodeFill(a.LineAddr, state, way)
-		if err != nil {
-			// Encode runs against the sender's own structures; failure
-			// here is a simulator invariant violation, not a link
-			// fault, so it stays fatal regardless of cfg.Verify.
-			panic(fmt.Sprintf("sim: encode fill %#x: %v", a.LineAddr, err))
-		}
-		t.Latency = lat
-		r := c.send(p, c.Remote.DecodeFill, want, a.LineAddr, owner)
+		r := c.pair.Fill(a.LineAddr, want, state, way)
+		t.Latency = r.Latency
 		t.FillBits = r.Wire
-		c.silentDisplace(victim, haveVictim, owner, &t)
-		c.LLC.InsertAt(a.LineAddr, r.Data, state, way)
-		c.Remote.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, state)
-		c.Remote.OnAck(p.AckSeq)
+		c.account(r.TransferResult, len(want)*8, owner)
+		if r.Victim.Data != nil {
+			c.noteEviction(r.Victim, r.VictimWB, owner, &t)
+		}
 	} else {
 		c.schemeMeter.OnFill(want, owner)
 		t.FillBits = c.schemeMeter.LastWire()
-		c.silentDisplace(victim, haveVictim, owner, &t)
+		if haveVictim && c.cfg.SilentEvictions {
+			ev, _ := c.LLC.Invalidate(victim)
+			c.evictLLC(ev, owner, &t)
+		}
 		c.LLC.InsertAt(a.LineAddr, want, state, way)
 	}
 	for _, m := range c.Meters {

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"cable/internal/cache"
 	"cable/internal/core"
 	"cable/internal/fault"
 	"cable/internal/link"
@@ -32,30 +31,44 @@ const (
 	fnvOffsetAlt = 0x6c62272e07bb0142
 )
 
-type digester struct {
+// Digester is a canonical digest stream: the stable folding primitives
+// every config digest is built from. It is exported (and satisfies
+// spec.Folder) for the workload specs and for simulator packages outside
+// sim (internal/topo) whose cells share the experiments' memo map.
+// Cross-package digests can never alias: every digest starts with a
+// version-tagged string ("topo/v1", "memlink/v1", ...) and the
+// length-prefixed string encoding keeps field concatenations unambiguous.
+type Digester struct {
 	h1, h2 uint64
 }
 
-func newDigester() digester {
-	return digester{h1: fnvOffset64, h2: fnvOffsetAlt}
+// NewDigester starts a digest stream tagged with a format version string.
+func NewDigester(version string) *Digester {
+	d := &Digester{h1: fnvOffset64, h2: fnvOffsetAlt}
+	d.Str(version)
+	return d
 }
 
-func (d *digester) byte(b byte) {
+func (d *Digester) byte(b byte) {
 	d.h1 = (d.h1 ^ uint64(b)) * fnvPrime64
 	d.h2 = (d.h2 ^ uint64(b)) * fnvPrime64
 }
 
-func (d *digester) u64(v uint64) {
+// U64 folds in a uint64, low byte first.
+func (d *Digester) U64(v uint64) {
 	for i := 0; i < 8; i++ {
 		d.byte(byte(v >> (8 * i)))
 	}
 }
 
-func (d *digester) i(v int)       { d.u64(uint64(int64(v))) }
-func (d *digester) i64(v int64)   { d.u64(uint64(v)) }
-func (d *digester) f64(v float64) { d.u64(math.Float64bits(v)) }
+// Int folds in an int.
+func (d *Digester) Int(v int) { d.U64(uint64(int64(v))) }
 
-func (d *digester) bool(v bool) {
+// F64 folds in a float64 (by bit pattern).
+func (d *Digester) F64(v float64) { d.U64(math.Float64bits(v)) }
+
+// Bool folds in a bool.
+func (d *Digester) Bool(v bool) {
 	if v {
 		d.byte(1)
 	} else {
@@ -63,46 +76,32 @@ func (d *digester) bool(v bool) {
 	}
 }
 
-// str folds in a length-prefixed string, so concatenations can't alias.
-func (d *digester) str(s string) {
-	d.i(len(s))
+// Str folds in a length-prefixed string, so concatenations can't alias.
+func (d *Digester) Str(s string) {
+	d.Int(len(s))
 	for i := 0; i < len(s); i++ {
 		d.byte(s[i])
 	}
 }
 
-// folder adapts the internal digester to spec.Folder so workload
-// specs fold themselves into config digests without importing sim.
-type folder struct{ d *digester }
-
-func (f folder) Str(s string)  { f.d.str(s) }
-func (f folder) Int(v int)     { f.d.i(v) }
-func (f folder) U64(v uint64)  { f.d.u64(v) }
-func (f folder) F64(v float64) { f.d.f64(v) }
-func (f folder) Bool(v bool)   { f.d.bool(v) }
-
-// replays folds a replay capture list: count, then each capture's
-// content digest (which covers header and every record).
-func (d *digester) replays(ts []*trace.Trace) {
-	d.i(len(ts))
+// Replays folds a replay capture list: count, then each capture's
+// content digest (which covers header and every record). A nil entry —
+// an unset single-capture field — is skipped, so it folds as the empty
+// list.
+func (d *Digester) Replays(ts ...*trace.Trace) {
+	if len(ts) == 1 && ts[0] == nil {
+		ts = nil
+	}
+	d.Int(len(ts))
 	for _, t := range ts {
-		td := t.Digest()
-		for _, b := range td {
+		for _, b := range t.Digest() {
 			d.byte(b)
 		}
 	}
 }
 
-// singleReplay folds an optional single capture.
-func (d *digester) singleReplay(t *trace.Trace) {
-	if t == nil {
-		d.replays(nil)
-		return
-	}
-	d.replays([]*trace.Trace{t})
-}
-
-func (d *digester) sum() Digest {
+// Sum finalizes the 128-bit digest.
+func (d *Digester) Sum() Digest {
 	var out Digest
 	for i := 0; i < 8; i++ {
 		out[i] = byte(d.h1 >> (8 * i))
@@ -111,53 +110,54 @@ func (d *digester) sum() Digest {
 	return out
 }
 
-func (d *digester) coreConfig(c core.Config) {
-	d.i(c.MaxSearchSigs)
-	d.i(c.AccessCount)
-	d.i(c.MaxRefs)
-	d.i(c.BucketDepth)
-	d.i(c.InsertSigs)
-	d.f64(c.HashSizeFactor)
-	d.f64(c.StandaloneThreshold)
-	d.str(c.EngineName)
-	d.i64(c.SigSeed)
-	d.i(c.PointerBitsOverride)
-	d.bool(c.WritebackCompression)
+// CoreConfig folds in a CABLE core configuration.
+func (d *Digester) CoreConfig(c core.Config) {
+	d.Int(c.MaxSearchSigs)
+	d.Int(c.AccessCount)
+	d.Int(c.MaxRefs)
+	d.Int(c.BucketDepth)
+	d.Int(c.InsertSigs)
+	d.F64(c.HashSizeFactor)
+	d.F64(c.StandaloneThreshold)
+	d.Str(c.EngineName)
+	d.U64(uint64(c.SigSeed))
+	d.Int(c.PointerBitsOverride)
+	d.Bool(c.WritebackCompression)
 	// c.Metrics is observation-only: excluded.
 }
 
-func (d *digester) linkConfig(c link.Config) {
-	d.i(c.WidthBits)
-	d.f64(c.FreqHz)
-	d.bool(c.Packed)
+// LinkConfig folds in a link configuration.
+func (d *Digester) LinkConfig(c link.Config) {
+	d.Int(c.WidthBits)
+	d.F64(c.FreqHz)
+	d.Bool(c.Packed)
 }
 
-func (d *digester) policy(p cache.Policy) { d.byte(byte(p)) }
-
-func (d *digester) faultConfig(c fault.Config) {
-	d.f64(c.BitRate)
-	d.f64(c.TruncRate)
-	d.u64(c.Seed)
+// FaultConfig folds in a fault-injection configuration.
+func (d *Digester) FaultConfig(c fault.Config) {
+	d.F64(c.BitRate)
+	d.F64(c.TruncRate)
+	d.U64(c.Seed)
 }
 
-func (d *digester) chipConfig(c ChipConfig) {
-	d.i(c.LLCBytes)
-	d.i(c.LLCWays)
-	d.i(c.L4Bytes)
-	d.i(c.L4Ways)
-	d.i(c.LineSize)
-	d.policy(c.LLCPolicy)
-	d.policy(c.L4Policy)
-	d.linkConfig(c.Link)
-	d.coreConfig(c.Cable)
-	d.bool(c.EnableCable)
-	d.str(c.Scheme)
-	d.bool(c.Verify)
-	d.bool(c.TagPointers)
-	d.bool(c.SilentEvictions)
+func (d *Digester) chipConfig(c ChipConfig) {
+	d.Int(c.LLCBytes)
+	d.Int(c.LLCWays)
+	d.Int(c.L4Bytes)
+	d.Int(c.L4Ways)
+	d.Int(c.LineSize)
+	d.byte(byte(c.LLCPolicy))
+	d.byte(byte(c.L4Policy))
+	d.LinkConfig(c.Link)
+	d.CoreConfig(c.Cable)
+	d.Bool(c.EnableCable)
+	d.Str(c.Scheme)
+	d.Bool(c.Verify)
+	d.Bool(c.TagPointers)
+	d.Bool(c.SilentEvictions)
 	// Fault is behavioral: injected corruption changes wire bits and
 	// the degradation counters, so it must split memo cells.
-	d.faultConfig(c.Fault)
+	d.FaultConfig(c.Fault)
 	// c.Metrics is observation-only: excluded.
 }
 
@@ -166,148 +166,96 @@ func (d *digester) chipConfig(c ChipConfig) {
 // it (callers that attach a Tracer must not be memoized — the trace
 // itself is a fresh side effect per run).
 func (c MemLinkConfig) Digest() Digest {
-	d := newDigester()
-	d.str("memlink/v1")
+	d := NewDigester("memlink/v1")
 	d.chipConfig(c.Chip)
-	d.i(len(c.Benchmarks))
+	d.Int(len(c.Benchmarks))
 	for _, b := range c.Benchmarks {
-		d.str(b)
+		d.Str(b)
 	}
-	d.i(c.AccessesPerProgram)
-	d.bool(c.ScaleCachesByPrograms)
-	d.bool(c.WithMeters)
+	d.Int(c.AccessesPerProgram)
+	d.Bool(c.ScaleCachesByPrograms)
+	d.Bool(c.WithMeters)
 	// Workload and Replay change the access stream, so they split memo
 	// cells: distinct specs (or captures) must never alias.
-	d.bool(c.Workload != nil)
+	d.Bool(c.Workload != nil)
 	if c.Workload != nil {
-		c.Workload.Fold(folder{&d})
+		c.Workload.Fold(d)
 	}
-	d.replays(c.Replay)
-	return d.sum()
+	d.Replays(c.Replay...)
+	return d.Sum()
 }
 
 // Digest fingerprints every behavioral field of the config; Recorder
 // is excluded (observation-only).
 func (c MultiChipConfig) Digest() Digest {
-	d := newDigester()
-	d.str("multichip/v1")
-	d.i(c.Nodes)
-	d.str(c.Benchmark)
-	d.i(c.Accesses)
-	d.u64(c.PageLines)
-	d.i(c.LLCBytes)
-	d.i(c.LLCWays)
-	d.linkConfig(c.Link)
-	d.coreConfig(c.Cable)
-	d.bool(c.WithMeters)
-	d.bool(c.PooledWMT)
-	d.f64(c.PooledWMTFactor)
-	d.bool(c.Verify)
-	d.faultConfig(c.Fault)
-	d.singleReplay(c.Replay)
-	return d.sum()
+	d := NewDigester("multichip/v1")
+	d.Int(c.Nodes)
+	d.Str(c.Benchmark)
+	d.Int(c.Accesses)
+	d.U64(c.PageLines)
+	d.Int(c.LLCBytes)
+	d.Int(c.LLCWays)
+	d.LinkConfig(c.Link)
+	d.CoreConfig(c.Cable)
+	d.Bool(c.WithMeters)
+	d.Bool(c.PooledWMT)
+	d.F64(c.PooledWMTFactor)
+	d.Bool(c.Verify)
+	d.FaultConfig(c.Fault)
+	d.Replays(c.Replay)
+	return d.Sum()
 }
 
 // Digest fingerprints every behavioral field of the config; Recorder
 // is excluded (observation-only).
 func (c NonInclusiveConfig) Digest() Digest {
-	d := newDigester()
-	d.str("noninclusive/v1")
-	d.str(c.Benchmark)
-	d.i(c.Accesses)
-	d.i(c.RemoteBytes)
-	d.i(c.RemoteWays)
-	d.i(c.HomeBytes)
-	d.i(c.HomeWays)
-	d.linkConfig(c.Link)
-	d.coreConfig(c.Cable)
-	d.bool(c.Verify)
-	d.faultConfig(c.Fault)
-	d.singleReplay(c.Replay)
-	return d.sum()
+	d := NewDigester("noninclusive/v1")
+	d.Str(c.Benchmark)
+	d.Int(c.Accesses)
+	d.Int(c.RemoteBytes)
+	d.Int(c.RemoteWays)
+	d.Int(c.HomeBytes)
+	d.Int(c.HomeWays)
+	d.LinkConfig(c.Link)
+	d.CoreConfig(c.Cable)
+	d.Bool(c.Verify)
+	d.FaultConfig(c.Fault)
+	d.Replays(c.Replay)
+	return d.Sum()
 }
 
 // Digest fingerprints every behavioral field of the config; Metrics
 // and Recorder are excluded (observation-only).
 func (c TimingConfig) Digest() Digest {
-	d := newDigester()
-	d.str("timing/v1")
-	d.str(c.Scheme)
-	d.str(c.Benchmark)
-	d.i(c.Threads)
-	d.i(c.TotalTh)
-	d.u64(c.InstrPerTh)
-	d.u64(c.WarmupPerTh)
-	d.f64(c.CoreHz)
-	d.i(c.Private.L1Bytes)
-	d.i(c.Private.L1Ways)
-	d.i(c.Private.L1Cycles)
-	d.i(c.Private.L2Bytes)
-	d.i(c.Private.L2Ways)
-	d.i(c.Private.L2Cycles)
-	d.i(c.Private.LineSize)
-	d.i(c.LLCCycles)
-	d.i(c.L4Cycles)
-	d.f64(c.LinkSetupNs)
-	d.f64(c.TotalLinkBW)
-	d.f64(c.TotalDRAMBW)
-	d.i(c.LLCPerThread)
-	d.i(c.L4Ratio)
-	d.i(c.RequestBits)
-	d.linkConfig(c.Link)
-	d.coreConfig(c.Cable)
-	d.bool(c.OnOff)
-	d.f64(c.SampleWindowSec)
-	d.bool(c.NoWorkingSetScale)
-	d.bool(c.Verify)
-	d.faultConfig(c.Fault)
-	return d.sum()
+	d := NewDigester("timing/v1")
+	d.Str(c.Scheme)
+	d.Str(c.Benchmark)
+	d.Int(c.Threads)
+	d.Int(c.TotalTh)
+	d.U64(c.InstrPerTh)
+	d.U64(c.WarmupPerTh)
+	d.F64(c.CoreHz)
+	d.Int(c.Private.L1Bytes)
+	d.Int(c.Private.L1Ways)
+	d.Int(c.Private.L1Cycles)
+	d.Int(c.Private.L2Bytes)
+	d.Int(c.Private.L2Ways)
+	d.Int(c.Private.L2Cycles)
+	d.Int(c.Private.LineSize)
+	d.Int(c.LLCCycles)
+	d.Int(c.L4Cycles)
+	d.F64(c.LinkSetupNs)
+	d.F64(c.TotalLinkBW)
+	d.F64(c.TotalDRAMBW)
+	d.Int(c.LLCPerThread)
+	d.Int(c.L4Ratio)
+	d.Int(c.RequestBits)
+	d.LinkConfig(c.Link)
+	d.CoreConfig(c.Cable)
+	d.Bool(c.OnOff)
+	d.F64(c.SampleWindowSec)
+	d.Bool(c.NoWorkingSetScale)
+	d.Bool(c.Verify)
+	d.FaultConfig(c.Fault)
+	return d.Sum()
 }
-
-// Digester is the exported form of the canonical config digester, for
-// simulator packages that live outside sim (internal/topo) but whose
-// cells share the experiments' memo map. The folding primitives are
-// the same stable encodings the sim digests use, so cross-package
-// digests can never alias: every digest starts with a version-tagged
-// string ("topo/v1", "memlink/v1", ...) and the length-prefixed string
-// encoding keeps field concatenations unambiguous.
-type Digester struct {
-	d digester
-}
-
-// NewDigester starts a canonical digest stream tagged with a format
-// version string (e.g. "topo/v1").
-func NewDigester(version string) *Digester {
-	d := &Digester{d: newDigester()}
-	d.Str(version)
-	return d
-}
-
-// Str folds in a length-prefixed string.
-func (d *Digester) Str(s string) { d.d.str(s) }
-
-// Int folds in an int.
-func (d *Digester) Int(v int) { d.d.i(v) }
-
-// U64 folds in a uint64.
-func (d *Digester) U64(v uint64) { d.d.u64(v) }
-
-// F64 folds in a float64 (by bit pattern).
-func (d *Digester) F64(v float64) { d.d.f64(v) }
-
-// Bool folds in a bool.
-func (d *Digester) Bool(v bool) { d.d.bool(v) }
-
-// LinkConfig folds in a link configuration with the canonical field
-// order shared by every sim digest.
-func (d *Digester) LinkConfig(c link.Config) { d.d.linkConfig(c) }
-
-// CoreConfig folds in a CABLE core configuration (Metrics excluded:
-// observation-only).
-func (d *Digester) CoreConfig(c core.Config) { d.d.coreConfig(c) }
-
-// FaultConfig folds in a fault-injection configuration.
-func (d *Digester) FaultConfig(c fault.Config) { d.d.faultConfig(c) }
-
-// Sum finalizes the 128-bit digest.
-func (d *Digester) Sum() Digest { return d.d.sum() }

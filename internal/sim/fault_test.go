@@ -11,10 +11,18 @@ import (
 // to counted errors and raw fallbacks instead of panicking.
 var soakFault = fault.Config{BitRate: 1e-3, TruncRate: 1e-3, Seed: 0xC0FFEE}
 
+// checkSyncDuring makes every pair the test's simulation builds verify
+// the home/remote synchronization invariant every 2048 fills.
+func checkSyncDuring(t *testing.T) {
+	prev := CheckSyncEvery(2048)
+	t.Cleanup(func() { CheckSyncEvery(prev) })
+}
+
 // TestMemLinkFaultSoak drives the memory-link topology through >10k
 // CABLE transfers under injection. Every injector-touched transfer
 // must surface as exactly one decode error and one raw fallback.
 func TestMemLinkFaultSoak(t *testing.T) {
+	checkSyncDuring(t)
 	cfg := DefaultMemLinkConfig("gobmk", "omnetpp")
 	cfg.AccessesPerProgram = 30000
 	cfg.Chip.LLCBytes = 128 << 10 // raise the miss rate: more transfers
@@ -88,14 +96,14 @@ func TestMemLinkZeroRateInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Chip
-	if c.xfer.Injector != nil {
+	if c.pair.Xfer.Injector != nil {
 		t.Fatal("zero-rate run built an injector")
 	}
 	if c.FaultsInjected != 0 || c.DecodeErrors != 0 || c.RawFallbacks != 0 {
 		t.Fatalf("zero-rate run counted degradation events: %d/%d/%d",
 			c.FaultsInjected, c.DecodeErrors, c.RawFallbacks)
 	}
-	if c.xfer.degrade.faultsInjected != nil {
+	if c.pair.Xfer.degrade.faultsInjected != nil {
 		t.Fatal("zero-rate run resolved the degradation counters (would register metric names)")
 	}
 }
@@ -103,6 +111,7 @@ func TestMemLinkZeroRateInert(t *testing.T) {
 // TestMultiChipFaultSoak mirrors the soak on the coherence-link
 // topology.
 func TestMultiChipFaultSoak(t *testing.T) {
+	checkSyncDuring(t)
 	cfg := DefaultMultiChipConfig("gobmk")
 	cfg.Accesses = 60000
 	cfg.LLCBytes = 128 << 10
@@ -130,6 +139,7 @@ func TestMultiChipFaultSoak(t *testing.T) {
 // TestNonInclusiveFaultSoak mirrors the soak on the non-inclusive
 // Home-Agent topology.
 func TestNonInclusiveFaultSoak(t *testing.T) {
+	checkSyncDuring(t)
 	cfg := DefaultNonInclusiveConfig("gobmk")
 	cfg.Accesses = 60000
 	cfg.RemoteBytes = 128 << 10

@@ -89,74 +89,40 @@ func (r *MemLinkResult) Ratio(scheme string) float64 {
 }
 
 // accessFeed abstracts where the interleaved access stream and the
-// backing-store contents come from: live generators, recorded-trace
-// replays, or a declarative workload mix (live or replayed).
+// backing-store contents come from. A declarative workload mix
+// (*spec.Mix, live or replayed) is one as it stands: program slots are
+// the mix's clients and the interleave follows their arrival processes.
 type accessFeed interface {
-	// next returns the next access and its owning program slot.
-	next() (workload.Access, int, error)
-	// lineData materializes backing-store contents.
-	lineData(addr uint64) []byte
-	// labels names the program slots.
-	labels() []string
+	// Next returns the next access and the program slot that owns it.
+	Next() (spec.Emission, error)
+	// LineData materializes backing-store contents.
+	LineData(addr uint64) []byte
+	// ClientIDs names the program slots.
+	ClientIDs() []string
 }
 
-// genFeed is the classic path: one live generator per co-running
-// program, interleaved round-robin — the link sees the streams mixed,
-// as a real shared memory controller would.
-type genFeed struct {
-	gens  []*workload.Generator
+// slotFeed is the classic path: one source per co-running program — a
+// live generator or a recorded capture, each in its own address space —
+// interleaved round-robin, so the link sees the streams mixed as a real
+// shared memory controller would.
+type slotFeed struct {
+	srcs  []workload.Source
 	names []string
 	step  int
 }
 
-func (f *genFeed) next() (workload.Access, int, error) {
-	i := f.step % len(f.gens)
-	f.step++
-	return f.gens[i].Next(), i, nil
-}
-
-func (f *genFeed) lineData(addr uint64) []byte {
-	return f.gens[int(addr/programSpacing)].LineData(addr)
-}
-
-func (f *genFeed) labels() []string { return f.names }
-
-// replayFeed round-robins recorded captures over the program slots,
-// each rebased onto its slot's address space.
-type replayFeed struct {
-	srcs  []*trace.Source
-	names []string
-	step  int
-}
-
-func (f *replayFeed) next() (workload.Access, int, error) {
+func (f *slotFeed) Next() (spec.Emission, error) {
 	i := f.step % len(f.srcs)
 	f.step++
 	a, err := f.srcs[i].Next()
-	return a, i, err
+	return spec.Emission{Client: i, Access: a}, err
 }
 
-func (f *replayFeed) lineData(addr uint64) []byte {
+func (f *slotFeed) LineData(addr uint64) []byte {
 	return f.srcs[int(addr/programSpacing)].LineData(addr)
 }
 
-func (f *replayFeed) labels() []string { return f.names }
-
-// mixFeed drives a declarative workload mix, live or replayed; program
-// slots are the mix's clients and the interleave follows the clients'
-// arrival processes instead of a fixed round-robin.
-type mixFeed struct {
-	mix *spec.Mix
-}
-
-func (f *mixFeed) next() (workload.Access, int, error) {
-	e, err := f.mix.Next()
-	return e.Access, e.Client, err
-}
-
-func (f *mixFeed) lineData(addr uint64) []byte { return f.mix.LineData(addr) }
-
-func (f *mixFeed) labels() []string { return f.mix.ClientIDs() }
+func (f *slotFeed) ClientIDs() []string { return f.names }
 
 // newFeed compiles the config's workload selection into a feed and the
 // total access count.
@@ -175,65 +141,56 @@ func newFeed(cfg MemLinkConfig) (accessFeed, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return &mixFeed{mix: mix}, total, nil
-	case len(cfg.Replay) > 0:
-		if len(cfg.Benchmarks) > 0 {
-			return nil, 0, fmt.Errorf("sim: Benchmarks and Replay are mutually exclusive")
-		}
-		srcs := make([]*trace.Source, len(cfg.Replay))
-		names := make([]string, len(cfg.Replay))
-		for i, t := range cfg.Replay {
-			src, err := t.Source(uint64(i)*programSpacing, cfg.Metrics)
-			if err != nil {
+		return mix, total, nil
+	case len(cfg.Replay) > 0 && len(cfg.Benchmarks) > 0:
+		return nil, 0, fmt.Errorf("sim: Benchmarks and Replay are mutually exclusive")
+	case len(cfg.Replay) > 0 || len(cfg.Benchmarks) > 0:
+		n := len(cfg.Benchmarks) + len(cfg.Replay) // one of the two is empty
+		f := &slotFeed{srcs: make([]workload.Source, n), names: make([]string, n)}
+		for i := range f.srcs {
+			var bench string
+			var replay *trace.Trace
+			if len(cfg.Replay) > 0 {
+				replay = cfg.Replay[i]
+			} else {
+				bench = cfg.Benchmarks[i]
+			}
+			var err error
+			if f.srcs[i], f.names[i], err = newSlotSource(bench, replay, i, cfg.AccessesPerProgram, cfg.Metrics); err != nil {
 				return nil, 0, err
 			}
-			if src.Len() < cfg.AccessesPerProgram {
-				return nil, 0, fmt.Errorf("%w: capture %q has %d records, run needs %d per program",
-					trace.ErrExhausted, t.Header.Benchmark, src.Len(), cfg.AccessesPerProgram)
-			}
-			srcs[i] = src
-			names[i] = t.Header.Benchmark
 		}
-		return &replayFeed{srcs: srcs, names: names}, cfg.AccessesPerProgram * len(srcs), nil
-	case len(cfg.Benchmarks) > 0:
-		gens := make([]*workload.Generator, len(cfg.Benchmarks))
-		for i, name := range cfg.Benchmarks {
-			g, err := workload.NewIn(name, i, uint64(i)*programSpacing, cfg.Metrics)
-			if err != nil {
-				return nil, 0, err
-			}
-			gens[i] = g
-		}
-		return &genFeed{gens: gens, names: cfg.Benchmarks}, cfg.AccessesPerProgram * len(gens), nil
+		return f, cfg.AccessesPerProgram * len(f.srcs), nil
 	default:
 		return nil, 0, fmt.Errorf("sim: no benchmarks, workload, or replay configured")
 	}
 }
 
-// newSingleSource resolves a one-program access source for the
-// single-benchmark drivers (multichip, noninclusive): a live generator
-// for benchmark, or a replay capture (mutually exclusive) with enough
-// records to cover the run.
-func newSingleSource(benchmark string, replay *trace.Trace, accesses int) (workload.Source, error) {
+// newSlotSource resolves program slot's access source and label: a live
+// generator for benchmark, or a replay capture (mutually exclusive)
+// holding at least need records, placed in the slot's address space.
+// The single-program drivers (multichip, noninclusive) use slot 0.
+func newSlotSource(benchmark string, replay *trace.Trace, slot, need int, reg *obs.Registry) (workload.Source, string, error) {
+	base := uint64(slot) * programSpacing
 	if replay == nil {
-		gen, err := workload.New(benchmark, 0, 0)
+		gen, err := workload.NewIn(benchmark, slot, base, reg)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return workload.AsSource(gen), nil
+		return workload.AsSource(gen), benchmark, nil
 	}
 	if benchmark != "" {
-		return nil, fmt.Errorf("sim: Benchmark and Replay are mutually exclusive")
+		return nil, "", fmt.Errorf("sim: Benchmark and Replay are mutually exclusive")
 	}
-	src, err := replay.Source(0, nil)
+	src, err := replay.Source(base, reg)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	if src.Len() < accesses {
-		return nil, fmt.Errorf("%w: capture %q has %d records, run needs %d",
-			trace.ErrExhausted, replay.Header.Benchmark, src.Len(), accesses)
+	if src.Len() < need {
+		return nil, "", fmt.Errorf("%w: capture %q has %d records, run needs %d per program",
+			trace.ErrExhausted, replay.Header.Benchmark, src.Len(), need)
 	}
-	return src, nil
+	return src, replay.Header.Benchmark, nil
 }
 
 // RunMemoryLink executes the functional memory-link simulation.
@@ -242,7 +199,7 @@ func RunMemoryLink(cfg MemLinkConfig) (*MemLinkResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	programs := feed.labels()
+	programs := feed.ClientIDs()
 	chipCfg := cfg.Chip
 	if cfg.Metrics != nil {
 		chipCfg.Metrics = cfg.Metrics
@@ -254,7 +211,7 @@ func RunMemoryLink(cfg MemLinkConfig) (*MemLinkResult, error) {
 		chipCfg.LLCBytes *= len(programs)
 		chipCfg.L4Bytes *= len(programs)
 	}
-	chip, err := NewChip(chipCfg, feed.lineData)
+	chip, err := NewChip(chipCfg, feed.LineData)
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +223,11 @@ func RunMemoryLink(cfg MemLinkConfig) (*MemLinkResult, error) {
 	}
 
 	for step := 0; step < total; step++ {
-		a, owner, err := feed.next()
+		e, err := feed.Next()
 		if err != nil {
 			return nil, fmt.Errorf("sim: access %d: %w", step, err)
 		}
-		chip.Access(a, owner)
+		chip.Access(e.Access, e.Client)
 	}
 
 	res := &MemLinkResult{

@@ -36,25 +36,50 @@ type Meter interface {
 	ResetCounters()
 }
 
-// meterBase implements the owner bookkeeping shared by meters.
+// ownerRatios accumulates one scheme's compression ratio per owner and
+// in total.
+type ownerRatios struct {
+	owners map[int]*stats.Ratio
+	total  stats.Ratio
+}
+
+func (o *ownerRatios) add(owner, sourceBits, wireBits int) {
+	if r := o.owners[owner]; r != nil {
+		r.Add(sourceBits, wireBits)
+	} else {
+		if o.owners == nil {
+			o.owners = map[int]*stats.Ratio{}
+		}
+		o.owners[owner] = &stats.Ratio{SourceBits: uint64(sourceBits), WireBits: uint64(wireBits)}
+	}
+	o.total.Add(sourceBits, wireBits)
+}
+
+// Ratio returns the accumulated ratio for one owner.
+func (o *ownerRatios) Ratio(owner int) stats.Ratio {
+	if r := o.owners[owner]; r != nil {
+		return *r
+	}
+	return stats.Ratio{}
+}
+
+// Total returns the aggregate ratio across owners.
+func (o *ownerRatios) Total() stats.Ratio { return o.total }
+
+// meterBase implements the bookkeeping shared by meters.
 type meterBase struct {
+	ownerRatios
 	name     string
 	lnk      *link.Link
 	reg      *obs.Registry // nil = process-default
-	owners   map[int]*stats.Ratio
-	total    stats.Ratio
 	lastWire int
 
-	mx    *simCounters
+	mx    simCounters
 	shard uint32
 }
 
-func newMeterBase(name string, cfg link.Config) meterBase {
-	return newMeterBaseIn(name, cfg, nil)
-}
-
 func newMeterBaseIn(name string, cfg link.Config, reg *obs.Registry) meterBase {
-	m := meterBase{name: name, lnk: link.NewIn(cfg, reg), reg: reg, owners: map[int]*stats.Ratio{}}
+	m := meterBase{name: name, lnk: link.NewIn(cfg, reg), reg: reg}
 	m.mx, m.shard = simMetricsIn(reg)
 	return m
 }
@@ -68,42 +93,23 @@ func (m *meterBase) account(owner, sourceBits, payloadBits int, wire compress.En
 	m.mx.meterSourceBits.Add(m.shard, uint64(sourceBits))
 	wireBits := m.lnk.SendWire(wire.Data, payloadBits)
 	m.lastWire = wireBits
-	if r := m.owners[owner]; r != nil {
-		r.Add(sourceBits, wireBits)
-	} else {
-		m.owners[owner] = &stats.Ratio{SourceBits: uint64(sourceBits), WireBits: uint64(wireBits)}
-	}
-	m.total.Add(sourceBits, wireBits)
+	m.add(owner, sourceBits, wireBits)
 }
-
-func (m *meterBase) Ratio(owner int) stats.Ratio {
-	if r := m.owners[owner]; r != nil {
-		return *r
-	}
-	return stats.Ratio{}
-}
-
-func (m *meterBase) Total() stats.Ratio { return m.total }
 
 func (m *meterBase) LastWire() int { return m.lastWire }
 
 func (m *meterBase) ResetCounters() {
 	cfg := m.lnk.Config()
 	*m.lnk = *link.NewIn(cfg, m.reg)
-	m.owners = map[int]*stats.Ratio{}
-	m.total = stats.Ratio{}
+	m.ownerRatios = ownerRatios{}
 	m.lastWire = 0
 }
 
 // RawMeter is the uncompressed baseline: every transfer is a full line.
 type RawMeter struct{ meterBase }
 
-// NewRawMeter builds the no-compression baseline meter.
-func NewRawMeter(cfg link.Config) *RawMeter {
-	return NewRawMeterIn(cfg, nil)
-}
-
-// NewRawMeterIn is NewRawMeter with an explicit metrics registry.
+// NewRawMeterIn builds the no-compression baseline meter, its counters
+// in reg (nil: the process default, as for every meter constructor).
 func NewRawMeterIn(cfg link.Config, reg *obs.Registry) *RawMeter {
 	return &RawMeter{newMeterBaseIn("none", cfg, reg)}
 }
@@ -126,12 +132,7 @@ type EngineMeter struct {
 	engine compress.Engine
 }
 
-// NewEngineMeter wraps a per-line engine.
-func NewEngineMeter(e compress.Engine, cfg link.Config) *EngineMeter {
-	return NewEngineMeterIn(e, cfg, nil)
-}
-
-// NewEngineMeterIn is NewEngineMeter with an explicit metrics registry.
+// NewEngineMeterIn wraps a per-line engine.
 func NewEngineMeterIn(e compress.Engine, cfg link.Config, reg *obs.Registry) *EngineMeter {
 	return &EngineMeter{meterBase: newMeterBaseIn(e.Name(), cfg, reg), engine: e}
 }
@@ -157,13 +158,8 @@ type StreamMeter struct {
 	up   *compress.LZSS // remote→home (write-backs)
 }
 
-// NewStreamMeter builds a gzip meter with the given window (32 KB in
+// NewStreamMeterIn builds a gzip meter with the given window (32 KB in
 // the paper — gzip's maximum).
-func NewStreamMeter(name string, window int, cfg link.Config) *StreamMeter {
-	return NewStreamMeterIn(name, window, cfg, nil)
-}
-
-// NewStreamMeterIn is NewStreamMeter with an explicit metrics registry.
 func NewStreamMeterIn(name string, window int, cfg link.Config, reg *obs.Registry) *StreamMeter {
 	return &StreamMeter{
 		meterBase: newMeterBaseIn(name, cfg, reg),
@@ -184,13 +180,8 @@ func (m *StreamMeter) OnWriteback(data []byte, owner int) {
 	m.account(owner, len(data)*8, enc.NBits, enc)
 }
 
-// DefaultMeters builds the paper's comparison set (Fig 12): BDI, CPACK,
+// DefaultMetersIn builds the paper's comparison set (Fig 12): BDI, CPACK,
 // CPACK128, LBE256 and gzip with a 32 KB window.
-func DefaultMeters(cfg link.Config) []Meter {
-	return DefaultMetersIn(cfg, nil)
-}
-
-// DefaultMetersIn is DefaultMeters with an explicit metrics registry.
 func DefaultMetersIn(cfg link.Config, reg *obs.Registry) []Meter {
 	return []Meter{
 		NewRawMeterIn(cfg, reg),

@@ -27,7 +27,7 @@ func meterCorpus() [][]byte {
 // compresses strictly better than the cold first pass, which is only
 // possible if the dictionary learned during that first pass is intact.
 func TestMeterResetCountersKeepsCompressorState(t *testing.T) {
-	m := NewStreamMeter("gzip", 32<<10, link.DefaultConfig())
+	m := NewStreamMeterIn("gzip", 32<<10, link.DefaultConfig(), nil)
 	corpus := meterCorpus()
 	for _, line := range corpus {
 		m.OnFill(line, 0)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"cable/internal/obs"
-)
+import "cable/internal/obs"
 
 // simCounters aggregates meter traffic process-wide. One shard per
 // meterBase, drawn at construction.
@@ -13,29 +9,17 @@ type simCounters struct {
 	meterSourceBits *obs.Counter
 }
 
-func newSimCounters(r *obs.Registry) simCounters {
-	return simCounters{
-		meterTransfers:  r.Counter("sim.meter_transfers"),
-		meterSourceBits: r.Counter("sim.meter_source_bits"),
-	}
-}
-
-var (
-	simCountersOnce   sync.Once
-	sharedSimCounters simCounters
-)
-
-// simMetricsIn resolves the counter block against reg, or the shared
-// process-default block when reg is nil, plus a fresh shard.
-func simMetricsIn(reg *obs.Registry) (*simCounters, uint32) {
+// simMetricsIn resolves the counter block against reg (nil: the process
+// default) plus a fresh shard. Registry lookups are idempotent, so every
+// meter of a registry shares the underlying counters.
+func simMetricsIn(reg *obs.Registry) (simCounters, uint32) {
 	if reg == nil {
-		simCountersOnce.Do(func() {
-			sharedSimCounters = newSimCounters(obs.Default())
-		})
-		return &sharedSimCounters, obs.NextShard()
+		reg = obs.Default()
 	}
-	sc := newSimCounters(reg)
-	return &sc, obs.NextShard()
+	return simCounters{
+		meterTransfers:  reg.Counter("sim.meter_transfers"),
+		meterSourceBits: reg.Counter("sim.meter_source_bits"),
+	}, obs.NextShard()
 }
 
 // degradeCounters aggregate the graceful-degradation events of the

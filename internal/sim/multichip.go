@@ -78,14 +78,9 @@ func DefaultMultiChipConfig(benchmark string) MultiChipConfig {
 }
 
 // coherenceLink is one node-pair CABLE pipeline: requester node 0's LLC
-// is the remote cache; home node h's LLC is the home cache.
+// is the pair's remote cache; home node h's LLC is its home cache.
 type coherenceLink struct {
-	homeLLC *cache.Cache
-	he      *core.HomeEnd
-	re      *core.RemoteEnd
-	// xfer carries this pair's fills and write-backs; its Track is the
-	// link's flight-recorder track (nil when recording is off).
-	xfer   *LinkTransfer
+	*Pair
 	ratio  stats.Ratio
 	meters []Meter
 }
@@ -114,12 +109,27 @@ func (r *MultiChipResult) Ratio(scheme string) float64 {
 	return 1
 }
 
+// validate rejects configurations the run would otherwise divide by or
+// build caches from.
+func (cfg MultiChipConfig) validate() error {
+	if cfg.Nodes < 2 {
+		return fmt.Errorf("sim: multichip needs ≥2 nodes, got %d", cfg.Nodes)
+	}
+	if cfg.PageLines == 0 {
+		return fmt.Errorf("sim: multichip needs a non-zero PageLines interleave")
+	}
+	if cfg.Accesses <= 0 {
+		return fmt.Errorf("sim: multichip needs a positive access count, got %d", cfg.Accesses)
+	}
+	return cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64}.Validate()
+}
+
 // RunMultiChip executes the functional 4-chip coherence simulation.
 func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("sim: multichip needs ≥2 nodes, got %d", cfg.Nodes)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	src, err := newSingleSource(cfg.Benchmark, cfg.Replay, cfg.Accesses)
+	src, _, err := newSlotSource(cfg.Benchmark, cfg.Replay, 0, cfg.Accesses, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +139,14 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	reqLLC := cache.New(cache.Config{Name: "llc0", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
 	cableCfg := cfg.Cable
 	var pool *core.SuperWMT
-	var geom *cache.Cache
 	if cfg.PooledWMT {
 		cableCfg.WritebackCompression = false
 		factor := cfg.PooledWMTFactor
 		if factor <= 0 {
 			factor = 0.5
 		}
-		geom = cache.New(cache.Config{Name: "geom", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
-		pool = core.NewSuperWMT(int(float64(geom.NumLines())*factor), 4, geom, reqLLC)
+		// Every node's LLC has the requester's geometry.
+		pool = core.NewSuperWMT(int(float64(reqLLC.NumLines())*factor), 4, reqLLC, reqLLC)
 	}
 	links := make([]*coherenceLink, cfg.Nodes) // index by home node; [0] unused
 	rec := cfg.Recorder
@@ -147,38 +156,27 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	degrade := &degradeCounters{}
 	for h := 1; h < cfg.Nodes; h++ {
 		homeLLC := cache.New(cache.Config{Name: fmt.Sprintf("llc%d", h), SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
-		var wm core.WayMap
+		pc := PairConfig{
+			Cable: cableCfg, Link: link.New(cfg.Link), Injector: injector, Verify: cfg.Verify,
+			Recorder: rec, Track: fmt.Sprintf("link%d", h), degrade: degrade,
+		}
 		if pool != nil {
-			wm = pool.View(h)
+			pc.WayMap = pool.View(h)
 		}
-		he, err := core.NewHomeEndWithWayMap(cableCfg, homeLLC, reqLLC, wm)
+		pair, err := NewPair(homeLLC, reqLLC, pc)
 		if err != nil {
 			return nil, err
 		}
-		re, err := core.NewRemoteEnd(cableCfg, reqLLC)
-		if err != nil {
-			return nil, err
-		}
-		cl := &coherenceLink{homeLLC: homeLLC, he: he, re: re, xfer: &LinkTransfer{
-			Link: link.New(cfg.Link), Injector: injector,
-			IdxBits: reqLLC.IndexBits(), WayBits: reqLLC.WayBits(), LineSize: 64,
-			LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify, degrade: degrade,
-		}}
+		links[h] = &coherenceLink{Pair: pair}
 		if cfg.WithMeters {
-			cl.meters = DefaultMeters(cfg.Link)
+			links[h].meters = DefaultMetersIn(cfg.Link, nil)
 		}
-		if rec != nil {
-			cl.xfer.Recorder, cl.xfer.Track = rec, rec.Track(fmt.Sprintf("link%d", h))
-			he.SetRecorder(rec, cl.xfer.Track)
-			re.SetRecorder(rec, cl.xfer.Track)
-		}
-		links[h] = cl
 	}
 	res := &MultiChipResult{Total: map[string]stats.Ratio{}}
 	versions := writeVersionPool.Get().(writeVersions)
 
-	// evictReq processes a requester-LLC eviction, routing the
-	// notices (and a dirty write-back) to the owning home node.
+	// evictReq processes a requester-LLC eviction, routing it (and a
+	// dirty write-back) to the pair of the owning home node.
 	evictReq := func(ev cache.Eviction) {
 		h := home(ev.LineAddr)
 		if h == 0 {
@@ -188,45 +186,24 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 			return
 		}
 		cl := links[h]
+		wb, absorbed := cl.EvictRemote(ev)
 		if ev.State == cache.Modified {
+			if !absorbed {
+				panic(fmt.Sprintf("sim: multichip inclusivity violated for %#x", ev.LineAddr))
+			}
 			res.DirtyWBs++
-			p := cl.re.EncodeWriteback(ev.Data)
-			r := cl.xfer.Send(p, cl.he.DecodeWriteback, ev.Data, ev.LineAddr)
-			cl.ratio.Add(len(ev.Data)*8, r.Wire)
+			cl.ratio.Add(len(ev.Data)*8, wb.Wire)
 			for _, m := range cl.meters {
 				m.OnWriteback(ev.Data, 0)
 			}
-			// The home copy absorbs the requester's dirty data (what
-			// the decode reconstructed, or the raw retry delivered).
-			if hl, _, ok := cl.homeLLC.Probe(ev.LineAddr); ok {
-				copy(hl.Data, ev.Data)
-				hl.State = cache.Modified
-			} else {
-				panic(fmt.Sprintf("sim: multichip inclusivity violated for %#x", ev.LineAddr))
-			}
 		}
-		seq := cl.re.OnEviction(ev.ID, ev.Data)
-		cl.he.OnRemoteEviction(ev.ID, seq)
 	}
-
-	// ensureHomeLLC installs addr in its home node's LLC, handling the
-	// inclusive back-invalidation of the requester's copy.
-	ensureHomeLLC := func(cl *coherenceLink, addr uint64) {
-		if _, _, ok := cl.homeLLC.Probe(addr); ok {
-			return
+	// backInvalidate forces a home-LLC victim's copy out of the
+	// requester's LLC (inclusive).
+	backInvalidate := func(victim uint64) {
+		if ev, hit := reqLLC.Invalidate(victim); hit {
+			evictReq(ev)
 		}
-		idx := cl.homeLLC.IndexOf(addr)
-		way := cl.homeLLC.VictimWay(idx)
-		if victim, ok := cl.homeLLC.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
-			if ev, hit := reqLLC.Invalidate(victim); hit {
-				evictReq(ev)
-			}
-			cl.he.OnHomeEviction(victim)
-			if vl, _, _ := cl.homeLLC.Probe(victim); vl.State == cache.Modified {
-				store.Write(victim, vl.Data)
-			}
-		}
-		cl.homeLLC.InsertAt(addr, store.Read(addr), cache.Shared, way)
 	}
 
 	for i := 0; i < cfg.Accesses; i++ {
@@ -241,8 +218,7 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		if line, id, ok := reqLLC.Access(a.LineAddr); ok {
 			if a.Write && line.State == cache.Shared {
 				if h != 0 {
-					links[h].re.OnUpgrade(id, line.Data)
-					links[h].he.OnUpgrade(a.LineAddr)
+					links[h].Upgrade(id, line.Data, a.LineAddr)
 				}
 				line.State = cache.Modified
 			}
@@ -251,10 +227,11 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 			}
 			continue
 		}
-		// Requester miss: evict the victim first.
-		idx := reqLLC.IndexOf(a.LineAddr)
-		way := reqLLC.VictimWay(idx)
-		if victim, ok := reqLLC.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
+		// Requester miss: the victim goes before the home line is
+		// installed, so a back-invalidation frees a second way of the
+		// set the fill does not take.
+		way, victim, ok := reqLLC.Victim(a.LineAddr)
+		if ok {
 			ev, _ := reqLLC.Invalidate(victim)
 			evictReq(ev)
 		}
@@ -265,73 +242,44 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		if h == 0 {
 			res.LocalAccesses++
 			reqLLC.InsertAt(a.LineAddr, store.Read(a.LineAddr), state, way)
-			if a.Write {
-				l, _, _ := reqLLC.Probe(a.LineAddr)
-				versions.mutate(l.Data, a.LineAddr)
+		} else {
+			cl := links[h]
+			want, _, _, _ := cl.EnsureHome(a.LineAddr, store, backInvalidate)
+			res.RemoteFills++
+			r := cl.Fill(a.LineAddr, want.Data, state, way)
+			cl.ratio.Add(len(want.Data)*8, r.Wire)
+			for _, m := range cl.meters {
+				m.OnFill(want.Data, 0)
 			}
-			continue
 		}
-		cl := links[h]
-		ensureHomeLLC(cl, a.LineAddr)
-		res.RemoteFills++
-		p, _, err := cl.he.EncodeFill(a.LineAddr, state, way)
-		if err != nil {
-			// Encode failure is a sender-side invariant violation, not
-			// a link fault: always fatal.
-			panic(fmt.Sprintf("sim: multichip fill %#x: %v", a.LineAddr, err))
-		}
-		want, _, _ := cl.homeLLC.Probe(a.LineAddr)
-		r := cl.xfer.Send(p, cl.re.DecodeFill, want.Data, a.LineAddr)
-		cl.ratio.Add(len(want.Data)*8, r.Wire)
-		for _, m := range cl.meters {
-			m.OnFill(want.Data, 0)
-		}
-		reqLLC.InsertAt(a.LineAddr, r.Data, state, way)
-		cl.re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, state)
-		cl.re.OnAck(p.AckSeq)
 		if a.Write {
 			l, _, _ := reqLLC.Probe(a.LineAddr)
 			versions.mutate(l.Data, a.LineAddr)
 		}
 	}
 
-	var cableTotal stats.Ratio
-	meterTotals := map[string]*stats.Ratio{}
-	for h := 1; h < cfg.Nodes; h++ {
-		cableTotal.Merge(links[h].ratio)
-		res.FaultsInjected += links[h].xfer.FaultsInjected
-		res.DecodeErrors += links[h].xfer.DecodeErrors
-		res.RawFallbacks += links[h].xfer.RawFallbacks
-		for _, m := range links[h].meters {
-			if t, ok := meterTotals[m.Name()]; ok {
-				tt := m.Total()
-				t.Merge(tt)
-			} else {
-				tt := m.Total()
-				meterTotals[m.Name()] = &tt
-			}
+	// Fold every link into the result and recycle the run's directory
+	// state: every cache backing and CABLE-end table goes back to the
+	// shared pools and the write-version map to its own, so sweeps that run
+	// many multichip cells stop re-growing the same multi-megabyte
+	// allocations per cell.
+	merge := func(scheme string, r stats.Ratio) {
+		total := res.Total[scheme]
+		total.Merge(r)
+		res.Total[scheme] = total
+	}
+	for _, cl := range links[1:] {
+		res.FaultsInjected += cl.Xfer.FaultsInjected
+		res.DecodeErrors += cl.Xfer.DecodeErrors
+		res.RawFallbacks += cl.Xfer.RawFallbacks
+		merge("cable", cl.ratio)
+		for _, m := range cl.meters {
+			merge(m.Name(), m.Total())
 		}
+		cl.Release()
 	}
-	res.Total["cable"] = cableTotal
-	for name, t := range meterTotals {
-		res.Total[name] = *t
-	}
-
-	// Recycle the run's directory state: the write-version map returns to
-	// its pool and every cache backing and CABLE-end table goes back to
-	// the shared pools, so sweeps that run many multichip cells stop
-	// re-growing the same multi-megabyte allocations per cell.
 	clear(versions)
 	writeVersionPool.Put(versions)
-	for h := 1; h < cfg.Nodes; h++ {
-		links[h].he.Release()
-		links[h].re.Release()
-		links[h].homeLLC.Release()
-	}
-	reqLLC.Release()
-	if geom != nil {
-		geom.Release()
-	}
 	return res, nil
 }
 

@@ -81,6 +81,20 @@ func TestMultiChipRejectsBadConfig(t *testing.T) {
 	if _, err := RunMultiChip(cfg); err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
+	// Each of these used to panic inside the run (PageLines == 0 with an
+	// integer divide by zero) instead of returning an error.
+	for name, mutate := range map[string]func(*MultiChipConfig){
+		"PageLines 0":      func(c *MultiChipConfig) { c.PageLines = 0 },
+		"Accesses 0":       func(c *MultiChipConfig) { c.Accesses = 0 },
+		"LLCWays 0":        func(c *MultiChipConfig) { c.LLCWays = 0 },
+		"LLC sets not 2^n": func(c *MultiChipConfig) { c.LLCBytes = 3 * 8 * 64 },
+	} {
+		cfg = quickMultiChip("zeusmp")
+		mutate(&cfg)
+		if _, err := RunMultiChip(cfg); err == nil {
+			t.Fatalf("%s should error", name)
+		}
+	}
 }
 
 func TestMultiChipPooledWMT(t *testing.T) {

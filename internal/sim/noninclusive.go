@@ -88,51 +88,23 @@ type NonInclusiveResult struct {
 
 // RunNonInclusive executes the non-inclusive simulation.
 func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
-	src, err := newSingleSource(cfg.Benchmark, cfg.Replay, cfg.Accesses)
+	src, _, err := newSlotSource(cfg.Benchmark, cfg.Replay, 0, cfg.Accesses, nil)
 	if err != nil {
 		return nil, err
 	}
 	store := mem.NewStore(64, src.LineData)
 	remote := cache.New(cache.Config{Name: "ca", SizeBytes: cfg.RemoteBytes, Ways: cfg.RemoteWays, LineSize: 64})
 	home := cache.New(cache.Config{Name: "ha", SizeBytes: cfg.HomeBytes, Ways: cfg.HomeWays, LineSize: 64})
-	he, err := core.NewHomeEnd(cfg.Cable, home, remote)
-	if err != nil {
-		return nil, err
-	}
-	re, err := core.NewRemoteEnd(cfg.Cable, remote)
-	if err != nil {
-		return nil, err
-	}
 	rec := cfg.Recorder
-	xfer := &LinkTransfer{
-		Link: link.New(cfg.Link), Injector: fault.New(cfg.Fault),
-		IdxBits: remote.IndexBits(), WayBits: remote.WayBits(), LineSize: 64,
-		LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify, degrade: &degradeCounters{},
-	}
-	if rec != nil {
-		xfer.Recorder, xfer.Track = rec, rec.Track("cable")
-		he.SetRecorder(rec, xfer.Track)
-		re.SetRecorder(rec, xfer.Track)
+	pair, err := NewPair(home, remote, PairConfig{
+		Cable: cfg.Cable, Link: link.New(cfg.Link), Injector: fault.New(cfg.Fault), Verify: cfg.Verify,
+		Recorder: rec, Track: "cable", degrade: &degradeCounters{},
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &NonInclusiveResult{}
 	versions := writeVersionPool.Get().(writeVersions)
-
-	// installHome caches a line at the Home Agent, evicting LRU
-	// victims WITHOUT back-invalidating the remote — the defining
-	// non-inclusive behavior. Evicted home lines just stop serving as
-	// references.
-	installHome := func(addr uint64, data []byte) {
-		idx := home.IndexOf(addr)
-		way := home.VictimWay(idx)
-		if victim, ok := home.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
-			he.OnHomeEviction(victim)
-			res.HomeEvicts++
-			if vl, _, _ := home.Probe(victim); vl.State == cache.Modified {
-				store.Write(victim, vl.Data)
-			}
-		}
-		home.InsertAt(addr, data, cache.Shared, way)
-	}
 
 	for i := 0; i < cfg.Accesses; i++ {
 		if rec != nil {
@@ -145,8 +117,7 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 		if line, id, ok := remote.Access(a.LineAddr); ok {
 			if a.Write {
 				if line.State == cache.Shared {
-					re.OnUpgrade(id, line.Data)
-					he.OnUpgrade(a.LineAddr)
+					pair.Upgrade(id, line.Data, a.LineAddr)
 					line.State = cache.Modified
 				}
 				versions.mutate(line.Data, a.LineAddr)
@@ -154,33 +125,19 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 			continue
 		}
 		// Remote miss: evict the victim; dirty data goes home
-		// uncompressed-by-references (standalone only, §IV-C).
-		idx := remote.IndexOf(a.LineAddr)
-		way := remote.VictimWay(idx)
-		if victim, ok := remote.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
+		// uncompressed-by-references (standalone only, §IV-C). The home
+		// may or may not still cache the line: if not, memory takes it.
+		way, victim, ok := remote.Victim(a.LineAddr)
+		if ok {
 			ev, _ := remote.Invalidate(victim)
+			wb, absorbed := pair.EvictRemote(ev)
 			if ev.State == cache.Modified {
 				res.WBs++
-				p := re.EncodeWriteback(ev.Data)
-				if len(p.Refs) != 0 {
-					// Sender-side protocol invariant (§IV-C), not a
-					// link fault: always fatal.
-					panic("sim: non-inclusive WB used references")
-				}
-				r := xfer.Send(p, he.DecodeWriteback, ev.Data, ev.LineAddr)
-				res.Cable.Add(len(ev.Data)*8, r.Wire)
-				// The home may or may not cache the WB; it caches. It
-				// absorbs the remote's dirty data (what the decode
-				// reconstructed, or the raw retry delivered).
-				if hl, _, ok := home.Probe(ev.LineAddr); ok {
-					copy(hl.Data, ev.Data)
-					hl.State = cache.Modified
-				} else {
+				res.Cable.Add(len(ev.Data)*8, wb.Wire)
+				if !absorbed {
 					store.Write(ev.LineAddr, ev.Data)
 				}
 			}
-			seq := re.OnEviction(ev.ID, ev.Data)
-			he.OnRemoteEviction(ev.ID, seq)
 		}
 		state := cache.Shared
 		if a.Write {
@@ -189,42 +146,33 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 		// Service the fill: from the home cache if present, else from
 		// memory (forward). Forwarded clean fills are also installed
 		// into the home cache — a recently-used-lines policy — which
-		// is what makes future references possible.
-		var data []byte
-		if hl, _, ok := home.Probe(a.LineAddr); ok {
-			data = hl.Data
+		// is what makes future references possible. The install evicts
+		// WITHOUT back-invalidating the remote: the defining
+		// non-inclusive behavior.
+		line, hit, evicted, _ := pair.EnsureHome(a.LineAddr, store, nil)
+		if hit {
 			res.CachedFills++
 		} else {
-			data = store.Read(a.LineAddr)
 			res.ForwardedFills++
-			installHome(a.LineAddr, data)
 		}
-		p, _, err := he.EncodeFillData(a.LineAddr, data, state, way)
-		if err != nil {
-			// Encode failure is a sender-side invariant violation, not
-			// a link fault: always fatal.
-			panic(fmt.Sprintf("sim: non-inclusive fill: %v", err))
+		if evicted {
+			res.HomeEvicts++
 		}
-		r := xfer.Send(p, re.DecodeFill, data, a.LineAddr)
+		data := line.Data
+		r := pair.Fill(a.LineAddr, data, state, way)
 		res.Cable.Add(len(data)*8, r.Wire)
-		remote.InsertAt(a.LineAddr, r.Data, state, way)
-		re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, state)
-		re.OnAck(p.AckSeq)
 		if a.Write {
 			l, _, _ := remote.Probe(a.LineAddr)
 			versions.mutate(l.Data, a.LineAddr)
 		}
 	}
-	res.FaultsInjected, res.DecodeErrors, res.RawFallbacks = xfer.FaultsInjected, xfer.DecodeErrors, xfer.RawFallbacks
+	res.FaultsInjected, res.DecodeErrors, res.RawFallbacks = pair.Xfer.FaultsInjected, pair.Xfer.DecodeErrors, pair.Xfer.RawFallbacks
 	// Recycle the run's state: the write-version map returns to its pool
 	// and the CABLE-end tables and cache backings go back to the shared
 	// pools, so fault soaks and sweeps that run many non-inclusive cells
 	// stop re-growing the same multi-megabyte allocations per cell.
 	clear(versions)
 	writeVersionPool.Put(versions)
-	he.Release()
-	re.Release()
-	remote.Release()
-	home.Release()
+	pair.Release()
 	return res, nil
 }

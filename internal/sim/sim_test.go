@@ -146,7 +146,7 @@ func TestChipDRAMTrafficConsistent(t *testing.T) {
 func TestMetersQuantizeIdentically(t *testing.T) {
 	// A meter fed incompressible lines must report ≈1× after flit
 	// quantization (513 bits → 33 flits ≈ 0.97).
-	m := NewRawMeter(link.DefaultConfig())
+	m := NewRawMeterIn(link.DefaultConfig(), nil)
 	data := make([]byte, 64)
 	for i := range data {
 		data[i] = byte(i*37 + 1)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cable/internal/obs"
-	"cable/internal/trace"
 	"cable/internal/workload"
 	"cable/internal/workload/spec"
 )
@@ -29,106 +28,67 @@ type injectFeed interface {
 	hopTarget() bool
 }
 
-// gapProcess is the uniform per-chip inter-arrival process shared by
-// the benchmark and replay feeds: one splitmix64 stream per chip,
-// derived from the run seed, gaps uniform in [1, 2*MeanGap-1].
-type gapProcess struct {
-	state   []uint64
+// gapFeed is the classic path: every chip draws from its own source —
+// an instance of the one benchmark, or a recorded capture of it
+// (addresses rebased to the engine's zero-based space) — and injects on
+// a uniform inter-arrival process: one splitmix64 stream per chip,
+// derived from the run seed, gaps uniform in [1, 2*MeanGap-1]. Injection
+// times come from the seed either way, so replaying captures of the live
+// per-chip streams reproduces the live schedule, and with it every
+// per-link table, bit for bit.
+type gapFeed struct {
+	srcs    []workload.Source
+	state   []uint64 // per-chip gap stream
 	meanGap uint64
 }
 
-func newGapProcess(seed uint64, chips, meanGap int) *gapProcess {
-	g := &gapProcess{state: make([]uint64, chips), meanGap: uint64(meanGap)}
-	for c := range g.state {
-		st := seed + uint64(c)*0x9E3779B97F4A7C15
-		g.state[c] = splitmix64(&st)
+func newGapFeed(cfg Config) (*gapFeed, error) {
+	f := &gapFeed{
+		srcs:    make([]workload.Source, cfg.Chips),
+		state:   make([]uint64, cfg.Chips),
+		meanGap: uint64(cfg.MeanGap),
 	}
-	return g
-}
-
-func (g *gapProcess) gap(c int32) uint64 {
-	u := splitmix64(&g.state[c])
-	return 1 + u%(2*g.meanGap-1)
-}
-
-// benchFeed is the classic path: every chip runs its own instance of
-// one benchmark, injecting on the uniform gap process.
-type benchFeed struct {
-	gens []*workload.Generator
-	gaps *gapProcess
-}
-
-func newBenchFeed(cfg Config) (*benchFeed, error) {
-	f := &benchFeed{
-		gens: make([]*workload.Generator, cfg.Chips),
-		gaps: newGapProcess(cfg.Seed, cfg.Chips, cfg.MeanGap),
-	}
-	for c := range f.gens {
+	for c := range f.srcs {
+		st := cfg.Seed + uint64(c)*0x9E3779B97F4A7C15
+		f.state[c] = splitmix64(&st)
+		if len(cfg.Replay) > 0 {
+			// Only the capture's access stream is used; line content comes
+			// from the encode pass's own content functions, so the source's
+			// generator reports into a throwaway registry.
+			src, err := cfg.Replay[c].Source(0, obs.NewRegistry())
+			if err != nil {
+				return nil, err
+			}
+			f.srcs[c] = src
+			continue
+		}
 		g, err := workload.NewIn(cfg.Benchmark, c, 0, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
-		f.gens[c] = g
+		f.srcs[c] = workload.AsSource(g)
 	}
 	return f, nil
 }
 
-func (f *benchFeed) firstAt(c int32) (uint64, bool) { return f.gaps.gap(c), true }
-
-func (f *benchFeed) next(c int32, now uint64) (workload.Access, uint64, bool, error) {
-	return f.gens[c].Next(), now + f.gaps.gap(c), true, nil
+func (f *gapFeed) gap(c int32) uint64 {
+	return 1 + splitmix64(&f.state[c])%(2*f.meanGap-1)
 }
 
-func (f *benchFeed) hopTarget() bool { return true }
-
-// replayFeed substitutes each chip's generator with a recorded capture
-// (addresses rebased to the engine's zero-based space) while injection
-// times still come from the run seed's gap process — so replaying
-// captures of the live per-chip streams reproduces the live schedule,
-// and with it every per-link table, bit for bit.
-type replayFeed struct {
-	chips []replayChip
-	gaps  *gapProcess
-}
-
-type replayChip struct {
-	accs []workload.Access
-	base uint64
-	pos  int
-}
-
-func newReplayFeed(cfg Config) (*replayFeed, error) {
-	f := &replayFeed{
-		chips: make([]replayChip, cfg.Chips),
-		gaps:  newGapProcess(cfg.Seed, cfg.Chips, cfg.MeanGap),
-	}
-	for c, t := range cfg.Replay {
-		f.chips[c] = replayChip{accs: t.Accesses, base: t.Header.AddrBase}
-	}
-	return f, nil
-}
-
-func (f *replayFeed) firstAt(c int32) (uint64, bool) {
-	return f.gaps.gap(c), true
-}
+func (f *gapFeed) firstAt(c int32) (uint64, bool) { return f.gap(c), true }
 
 // next hard-errors on a dry capture instead of ending the chip's
 // stream: a live generator never runs out, so a silent early stop
 // would quietly diverge from the run being reproduced.
-func (f *replayFeed) next(c int32, now uint64) (workload.Access, uint64, bool, error) {
-	rc := &f.chips[c]
-	if rc.pos >= len(rc.accs) {
-		return workload.Access{}, 0, false, fmt.Errorf(
-			"topo: chip %d capture exhausted after %d records mid-schedule: %w",
-			c, rc.pos, trace.ErrExhausted)
+func (f *gapFeed) next(c int32, now uint64) (workload.Access, uint64, bool, error) {
+	a, err := f.srcs[c].Next()
+	if err != nil {
+		return a, 0, false, fmt.Errorf("topo: chip %d mid-schedule: %w", c, err)
 	}
-	a := rc.accs[rc.pos]
-	rc.pos++
-	a.LineAddr -= rc.base
-	return a, now + f.gaps.gap(c), true, nil
+	return a, now + f.gap(c), true, nil
 }
 
-func (f *replayFeed) hopTarget() bool { return true }
+func (f *gapFeed) hopTarget() bool { return true }
 
 // specFeed runs the declarative workload mix on every chip, variant-
 // decorated per chip so the chips' address streams decorrelate while
@@ -204,14 +164,10 @@ func (f *specFeed) hopTarget() bool { return false }
 // newInjectFeed compiles the config's workload selection (Validate has
 // already checked mutual exclusion) into the schedule pass's feed.
 func newInjectFeed(cfg Config) (injectFeed, error) {
-	switch {
-	case cfg.Workload != nil:
+	if cfg.Workload != nil {
 		return newSpecFeed(cfg)
-	case len(cfg.Replay) > 0:
-		return newReplayFeed(cfg)
-	default:
-		return newBenchFeed(cfg)
 	}
+	return newGapFeed(cfg)
 }
 
 // newContentFactory returns the per-worker content-function builder

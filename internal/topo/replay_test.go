@@ -62,7 +62,7 @@ func TestTopoSpecDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // recordChip captures chip c's live stream: the same benchmark,
-// instance c, base 0 — exactly what benchFeed draws.
+// instance c, base 0 — exactly what gapFeed draws live.
 func recordChip(t *testing.T, bench string, c, n int) *trace.Trace {
 	t.Helper()
 	gen, err := workload.New(bench, c, 0)

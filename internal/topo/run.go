@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"cable/internal/cache"
-	"cable/internal/core"
 	"cable/internal/fault"
 	"cable/internal/link"
 	"cable/internal/mem"
@@ -97,66 +96,44 @@ func (r *Result) MeanUtilization() float64 {
 	return float64(busy) / (float64(r.CableMakespan) * float64(len(r.PerLink)))
 }
 
-// topoCounters is the run-level obs set, registered up front in
-// deterministic order. The degradation trio is registered only when
-// fault injection is configured, so clean runs keep `-metrics` dumps
-// byte-identical to a build without the fault layer.
-type topoCounters struct {
-	accesses, local, messages     *obs.Counter
-	transfers, hits               *obs.Counter
-	sourceBits, wireBits          *obs.Counter
-	faults, decodeErrs, fallbacks *obs.Counter
-	perLink                       []perLinkCounters
-}
-
-type perLinkCounters struct {
-	transfers, hits, wireBits *obs.Counter
-}
-
-func topoMetricsIn(reg *obs.Registry, t *Topology, withFault bool) *topoCounters {
+// publish adds the run's totals to the registry (nil: the process
+// default) as topo.* counters, per-link ones keyed by link ID
+// ("topo.link.03_07.*"), so the name set is a pure function of the
+// topology. The degradation trio is registered only when fault injection
+// is configured: clean runs keep `-metrics` dumps byte-identical to a
+// build without the fault layer.
+func (r *Result) publish(reg *obs.Registry, withFault bool) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	tc := &topoCounters{
-		accesses:   reg.Counter("topo.accesses"),
-		local:      reg.Counter("topo.local_accesses"),
-		messages:   reg.Counter("topo.messages"),
-		transfers:  reg.Counter("topo.link_transfers"),
-		hits:       reg.Counter("topo.remote_hits"),
-		sourceBits: reg.Counter("topo.source_bits"),
-		wireBits:   reg.Counter("topo.wire_bits"),
-	}
+	shard := obs.NextShard()
+	add := func(name string, v uint64) { reg.Counter(name).Add(shard, v) }
+	add("topo.accesses", r.Accesses)
+	add("topo.local_accesses", r.LocalAccesses)
+	add("topo.messages", r.Messages)
+	add("topo.link_transfers", r.LinkTransfers)
+	add("topo.remote_hits", r.RemoteHits)
+	add("topo.source_bits", r.Total.SourceBits)
+	add("topo.wire_bits", r.Total.WireBits)
 	if withFault {
-		tc.faults = reg.Counter("topo.faults_injected")
-		tc.decodeErrs = reg.Counter("topo.decode_errors")
-		tc.fallbacks = reg.Counter("topo.raw_fallbacks")
+		add("topo.faults_injected", r.FaultsInjected)
+		add("topo.decode_errors", r.DecodeErrors)
+		add("topo.raw_fallbacks", r.RawFallbacks)
 	}
-	// Per-link counters keyed by link ID ("topo.link.03_07.*"):
-	// registered in link construction order so the name set — and
-	// therefore every dump — is a pure function of the topology.
-	tc.perLink = make([]perLinkCounters, len(t.links))
-	for i, lm := range t.links {
-		base := fmt.Sprintf("topo.link.%02d_%02d.", lm.src, lm.dst)
-		tc.perLink[i] = perLinkCounters{
-			transfers: reg.Counter(base + "transfers"),
-			hits:      reg.Counter(base + "hits"),
-			wireBits:  reg.Counter(base + "wire_bits"),
-		}
+	for i := range r.PerLink {
+		st := &r.PerLink[i]
+		base := fmt.Sprintf("topo.link.%02d_%02d.", st.Src, st.Dst)
+		add(base+"transfers", st.Transfers)
+		add(base+"hits", st.Hits)
+		add(base+"wire_bits", st.WireBits)
 	}
-	return tc
 }
 
-// linkPipe is one directed link's private CABLE pipeline, alive only
-// while its frozen transfer sequence is being encoded (pass 2).
-type linkPipe struct {
-	home, remote *cache.Cache
-	he           *core.HomeEnd
-	re           *core.RemoteEnd
-	xfer         sim.LinkTransfer
-	ctrlBits     int
-}
-
-func (e *engine) newLinkPipe(li int, reg *obs.Registry) (*linkPipe, error) {
+// newLinkPair builds directed link li's private CABLE pipeline, alive
+// only while its frozen transfer sequence is being encoded (pass 2).
+// The link's degradation counts reach the registry as topo.* totals at
+// the end of the run, not per event.
+func (e *engine) newLinkPair(li int, reg *obs.Registry) (*sim.Pair, error) {
 	lm := e.topo.links[li]
 	home := cache.New(cache.Config{
 		Name: "topo-h" + lm.name, SizeBytes: e.cfg.HomeBytes, Ways: e.cfg.HomeWays, LineSize: 64,
@@ -166,46 +143,24 @@ func (e *engine) newLinkPipe(li int, reg *obs.Registry) (*linkPipe, error) {
 	})
 	cableCfg := e.cfg.Cable
 	cableCfg.Metrics = reg
-	he, err := core.NewHomeEnd(cableCfg, home, remote)
-	if err != nil {
-		return nil, err
-	}
-	re, err := core.NewRemoteEnd(cableCfg, remote)
-	if err != nil {
-		return nil, err
-	}
-	return &linkPipe{
-		home: home, remote: remote, he: he, re: re,
-		// The link's degradation counts reach the registry as topo.*
-		// totals at the end of the run, not per event.
-		xfer: sim.LinkTransfer{
-			Link:     link.NewIn(e.cfg.Link, reg),
-			Injector: fault.NewIn(linkFaultConfig(e.cfg.Fault, li), reg),
-			IdxBits:  remote.IndexBits(), WayBits: remote.WayBits(), LineSize: 64,
-			LIDBits: he.RemoteLIDBits(), Verify: e.cfg.Verify,
-		},
-		// A dictionary hit crosses the wire as a line reference plus a
-		// small message header instead of data.
-		ctrlBits: remote.LineIDBits() + 8,
-	}, nil
-}
-
-// release recycles the pipeline's chip state through the shared pools
-// (cache line backings, hash tables, way maps, encoder scratch).
-func (p *linkPipe) release() {
-	p.he.Release()
-	p.re.Release()
-	p.home.Release()
-	p.remote.Release()
+	return sim.NewPair(home, remote, sim.PairConfig{
+		Cable:    cableCfg,
+		Link:     link.NewIn(e.cfg.Link, reg),
+		Injector: fault.NewIn(linkFaultConfig(e.cfg.Fault, li), reg),
+		Verify:   e.cfg.Verify,
+	})
 }
 
 // encodeLink replays link li's frozen transfer sequence through its
-// CABLE pipeline, filling the schedule's wireBits (and, when
-// recording, toggle/fault sidecars) and the link's stat row. Links are
-// fully independent: private caches, ends, link meter and injector, a
-// worker-local backing store — so any assignment of links to workers
-// produces identical bits.
-func (e *engine) encodeLink(li int, p *linkPipe, store *mem.Store, st *LinkStat, recording bool) {
+// pair, filling the schedule's wireBits (and, when recording,
+// toggle/fault sidecars) and the link's stat row. The engine's policy
+// over the pair's steps: read-only Shared fills with explicit eviction
+// notices (the §IV-B ack protocol), a home side that always holds the
+// line it sends, and a header-only transfer when the receiver still
+// holds it. Links are fully independent: private caches, ends, link
+// meter and injector, a worker-local backing store — so any assignment
+// of links to workers produces identical bits.
+func (e *engine) encodeLink(li int, p *sim.Pair, store *mem.Store, st *LinkStat, recording bool) {
 	s := e.sched
 	addrs := s.linkAddrs[li]
 	s.wireBits[li] = make([]int32, len(addrs))
@@ -213,47 +168,33 @@ func (e *engine) encodeLink(li int, p *linkPipe, store *mem.Store, st *LinkStat,
 		s.recToggles[li] = make([]uint32, len(addrs))
 		s.recFlags[li] = make([]uint8, len(addrs))
 	}
+	// A dictionary hit crosses the wire as a line reference plus a
+	// small message header instead of data.
+	ctrlBits := p.RemoteCache.LineIDBits() + 8
 	for k, addr := range addrs {
 		st.Transfers++
 		st.SourceBits += 64 * 8
 
-		// The link's home side always holds the line it is about to
-		// send (it models the sender chip's copy).
-		if _, _, ok := p.home.Probe(addr); !ok {
-			idx := p.home.IndexOf(addr)
-			way := p.home.VictimWay(idx)
-			if victim, ok := p.home.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
-				p.he.OnHomeEviction(victim)
-			}
-			p.home.InsertAt(addr, store.Read(addr), cache.Shared, way)
-		}
+		// The link's home side models the sender chip's copy.
+		line, _, _, _ := p.EnsureHome(addr, store, nil)
 
 		// Dictionary hit: the receiving side of this link still holds
 		// the line, so the transfer degenerates to a header-only
 		// reference (the multi-hop payoff of a cache-based encoder).
-		if _, _, ok := p.remote.Access(addr); ok {
+		if _, _, ok := p.RemoteCache.Access(addr); ok {
 			st.Hits++
-			wire := p.xfer.Link.Send(p.ctrlBits)
+			wire := p.Xfer.Link.Send(ctrlBits)
 			st.WireBits += uint64(wire)
 			s.wireBits[li][k] = int32(wire)
 			continue
 		}
 
-		// Full CABLE fill into the remote cache's victim way, with
-		// explicit eviction notices (the §IV-B ack protocol).
-		idx := p.remote.IndexOf(addr)
-		way := p.remote.VictimWay(idx)
-		if victim, ok := p.remote.LineAddrOf(cache.LineID{Index: idx, Way: way}); ok {
-			ev, _ := p.remote.Invalidate(victim)
-			seq := p.re.OnEviction(ev.ID, ev.Data)
-			p.he.OnRemoteEviction(ev.ID, seq)
+		way, victim, ok := p.RemoteCache.Victim(addr)
+		if ok {
+			ev, _ := p.RemoteCache.Invalidate(victim)
+			p.EvictRemote(ev)
 		}
-		pay, _, err := p.he.EncodeFill(addr, cache.Shared, way)
-		if err != nil {
-			panic(fmt.Sprintf("topo: fill encode %#x on %s: %v", addr, st.Name, err))
-		}
-		want, _, _ := p.home.Probe(addr)
-		r := p.xfer.Send(pay, p.re.DecodeFill, want.Data, addr)
+		r := p.Fill(addr, line.Data, cache.Shared, way)
 		st.WireBits += uint64(r.Wire)
 		st.Toggles += r.Toggles
 		if recording {
@@ -266,11 +207,8 @@ func (e *engine) encodeLink(li int, p *linkPipe, store *mem.Store, st *LinkStat,
 			}
 		}
 		s.wireBits[li][k] = int32(r.Wire)
-		p.remote.InsertAt(addr, r.Data, cache.Shared, way)
-		p.re.OnFillInstalled(cache.LineID{Index: idx, Way: way}, r.Data, cache.Shared)
-		p.re.OnAck(pay.AckSeq)
 	}
-	st.FaultsInjected, st.DecodeErrors, st.RawFallbacks = p.xfer.FaultsInjected, p.xfer.DecodeErrors, p.xfer.RawFallbacks
+	st.FaultsInjected, st.DecodeErrors, st.RawFallbacks = p.Xfer.FaultsInjected, p.Xfer.DecodeErrors, p.Xfer.RawFallbacks
 }
 
 // Run executes one topology simulation.
@@ -282,8 +220,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := topoMetricsIn(cfg.Metrics, t, cfg.Fault.Enabled())
-	shard := obs.NextShard()
 
 	// Pass 1 — schedule: the per-chip injection feed (live arrival
 	// processes, a workload mix, or recorded captures) through the raw
@@ -320,44 +256,38 @@ func Run(cfg Config) (*Result, error) {
 	for i, lm := range t.links {
 		perLink[i] = LinkStat{Name: lm.name, Src: int(lm.src), Dst: int(lm.dst)}
 	}
+	// The content function's line-cache traffic depends on which links a
+	// worker happens to claim — an artifact of the partition, not of the
+	// simulated system — so each reports into a throwaway registry to keep
+	// metric dumps identical at any parallelism.
 	newContent := newContentFactory(cfg)
+	stores := make([]*mem.Store, workers)
+	for w := range stores {
+		content, err := newContent()
+		if err != nil {
+			return nil, err
+		}
+		stores[w] = mem.NewStore(64, content)
+	}
 	errs := make([]error, len(t.links))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, store := range stores {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The content function's line-cache traffic depends on which
-			// links this worker happens to claim — an artifact of the
-			// partition, not of the simulated system — so it reports into
-			// a throwaway registry to keep metric dumps identical at any
-			// parallelism.
-			content, gerr := newContent()
-			if gerr != nil {
-				// Claim links so the pool still drains; each claimed
-				// link reports the construction error.
-				for {
-					li := int(next.Add(1)) - 1
-					if li >= len(t.links) {
-						return
-					}
-					errs[li] = gerr
-				}
-			}
-			store := mem.NewStore(64, content)
 			for {
 				li := int(next.Add(1)) - 1
 				if li >= len(t.links) {
 					return
 				}
-				pipe, perr := e.newLinkPipe(li, cfg.Metrics)
+				pair, perr := e.newLinkPair(li, cfg.Metrics)
 				if perr != nil {
 					errs[li] = perr
 					continue
 				}
-				e.encodeLink(li, pipe, store, &perLink[li], recording)
-				pipe.release()
+				e.encodeLink(li, pair, store, &perLink[li], recording)
+				pair.Release()
 			}
 		}()
 	}
@@ -404,21 +334,7 @@ func Run(cfg Config) (*Result, error) {
 		res.RawFallbacks += st.RawFallbacks
 		res.Toggles += st.Toggles
 		res.Total.Add(int(st.SourceBits), int(st.WireBits))
-		tc.perLink[i].transfers.Add(shard, st.Transfers)
-		tc.perLink[i].hits.Add(shard, st.Hits)
-		tc.perLink[i].wireBits.Add(shard, st.WireBits)
 	}
-	tc.accesses.Add(shard, res.Accesses)
-	tc.local.Add(shard, res.LocalAccesses)
-	tc.messages.Add(shard, res.Messages)
-	tc.transfers.Add(shard, res.LinkTransfers)
-	tc.hits.Add(shard, res.RemoteHits)
-	tc.sourceBits.Add(shard, res.Total.SourceBits)
-	tc.wireBits.Add(shard, res.Total.WireBits)
-	if tc.faults != nil {
-		tc.faults.Add(shard, res.FaultsInjected)
-		tc.decodeErrs.Add(shard, res.DecodeErrors)
-		tc.fallbacks.Add(shard, res.RawFallbacks)
-	}
+	res.publish(cfg.Metrics, cfg.Fault.Enabled())
 	return res, nil
 }

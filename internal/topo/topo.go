@@ -32,7 +32,6 @@
 package topo
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -236,12 +235,7 @@ func (c Config) Digest() sim.Digest {
 	if c.Workload != nil {
 		c.Workload.Fold(d)
 	}
-	d.Int(len(c.Replay))
-	for _, t := range c.Replay {
-		td := t.Digest()
-		d.U64(binary.LittleEndian.Uint64(td[:8]))
-		d.U64(binary.LittleEndian.Uint64(td[8:]))
-	}
+	d.Replays(c.Replay...)
 	return d.Sum()
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"cable/internal/fault"
 	"cable/internal/obs"
+	"cable/internal/sim"
 )
 
 // testConfig is a small-but-nontrivial cell: every chip sends, every
@@ -269,6 +270,10 @@ func TestFlightWindowReconciliation(t *testing.T) {
 // fast; `make soak-mesh` raises it via CABLE_MESH_SOAK_TRANSFERS
 // (1M in CI; the PR acceptance run used 10M).
 func TestMeshSoak(t *testing.T) {
+	// Every link's pair checks the home/remote synchronization invariant
+	// every 2048 fills.
+	prev := sim.CheckSyncEvery(2048)
+	t.Cleanup(func() { sim.CheckSyncEvery(prev) })
 	transfers := 250_000
 	if s := os.Getenv("CABLE_MESH_SOAK_TRANSFERS"); s != "" {
 		n, err := strconv.Atoi(s)
