@@ -4,7 +4,7 @@
 # determinism comparisons, the repository benchmark's smoke and harness
 # tests, a one-iteration bench smoke (compiles and runs every benchmark
 # body, including the 0 allocs/op encode path), the full test suite
-# under the race detector, then a smoke run of the report CLI.
+# under the race detector, then a shared-flag smoke of both report CLIs.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,11 +31,12 @@ echo "== streaming codec race loop"
 go test -race -count=2 ./internal/codec
 
 echo "== line-cache + cell-memo race loop"
-# The two memoization layers added by the cell-cache work: the workload
-# line cache and the single-flight experiment memo. Fast targeted pass
-# before the full -race suite reaches them.
+# The two memoization layers: the workload line cache and the
+# experiment cell front end (8 concurrent requests for one cell through
+# each simulator's descriptor). Fast targeted pass before the full -race
+# suite reaches them.
 go test -race -count=1 ./internal/workload
-go test -race -count=1 -run 'TestCellMemoReuse|TestMetricsDeterministic' ./internal/experiments
+go test -race -count=1 -run 'TestRunCellSingleFlight|TestCellMemoReuse|TestMetricsDeterministic' ./internal/experiments
 
 echo "== fault-injection race loop"
 # One injector per simulation is the concurrency contract; the shared
@@ -168,8 +169,36 @@ echo "== go test -race"
 # the 10m default on small CI machines.
 go test -race -timeout 45m ./...
 
-echo "== cablereport smoke (quick, parallel)"
-go run ./cmd/cablereport -quick -exp tab3 -parallel 4 -o /dev/null
+echo "== shared-flag smoke (cablesim + cablereport, every dump flag)"
+# Both binaries take their common flags from internal/cli: run each with
+# the dump flags and the scheduling knobs spelled out, and demand that
+# all three dump files exist and parse as JSON (checked by a throwaway
+# Go program, so the gate needs nothing but the toolchain).
+cat >"$tmpdir/jsonok.go" <<'GOEOF'
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+)
+
+func main() {
+	for _, p := range os.Args[1:] {
+		if b, err := os.ReadFile(p); err != nil || !json.Valid(b) {
+			fmt.Fprintln(os.Stderr, "not a JSON file:", p, err)
+			os.Exit(1)
+		}
+	}
+}
+GOEOF
+for bin in cablesim cablereport; do
+    own=""
+    if [ "$bin" = cablereport ]; then own="-o /dev/null"; fi
+    go run ./cmd/$bin -exp tab3 -quick $own -parallel 2 -nomemo -gomaxprocs 2 \
+        -metrics "$tmpdir/$bin.m.json" -windows "$tmpdir/$bin.w.json" -timeline "$tmpdir/$bin.t.json" >/dev/null
+    go run "$tmpdir/jsonok.go" "$tmpdir/$bin.m.json" "$tmpdir/$bin.w.json" "$tmpdir/$bin.t.json"
+done
 
 # The one reproducible size figure simplicity PRs cite.
 echo "non-test Go LOC: $(git ls-files '*.go' | grep -v _test.go | xargs wc -l | tail -1 | awk '{print $1}')"

@@ -24,114 +24,73 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"cable"
+	"cable/internal/cli"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "reduced-scale runs")
+	shared := cli.Register(flag.CommandLine, "cablereport", cli.Help{
+		Exp:      "single experiment id to run",
+		Quick:    "reduced-scale runs",
+		Parallel: "worker pool size across and within experiments",
+		Topology: "interconnect shape for the mesh experiment: ring|mesh|star (default mesh)",
+		Chips:    "chip count for the mesh experiment (default 16; 8 in -quick)",
+		Spec:     "workload-spec JSON file driving the workload and mesh experiments",
+		Replay:   "comma-separated cabletrace captures to replay through the workload and mesh experiments",
+	})
 	out := flag.String("o", "", "output file (default stdout)")
-	only := flag.String("exp", "", "single experiment id to run")
 	charts := flag.Bool("charts", false, "render ASCII bar charts under each table")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size across and within experiments")
 	breakdown := flag.Bool("breakdown", false, "run only the encoding-class coverage table")
-	metrics := flag.String("metrics", "", "write a deterministic metrics-registry JSON dump to this file after the run")
-	httpAddr := flag.String("http", "", "serve live /metrics, /windows, /timeline, /health and /debug/pprof on this address while running")
-	windowsOut := flag.String("windows", "", "write a deterministic flight-recorder windowed time-series JSON dump to this file after the run")
-	timelineOut := flag.String("timeline", "", "write a deterministic flight-recorder event-timeline JSON dump to this file after the run")
-	flightWindow := flag.Int("flight-window", 0, "flight-recorder window length in virtual-time ticks (0 = default 2048)")
-	nomemo := flag.Bool("nomemo", false, "disable the cross-experiment cell cache (outputs are bit-identical either way)")
-	faultRate := flag.Float64("fault-rate", 0, "per-bit flip probability injected into CABLE wire images (0 disables; outputs at 0 are byte-identical to a fault-free build)")
-	faultTrunc := flag.Float64("fault-trunc-rate", 0, "per-image truncation probability injected into CABLE wire images")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault pattern (same seed+rates ⇒ identical results at any -parallel)")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "cap the Go scheduler's OS-thread parallelism before running (0 = keep the environment's GOMAXPROCS)")
-	topology := flag.String("topology", "", "interconnect shape for the mesh experiment: ring|mesh|star (default mesh)")
-	chips := flag.Int("chips", 0, "chip count for the mesh experiment (default 16; 8 in -quick)")
-	specFile := flag.String("workload-spec", "", "workload-spec JSON file driving the workload and mesh experiments")
-	replayFiles := flag.String("replay", "", "comma-separated cabletrace captures to replay through the workload and mesh experiments")
 	flag.Parse()
 
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
+	opt, err := shared.Options()
+	if err != nil {
+		fail(err)
 	}
-
-	// Build the flight recorder whenever a consumer wants it; wall-clock
-	// span durations are captured only for the live view (the dump files
-	// stay deterministic either way).
-	var flight *cable.Flight
-	if *windowsOut != "" || *timelineOut != "" || *httpAddr != "" {
-		flight = cable.NewFlight(cable.FlightConfig{Window: *flightWindow, WallClock: *httpAddr != ""})
-	}
-	if *httpAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, cable.MetricsHandlerFor(flight)); err != nil {
-				fmt.Fprintf(os.Stderr, "cablereport: -http: %v\n", err)
-			}
-		}()
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cablereport: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
 	ids := cable.Experiments()
 	if *breakdown {
 		ids = []string{"breakdown"}
 	}
-	if *only != "" {
-		ids = []string{*only}
+	if shared.Exp != "" {
+		ids = []string{shared.Exp}
 	}
+	if *out == "" {
+		err = report(os.Stdout, shared, opt, ids, *charts)
+	} else {
+		var f *os.File
+		if f, err = os.Create(*out); err != nil {
+			fail(err)
+		}
+		err = report(f, shared, opt, ids, *charts)
+		// The report is only on disk once Close succeeds.
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fail(err)
+	}
+}
+
+// report streams the experiments' sections to w in ids order, then
+// writes the shared post-run dumps.
+func report(w io.Writer, shared *cli.Flags, opt cable.ExperimentOptions, ids []string, charts bool) error {
 	mode := "full"
-	if *quick {
+	if opt.Quick {
 		mode = "quick"
 	}
 	fmt.Fprintf(w, "# CABLE reproduction report (%s scale)\n\n", mode)
-	opt := cable.ExperimentOptions{
-		Quick: *quick, Parallelism: *parallel, DisableCellMemo: *nomemo,
-		Fault:    cable.FaultConfig{BitRate: *faultRate, TruncRate: *faultTrunc, Seed: *faultSeed},
-		Topology: *topology, Chips: *chips,
-		Flight: flight,
-	}
-	if *specFile != "" {
-		spec, err := cable.LoadWorkloadSpec(*specFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cablereport: -workload-spec: %v\n", err)
-			os.Exit(1)
-		}
-		opt.Workload = spec
-	}
-	if *replayFiles != "" {
-		for _, path := range strings.Split(*replayFiles, ",") {
-			t, err := cable.LoadTrace(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cablereport: -replay: %v\n", err)
-				os.Exit(1)
-			}
-			opt.Replay = append(opt.Replay, t)
-		}
-	}
-	srcBits := cable.MetricValue("core.source_bits")
 	total := time.Now()
 	for sr := range cable.StreamExperiments(ids, opt) {
 		if sr.Err != nil {
-			fmt.Fprintf(os.Stderr, "cablereport: %s: %v\n", sr.ID, sr.Err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", sr.ID, sr.Err)
 		}
 		res := sr.Result
 		fmt.Fprintf(w, "%s\n", res.Table)
-		if *charts {
+		if charts {
 			fmt.Fprintf(w, "```\n%s```\n\n", res.Table.ChartAll())
 		}
 		for _, n := range res.Notes {
@@ -142,30 +101,11 @@ func main() {
 	}
 	elapsed := time.Since(total)
 	fmt.Fprintf(os.Stderr, "total %d experiments, %.1fs wall clock (parallel=%d)\n",
-		len(ids), elapsed.Seconds(), *parallel)
-	// Encoder throughput, honestly scoped: source data pushed through
-	// CABLE home-end encoders this run (memo-served cells encode
-	// nothing) over whole-run wall-clock, simulation overhead included.
-	if bits := cable.MetricValue("core.source_bits") - srcBits; bits > 0 && elapsed > 0 {
-		fmt.Fprintf(os.Stderr, "encoded %.3f GB of source lines — %.3f GB/s through the encoders (whole-run clock; memoized cells encode nothing)\n",
-			float64(bits)/8e9, float64(bits)/8e9/elapsed.Seconds())
-	}
-	if *metrics != "" {
-		if err := cable.WriteMetricsFile(*metrics, false); err != nil {
-			fmt.Fprintf(os.Stderr, "cablereport: metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *windowsOut != "" {
-		if err := flight.WriteWindowsFile(*windowsOut, false); err != nil {
-			fmt.Fprintf(os.Stderr, "cablereport: windows: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *timelineOut != "" {
-		if err := flight.WriteTimelineFile(*timelineOut, false); err != nil {
-			fmt.Fprintf(os.Stderr, "cablereport: timeline: %v\n", err)
-			os.Exit(1)
-		}
-	}
+		len(ids), elapsed.Seconds(), shared.Parallel)
+	return shared.Finish(elapsed, "")
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "cablereport: %v\n", err)
+	os.Exit(1)
 }

@@ -20,56 +20,25 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"cable"
+	"cable/internal/cli"
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (see -list)")
-	quick := flag.Bool("quick", false, "reduced-scale run")
+	shared := cli.Register(flag.CommandLine, "cablesim", cli.Help{
+		Exp:      "experiment id (see -list)",
+		Quick:    "reduced-scale run",
+		Parallel: "worker pool size for the driver's independent cells",
+		Topology: "interconnect shape for -exp mesh: ring|mesh|star (default mesh)",
+		Chips:    "chip count for -exp mesh (default 16; 8 in -quick)",
+		Spec:     "workload-spec JSON file driving -exp workload (memory link) or -exp mesh (one mix per chip)",
+		Replay:   "comma-separated cabletrace captures to replay: program slots for -exp workload, one per chip for -exp mesh, per-client (with -workload-spec) for spec replay",
+	})
 	list := flag.Bool("list", false, "list experiment ids")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the driver's independent cells")
-	metrics := flag.String("metrics", "", "write a deterministic metrics-registry JSON dump to this file after the run")
-	httpAddr := flag.String("http", "", "serve live /metrics, /windows, /timeline, /health and /debug/pprof on this address while running")
-	windowsOut := flag.String("windows", "", "write a deterministic flight-recorder windowed time-series JSON dump to this file after the run")
-	timelineOut := flag.String("timeline", "", "write a deterministic flight-recorder event-timeline JSON dump to this file after the run")
-	flightWindow := flag.Int("flight-window", 0, "flight-recorder window length in virtual-time ticks (0 = default 2048)")
-	nomemo := flag.Bool("nomemo", false, "disable the cross-experiment cell cache (outputs are bit-identical either way)")
-	faultRate := flag.Float64("fault-rate", 0, "per-bit flip probability injected into CABLE wire images (0 disables; outputs at 0 are byte-identical to a fault-free build)")
-	faultTrunc := flag.Float64("fault-trunc-rate", 0, "per-image truncation probability injected into CABLE wire images")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault pattern (same seed+rates ⇒ identical results at any -parallel)")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "cap the Go scheduler's OS-thread parallelism before running (0 = keep the environment's GOMAXPROCS)")
-	topology := flag.String("topology", "", "interconnect shape for -exp mesh: ring|mesh|star (default mesh)")
-	chips := flag.Int("chips", 0, "chip count for -exp mesh (default 16; 8 in -quick)")
-	specFile := flag.String("workload-spec", "", "workload-spec JSON file driving -exp workload (memory link) or -exp mesh (one mix per chip)")
-	replayFiles := flag.String("replay", "", "comma-separated cabletrace captures to replay: program slots for -exp workload, one per chip for -exp mesh, per-client (with -workload-spec) for spec replay")
 	flag.Parse()
-
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
-
-	// The flight recorder is built whenever any consumer wants it: the
-	// dump flags or the live dashboard. Wall-clock span durations are
-	// volatile, so they are only captured for the live view — the
-	// -windows/-timeline files are deterministic either way.
-	var flight *cable.Flight
-	if *windowsOut != "" || *timelineOut != "" || *httpAddr != "" {
-		flight = cable.NewFlight(cable.FlightConfig{Window: *flightWindow, WallClock: *httpAddr != ""})
-	}
-
-	if *httpAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, cable.MetricsHandlerFor(flight)); err != nil {
-				fmt.Fprintf(os.Stderr, "cablesim: -http: %v\n", err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, id := range cable.Experiments() {
@@ -77,70 +46,30 @@ func main() {
 		}
 		return
 	}
-	if *exp == "" {
+	if shared.Exp == "" {
 		fmt.Fprintln(os.Stderr, "cablesim: -exp required (or -list); e.g. cablesim -exp fig12 -quick")
 		os.Exit(2)
 	}
-	opt := cable.ExperimentOptions{
-		Quick: *quick, Parallelism: *parallel, DisableCellMemo: *nomemo,
-		Fault:    cable.FaultConfig{BitRate: *faultRate, TruncRate: *faultTrunc, Seed: *faultSeed},
-		Topology: *topology, Chips: *chips,
-		Flight: flight,
+	opt, err := shared.Options()
+	if err != nil {
+		fail(err)
 	}
-	if *specFile != "" {
-		w, err := cable.LoadWorkloadSpec(*specFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cablesim: -workload-spec: %v\n", err)
-			os.Exit(1)
-		}
-		opt.Workload = w
-	}
-	if *replayFiles != "" {
-		for _, path := range strings.Split(*replayFiles, ",") {
-			t, err := cable.LoadTrace(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cablesim: -replay: %v\n", err)
-				os.Exit(1)
-			}
-			opt.Replay = append(opt.Replay, t)
-		}
-	}
-	srcBits := cable.MetricValue("core.source_bits")
 	start := time.Now()
-	res, err := cable.RunExperiment(*exp, opt)
+	res, err := cable.RunExperiment(shared.Exp, opt)
 	elapsed := time.Since(start)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Println(res.Table)
 	for _, n := range res.Notes {
 		fmt.Printf("note: %s\n", n)
 	}
-	// Encoder throughput, honestly scoped: the numerator is source data
-	// actually pushed through CABLE home-end encoders this run
-	// (memo-served cells encode nothing), the denominator whole-run
-	// wall-clock including simulation outside the encoder.
-	if bits := cable.MetricValue("core.source_bits") - srcBits; bits > 0 && elapsed > 0 {
-		fmt.Fprintf(os.Stderr, "encoded %.3f GB of source lines in %.2fs wall clock — %.3f GB/s through the encoders (whole-run clock; memoized cells encode nothing)\n",
-			float64(bits)/8e9, elapsed.Seconds(), float64(bits)/8e9/elapsed.Seconds())
+	if err := shared.Finish(elapsed, fmt.Sprintf(" in %.2fs wall clock", elapsed.Seconds())); err != nil {
+		fail(err)
 	}
-	if *metrics != "" {
-		if err := cable.WriteMetricsFile(*metrics, false); err != nil {
-			fmt.Fprintf(os.Stderr, "cablesim: metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *windowsOut != "" {
-		if err := flight.WriteWindowsFile(*windowsOut, false); err != nil {
-			fmt.Fprintf(os.Stderr, "cablesim: windows: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *timelineOut != "" {
-		if err := flight.WriteTimelineFile(*timelineOut, false); err != nil {
-			fmt.Fprintf(os.Stderr, "cablesim: timeline: %v\n", err)
-			os.Exit(1)
-		}
-	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "cablesim: %v\n", err)
+	os.Exit(1)
 }

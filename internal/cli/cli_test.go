@@ -1,0 +1,46 @@
+package cli
+
+import (
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+// TestSharedFlagParity builds both binaries and runs each with every
+// flag Register declares spelled out on the command line: a flag one
+// binary stopped accepting makes its run exit non-zero.
+func TestSharedFlagParity(t *testing.T) {
+	fs := flag.NewFlagSet("shared", flag.ContinueOnError)
+	Register(fs, "test", Help{})
+	var args []string
+	fs.VisitAll(func(fl *flag.Flag) {
+		v := fl.DefValue
+		switch fl.Name {
+		case "exp":
+			v = "tab3" // area arithmetic: no simulation behind it
+		case "quick":
+			v = "true"
+		}
+		args = append(args, "-"+fl.Name+"="+v)
+	})
+	if len(args) != 17 {
+		t.Fatalf("Register declared %d shared flags, the binaries' docs count 17", len(args))
+	}
+
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "cable/cmd/cablesim", "cable/cmd/cablereport")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for name, own := range map[string][]string{
+		"cablesim":    nil,
+		"cablereport": {"-o", os.DevNull},
+	} {
+		cmd := exec.Command(filepath.Join(bin, name), append(args, own...)...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("%s %v: %v\n%s", name, cmd.Args[1:], err, out)
+		}
+	}
+}

@@ -1,14 +1,12 @@
 package compress
 
-import "cable/internal/obs"
-
-// BatchCompressor amortizes CompressWith's per-call bookkeeping across a
-// batch of lines: the scratch-engine capability check happens once at
+// BatchCompressor is the one place an engine is dispatched and its work
+// counted. It amortizes the per-call bookkeeping across a batch of
+// lines: the scratch-engine capability check happens once at
 // construction, and the ops/out-bits counters accumulate in plain fields
-// until Flush folds them into the registry with two atomic adds. Totals
-// are exactly what the same sequence of CompressWith calls would have
-// produced. A BatchCompressor belongs to one goroutine; callers must
-// Flush before the batch's counters are observed.
+// until Flush folds them into the registry with two atomic adds. A
+// BatchCompressor belongs to one goroutine; callers must Flush before
+// the batch's counters are observed.
 type BatchCompressor struct {
 	e   Engine
 	se  ScratchEngine // non-nil when e offers the scratch path and s != nil
@@ -33,7 +31,7 @@ func NewBatchCompressor(e Engine, s *Scratch) BatchCompressor {
 	return b
 }
 
-// Compress is CompressWith with the metric writes deferred to Flush.
+// Compress encodes one line; the metric writes are deferred to Flush.
 // The result aliases the scratch and is valid until the next call.
 func (b *BatchCompressor) Compress(line []byte, refs [][]byte) Encoded {
 	var enc Encoded
@@ -50,23 +48,11 @@ func (b *BatchCompressor) Compress(line []byte, refs [][]byte) Encoded {
 }
 
 // Flush publishes the accumulated counters and resets the accumulator.
-// Shard and registry resolution match CompressWith exactly.
 func (b *BatchCompressor) Flush() {
 	if b.ops == 0 {
 		return
 	}
-	var mx *compressCounters
-	var shard uint32
-	if b.s != nil {
-		if !b.s.hasShard {
-			b.s.shard, b.s.hasShard = obs.NextShard(), true
-		}
-		shard = b.s.shard
-		mx = b.s.mx
-	}
-	if mx == nil {
-		mx = compressMetrics()
-	}
+	mx, shard := b.s.metrics()
 	mx.ops.Add(shard, b.ops)
 	mx.outBits.Add(shard, b.outBits)
 	b.ops, b.outBits = 0, 0

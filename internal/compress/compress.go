@@ -62,22 +62,17 @@ type Scratch struct {
 	dict []uint32
 	src  []uint32
 
-	mx       *compressCounters // nil = process-default block
-	shard    uint32            // metrics shard, drawn lazily (zero value is valid)
+	mx       compressCounters // zero = process-default block, resolved on first flush
+	shard    uint32           // metrics shard, drawn lazily (zero value is valid)
 	hasShard bool
 }
 
 // UseRegistry points this scratch's compression counters at reg; nil
 // restores the process-default registry. Memoized experiment cells run
-// their link ends against private registries so metric deltas can be
-// replayed on cache hits.
+// their link ends against private registries so their metrics can be
+// merged into the default one on every request.
 func (s *Scratch) UseRegistry(reg *obs.Registry) {
-	if reg == nil {
-		s.mx = nil
-		return
-	}
-	mx := newCompressCounters(reg)
-	s.mx = &mx
+	s.mx = newCompressCounters(reg)
 }
 
 // ScratchEngine is implemented by engines offering an allocation-free
@@ -91,28 +86,12 @@ type ScratchEngine interface {
 
 // CompressWith compresses via the engine's scratch path when it offers
 // one, falling back to the allocating Compress. Passing a nil Scratch
-// always falls back.
+// always falls back. It is a BatchCompressor of one line: engine
+// dispatch and counter publication live in batch.go only.
 func CompressWith(e Engine, s *Scratch, line []byte, refs [][]byte) Encoded {
-	var enc Encoded
-	if se, ok := e.(ScratchEngine); ok && s != nil {
-		enc = se.CompressScratch(s, line, refs)
-	} else {
-		enc = e.Compress(line, refs)
-	}
-	var mx *compressCounters
-	var shard uint32
-	if s != nil {
-		if !s.hasShard {
-			s.shard, s.hasShard = obs.NextShard(), true
-		}
-		shard = s.shard
-		mx = s.mx
-	}
-	if mx == nil {
-		mx = compressMetrics()
-	}
-	mx.ops.Inc(shard)
-	mx.outBits.Add(shard, uint64(enc.NBits))
+	b := NewBatchCompressor(e, s)
+	enc := b.Compress(line, refs)
+	b.Flush()
 	return enc
 }
 

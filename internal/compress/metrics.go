@@ -1,15 +1,12 @@
 package compress
 
-import (
-	"sync"
-
-	"cable/internal/obs"
-)
+import "cable/internal/obs"
 
 // compressCounters aggregates engine invocations process-wide. Each
-// Scratch lazily draws its own shard the first time it flows through
-// CompressWith, so concurrent experiment cells do not contend on one
-// cache line; scratch-less callers fall back to shard 0.
+// Scratch lazily resolves its block and draws its own shard the first
+// time a BatchCompressor flushes through it, so concurrent experiment
+// cells do not contend on one cache line; scratch-less callers use
+// shard 0 of the process-default block.
 type compressCounters struct {
 	ops     *obs.Counter
 	outBits *obs.Counter
@@ -22,14 +19,17 @@ func newCompressCounters(r *obs.Registry) compressCounters {
 	}
 }
 
-var (
-	compressCountersOnce   sync.Once
-	sharedCompressCounters compressCounters
-)
-
-func compressMetrics() *compressCounters {
-	compressCountersOnce.Do(func() {
-		sharedCompressCounters = newCompressCounters(obs.Default())
-	})
-	return &sharedCompressCounters
+// metrics resolves the scratch's counter block and shard on first use
+// (the zero Scratch is valid and counts into the process default).
+func (s *Scratch) metrics() (compressCounters, uint32) {
+	if s == nil {
+		return newCompressCounters(nil), 0
+	}
+	if s.mx.ops == nil {
+		s.mx = newCompressCounters(nil)
+	}
+	if !s.hasShard {
+		s.shard, s.hasShard = obs.NextShard(), true
+	}
+	return s.mx, s.shard
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"cable/internal/obs"
 )
@@ -63,8 +62,12 @@ type remoteCounters struct {
 	htRemoves     *obs.Counter
 }
 
-func newHomeCounters(r *obs.Registry) homeCounters {
-	hc := homeCounters{
+// homeMetricsIn resolves the home counter block against r (nil: the
+// process default) plus a fresh shard for the calling end. Registry
+// lookups are idempotent, so every end of a registry shares the
+// underlying counters.
+func homeMetricsIn(r *obs.Registry) (*homeCounters, uint32) {
+	hc := &homeCounters{
 		fills:          r.Counter("core.fills"),
 		thresholdSkips: r.Counter("core.threshold_skips"),
 		sigsSearched:   r.Counter("core.sigs_searched"),
@@ -87,11 +90,12 @@ func newHomeCounters(r *obs.Registry) homeCounters {
 	for i := range hc.refsUsed {
 		hc.refsUsed[i] = r.Counter(fmt.Sprintf("core.refs_used_%d", i))
 	}
-	return hc
+	return hc, obs.NextShard()
 }
 
-func newRemoteCounters(r *obs.Registry) remoteCounters {
-	return remoteCounters{
+// remoteMetricsIn is homeMetricsIn's remote-end sibling.
+func remoteMetricsIn(r *obs.Registry) (*remoteCounters, uint32) {
+	return &remoteCounters{
 		fillDecodes:   r.Counter("remote.fill_decodes"),
 		evictRescues:  r.Counter("remote.evict_rescues"),
 		evictBuffered: r.Counter("remote.evict_buffered"),
@@ -102,39 +106,5 @@ func newRemoteCounters(r *obs.Registry) remoteCounters {
 		wbPayloadBits: r.Counter("remote.wb_payload_bits"),
 		htInserts:     r.Counter("remote.ht_inserts"),
 		htRemoves:     r.Counter("remote.ht_removes"),
-	}
-}
-
-var (
-	homeCountersOnce   sync.Once
-	sharedHomeCounters homeCounters
-
-	remoteCountersOnce   sync.Once
-	sharedRemoteCounters remoteCounters
-)
-
-// homeMetricsIn resolves the home counter block against reg, or the
-// shared process-default block when reg is nil, plus a fresh shard for
-// the calling end.
-func homeMetricsIn(reg *obs.Registry) (*homeCounters, uint32) {
-	if reg == nil {
-		homeCountersOnce.Do(func() {
-			sharedHomeCounters = newHomeCounters(obs.Default())
-		})
-		return &sharedHomeCounters, obs.NextShard()
-	}
-	hc := newHomeCounters(reg)
-	return &hc, obs.NextShard()
-}
-
-// remoteMetricsIn is homeMetricsIn's remote-end sibling.
-func remoteMetricsIn(reg *obs.Registry) (*remoteCounters, uint32) {
-	if reg == nil {
-		remoteCountersOnce.Do(func() {
-			sharedRemoteCounters = newRemoteCounters(obs.Default())
-		})
-		return &sharedRemoteCounters, obs.NextShard()
-	}
-	rc := newRemoteCounters(reg)
-	return &rc, obs.NextShard()
+	}, obs.NextShard()
 }

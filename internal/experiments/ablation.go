@@ -17,7 +17,6 @@ import (
 //     lines easier to find but pollute buckets, §III-B).
 func Ablation(opt Options) (*Result, error) {
 	t := stats.NewTable("Ablation: CABLE design choices", "ratio")
-	names := sweepSubset(opt)
 
 	// One variant per row; the (variant × benchmark) grid fans out as a
 	// single flat cell set. The tag-pointer variant re-accounts the same
@@ -35,21 +34,15 @@ func Ablation(opt Options) (*Result, error) {
 		{"1 insert signatures", func(c *sim.MemLinkConfig) { c.Chip.Cable.InsertSigs = 1 }},
 		{"4 insert signatures", func(c *sim.MemLinkConfig) { c.Chip.Cable.InsertSigs = 4 }},
 	}
-	results, errs := sweepCells(opt, len(variants), names, func(vi int, name string) (*sim.MemLinkResult, error) {
-		cfg := memLinkCfg(opt, name)
+	means, err := sweepMeans(opt, len(variants), sweepSubset(opt), []string{"cable"}, func(vi int, cfg *sim.MemLinkConfig) {
 		cfg.WithMeters = false
-		variants[vi].mutate(&cfg)
-		return runMemLink(opt, cfg)
+		variants[vi].mutate(cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for vi, v := range variants {
-		var vs []float64
-		for ni := range names {
-			vs = append(vs, results[vi*len(names)+ni].Ratio("cable"))
-		}
-		t.Set(v.row, "ratio", stats.Mean(vs))
+		t.Set(v.row, "ratio", means[vi]["cable"])
 	}
 	return &Result{ID: "ablation", Table: t, Notes: []string{
 		"paper §III-D: LineIDs cut pointer overhead 57.5% vs 40-bit tags; §III-B keeps inserts at 2 signatures to limit collisions",

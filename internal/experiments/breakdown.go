@@ -21,9 +21,7 @@ func Breakdown(opt Options) (*Result, error) {
 	t := stats.NewTable("Encoding-class breakdown per fill line", cols...)
 
 	names := zeroDominantLast(benchSubset(opt, false))
-	tracers := make([]*obs.Tracer, len(names))
-	errs := make([]error, len(names))
-	cellRun(opt.workers(), len(names), func(i int) {
+	tracers, err := cells(opt, len(names), func(i int) (*obs.Tracer, error) {
 		// Exact class counts live in the tracer aggregates; the ring
 		// only keeps a bounded sample, so capacity is a memory knob,
 		// not a coverage one.
@@ -32,9 +30,9 @@ func Breakdown(opt Options) (*Result, error) {
 		cfg.WithMeters = false
 		cfg.Trace = tr
 		_, err := runMemLink(opt, cfg)
-		tracers[i], errs[i] = tr, err
+		return tr, err
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {

@@ -23,42 +23,20 @@ func memLinkCfg(opt Options, benchmarks ...string) sim.MemLinkConfig {
 }
 
 // runPerBenchmark runs the memory-link sim once per benchmark —
-// benchmarks fan out across the cell worker pool — and returns scheme
-// ratios.
-func runPerBenchmark(opt Options, names []string) (map[string]map[string]float64, error) {
-	rows := make([]map[string]float64, len(names))
-	errs := make([]error, len(names))
-	cellRun(opt.workers(), len(names), func(i int) {
+// benchmarks fan out across the cell worker pool — and returns each
+// benchmark's scheme ratios, in names order.
+func runPerBenchmark(opt Options, names []string) ([]map[string]float64, error) {
+	return cells(opt, len(names), func(i int) (map[string]float64, error) {
 		res, err := runMemLink(opt, memLinkCfg(opt, names[i]))
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
 		row := make(map[string]float64, len(memLinkSchemes))
 		for _, s := range memLinkSchemes {
 			row[s] = res.Ratio(s)
 		}
-		rows[i] = row
+		return row, nil
 	})
-	out := make(map[string]map[string]float64, len(names))
-	for i, name := range names {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out[name] = rows[i]
-	}
-	return out, nil
-}
-
-// firstErr returns the first non-nil error in cell order, mirroring
-// the error a serial loop would have surfaced.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Fig3 reproduces the motivation plot: an ideal streaming dictionary
@@ -72,18 +50,12 @@ func Fig3(opt Options) (*Result, error) {
 	names := benchSubset(opt, true)
 	// One cell per (dictionary size, benchmark): each owns its own
 	// generator and stream dictionary, so all cells are independent.
-	type fig3Cell struct {
-		withPtr, noPtr, src uint64
-		err                 error
-	}
-	cells := make([]fig3Cell, len(sizes)*len(names))
-	cellRun(opt.workers(), len(cells), func(k int) {
+	type fig3Cell struct{ withPtr, noPtr, src uint64 }
+	grid, err := cells(opt, len(sizes)*len(names), func(k int) (c fig3Cell, err error) {
 		size, name := sizes[k/len(names)], names[k%len(names)]
-		c := &cells[k]
 		g, err := workload.New(name, 0, 0)
 		if err != nil {
-			c.err = err
-			return
+			return c, err
 		}
 		cs := compress.NewCPackStream(size)
 		// Compress the raw miss-stream contents: Fig 3 is a
@@ -96,14 +68,15 @@ func Fig3(opt Options) (*Result, error) {
 			c.noPtr += uint64(np)
 			c.src += 512
 		}
+		return c, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for si, size := range sizes {
 		var withPtr, noPtr, src uint64
 		for ni := range names {
-			c := &cells[si*len(names)+ni]
-			if c.err != nil {
-				return nil, c.err
-			}
+			c := grid[si*len(names)+ni]
 			withPtr += c.withPtr
 			noPtr += c.noPtr
 			src += c.src
@@ -131,8 +104,8 @@ func Fig12(opt Options) (*Result, error) {
 		return nil, err
 	}
 	t := stats.NewTable("Fig 12: off-chip link compression (raw ratios)", memLinkSchemes...)
-	for _, name := range names {
-		for s, v := range rows[name] {
+	for i, name := range names {
+		for s, v := range rows[i] {
 			t.Set(name, s, v)
 		}
 	}
@@ -150,9 +123,9 @@ func Fig11(opt Options) (*Result, error) {
 		return nil, err
 	}
 	t := stats.NewTable("Fig 11: off-chip link compression (normalized to CPACK)", memLinkSchemes...)
-	for _, name := range names {
-		base := rows[name]["cpack"]
-		for s, v := range rows[name] {
+	for i, name := range names {
+		base := rows[i]["cpack"]
+		for s, v := range rows[i] {
 			t.Set(name, s, v/base)
 		}
 	}
@@ -167,23 +140,15 @@ func Fig13(opt Options) (*Result, error) {
 	names := zeroDominantLast(benchSubset(opt, false))
 	schemes := []string{"bdi", "cpack", "cpack128", "lbe256", "gzip", "cable"}
 	t := stats.NewTable("Fig 13: coherence-link compression, 4-chip CMP", schemes...)
-	results := make([]*sim.MultiChipResult, len(names))
-	errs := make([]error, len(names))
-	cellRun(opt.workers(), len(names), func(i int) {
+	results, err := cells(opt, len(names), func(i int) (*sim.MultiChipResult, error) {
 		cfg := sim.DefaultMultiChipConfig(names[i])
 		cfg.Accesses = accesses(opt)
-		cfg.Fault = opt.Fault
 		if opt.Quick {
 			cfg.LLCBytes = 128 << 10
 		}
-		if opt.Flight != nil {
-			// Multichip runs are not memoized; duplicate keys get
-			// throwaway recorders, keeping flight dumps deterministic.
-			cfg.Recorder = opt.Flight.Recorder(multiChipFlightKey(cfg))
-		}
-		results[i], errs[i] = sim.RunMultiChip(cfg)
+		return runMultiChip(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
@@ -202,20 +167,17 @@ func Fig20(opt Options) (*Result, error) {
 	engines := []string{"cpack128", "gzip-seeded", "lbe", "oracle"}
 	t := stats.NewTable("Fig 20: CABLE with different engines", engines...)
 	names := sweepSubset(opt)
-	ratios := make([]float64, len(names)*len(engines))
-	errs := make([]error, len(ratios))
-	cellRun(opt.workers(), len(ratios), func(k int) {
+	ratios, err := cells(opt, len(names)*len(engines), func(k int) (float64, error) {
 		cfg := memLinkCfg(opt, names[k/len(engines)])
 		cfg.WithMeters = false
 		cfg.Chip.Cable.EngineName = engines[k%len(engines)]
 		res, err := runMemLink(opt, cfg)
 		if err != nil {
-			errs[k] = err
-			return
+			return 0, err
 		}
-		ratios[k] = res.Ratio("cable")
+		return res.Ratio("cable"), nil
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {
@@ -233,12 +195,10 @@ func Fig20(opt Options) (*Result, error) {
 func Toggles(opt Options) (*Result, error) {
 	names := benchSubset(opt, false)
 	t := stats.NewTable("§VI-D: bit-toggle reduction vs uncompressed", "cpack", "cable")
-	results := make([]*sim.MemLinkResult, len(names))
-	errs := make([]error, len(names))
-	cellRun(opt.workers(), len(names), func(i int) {
-		results[i], errs[i] = runMemLink(opt, memLinkCfg(opt, names[i]))
+	results, err := cells(opt, len(names), func(i int) (*sim.MemLinkResult, error) {
+		return runMemLink(opt, memLinkCfg(opt, names[i]))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
@@ -268,8 +228,8 @@ func Headline(opt Options) (*Result, error) {
 	}
 	t := stats.NewTable("Headline (§VI-B)", "value")
 	perScheme := map[string][]float64{}
-	for _, name := range names {
-		for s, v := range rows[name] {
+	for _, row := range rows {
+		for s, v := range row {
 			perScheme[s] = append(perScheme[s], v)
 		}
 	}

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
 	"cable/internal/obs"
 	"cable/internal/sim"
 	"cable/internal/stats"
-	"cable/internal/topo"
 )
 
 // This file is the cross-experiment cell cache: many drivers evaluate
@@ -25,36 +26,24 @@ import (
 //     result is byte-equal to recomputing it. Requesters receive fresh
 //     deep copies, never shared maps.
 //   - Metrics: a memoized compute runs against a private obs.Registry
-//     and stores the non-volatile snapshot delta. EVERY logical request
-//     — the computing miss and every subsequent hit — merges that same
-//     delta into the default registry, so counter totals (and the
+//     and stores its non-volatile snapshot. EVERY logical request — the
+//     computing miss and every subsequent hit — merges that same
+//     snapshot into the default registry, so counter totals (and the
 //     metric name set) in `-metrics` dumps match a memo-disabled run
 //     exactly, at any -parallel setting.
 //   - Hit/miss counts: single-flight makes misses equal the number of
 //     distinct digests and hits the remainder, independent of
 //     scheduling, so the memo's own counters are deterministic too.
 //
-// Cells that attach a Tracer or a pre-built flight Recorder bypass the
-// memo (the trace is a fresh side effect per run), as does
-// Options.DisableCellMemo (the `-nomemo` CLI flag). Options.Flight
-// composes with the memo instead: the single-flight compute owner
-// attaches the cell's registered recorder, so the flight dump matches
-// a memo-disabled run byte for byte (see flight.go).
+// runCell is the only front end: one descriptor (cellKind) per
+// simulator says how to key, run and copy its cells.
 
-// memoMaxEntries caps the memo's footprint (applied per stripe as
-// memoMaxEntries/memoStripes). Reaching a stripe's cap clears that
-// stripe: byte-identity is unaffected (the delta merge happens per
+// memoMaxEntries caps the memo's footprint. Reaching the cap clears the
+// map: byte-identity is unaffected (the snapshot merge happens per
 // request either way; a re-computed cell reproduces the same bits),
 // only the time saved is lost. Full reports have a few hundred distinct
 // cells, so the cap exists for pathological callers, not normal runs.
 const memoMaxEntries = 4096
-
-// memoStripes is the lock-striping factor. Under -parallel the old
-// single mutex was the dominant contention point of a whole RunAll
-// (mutex profiles attributed >60% of all lock wait to it); striping by
-// digest makes concurrent lookups of distinct cells contend only when
-// they hash to the same stripe. Power of two for cheap masking.
-const memoStripes = 64
 
 // memoEntry is one memoized cell. ready is closed once the compute
 // finishes; the remaining fields are written before the close and read
@@ -62,266 +51,225 @@ const memoStripes = 64
 type memoEntry struct {
 	ready chan struct{}
 
-	mem  *sim.MemLinkResult // slim copy: Chip is nil (no driver reads it)
-	tim  *sim.TimingResult
-	topo *topo.Result
-	// delta is the cell's non-volatile metrics prepared against the
-	// default registry, re-applied on every request for this cell. A
-	// prepared delta resolves metric pointers once, so replays are
-	// lock-free atomic adds instead of per-counter registry locking.
-	delta obs.MergeDelta
-	// savedBits is the cell's core.source_bits, precomputed so hits can
-	// account saved work without a map lookup.
-	savedBits uint64
-	err       error
+	res any // the descriptor's R, as its run returned it
+	// snap is the compute's non-volatile metrics, merged into the default
+	// registry on every request for this cell.
+	snap obs.Snapshot
+	err  error
 }
 
-// memoStripe is one lock + map shard of the cell memo.
-type memoStripe struct {
+// cellMemo is one mutex over one map: a quick report makes 285 lookups
+// in 23 s, one per ~80 ms of simulation, so there is nothing to stripe.
+// Digests are version-tagged per simulator ("memlink/v1", "topo/v1",
+// ...), so every simulator shares the map without aliasing.
+type cellMemo struct {
 	mu      sync.Mutex
 	entries map[sim.Digest]*memoEntry
 }
 
-type cellMemo struct {
-	stripes [memoStripes]memoStripe
-}
-
 var memo cellMemo
 
-// stripe picks the stripe for a digest. Digests are FNV-1a output, so
-// any byte is uniformly mixed.
-func (m *cellMemo) stripe(d sim.Digest) *memoStripe {
-	return &m.stripes[uint32(d[0])&(memoStripes-1)]
-}
-
-// len counts memoized cells across all stripes (tests and the live
-// metrics view).
+// len counts memoized cells (for tests).
 func (m *cellMemo) len() int {
-	n := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries)
 }
 
 // ResetCellMemo drops every memoized cell. Tests that compare metric
 // dumps across runs reset the memo alongside obs.Default() so both
 // runs see the same hit/miss sequence.
 func ResetCellMemo() {
-	for i := range memo.stripes {
-		s := &memo.stripes[i]
-		s.mu.Lock()
-		s.entries = nil
-		s.mu.Unlock()
-	}
-}
-
-// memoCounters instruments the memo itself. Hit/miss/bypass counts are
-// deterministic across -parallel (single-flight, see the file comment)
-// but they describe the process's caching behavior, not the simulated
-// workload — a `-nomemo` run legitimately has different values. They
-// are therefore volatile: excluded from the deterministic `-metrics`
-// dump (which stays byte-identical with the memo on or off) and
-// visible live via `cablesim -http` and volatile snapshots.
-type memoCounters struct {
-	hits       *obs.Counter
-	misses     *obs.Counter
-	bypass     *obs.Counter
-	savedBytes *obs.Counter   // simulated source bytes not re-encoded, from core.source_bits
-	computeMS  *obs.Histogram // per-cell compute wall-clock, ms
-}
-
-var (
-	memoCountersOnce   sync.Once
-	sharedMemoCounters memoCounters
-)
-
-func memoMetrics() *memoCounters {
-	memoCountersOnce.Do(func() {
-		r := obs.Default()
-		sharedMemoCounters = memoCounters{
-			hits:       r.VolatileCounter("experiments.cellmemo_hits"),
-			misses:     r.VolatileCounter("experiments.cellmemo_misses"),
-			bypass:     r.VolatileCounter("experiments.cellmemo_bypass"),
-			savedBytes: r.VolatileCounter("experiments.cellmemo_saved_bytes"),
-			computeMS:  r.VolatileHistogram("experiments.cellmemo_compute_ms"),
-		}
-	})
-	return &sharedMemoCounters
+	memo.mu.Lock()
+	memo.entries = nil
+	memo.mu.Unlock()
 }
 
 // lookup returns the entry for a digest and whether this caller owns
 // the compute (miss). On a miss the caller MUST fill the entry and
-// close ready, even on error — waiters block on it. Only the digest's
-// stripe is locked, and only for the map access — computes run outside
-// the lock (single-flight via the ready channel).
+// close ready, even on error — waiters block on it. Computes run
+// outside the lock (single-flight via the ready channel), and so does
+// every allocation: an allocating goroutine can be parked behind the
+// garbage collector, and a parked lock holder stalls every other
+// lookup (measured: 58 s of summed wait per quick report with the entry
+// allocated under the lock, under 20 ms without). Hence the entry built
+// up front — wasted on a hit — and the map sized so a report's few
+// hundred cells never grow it.
 func (m *cellMemo) lookup(d sim.Digest) (*memoEntry, bool) {
-	s := m.stripe(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[d]; ok {
+	fresh := &memoEntry{ready: make(chan struct{})}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[d]; ok {
 		return e, false
 	}
-	if s.entries == nil {
-		s.entries = make(map[sim.Digest]*memoEntry)
-	} else if len(s.entries) >= memoMaxEntries/memoStripes {
-		s.entries = make(map[sim.Digest]*memoEntry)
+	if m.entries == nil || len(m.entries) >= memoMaxEntries {
+		m.entries = make(map[sim.Digest]*memoEntry, 512)
 	}
-	e := &memoEntry{ready: make(chan struct{})}
-	s.entries[d] = e
-	return e, true
+	m.entries[d] = fresh
+	return fresh, true
 }
 
-// copyMemLinkResult deep-copies the shareable parts of a result. Chip
-// is intentionally nil in memoized results: drivers read only the
-// ratio/toggle maps.
+// cellKind describes one simulator to runCell: everything the front end
+// needs to know about a config type C and its result type R.
+type cellKind[C, R any] struct {
+	// digest is the memo key; nil marks a simulator that is never
+	// memoized (it cannot scope its metrics to a private registry).
+	digest func(C) sim.Digest
+	// key names the cell's flight recorder.
+	key func(C) string
+	// observers reports what the caller attached itself: a Metrics
+	// registry, a flight Recorder, a Tracer. Any of them makes the run a
+	// fresh side effect, so the cell bypasses the memo.
+	observers func(C) (reg *obs.Registry, rec *obs.Recorder, traced bool)
+	// run executes the simulation with cfg's Metrics and Recorder set to
+	// reg and rec (nil: process default / none).
+	run func(cfg C, reg *obs.Registry, rec *obs.Recorder) (R, error)
+	// clone deep-copies a successful run's result, so requesters never
+	// share maps.
+	clone func(R) R
+}
+
+// runCell is the one front end between a driver and a simulator: every
+// cell of every experiment goes through it. A bypassed cell (memo
+// disabled, caller-attached observers, or a never-memoized simulator)
+// runs directly; otherwise the digest's single-flight owner computes
+// against a private registry and every request, owner and waiters
+// alike, merges that registry's snapshot into the default one and gets
+// its own copy of the result. With Options.Flight set, the one run of a
+// cell — the owner, or each bypassed run — feeds the recorder registered
+// under the cell's key (repeats of a key get throwaways, see
+// obs.Flight.Recorder).
+//
+// The memo's own counters (experiments.cellmemo_*) are deterministic
+// across -parallel — single-flight, see the file comment — but they
+// describe the process's caching, not the simulated workload: a
+// `-nomemo` run legitimately differs. They are therefore volatile: left
+// out of the deterministic `-metrics` dump, visible live via `-http`.
+func runCell[C, R any](opt Options, k *cellKind[C, R], cfg C) (R, error) {
+	def, shard := obs.Default(), obs.NextShard()
+	reg, rec, traced := k.observers(cfg)
+	if opt.DisableCellMemo || k.digest == nil || reg != nil || rec != nil || traced {
+		def.VolatileCounter("experiments.cellmemo_bypass").Inc(shard)
+		if rec == nil && opt.Flight != nil {
+			rec = opt.Flight.Recorder(k.key(cfg))
+		}
+		return k.run(cfg, reg, rec)
+	}
+	e, owner := memo.lookup(k.digest(cfg))
+	if owner {
+		def.VolatileCounter("experiments.cellmemo_misses").Inc(shard)
+		reg = obs.NewRegistry()
+		if opt.Flight != nil {
+			rec = opt.Flight.Recorder(k.key(cfg))
+			opt.Flight.MemoEvent(false)
+		}
+		start := time.Now()
+		e.res, e.err = k.run(cfg, reg, rec)
+		def.VolatileHistogram("experiments.cellmemo_compute_ms").Observe(uint64(time.Since(start).Milliseconds()))
+		e.snap = reg.Snapshot(false)
+		close(e.ready)
+	} else {
+		<-e.ready
+		def.VolatileCounter("experiments.cellmemo_hits").Inc(shard)
+		// Simulated source bytes this request did not re-encode.
+		def.VolatileCounter("experiments.cellmemo_saved_bytes").Add(shard, e.snap.Counters["core.source_bits"]/8)
+		if opt.Flight != nil {
+			opt.Flight.MemoEvent(true)
+		}
+	}
+	def.Merge(e.snap)
+	if e.err != nil {
+		var none R
+		return none, e.err
+	}
+	return k.clone(e.res.(R)), nil
+}
+
+// copyMemLinkResult deep-copies the parts of a result drivers read (the
+// ratio/toggle maps); Chip stays nil in the copy.
 func copyMemLinkResult(r *sim.MemLinkResult) *sim.MemLinkResult {
-	if r == nil {
-		return nil
-	}
 	out := &sim.MemLinkResult{
-		Programs:   append([]string(nil), r.Programs...),
-		Total:      make(map[string]stats.Ratio, len(r.Total)),
+		Programs:   slices.Clone(r.Programs),
+		Total:      maps.Clone(r.Total),
 		PerProgram: make(map[string][]stats.Ratio, len(r.PerProgram)),
-		Toggles:    make(map[string]uint64, len(r.Toggles)),
-	}
-	for k, v := range r.Total {
-		out.Total[k] = v
+		Toggles:    maps.Clone(r.Toggles),
 	}
 	for k, v := range r.PerProgram {
-		out.PerProgram[k] = append([]stats.Ratio(nil), v...)
-	}
-	for k, v := range r.Toggles {
-		out.Toggles[k] = v
+		out.PerProgram[k] = slices.Clone(v)
 	}
 	return out
 }
 
-// finish publishes a request's observable effects: the prepared metrics
-// delta is applied to the default registry (hit and miss alike, keeping
-// totals equal to a memo-disabled run) and saved work is accounted on
-// hits. Applying a prepared delta takes no locks.
-func (e *memoEntry) finish(mx *memoCounters, hit bool, shard uint32) {
-	e.delta.Apply(shard)
-	if hit {
-		mx.hits.Inc(shard)
-		mx.savedBytes.Add(shard, e.savedBits/8)
-	}
+// memLinkCell runs sim.RunMemoryLink. Its results are slim: no driver
+// reads the live Chip, so run deep-copies the ratio/toggle maps and
+// recycles the chip's tables and line backings for the next cell.
+var memLinkCell = cellKind[sim.MemLinkConfig, *sim.MemLinkResult]{
+	digest: sim.MemLinkConfig.Digest,
+	key:    memLinkFlightKey,
+	observers: func(c sim.MemLinkConfig) (*obs.Registry, *obs.Recorder, bool) {
+		return c.Metrics, c.Recorder, c.Trace != nil
+	},
+	run: func(c sim.MemLinkConfig, reg *obs.Registry, rec *obs.Recorder) (*sim.MemLinkResult, error) {
+		c.Metrics, c.Recorder = reg, rec
+		res, err := sim.RunMemoryLink(c)
+		if err != nil {
+			return nil, err
+		}
+		slim := copyMemLinkResult(res)
+		res.Chip.Release()
+		return slim, nil
+	},
+	clone: copyMemLinkResult,
 }
 
-// seal stores the compute's metrics delta — prepared once against the
-// default registry so every replay is lock-free — and publishes the
-// entry to waiters.
-func (e *memoEntry) seal(reg *obs.Registry) {
-	snap := reg.Snapshot(false)
-	e.savedBits = snap.Counters["core.source_bits"]
-	e.delta = obs.Default().PrepareMerge(snap)
-	close(e.ready)
-}
-
-// runMemLink is the memoizing front end every driver uses in place of
-// sim.RunMemoryLink. Trace-attached configs bypass the memo.
+// runMemLink is what every driver calls in place of sim.RunMemoryLink.
 func runMemLink(opt Options, cfg sim.MemLinkConfig) (*sim.MemLinkResult, error) {
 	// Fault injection is applied here — the single choke point every
 	// driver goes through — and before Digest(), so faulted cells key
 	// separately from clean ones.
 	cfg.Chip.Fault = opt.Fault
-	mx := memoMetrics()
-	shard := obs.NextShard()
-	if opt.DisableCellMemo || cfg.Trace != nil || cfg.Metrics != nil || cfg.Recorder != nil {
-		mx.bypass.Inc(shard)
-		if opt.Flight != nil && cfg.Recorder == nil {
-			// Memo-off flight recording: every run of a cell asks for
-			// the cell's recorder; duplicates get throwaways, so the
-			// registered content matches a memo-on run byte for byte.
-			cfg.Recorder = opt.Flight.Recorder(memLinkFlightKey(cfg))
-		}
-		return sim.RunMemoryLink(cfg)
-	}
-	e, owner := memo.lookup(cfg.Digest())
-	if !owner {
-		<-e.ready
-		e.finish(mx, true, shard)
-		if opt.Flight != nil {
-			opt.Flight.MemoEvent(true)
-		}
-		return copyMemLinkResult(e.mem), e.err
-	}
-	mx.misses.Inc(shard)
-	reg := obs.NewRegistry()
-	scoped := cfg
-	scoped.Metrics = reg
-	if opt.Flight != nil {
-		// The single-flight compute owner is the one run of this cell,
-		// so it feeds the cell's registered recorder.
-		scoped.Recorder = opt.Flight.Recorder(memLinkFlightKey(cfg))
-		opt.Flight.MemoEvent(false)
-	}
-	start := time.Now()
-	res, err := sim.RunMemoryLink(scoped)
-	mx.computeMS.Observe(uint64(time.Since(start).Milliseconds()))
-	e.mem = copyMemLinkResult(res)
-	e.err = err
-	e.seal(reg)
-	e.finish(mx, false, shard)
-	if res != nil && res.Chip != nil {
-		// The memoized copy dropped the chip; recycle its tables and
-		// line backings for the next cell.
-		res.Chip.Release()
-	}
-	return copyMemLinkResult(e.mem), err
+	return runCell(opt, &memLinkCell, cfg)
 }
 
-// runTiming is the memoizing front end every driver uses in place of
-// sim.RunTiming.
+var timingCell = cellKind[sim.TimingConfig, *sim.TimingResult]{
+	digest: sim.TimingConfig.Digest,
+	key:    timingFlightKey,
+	observers: func(c sim.TimingConfig) (*obs.Registry, *obs.Recorder, bool) {
+		return c.Metrics, c.Recorder, false
+	},
+	run: func(c sim.TimingConfig, reg *obs.Registry, rec *obs.Recorder) (*sim.TimingResult, error) {
+		c.Metrics, c.Recorder = reg, rec
+		return sim.RunTiming(c)
+	},
+	clone: func(r *sim.TimingResult) *sim.TimingResult {
+		out := *r
+		return &out
+	},
+}
+
+// runTiming is what every driver calls in place of sim.RunTiming.
 func runTiming(opt Options, cfg sim.TimingConfig) (*sim.TimingResult, error) {
 	cfg.Fault = opt.Fault
-	mx := memoMetrics()
-	shard := obs.NextShard()
-	if opt.DisableCellMemo || cfg.Metrics != nil || cfg.Recorder != nil {
-		mx.bypass.Inc(shard)
-		if opt.Flight != nil && cfg.Recorder == nil {
-			cfg.Recorder = opt.Flight.Recorder(timingFlightKey(cfg))
-		}
-		return sim.RunTiming(cfg)
-	}
-	e, owner := memo.lookup(cfg.Digest())
-	if !owner {
-		<-e.ready
-		e.finish(mx, true, shard)
-		if opt.Flight != nil {
-			opt.Flight.MemoEvent(true)
-		}
-		if e.tim == nil {
-			return nil, e.err
-		}
-		out := *e.tim
-		return &out, e.err
-	}
-	mx.misses.Inc(shard)
-	reg := obs.NewRegistry()
-	scoped := cfg
-	scoped.Metrics = reg
-	if opt.Flight != nil {
-		scoped.Recorder = opt.Flight.Recorder(timingFlightKey(cfg))
-		opt.Flight.MemoEvent(false)
-	}
-	start := time.Now()
-	res, err := sim.RunTiming(scoped)
-	mx.computeMS.Observe(uint64(time.Since(start).Milliseconds()))
-	if res != nil {
-		cp := *res
-		e.tim = &cp
-	}
-	e.err = err
-	e.seal(reg)
-	e.finish(mx, false, shard)
-	if e.tim == nil {
-		return nil, err
-	}
-	out := *e.tim
-	return &out, err
+	return runCell(opt, &timingCell, cfg)
+}
+
+// multiChipCell runs sim.RunMultiChip, which has no Metrics field: it
+// always counts into the default registry, so it is never memoized (no
+// digest) and nothing retains its result (clone is the identity).
+var multiChipCell = cellKind[sim.MultiChipConfig, *sim.MultiChipResult]{
+	key: multiChipFlightKey,
+	observers: func(c sim.MultiChipConfig) (*obs.Registry, *obs.Recorder, bool) {
+		return nil, c.Recorder, false
+	},
+	run: func(c sim.MultiChipConfig, _ *obs.Registry, rec *obs.Recorder) (*sim.MultiChipResult, error) {
+		c.Recorder = rec
+		return sim.RunMultiChip(c)
+	},
+	clone: func(r *sim.MultiChipResult) *sim.MultiChipResult { return r },
+}
+
+// runMultiChip is what Fig13 calls in place of sim.RunMultiChip.
+func runMultiChip(opt Options, cfg sim.MultiChipConfig) (*sim.MultiChipResult, error) {
+	cfg.Fault = opt.Fault
+	return runCell(opt, &multiChipCell, cfg)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"cable/internal/obs"
 	"cable/internal/stats"
@@ -11,10 +10,8 @@ import (
 
 // This file is the scale-out topology experiment (`-exp mesh`): the
 // discrete-event N-chip engine (internal/topo) run across the sweep
-// benchmark subset on a configurable interconnect. The driver routes
-// through runTopo, the memoizing front end that gives topology cells
-// the same single-flight memo, metrics-delta replay and flight-recorder
-// discipline as every other simulator cell.
+// benchmark subset on a configurable interconnect. Its cells go through
+// runCell like every other simulator's (topoCell is the descriptor).
 
 func topoFlightKey(cfg topo.Config) string {
 	d := cfg.Digest()
@@ -34,61 +31,33 @@ func topoSourceLabel(cfg topo.Config) string {
 	}
 }
 
-// copyTopoResult deep-copies a topology result (PerLink is the only
-// reference field).
-func copyTopoResult(r *topo.Result) *topo.Result {
-	if r == nil {
-		return nil
-	}
-	out := *r
-	out.PerLink = append([]topo.LinkStat(nil), r.PerLink...)
-	return &out
+var topoCell = cellKind[topo.Config, *topo.Result]{
+	digest: topo.Config.Digest,
+	key:    topoFlightKey,
+	observers: func(c topo.Config) (*obs.Registry, *obs.Recorder, bool) {
+		return c.Metrics, c.Recorder, false
+	},
+	run: func(c topo.Config, reg *obs.Registry, rec *obs.Recorder) (*topo.Result, error) {
+		c.Metrics, c.Recorder = reg, rec
+		return topo.Run(c)
+	},
+	// PerLink is the only reference field.
+	clone: func(r *topo.Result) *topo.Result {
+		out := *r
+		out.PerLink = append([]topo.LinkStat(nil), r.PerLink...)
+		return &out
+	},
 }
 
-// runTopo is the memoizing front end for topo.Run, mirroring
-// runMemLink: fault injection is applied before Digest() so faulted
-// cells key separately, computes run against a private registry whose
-// non-volatile delta replays on every request, and the single-flight
-// compute owner feeds the cell's registered flight recorder.
+// runTopo is what the mesh driver calls in place of topo.Run. As in
+// runMemLink, fault injection is applied before Digest() so faulted
+// cells key separately.
 func runTopo(opt Options, cfg topo.Config) (*topo.Result, error) {
 	cfg.Fault = opt.Fault
 	// Parallelism partitions links across workers and is excluded from
 	// the digest: it cannot change any output bit.
 	cfg.Parallelism = opt.workers()
-	mx := memoMetrics()
-	shard := obs.NextShard()
-	if opt.DisableCellMemo || cfg.Metrics != nil || cfg.Recorder != nil {
-		mx.bypass.Inc(shard)
-		if opt.Flight != nil && cfg.Recorder == nil {
-			cfg.Recorder = opt.Flight.Recorder(topoFlightKey(cfg))
-		}
-		return topo.Run(cfg)
-	}
-	e, owner := memo.lookup(cfg.Digest())
-	if !owner {
-		<-e.ready
-		e.finish(mx, true, shard)
-		if opt.Flight != nil {
-			opt.Flight.MemoEvent(true)
-		}
-		return copyTopoResult(e.topo), e.err
-	}
-	mx.misses.Inc(shard)
-	reg := obs.NewRegistry()
-	scoped := cfg
-	scoped.Metrics = reg
-	if opt.Flight != nil {
-		scoped.Recorder = opt.Flight.Recorder(topoFlightKey(cfg))
-		opt.Flight.MemoEvent(false)
-	}
-	start := time.Now()
-	res, err := topo.Run(scoped)
-	mx.computeMS.Observe(uint64(time.Since(start).Milliseconds()))
-	e.topo = copyTopoResult(res)
-	e.err = err
-	e.seal(reg)
-	e.finish(mx, false, shard)
-	return copyTopoResult(e.topo), err
+	return runCell(opt, &topoCell, cfg)
 }
 
 // meshConfig builds the topology cell for one benchmark at the
@@ -111,6 +80,41 @@ func meshConfig(opt Options, benchmark string) topo.Config {
 	return cfg
 }
 
+// meshRow runs one topology cell and commits its table row.
+func meshRow(opt Options, t *stats.Table, row string, cfg topo.Config) (*topo.Result, error) {
+	res, err := runTopo(opt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.Set(row, "cable", res.Ratio())
+	hitrate := 0.0
+	if res.LinkTransfers > 0 {
+		hitrate = float64(res.RemoteHits) / float64(res.LinkTransfers)
+	}
+	t.Set(row, "hitrate", hitrate)
+	t.Set(row, "util", res.MeanUtilization())
+	t.Set(row, "speedup", res.Speedup())
+	return res, nil
+}
+
+// meshResult closes the table: the interconnect note (every row of one
+// table runs on the same interconnect, so any row's result describes
+// it) followed by the variant's own notes.
+func meshResult(t *stats.Table, res *topo.Result, notes ...string) *Result {
+	grid := ""
+	if res.Shape == topo.ShapeMesh {
+		grid = fmt.Sprintf(" (%dx%d, XY routing)", res.Width, res.Height)
+	}
+	return &Result{ID: "mesh", Table: t, Notes: append([]string{
+		fmt.Sprintf("%d-chip %s%s, %d directed links, one CABLE end pair per link", res.Chips, res.Shape, grid, res.Links),
+	}, notes...)}
+}
+
+const (
+	meshTitle       = "Mesh: N-chip topology scale-out"
+	meshSpeedupNote = "speedup = raw/CABLE makespan from the discrete-event replay; >1 means compression relieved queueing"
+)
+
 // Mesh regenerates the scale-out study: CABLE link compression, remote
 // dictionary hit rate, link utilization and raw/CABLE makespan speedup
 // on an N-chip topology under contention. Benchmarks run serially —
@@ -120,35 +124,17 @@ func Mesh(opt Options) (*Result, error) {
 	if opt.Workload != nil || len(opt.Replay) > 0 {
 		return meshFromSource(opt)
 	}
-	names := sweepSubset(opt)
-	var shape string
-	var chips, links, w, h int
-	t := stats.NewTable("Mesh: N-chip topology scale-out", "cable", "hitrate", "util", "speedup")
-	for _, name := range names {
-		res, err := runTopo(opt, meshConfig(opt, name))
-		if err != nil {
+	t := stats.NewTable(meshTitle, "cable", "hitrate", "util", "speedup")
+	var res *topo.Result
+	for _, name := range sweepSubset(opt) {
+		var err error
+		if res, err = meshRow(opt, t, name, meshConfig(opt, name)); err != nil {
 			return nil, err
 		}
-		shape, chips, links, w, h = res.Shape, res.Chips, res.Links, res.Width, res.Height
-		t.Set(name, "cable", res.Ratio())
-		hitrate := 0.0
-		if res.LinkTransfers > 0 {
-			hitrate = float64(res.RemoteHits) / float64(res.LinkTransfers)
-		}
-		t.Set(name, "hitrate", hitrate)
-		t.Set(name, "util", res.MeanUtilization())
-		t.Set(name, "speedup", res.Speedup())
 	}
 	t.AddMeanRow("mean")
-	grid := ""
-	if shape == topo.ShapeMesh {
-		grid = fmt.Sprintf(" (%dx%d, XY routing)", w, h)
-	}
-	return &Result{ID: "mesh", Table: t, Notes: []string{
-		fmt.Sprintf("%d-chip %s%s, %d directed links, one CABLE end pair per link", chips, shape, grid, links),
-		"speedup = raw/CABLE makespan from the discrete-event replay; >1 means compression relieved queueing",
-		"hitrate = header-only transfers where the link's remote cache still held the line",
-	}}, nil
+	return meshResult(t, res, meshSpeedupNote,
+		"hitrate = header-only transfers where the link's remote cache still held the line"), nil
 }
 
 // meshFromSource is the spec/replay variant of the scale-out study: a
@@ -157,40 +143,22 @@ func Mesh(opt Options) (*Result, error) {
 // instead of the benchmark sweep.
 func meshFromSource(opt Options) (*Result, error) {
 	cfg := meshConfig(opt, "")
-	var row string
+	var row, source string
 	if opt.Workload != nil {
 		cfg.Workload = opt.Workload
 		row = opt.Workload.Name
+		source = fmt.Sprintf("spec %q, %d clients per chip", opt.Workload.Name, len(opt.Workload.Clients))
 	} else {
 		// One capture per chip: the capture count is the chip count.
 		cfg.Replay = opt.Replay
 		cfg.Chips = len(opt.Replay)
-		row = "replay:" + opt.Replay[0].Header.Benchmark
+		row = topoSourceLabel(cfg)
+		source = row
 	}
-	res, err := runTopo(opt, cfg)
+	t := stats.NewTable(meshTitle, "cable", "hitrate", "util", "speedup")
+	res, err := meshRow(opt, t, row, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Mesh: N-chip topology scale-out", "cable", "hitrate", "util", "speedup")
-	t.Set(row, "cable", res.Ratio())
-	hitrate := 0.0
-	if res.LinkTransfers > 0 {
-		hitrate = float64(res.RemoteHits) / float64(res.LinkTransfers)
-	}
-	t.Set(row, "hitrate", hitrate)
-	t.Set(row, "util", res.MeanUtilization())
-	t.Set(row, "speedup", res.Speedup())
-	grid := ""
-	if res.Shape == topo.ShapeMesh {
-		grid = fmt.Sprintf(" (%dx%d, XY routing)", res.Width, res.Height)
-	}
-	source := topoSourceLabel(cfg)
-	if opt.Workload != nil {
-		source = fmt.Sprintf("spec %q, %d clients per chip", opt.Workload.Name, len(opt.Workload.Clients))
-	}
-	return &Result{ID: "mesh", Table: t, Notes: []string{
-		fmt.Sprintf("%d-chip %s%s, %d directed links, one CABLE end pair per link", res.Chips, res.Shape, grid, res.Links),
-		"source: " + source,
-		"speedup = raw/CABLE makespan from the discrete-event replay; >1 means compression relieved queueing",
-	}}, nil
+	return meshResult(t, res, "source: "+source, meshSpeedupNote), nil
 }

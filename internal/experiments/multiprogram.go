@@ -20,17 +20,14 @@ func Fig15(opt Options) (*Result, error) {
 		// subset plus the paper's named callouts (gcc and namd).
 		names = append(sweepSubset(opt), "namd")
 	}
-	runs := make([]*sim.MemLinkResult, len(names)*2)
-	errs := make([]error, len(runs))
-	cellRun(opt.workers(), len(runs), func(k int) {
+	runs, err := cells(opt, len(names)*2, func(k int) (*sim.MemLinkResult, error) {
 		name := names[k/2]
 		if k%2 == 0 {
-			runs[k], errs[k] = runMemLink(opt, memLinkCfg(opt, name))
-		} else {
-			runs[k], errs[k] = runMemLink(opt, memLinkCfg(opt, name, name, name, name))
+			return runMemLink(opt, memLinkCfg(opt, name))
 		}
+		return runMemLink(opt, memLinkCfg(opt, name, name, name, name))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {
@@ -72,17 +69,14 @@ func Fig16(opt Options) (*Result, error) {
 			}
 		}
 	}
-	runs := make([]*sim.MemLinkResult, len(uniques)+len(mixes))
-	errs := make([]error, len(runs))
-	cellRun(opt.workers(), len(runs), func(k int) {
+	runs, err := cells(opt, len(uniques)+len(mixes), func(k int) (*sim.MemLinkResult, error) {
 		if k < len(uniques) {
-			runs[k], errs[k] = runMemLink(opt, memLinkCfg(opt, uniques[k]))
-		} else {
-			mix := mixes[k-len(uniques)]
-			runs[k], errs[k] = runMemLink(opt, memLinkCfg(opt, mix[0], mix[1], mix[2], mix[3]))
+			return runMemLink(opt, memLinkCfg(opt, uniques[k]))
 		}
+		mix := mixes[k-len(uniques)]
+		return runMemLink(opt, memLinkCfg(opt, mix[0], mix[1], mix[2], mix[3]))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	singles := map[string]map[string]float64{}

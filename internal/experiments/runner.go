@@ -38,24 +38,16 @@ type runnerCounters struct {
 	cellMS        *obs.Histogram // per-cell wall-clock, ms
 }
 
-var (
-	runnerCountersOnce   sync.Once
-	sharedRunnerCounters runnerCounters
-)
-
-func runnerMetrics() *runnerCounters {
-	runnerCountersOnce.Do(func() {
-		r := obs.Default()
-		sharedRunnerCounters = runnerCounters{
-			experiments:   r.Counter("experiments.completed"),
-			cells:         r.Counter("experiments.cells"),
-			queueDepth:    r.VolatileGauge("experiments.queue_depth"),
-			cellsInFlight: r.VolatileGauge("experiments.cells_in_flight"),
-			experimentMS:  r.VolatileHistogram("experiments.experiment_ms"),
-			cellMS:        r.VolatileHistogram("experiments.cell_ms"),
-		}
-	})
-	return &sharedRunnerCounters
+func runnerMetrics() runnerCounters {
+	r := obs.Default()
+	return runnerCounters{
+		experiments:   r.Counter("experiments.completed"),
+		cells:         r.Counter("experiments.cells"),
+		queueDepth:    r.VolatileGauge("experiments.queue_depth"),
+		cellsInFlight: r.VolatileGauge("experiments.cells_in_flight"),
+		experimentMS:  r.VolatileHistogram("experiments.experiment_ms"),
+		cellMS:        r.VolatileHistogram("experiments.cell_ms"),
+	}
 }
 
 // StreamResult is one completed experiment as delivered by
@@ -177,4 +169,20 @@ func cellRun(workers, n int, fn func(int)) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// cells is the collection primitive over cellRun: it runs fn for every
+// i in [0, n) across the cell pool and returns the results in index
+// order, or the first error in index order — the one a serial loop
+// would have surfaced.
+func cells[R any](opt Options, n int, fn func(i int) (R, error)) ([]R, error) {
+	out := make([]R, n)
+	errs := make([]error, n)
+	cellRun(opt.workers(), n, func(i int) { out[i], errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -7,17 +7,32 @@ import (
 	"cable/internal/stats"
 )
 
-// sweepCells fans a (sweep point × benchmark) grid out across the cell
-// worker pool: one memory-link run per cell, results slot-indexed as
-// point*len(names)+nameIdx so callers aggregate serially in loop order.
-func sweepCells(opt Options, points int, names []string,
-	run func(point int, name string) (*sim.MemLinkResult, error)) ([]*sim.MemLinkResult, []error) {
-	results := make([]*sim.MemLinkResult, points*len(names))
-	errs := make([]error, len(results))
-	cellRun(opt.workers(), len(results), func(k int) {
-		results[k], errs[k] = run(k/len(names), names[k%len(names)])
+// sweepMeans fans a (sweep point × benchmark) grid of memory-link cells
+// out across the cell worker pool — mutate adjusts the default cell for
+// its point — and returns, per point, each scheme's mean ratio over the
+// benchmarks (taken in names order).
+func sweepMeans(opt Options, points int, names, schemes []string,
+	mutate func(point int, cfg *sim.MemLinkConfig)) ([]map[string]float64, error) {
+	results, err := cells(opt, points*len(names), func(k int) (*sim.MemLinkResult, error) {
+		cfg := memLinkCfg(opt, names[k%len(names)])
+		mutate(k/len(names), &cfg)
+		return runMemLink(opt, cfg)
 	})
-	return results, errs
+	if err != nil {
+		return nil, err
+	}
+	means := make([]map[string]float64, points)
+	for p := range means {
+		means[p] = make(map[string]float64, len(schemes))
+		for _, s := range schemes {
+			vs := make([]float64, len(names))
+			for ni := range names {
+				vs[ni] = results[p*len(names)+ni].Ratio(s)
+			}
+			means[p][s] = stats.Mean(vs)
+		}
+	}
+	return means, nil
 }
 
 // Fig19a sweeps the per-thread LLC allocation (1:4 LLC:L4 kept).
@@ -26,31 +41,22 @@ func Fig19a(opt Options) (*Result, error) {
 	if opt.Quick {
 		sizes = []int{64 << 10, 256 << 10, 1 << 20}
 	}
-	t := stats.NewTable("Fig 19a: compression vs LLC size", "cpack", "gzip", "cable")
-	names := sweepSubset(opt)
-	results, errs := sweepCells(opt, len(sizes), names, func(si int, name string) (*sim.MemLinkResult, error) {
-		cfg := memLinkCfg(opt, name)
+	schemes := []string{"cpack", "gzip", "cable"}
+	t := stats.NewTable("Fig 19a: compression vs LLC size", schemes...)
+	means, err := sweepMeans(opt, len(sizes), sweepSubset(opt), schemes, func(si int, cfg *sim.MemLinkConfig) {
 		cfg.Chip.LLCBytes = sizes[si]
 		cfg.Chip.L4Bytes = sizes[si] * 4
-		return runMemLink(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for si, size := range sizes {
-		agg := map[string][]float64{}
-		for ni := range names {
-			res := results[si*len(names)+ni]
-			for _, s := range []string{"cpack", "gzip", "cable"} {
-				agg[s] = append(agg[s], res.Ratio(s))
-			}
-		}
 		row := fmt.Sprintf("%dKB", size>>10)
 		if size >= 1<<20 {
 			row = fmt.Sprintf("%dMB", size>>20)
 		}
-		for s, vs := range agg {
-			t.Set(row, s, stats.Mean(vs))
+		for _, s := range schemes {
+			t.Set(row, s, means[si][s])
 		}
 	}
 	return &Result{ID: "fig19a", Table: t, Notes: []string{
@@ -62,26 +68,17 @@ func Fig19a(opt Options) (*Result, error) {
 // shared data is bounded by the smaller cache, so ratios barely move.
 func Fig19b(opt Options) (*Result, error) {
 	ratios := []int{2, 4, 8}
-	t := stats.NewTable("Fig 19b: compression vs LLC:L4 ratio", "cpack", "gzip", "cable")
-	names := sweepSubset(opt)
-	results, errs := sweepCells(opt, len(ratios), names, func(ri int, name string) (*sim.MemLinkResult, error) {
-		cfg := memLinkCfg(opt, name)
+	schemes := []string{"cpack", "gzip", "cable"}
+	t := stats.NewTable("Fig 19b: compression vs LLC:L4 ratio", schemes...)
+	means, err := sweepMeans(opt, len(ratios), sweepSubset(opt), schemes, func(ri int, cfg *sim.MemLinkConfig) {
 		cfg.Chip.L4Bytes = cfg.Chip.LLCBytes * ratios[ri]
-		return runMemLink(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ri, r := range ratios {
-		agg := map[string][]float64{}
-		for ni := range names {
-			res := results[ri*len(names)+ni]
-			for _, s := range []string{"cpack", "gzip", "cable"} {
-				agg[s] = append(agg[s], res.Ratio(s))
-			}
-		}
-		for s, vs := range agg {
-			t.Set(fmt.Sprintf("1:%d", r), s, stats.Mean(vs))
+		for _, s := range schemes {
+			t.Set(fmt.Sprintf("1:%d", r), s, means[ri][s])
 		}
 	}
 	return &Result{ID: "fig19b", Table: t, Notes: []string{
@@ -96,28 +93,16 @@ func Fig21(opt Options) (*Result, error) {
 	if opt.Quick {
 		factors = []float64{2, 0.5, 1.0 / 64, 1.0 / 2048}
 	}
-	names := sweepSubset(opt)
 	t := stats.NewTable("Fig 21: compression vs hash table size (relative to 2x)", "relative")
-	results, errs := sweepCells(opt, len(factors), names, func(fi int, name string) (*sim.MemLinkResult, error) {
-		cfg := memLinkCfg(opt, name)
+	means, err := sweepMeans(opt, len(factors), sweepSubset(opt), []string{"cable"}, func(fi int, cfg *sim.MemLinkConfig) {
 		cfg.WithMeters = false
 		cfg.Chip.Cable.HashSizeFactor = factors[fi]
-		return runMemLink(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	var base float64
 	for fi, f := range factors {
-		var vs []float64
-		for ni := range names {
-			vs = append(vs, results[fi*len(names)+ni].Ratio("cable"))
-		}
-		m := stats.Mean(vs)
-		if base == 0 {
-			base = m
-		}
-		t.Set(fmt.Sprintf("%gx", f), "relative", m/base)
+		t.Set(fmt.Sprintf("%gx", f), "relative", means[fi]["cable"]/means[0]["cable"])
 	}
 	return &Result{ID: "fig21", Table: t, Notes: []string{
 		"paper: graceful degradation; 1/8x loses <7% worst case",
@@ -131,28 +116,18 @@ func Fig22(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{1, 6, 16, 64}
 	}
-	names := sweepSubset(opt)
 	t := stats.NewTable("Fig 22: compression vs data access count (relative to 64)", "relative")
-	results, errs := sweepCells(opt, len(counts), names, func(ci int, name string) (*sim.MemLinkResult, error) {
-		cfg := memLinkCfg(opt, name)
+	means, err := sweepMeans(opt, len(counts), sweepSubset(opt), []string{"cable"}, func(ci int, cfg *sim.MemLinkConfig) {
 		cfg.WithMeters = false
 		cfg.Chip.Cable.AccessCount = counts[ci]
-		return runMemLink(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	means := map[int]float64{}
+	// 64 accesses is the last point of both count lists.
+	base := means[len(counts)-1]["cable"]
 	for ci, n := range counts {
-		var vs []float64
-		for ni := range names {
-			vs = append(vs, results[ci*len(names)+ni].Ratio("cable"))
-		}
-		means[n] = stats.Mean(vs)
-	}
-	base := means[64]
-	for _, n := range counts {
-		t.Set(fmt.Sprintf("%d", n), "relative", means[n]/base)
+		t.Set(fmt.Sprintf("%d", n), "relative", means[ci]["cable"]/base)
 	}
 	return &Result{ID: "fig22", Table: t, Notes: []string{
 		"paper: one access stays within 80% of 64 accesses — pre-ranking filters collisions well",
@@ -162,12 +137,11 @@ func Fig22(opt Options) (*Result, error) {
 // Fig23 sweeps the physical link width; wide flits waste bits on small
 // payloads unless the packed transport is used.
 func Fig23(opt Options) (*Result, error) {
-	type variant struct {
+	variants := []struct {
 		name   string
 		width  int
 		packed bool
-	}
-	variants := []variant{
+	}{
 		{"16-bit", 16, false},
 		{"32-bit", 32, false},
 		{"64-bit", 64, false},
@@ -175,22 +149,16 @@ func Fig23(opt Options) (*Result, error) {
 	}
 	names := append(sweepSubset(opt), "mcf", "lbm")
 	t := stats.NewTable("Fig 23: effective compression vs link width", "cable")
-	results, errs := sweepCells(opt, len(variants), names, func(vi int, name string) (*sim.MemLinkResult, error) {
-		cfg := memLinkCfg(opt, name)
+	means, err := sweepMeans(opt, len(variants), names, []string{"cable"}, func(vi int, cfg *sim.MemLinkConfig) {
 		cfg.WithMeters = false
 		cfg.Chip.Link.WidthBits = variants[vi].width
 		cfg.Chip.Link.Packed = variants[vi].packed
-		return runMemLink(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for vi, v := range variants {
-		var vs []float64
-		for ni := range names {
-			vs = append(vs, results[vi*len(names)+ni].Ratio("cable"))
-		}
-		t.Set(v.name, "cable", stats.Mean(vs))
+		t.Set(v.name, "cable", means[vi]["cable"])
 	}
 	return &Result{ID: "fig23", Table: t, Notes: []string{
 		"paper: effective ratio degrades at wider links (flit padding); packed transport recovers it",

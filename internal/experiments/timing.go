@@ -31,16 +31,11 @@ func timingCfg(opt Options, scheme, bench string, totalTh int) sim.TimingConfig 
 // independent timing runs, fanned across the cell pool — returning
 // throughput ratios.
 func speedupSet(opt Options, schemes []string, bench string, totalTh int) (map[string]float64, error) {
-	runs := make([]*sim.TimingResult, len(schemes)+1)
-	errs := make([]error, len(runs))
-	cellRun(opt.workers(), len(runs), func(i int) {
-		scheme := "none"
-		if i > 0 {
-			scheme = schemes[i-1]
-		}
-		runs[i], errs[i] = runTiming(opt, timingCfg(opt, scheme, bench, totalTh))
+	all := append([]string{"none"}, schemes...)
+	runs, err := cells(opt, len(all), func(i int) (*sim.TimingResult, error) {
+		return runTiming(opt, timingCfg(opt, all[i], bench, totalTh))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]float64, len(schemes))
@@ -58,12 +53,10 @@ func Fig14a(opt Options) (*Result, error) {
 	if opt.Quick {
 		names = []string{"mcf", "lbm", "omnetpp", "soplex", "gobmk", "povray"}
 	}
-	sets := make([]map[string]float64, len(names))
-	errs := make([]error, len(names))
-	cellRun(opt.workers(), len(names), func(i int) {
-		sets[i], errs[i] = speedupSet(opt, schemes, names[i], 2048)
+	sets, err := cells(opt, len(names), func(i int) (map[string]float64, error) {
+		return speedupSet(opt, schemes, names[i], 2048)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
@@ -88,12 +81,10 @@ func Fig14b(opt Options) (*Result, error) {
 		names = names[:3]
 	}
 	t := stats.NewTable("Fig 14b: mean speedup vs thread count", schemes...)
-	sets := make([]map[string]float64, len(counts)*len(names))
-	errs := make([]error, len(sets))
-	cellRun(opt.workers(), len(sets), func(k int) {
-		sets[k], errs[k] = speedupSet(opt, schemes, names[k%len(names)], counts[k/len(names)])
+	sets, err := cells(opt, len(counts)*len(names), func(k int) (map[string]float64, error) {
+		return speedupSet(opt, schemes, names[k%len(names)], counts[k/len(names)])
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ci, n := range counts {
@@ -132,12 +123,10 @@ func Fig17(opt Options) (*Result, error) {
 		names = []string{"mcf", "omnetpp", "soplex", "gcc", "povray"}
 	}
 	all := append([]string{"none"}, schemes...)
-	runs := make([]*sim.TimingResult, len(names)*len(all))
-	errs := make([]error, len(runs))
-	cellRun(opt.workers(), len(runs), func(k int) {
-		runs[k], errs[k] = runTiming(opt, singleThreadCfg(opt, all[k%len(all)], names[k/len(all)]))
+	runs, err := cells(opt, len(names)*len(all), func(k int) (*sim.TimingResult, error) {
+		return runTiming(opt, singleThreadCfg(opt, all[k%len(all)], names[k/len(all)]))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {
@@ -163,16 +152,11 @@ func Fig18(opt Options) (*Result, error) {
 		names = []string{"mcf", "omnetpp", "soplex", "gobmk"}
 	}
 	p := energy.Default()
-	runs := make([]*sim.TimingResult, len(names)*2)
-	errs := make([]error, len(runs))
-	cellRun(opt.workers(), len(runs), func(k int) {
-		scheme := "none"
-		if k%2 == 1 {
-			scheme = "cable"
-		}
-		runs[k], errs[k] = runTiming(opt, singleThreadCfg(opt, scheme, names[k/2]))
+	pair := []string{"none", "cable"}
+	runs, err := cells(opt, len(names)*2, func(k int) (*sim.TimingResult, error) {
+		return runTiming(opt, singleThreadCfg(opt, pair[k%2], names[k/2]))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {
@@ -215,22 +199,14 @@ func OnOff(opt Options) (*Result, error) {
 	if opt.Quick {
 		names = names[:2]
 	}
-	runs := make([]*sim.TimingResult, len(names)*3)
-	errs := make([]error, len(runs))
-	cellRun(opt.workers(), len(runs), func(k int) {
-		name := names[k/3]
-		switch k % 3 {
-		case 0:
-			runs[k], errs[k] = runTiming(opt, singleThreadCfg(opt, "none", name))
-		case 1:
-			runs[k], errs[k] = runTiming(opt, singleThreadCfg(opt, "cable", name))
-		case 2:
-			acfg := singleThreadCfg(opt, "cable", name)
-			acfg.OnOff = true
-			runs[k], errs[k] = runTiming(opt, acfg)
-		}
+	// Three cells per benchmark: baseline, always-on, adaptive.
+	trio := []string{"none", "cable", "cable"}
+	runs, err := cells(opt, len(names)*3, func(k int) (*sim.TimingResult, error) {
+		cfg := singleThreadCfg(opt, trio[k%3], names[k/3])
+		cfg.OnOff = k%3 == 2
+		return runTiming(opt, cfg)
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cable/internal/stats"
+	"cable/internal/workload/spec"
 )
 
 // This file is the declarative-workload experiment (`-exp workload`):
@@ -48,11 +49,16 @@ func workloadAccesses(opt Options) int {
 // it returns an explanatory placeholder instead of failing, so plain
 // `cablereport` runs (which execute every experiment) stay green.
 func Workload(opt Options) (*Result, error) {
+	t := stats.NewTable("Workload: declarative mix / trace replay", memLinkSchemes...)
 	if opt.Workload == nil && len(opt.Replay) == 0 {
-		t := stats.NewTable("Workload: declarative mix / trace replay", memLinkSchemes...)
 		return &Result{ID: "workload", Table: t, Notes: []string{
 			"no workload source configured: pass -workload-spec FILE and/or -replay FILE[,FILE...]",
 		}}, nil
+	}
+	if opt.Workload != nil && len(opt.Workload.Clients) == 0 {
+		// A hand-built spec that never went through spec.Parse: reject
+		// it before workloadAccesses divides by the client count.
+		return nil, fmt.Errorf("experiments: workload spec %q has no clients: %w", opt.Workload.Name, spec.ErrInvalid)
 	}
 	cfg := memLinkCfg(opt)
 	cfg.Workload = opt.Workload
@@ -62,7 +68,6 @@ func Workload(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Workload: declarative mix / trace replay", memLinkSchemes...)
 	rows := uniqueRows(res.Programs)
 	for i, row := range rows {
 		for _, s := range memLinkSchemes {

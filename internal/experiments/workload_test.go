@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -44,6 +45,17 @@ func TestWorkloadExperimentPlaceholder(t *testing.T) {
 	}
 	if len(res.Notes) == 0 {
 		t.Fatal("placeholder should explain how to configure a source")
+	}
+}
+
+// TestWorkloadExperimentRejectsClientlessSpec: a hand-built spec with
+// no clients (reachable through cable.ExperimentOptions) combined with
+// a replay used to divide by the client count; it must surface as a
+// spec.ErrInvalid error instead.
+func TestWorkloadExperimentRejectsClientlessSpec(t *testing.T) {
+	opt := Options{Quick: true, Workload: &spec.Workload{}, Replay: []*trace.Trace{{}}}
+	if _, err := Workload(opt); !errors.Is(err, spec.ErrInvalid) {
+		t.Fatalf("client-less spec: want spec.ErrInvalid, got %v", err)
 	}
 }
 

@@ -8,11 +8,7 @@
 // parallelism (each simulation owns one injector).
 package fault
 
-import (
-	"sync"
-
-	"cable/internal/obs"
-)
+import "cable/internal/obs"
 
 // Config describes one link's fault model. The zero value disables
 // injection entirely: drivers construct no injector and every code path
@@ -56,7 +52,7 @@ type Injector struct {
 	// Stats is the authoritative per-injector accounting.
 	Stats Stats
 
-	mx    *faultCounters
+	mx    faultCounters
 	shard uint32
 }
 
@@ -151,27 +147,11 @@ type faultCounters struct {
 	truncations *obs.Counter
 }
 
-func newFaultCounters(r *obs.Registry) faultCounters {
+func faultMetricsIn(r *obs.Registry) (faultCounters, uint32) {
 	return faultCounters{
 		images:      r.Counter("fault.images"),
 		corrupted:   r.Counter("fault.corrupted"),
 		bitsFlipped: r.Counter("fault.bits_flipped"),
 		truncations: r.Counter("fault.truncations"),
-	}
-}
-
-var (
-	faultCountersOnce   sync.Once
-	sharedFaultCounters faultCounters
-)
-
-func faultMetricsIn(reg *obs.Registry) (*faultCounters, uint32) {
-	if reg == nil {
-		faultCountersOnce.Do(func() {
-			sharedFaultCounters = newFaultCounters(obs.Default())
-		})
-		return &sharedFaultCounters, obs.NextShard()
-	}
-	fc := newFaultCounters(reg)
-	return &fc, obs.NextShard()
+	}, obs.NextShard()
 }

@@ -74,7 +74,7 @@ type Link struct {
 	residualBits int    // unused bits in the current packed flit
 	prevWord     uint64 // last transmitted width-wide word, for toggles
 
-	mx    *linkCounters
+	mx    linkCounters
 	shard uint32
 }
 

@@ -1,10 +1,6 @@
 package link
 
-import (
-	"sync"
-
-	"cable/internal/obs"
-)
+import "cable/internal/obs"
 
 // linkCounters aggregates wire traffic across every Link in the
 // process. Each Link draws its own shard at construction, so the
@@ -17,32 +13,15 @@ type linkCounters struct {
 	toggles     *obs.Counter
 }
 
-func newLinkCounters(r *obs.Registry) linkCounters {
+// linkMetricsIn resolves the counter block against reg (nil: the
+// process default) plus a fresh shard for the calling link. Registry
+// lookups are idempotent, so every link of a registry shares the
+// underlying counters.
+func linkMetricsIn(r *obs.Registry) (linkCounters, uint32) {
 	return linkCounters{
 		payloads:    r.Counter("link.payloads"),
 		payloadBits: r.Counter("link.payload_bits"),
 		wireBits:    r.Counter("link.wire_bits"),
 		toggles:     r.Counter("link.toggles"),
-	}
+	}, obs.NextShard()
 }
-
-var (
-	linkCountersOnce   sync.Once
-	sharedLinkCounters linkCounters
-)
-
-// linkMetricsIn resolves the counter block against reg, or the shared
-// process-default block when reg is nil, plus a fresh shard for the
-// calling link.
-func linkMetricsIn(reg *obs.Registry) (*linkCounters, uint32) {
-	if reg == nil {
-		linkCountersOnce.Do(func() {
-			sharedLinkCounters = newLinkCounters(obs.Default())
-		})
-		return &sharedLinkCounters, obs.NextShard()
-	}
-	lc := newLinkCounters(reg)
-	return &lc, obs.NextShard()
-}
-
-func linkMetrics() (*linkCounters, uint32) { return linkMetricsIn(nil) }

@@ -214,7 +214,10 @@ type HistSnapshot struct {
 }
 
 // Registry holds named metrics. Registration takes a lock (rare — once
-// per metric name); updates are lock-free on the metric itself.
+// per metric name); updates are lock-free on the metric itself. The
+// lookups (Counter, Gauge, Histogram and their volatile forms) treat a
+// nil *Registry as the process default, so a config's unset Metrics
+// field needs no translation where it is consumed.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -248,6 +251,9 @@ func (r *Registry) Counter(name string) *Counter { return r.counter(name, false)
 func (r *Registry) VolatileCounter(name string) *Counter { return r.counter(name, true) }
 
 func (r *Registry) counter(name string, volatile bool) *Counter {
+	if r == nil {
+		r = defaultRegistry
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
@@ -265,6 +271,9 @@ func (r *Registry) Gauge(name string) *Gauge { return r.gauge(name, false) }
 func (r *Registry) VolatileGauge(name string) *Gauge { return r.gauge(name, true) }
 
 func (r *Registry) gauge(name string, volatile bool) *Gauge {
+	if r == nil {
+		r = defaultRegistry
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok := r.gauges[name]; ok {
@@ -283,6 +292,9 @@ func (r *Registry) Histogram(name string) *Histogram { return r.histogram(name, 
 func (r *Registry) VolatileHistogram(name string) *Histogram { return r.histogram(name, true) }
 
 func (r *Registry) histogram(name string, volatile bool) *Histogram {
+	if r == nil {
+		r = defaultRegistry
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
@@ -314,67 +326,21 @@ func (r *Registry) Reset() {
 // created (non-volatile) if absent — zero-valued entries included, so a
 // merge also establishes name-set parity with the snapshot's source.
 // Memoized simulation cells use this: a cell runs once against a
-// private registry and its delta is merged here on every logical
-// request, computed or cached, keeping totals request-accurate.
-//
-// A one-shot merge is PrepareMerge + Apply; callers replaying the same
-// snapshot many times (the cell memo) should prepare once and re-apply
-// the delta, which skips the registry lock entirely.
+// private registry and its snapshot is merged here on every logical
+// request, computed or cached, keeping totals request-accurate. One
+// lock covers the whole pass, so a concurrent Snapshot sees a merge
+// entirely or not at all.
 func (r *Registry) Merge(s Snapshot) {
-	r.PrepareMerge(s).Apply(NextShard())
-}
-
-// counterDelta / gaugeDelta / histDelta pair a resolved metric with the
-// amount one Apply adds to it.
-type counterDelta struct {
-	c *Counter
-	v uint64
-}
-
-type gaugeDelta struct {
-	g *Gauge
-	v int64
-}
-
-type histDelta struct {
-	h *Histogram
-	s HistSnapshot
-}
-
-// MergeDelta is a Snapshot resolved against a destination registry:
-// every metric named in the snapshot has been looked up (and created,
-// non-volatile, when absent — zero values included, preserving Merge's
-// name-set parity) under a single registry lock. Applying the delta is
-// pure lock-free atomic adds, so a prepared delta can be re-applied on
-// every memo hit without touching the registry mutex — the serialization
-// point the per-counter Merge path used to be under -parallel.
-type MergeDelta struct {
-	counters []counterDelta
-	gauges   []gaugeDelta
-	hists    []histDelta
-}
-
-// PrepareMerge resolves s against r, creating absent metrics, and
-// returns a reusable delta. The registry lock is taken exactly once.
-func (r *Registry) PrepareMerge(s Snapshot) MergeDelta {
-	d := MergeDelta{}
-	if len(s.Counters) > 0 {
-		d.counters = make([]counterDelta, 0, len(s.Counters))
-	}
-	if len(s.Gauges) > 0 {
-		d.gauges = make([]gaugeDelta, 0, len(s.Gauges))
-	}
-	if len(s.Histograms) > 0 {
-		d.hists = make([]histDelta, 0, len(s.Histograms))
-	}
+	shard := NextShard()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for name, v := range s.Counters {
 		c, ok := r.counters[name]
 		if !ok {
 			c = &Counter{name: name}
 			r.counters[name] = c
 		}
-		d.counters = append(d.counters, counterDelta{c: c, v: v})
+		c.Add(shard, v)
 	}
 	for name, v := range s.Gauges {
 		g, ok := r.gauges[name]
@@ -382,7 +348,7 @@ func (r *Registry) PrepareMerge(s Snapshot) MergeDelta {
 			g = &Gauge{name: name}
 			r.gauges[name] = g
 		}
-		d.gauges = append(d.gauges, gaugeDelta{g: g, v: v})
+		g.Add(v)
 	}
 	for name, hs := range s.Histograms {
 		h, ok := r.hists[name]
@@ -390,30 +356,7 @@ func (r *Registry) PrepareMerge(s Snapshot) MergeDelta {
 			h = &Histogram{name: name}
 			r.hists[name] = h
 		}
-		d.hists = append(d.hists, histDelta{h: h, s: hs})
-	}
-	r.mu.Unlock()
-	return d
-}
-
-// Apply adds the delta once, on the given counter shard. It is safe to
-// call concurrently and repeatedly; zero-valued entries cost nothing
-// (their metrics were already created by PrepareMerge).
-func (d MergeDelta) Apply(shard uint32) {
-	for _, cd := range d.counters {
-		if cd.v != 0 {
-			cd.c.Add(shard, cd.v)
-		}
-	}
-	for _, gd := range d.gauges {
-		if gd.v != 0 {
-			gd.g.Add(gd.v)
-		}
-	}
-	for _, hd := range d.hists {
-		if hd.s.Count != 0 || hd.s.Sum != 0 {
-			hd.h.merge(hd.s)
-		}
+		h.merge(hs)
 	}
 }
 

@@ -276,37 +276,14 @@ func TestConcurrentMerge(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("concurrent merge diverged from serial sum:\n got %s\nwant %s", got, want)
 	}
-}
-
-// TestPreparedMergeDelta checks PrepareMerge + repeated Apply matches
-// the same number of Merge calls, including metric creation for
-// zero-valued names, and that concurrent Applys of one delta are safe.
-func TestPreparedMergeDelta(t *testing.T) {
-	s := mergeSource()
-	const applies = 50
-
-	viaMerge := NewRegistry()
-	for i := 0; i < applies; i++ {
-		viaMerge.Merge(s)
+	merged := conc.Snapshot(false)
+	if got := merged.Counters["m.count"]; got != 3*workers*perWorker {
+		t.Errorf("m.count = %d after %d merges of 3", got, workers*perWorker)
 	}
-
-	viaDelta := NewRegistry()
-	d := viaDelta.PrepareMerge(s)
-	var wg sync.WaitGroup
-	for w := 0; w < 5; w++ {
-		wg.Add(1)
-		go func(shard uint32) {
-			defer wg.Done()
-			for i := 0; i < applies/5; i++ {
-				d.Apply(shard)
-			}
-		}(NextShard())
-	}
-	wg.Wait()
-
-	want, _ := json.Marshal(viaMerge.Snapshot(false))
-	got, _ := json.Marshal(viaDelta.Snapshot(false))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("prepared delta diverged from Merge:\n got %s\nwant %s", got, want)
+	_, c := merged.Counters["m.zero"]
+	_, g := merged.Gauges["m.gzero"]
+	_, h := merged.Histograms["m.hzero"]
+	if !c || !g || !h {
+		t.Errorf("zero-valued names not created by Merge: counter %v gauge %v histogram %v", c, g, h)
 	}
 }

@@ -13,9 +13,6 @@ type simCounters struct {
 // default) plus a fresh shard. Registry lookups are idempotent, so every
 // meter of a registry shares the underlying counters.
 func simMetricsIn(reg *obs.Registry) (simCounters, uint32) {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	return simCounters{
 		meterTransfers:  reg.Counter("sim.meter_transfers"),
 		meterSourceBits: reg.Counter("sim.meter_source_bits"),
@@ -42,13 +39,9 @@ type degradeCounters struct {
 // drawing a private shard.
 func (d *degradeCounters) resolve() *degradeCounters {
 	if d.faultsInjected == nil {
-		reg := d.reg
-		if reg == nil {
-			reg = obs.Default()
-		}
-		d.faultsInjected = reg.Counter("sim.faults_injected")
-		d.decodeErrors = reg.Counter("sim.decode_errors")
-		d.rawFallbacks = reg.Counter("sim.raw_fallbacks")
+		d.faultsInjected = d.reg.Counter("sim.faults_injected")
+		d.decodeErrors = d.reg.Counter("sim.decode_errors")
+		d.rawFallbacks = d.reg.Counter("sim.raw_fallbacks")
 		d.shard = obs.NextShard()
 	}
 	return d

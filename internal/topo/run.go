@@ -103,9 +103,6 @@ func (r *Result) MeanUtilization() float64 {
 // is configured: clean runs keep `-metrics` dumps byte-identical to a
 // build without the fault layer.
 func (r *Result) publish(reg *obs.Registry, withFault bool) {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	shard := obs.NextShard()
 	add := func(name string, v uint64) { reg.Counter(name).Add(shard, v) }
 	add("topo.accesses", r.Accesses)

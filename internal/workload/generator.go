@@ -54,7 +54,7 @@ type Generator struct {
 	// lazySource makes that O(1).
 	lineRng *rand.Rand
 
-	mx    *lineCounters
+	mx    lineCounters
 	shard uint32
 }
 

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"sync"
-
-	"cable/internal/obs"
-)
+import "cable/internal/obs"
 
 // lineCounters aggregates line-content-cache traffic. Hit/miss/evict
 // counts are a pure function of the access stream (direct-mapped cache,
@@ -16,29 +12,14 @@ type lineCounters struct {
 	evictions *obs.Counter // slot conflicts that displaced a line
 }
 
-var (
-	lineCountersOnce   sync.Once
-	sharedLineCounters lineCounters
-)
-
-func newLineCounters(r *obs.Registry) *lineCounters {
-	return &lineCounters{
+// lineMetricsIn resolves the counter block for a generator against r
+// (nil: the process default; memoized cells run against private
+// registries whose snapshots are merged into the default one) plus a
+// fresh shard.
+func lineMetricsIn(r *obs.Registry) (lineCounters, uint32) {
+	return lineCounters{
 		hits:      r.Counter("workload.linecache_hits"),
 		misses:    r.Counter("workload.linecache_misses"),
 		evictions: r.Counter("workload.linecache_evictions"),
-	}
-}
-
-// lineMetricsIn resolves the counter block for a generator: the shared
-// default-registry block (fast path, resolved once), or a fresh block
-// bound to an explicit registry (memoized cells run against private
-// registries whose deltas are replayed into the default one).
-func lineMetricsIn(r *obs.Registry) (*lineCounters, uint32) {
-	if r == nil {
-		lineCountersOnce.Do(func() {
-			sharedLineCounters = *newLineCounters(obs.Default())
-		})
-		return &sharedLineCounters, obs.NextShard()
-	}
-	return newLineCounters(r), obs.NextShard()
+	}, obs.NextShard()
 }
