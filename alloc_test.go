@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"cable"
+	"cable/internal/link"
+	"cable/internal/obs"
+	"cable/internal/sim"
+	"cable/internal/workload"
 )
 
 // TestEncodeFillAllocs pins the steady-state encode path at zero
@@ -30,6 +34,36 @@ func TestEncodeFillAllocs(t *testing.T) {
 	encodeSome()
 	if avg := testing.AllocsPerRun(8, encodeSome); avg != 0 {
 		t.Fatalf("EncodeFill allocated %.2f times per 256 lines; the hot path must stay allocation-free", avg)
+	}
+}
+
+// TestDefaultMetersAllocs pins the measurement side of the simulators
+// at zero allocations per transfer: the six Fig 12 baseline meters
+// (none, BDI, CPACK, CPACK128, LBE256, gzip) compress into their own
+// scratch and count toggles off the image in place. The warm-up is two
+// gzip windows of fills and of write-backs, which is when the LZSS
+// history of each direction reaches its full size and trims.
+func TestDefaultMetersAllocs(t *testing.T) {
+	meters := sim.DefaultMetersIn(link.DefaultConfig(), obs.NewRegistry())
+	g, err := workload.New("dealII", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([][]byte, 1100)
+	for i := range lines {
+		lines[i] = append([]byte(nil), g.LineData(g.Next().LineAddr)...)
+	}
+	transfer := func() {
+		for i, line := range lines {
+			for _, m := range meters {
+				m.OnFill(line, 0)
+				m.OnWriteback(lines[len(lines)-1-i], 1)
+			}
+		}
+	}
+	transfer()
+	if avg := testing.AllocsPerRun(4, transfer); avg != 0 {
+		t.Fatalf("the default meters allocated %.2f times per %d fills and write-backs; they must stay allocation-free", avg, len(lines))
 	}
 }
 

@@ -59,6 +59,13 @@ echo "== bit-IO word/reference parity fuzz smoke"
 # bit/byte ops, truncated streams — images must stay byte-identical.
 go test -run=NOTHING -fuzz=FuzzBitsWordParity -fuzztime=10s ./internal/bits
 
+echo "== LZSS window-index parity fuzz smoke"
+# Differential fuzz of the array-chained LZSS window index against the
+# retained map-chain reference: random line streams at three window
+# sizes, across trims and a Reset — every line's bits must be identical
+# and decode back.
+go test -run=NOTHING -fuzz=FuzzLZSSIndexParity -fuzztime=10s ./internal/compress
+
 echo "== seeded-source parity fuzz smoke"
 # Differential fuzz of the lazily seeded content rng against
 # rand.NewSource: any seed, any draw count, fresh and reseeded

@@ -134,7 +134,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := cfg.SizeBytes / (cfg.Ways * cfg.LineSize)
+	n := cfg.NumSets()
 	// One contiguous backing array for all lines (sets are views into
 	// it) plus one contiguous data arena, both drawn from the geometry
 	// pool — see pool.go. This collapses the per-set and per-line
@@ -163,18 +163,18 @@ func (c *Cache) Reset() {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c Config) NumSets() int { return c.SizeBytes / (c.Ways * c.LineSize) }
 
 // NumLines returns the total line capacity.
-func (c *Cache) NumLines() int { return len(c.sets) * c.cfg.Ways }
+func (c Config) NumLines() int { return c.SizeBytes / c.LineSize }
 
 // IndexBits returns the number of set-index bits.
-func (c *Cache) IndexBits() int { return bits.Len(uint(len(c.sets))) - 1 }
+func (c Config) IndexBits() int { return bits.Len(uint(c.NumSets())) - 1 }
 
 // WayBits returns the number of way bits.
-func (c *Cache) WayBits() int {
-	b := bits.Len(uint(c.cfg.Ways)) - 1
-	if 1<<uint(b) < c.cfg.Ways {
+func (c Config) WayBits() int {
+	b := bits.Len(uint(c.Ways)) - 1
+	if 1<<uint(b) < c.Ways {
 		b++
 	}
 	return b
@@ -182,6 +182,14 @@ func (c *Cache) WayBits() int {
 
 // LineIDBits is the transmitted width of a LineID for this geometry —
 // 17 bits for the paper's 8-way 8 MB LLC (Table III).
+func (c Config) LineIDBits() int { return c.IndexBits() + c.WayBits() }
+
+// NumSets, NumLines, IndexBits, WayBits and LineIDBits of a built cache
+// are its Config's, read off the arrays where that is cheaper.
+func (c *Cache) NumSets() int    { return len(c.sets) }
+func (c *Cache) NumLines() int   { return len(c.sets) * c.cfg.Ways }
+func (c *Cache) IndexBits() int  { return bits.Len(uint(len(c.sets))) - 1 }
+func (c *Cache) WayBits() int    { return c.cfg.WayBits() }
 func (c *Cache) LineIDBits() int { return c.IndexBits() + c.WayBits() }
 
 // IndexOf maps a line address to its set index.

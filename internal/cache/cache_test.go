@@ -53,6 +53,17 @@ func TestGeometry(t *testing.T) {
 	if l4.LineIDBits() != 18 {
 		t.Fatalf("L4 LineIDBits = %d, want 18", l4.LineIDBits())
 	}
+	// A Config answers the same questions without building the cache,
+	// non-power-of-two way counts included.
+	for _, cfg := range []Config{c.Config(), l4.Config(), {Name: "odd", SizeBytes: 12 << 10, Ways: 12, LineSize: 64}} {
+		b := New(cfg)
+		if cfg.NumSets() != b.NumSets() || cfg.NumLines() != b.NumLines() || cfg.IndexBits() != b.IndexBits() ||
+			cfg.WayBits() != b.WayBits() || cfg.LineIDBits() != b.LineIDBits() {
+			t.Fatalf("%s: Config geometry %d/%d/%d/%d/%d differs from the built cache's %d/%d/%d/%d/%d", cfg.Name,
+				cfg.NumSets(), cfg.NumLines(), cfg.IndexBits(), cfg.WayBits(), cfg.LineIDBits(),
+				b.NumSets(), b.NumLines(), b.IndexBits(), b.WayBits(), b.LineIDBits())
+		}
+	}
 }
 
 func TestAddrRoundTrip(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"cable/internal/bits"
 	"cable/internal/sig"
 )
 
@@ -52,7 +51,8 @@ type bdiLayout struct {
 	delta int // delta size in bytes
 }
 
-var bdiLayouts = map[int]bdiLayout{
+// bdiLayouts is indexed by tag; only the base+delta tags have an entry.
+var bdiLayouts = [bdiRaw]bdiLayout{
 	bdiB8D1: {8, 1},
 	bdiB8D2: {8, 2},
 	bdiB8D4: {8, 4},
@@ -62,22 +62,18 @@ var bdiLayouts = map[int]bdiLayout{
 }
 
 // bdiOrder is the preference order for base+delta encodings.
-var bdiOrder = []int{bdiB8D1, bdiB4D1, bdiB2D1, bdiB8D2, bdiB4D2, bdiB8D4}
+var bdiOrder = [...]int{bdiB8D1, bdiB4D1, bdiB2D1, bdiB8D2, bdiB4D2, bdiB8D4}
 
-func segments(line []byte, size int) []uint64 {
-	n := len(line) / size
-	vals := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		switch size {
-		case 8:
-			vals[i] = binary.LittleEndian.Uint64(line[i*8:])
-		case 4:
-			vals[i] = uint64(binary.LittleEndian.Uint32(line[i*4:]))
-		case 2:
-			vals[i] = uint64(binary.LittleEndian.Uint16(line[i*2:]))
-		}
+// segment reads the i-th little-endian value of size bytes.
+func segment(line []byte, i, size int) uint64 {
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(line[i*8:])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(line[i*4:]))
+	default:
+		return uint64(binary.LittleEndian.Uint16(line[i*2:]))
 	}
-	return vals
 }
 
 func fitsSigned(delta int64, bytes int) bool {
@@ -91,36 +87,50 @@ func signExtend(v uint64, bytes int) int64 {
 	return int64(v<<shift) >> shift
 }
 
-// tryLayout attempts one base+delta layout. It returns the encoded size
-// in bits and the chosen arbitrary base, or ok=false.
-func tryLayout(vals []uint64, baseSize, deltaSize int) (base uint64, mask []bool, ok bool) {
-	mask = make([]bool, len(vals)) // true → immediate (zero base)
+// immediate reports whether v is coded against the implicit zero base:
+// it is a narrow value as stored or as a signed value of the base size.
+func (l bdiLayout) immediate(v uint64) bool {
+	return fitsSigned(int64(v), l.delta) || fitsSigned(signExtend(v, l.base), l.delta)
+}
+
+// try attempts one base+delta layout: the first value that is not an
+// immediate becomes the base, and every other one must be within a
+// delta of it.
+func (l bdiLayout) try(line []byte) (base uint64, ok bool) {
 	haveBase := false
-	for i, v := range vals {
-		if fitsSigned(int64(v), deltaSize) || fitsSigned(signExtend(v, baseSize), deltaSize) {
-			mask[i] = true
+	for i, n := 0, len(line)/l.base; i < n; i++ {
+		v := segment(line, i, l.base)
+		if l.immediate(v) {
 			continue
 		}
 		if !haveBase {
 			base, haveBase = v, true
 		}
-		d := int64(v) - int64(base)
-		if !fitsSigned(d, deltaSize) {
-			return 0, nil, false
+		if !fitsSigned(int64(v)-int64(base), l.delta) {
+			return 0, false
 		}
 	}
-	return base, mask, true
+	return base, true
 }
 
-func bdiSizeBits(tag int, nVals int) int {
-	l := bdiLayouts[tag]
-	// tag + base + per-value (1 mask bit + delta bytes)
-	return bdiTagBits + l.base*8 + nVals*(1+l.delta*8)
+// sizeBits is tag + base + per-value (1 mask bit + delta bytes).
+func (l bdiLayout) sizeBits(lineBytes int) int {
+	return bdiTagBits + l.base*8 + lineBytes/l.base*(1+l.delta*8)
 }
 
 // Compress implements Engine. BDI has no dictionary; refs are ignored.
-func (*BDI) Compress(line []byte, refs [][]byte) Encoded {
-	var w bits.Writer
+func (b *BDI) Compress(line []byte, refs [][]byte) Encoded {
+	// The throwaway scratch dies here, so the result owns its bits.
+	var s Scratch
+	return b.CompressScratch(&s, line, refs)
+}
+
+// CompressScratch implements ScratchEngine: a handful of compares and
+// subtractions per layout straight off the line bytes, no value or mask
+// buffers. The returned Encoded aliases s.
+func (*BDI) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
+	w := &s.w
+	w.Reset()
 	if sig.ZeroLine(line) {
 		w.WriteBits(bdiZeros, bdiTagBits)
 		return Encoded{Data: w.Bytes(), NBits: w.Len()}
@@ -133,19 +143,15 @@ func (*BDI) Compress(line []byte, refs [][]byte) Encoded {
 	bestTag := bdiRaw
 	bestBits := bdiTagBits + len(line)*8
 	var bestBase uint64
-	var bestMask []bool
 	for _, tag := range bdiOrder {
 		l := bdiLayouts[tag]
-		if len(line)%l.base != 0 {
+		// Only a strictly smaller layout replaces the best so far.
+		sz := l.sizeBits(len(line))
+		if len(line)%l.base != 0 || sz >= bestBits {
 			continue
 		}
-		vals := segments(line, l.base)
-		base, mask, ok := tryLayout(vals, l.base, l.delta)
-		if !ok {
-			continue
-		}
-		if sz := bdiSizeBits(tag, len(vals)); sz < bestBits {
-			bestTag, bestBits, bestBase, bestMask = tag, sz, base, mask
+		if base, ok := l.try(line); ok {
+			bestTag, bestBits, bestBase = tag, sz, base
 		}
 	}
 	if bestTag == bdiRaw {
@@ -154,17 +160,16 @@ func (*BDI) Compress(line []byte, refs [][]byte) Encoded {
 		return Encoded{Data: w.Bytes(), NBits: w.Len()}
 	}
 	l := bdiLayouts[bestTag]
-	vals := segments(line, l.base)
 	w.WriteBits(uint64(bestTag), bdiTagBits)
 	w.WriteBits(bestBase, l.base*8)
-	for i, v := range vals {
-		if bestMask[i] {
-			w.WriteBit(1)
-			w.WriteBits(v&deltaMask(l.delta), l.delta*8)
+	dbits := l.delta * 8
+	for i, n := 0, len(line)/l.base; i < n; i++ {
+		// Mask bit and delta go out as one write (see LBE).
+		v := segment(line, i, l.base)
+		if l.immediate(v) {
+			w.WriteBits(1<<uint(dbits)|v&deltaMask(l.delta), 1+dbits)
 		} else {
-			w.WriteBit(0)
-			d := uint64(int64(v) - int64(bestBase))
-			w.WriteBits(d&deltaMask(l.delta), l.delta*8)
+			w.WriteBits((v-bestBase)&deltaMask(l.delta), 1+dbits)
 		}
 	}
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
@@ -220,10 +225,10 @@ func (*BDI) DecompressScratch(s *DecScratch, enc Encoded, refs [][]byte, lineSiz
 		}
 		return res, nil
 	}
-	l, ok := bdiLayouts[tag]
-	if !ok {
+	if tag >= len(bdiLayouts) {
 		return nil, fmt.Errorf("bdi: invalid tag %d", tag)
 	}
+	l := bdiLayouts[tag]
 	base, err := r.ReadBits(l.base * 8)
 	if err != nil {
 		return nil, err

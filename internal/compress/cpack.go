@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"fmt"
-
-	"cable/internal/bits"
-)
+import "fmt"
 
 // CPack implements C-Pack (Chen et al., TVLSI 2010), the scalable
 // pattern + dictionary cache compressor the paper uses as its primary
@@ -52,12 +48,17 @@ type cpackDict struct {
 
 func newCPackDict(capEntries int, refs [][]byte) *cpackDict {
 	d := &cpackDict{cap: capEntries}
+	d.seed(refs)
+	return d
+}
+
+// seed pushes the reference lines' words, in order.
+func (d *cpackDict) seed(refs [][]byte) {
 	for _, r := range refs {
-		for _, w := range Words(r) {
-			d.push(w)
+		for i := 0; i+4 <= len(r); i += 4 {
+			d.push(Word32(r, i))
 		}
 	}
-	return d
 }
 
 func (d *cpackDict) push(w uint32) {
@@ -105,39 +106,45 @@ func (d *cpackDict) idxBits() int { return indexBits(d.cap) }
 // CABLE+CPACK configuration); the baseline link compressor passes nil
 // and resets its dictionary per line, as C-Pack does per block.
 func (c *CPack) Compress(line []byte, refs [][]byte) Encoded {
-	d := newCPackDict(c.entries, refs)
+	// The throwaway scratch dies here, so the result owns its bits.
+	var s Scratch
+	return c.CompressScratch(&s, line, refs)
+}
+
+// CompressScratch implements ScratchEngine: dictionary, source words
+// and bit buffer all live in s. The returned Encoded aliases s.
+func (c *CPack) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
+	d := cpackDict{words: s.dict[:0], cap: c.entries}
+	d.seed(refs)
 	ib := d.idxBits()
-	var w bits.Writer
-	for _, word := range Words(line) {
+	src := AppendWords(s.src[:0], line)
+	w := &s.w
+	w.Reset()
+	// Each code goes out as one write (see LBE).
+	for _, word := range src {
 		switch {
 		case word == 0:
 			w.WriteBits(0b00, 2) // zzzz
 		case word>>8 == 0:
-			w.WriteBits(0b1101, 4) // zzzx
-			w.WriteBits(uint64(word&0xFF), 8)
+			w.WriteBits(0b1101<<8|uint64(word), 12) // zzzx
 		default:
 			idx, m := d.match(word)
 			switch m {
 			case 4:
-				w.WriteBits(0b10, 2) // mmmm
-				w.WriteBits(uint64(idx), ib)
+				// mmmm: already in the dictionary, nothing to push.
+				w.WriteBits(0b10<<uint(ib)|uint64(idx), 2+ib)
+				continue
 			case 3:
-				w.WriteBits(0b1110, 4) // mmmx
-				w.WriteBits(uint64(idx), ib)
-				w.WriteBits(uint64(word&0xFF), 8)
-				d.push(word)
+				w.WriteBits((0b1110<<uint(ib)|uint64(idx))<<8|uint64(word&0xFF), 12+ib) // mmmx
 			case 2:
-				w.WriteBits(0b1100, 4) // mmxx
-				w.WriteBits(uint64(idx), ib)
-				w.WriteBits(uint64(word&0xFFFF), 16)
-				d.push(word)
+				w.WriteBits((0b1100<<uint(ib)|uint64(idx))<<16|uint64(word&0xFFFF), 20+ib) // mmxx
 			default:
-				w.WriteBits(0b01, 2) // xxxx
-				w.WriteBits(uint64(word), 32)
-				d.push(word)
+				w.WriteBits(0b01<<32|uint64(word), 34) // xxxx
 			}
+			d.push(word)
 		}
 	}
+	s.dict, s.src = d.words, src
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
 }
 

@@ -1,0 +1,261 @@
+package compress
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"cable/internal/bits"
+	"cable/internal/sig"
+)
+
+// The allocating Compress bodies the scratch-backed engines replaced,
+// kept verbatim as references: the baseline columns of Fig 11-13 and 16
+// are these engines' exact bit counts, so the scratch paths must emit
+// the same streams.
+
+func segments(line []byte, size int) []uint64 {
+	n := len(line) / size
+	vals := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		switch size {
+		case 8:
+			vals[i] = binary.LittleEndian.Uint64(line[i*8:])
+		case 4:
+			vals[i] = uint64(binary.LittleEndian.Uint32(line[i*4:]))
+		case 2:
+			vals[i] = uint64(binary.LittleEndian.Uint16(line[i*2:]))
+		}
+	}
+	return vals
+}
+
+// tryLayout attempts one base+delta layout. It returns the encoded size
+// in bits and the chosen arbitrary base, or ok=false.
+func tryLayout(vals []uint64, baseSize, deltaSize int) (base uint64, mask []bool, ok bool) {
+	mask = make([]bool, len(vals)) // true → immediate (zero base)
+	haveBase := false
+	for i, v := range vals {
+		if fitsSigned(int64(v), deltaSize) || fitsSigned(signExtend(v, baseSize), deltaSize) {
+			mask[i] = true
+			continue
+		}
+		if !haveBase {
+			base, haveBase = v, true
+		}
+		d := int64(v) - int64(base)
+		if !fitsSigned(d, deltaSize) {
+			return 0, nil, false
+		}
+	}
+	return base, mask, true
+}
+
+func bdiSizeBits(tag int, nVals int) int {
+	l := bdiLayouts[tag]
+	// tag + base + per-value (1 mask bit + delta bytes)
+	return bdiTagBits + l.base*8 + nVals*(1+l.delta*8)
+}
+
+func refBDICompress(line []byte) Encoded {
+	var w bits.Writer
+	if sig.ZeroLine(line) {
+		w.WriteBits(bdiZeros, bdiTagBits)
+		return Encoded{Data: w.Bytes(), NBits: w.Len()}
+	}
+	if v, ok := repeated8(line); ok {
+		w.WriteBits(bdiRep8, bdiTagBits)
+		w.WriteBits(v, 64)
+		return Encoded{Data: w.Bytes(), NBits: w.Len()}
+	}
+	bestTag := bdiRaw
+	bestBits := bdiTagBits + len(line)*8
+	var bestBase uint64
+	var bestMask []bool
+	for _, tag := range bdiOrder {
+		l := bdiLayouts[tag]
+		if len(line)%l.base != 0 {
+			continue
+		}
+		vals := segments(line, l.base)
+		base, mask, ok := tryLayout(vals, l.base, l.delta)
+		if !ok {
+			continue
+		}
+		if sz := bdiSizeBits(tag, len(vals)); sz < bestBits {
+			bestTag, bestBits, bestBase, bestMask = tag, sz, base, mask
+		}
+	}
+	if bestTag == bdiRaw {
+		w.WriteBits(bdiRaw, bdiTagBits)
+		w.WriteBytes(line)
+		return Encoded{Data: w.Bytes(), NBits: w.Len()}
+	}
+	l := bdiLayouts[bestTag]
+	vals := segments(line, l.base)
+	w.WriteBits(uint64(bestTag), bdiTagBits)
+	w.WriteBits(bestBase, l.base*8)
+	for i, v := range vals {
+		if bestMask[i] {
+			w.WriteBit(1)
+			w.WriteBits(v&deltaMask(l.delta), l.delta*8)
+		} else {
+			w.WriteBit(0)
+			d := uint64(int64(v) - int64(bestBase))
+			w.WriteBits(d&deltaMask(l.delta), l.delta*8)
+		}
+	}
+	return Encoded{Data: w.Bytes(), NBits: w.Len()}
+}
+
+func refCPackCompress(c *CPack, line []byte, refs [][]byte) Encoded {
+	d := &cpackDict{cap: c.entries}
+	for _, r := range refs {
+		for _, w := range Words(r) {
+			d.push(w)
+		}
+	}
+	ib := d.idxBits()
+	var w bits.Writer
+	for _, word := range Words(line) {
+		switch {
+		case word == 0:
+			w.WriteBits(0b00, 2) // zzzz
+		case word>>8 == 0:
+			w.WriteBits(0b1101, 4) // zzzx
+			w.WriteBits(uint64(word&0xFF), 8)
+		default:
+			idx, m := d.match(word)
+			switch m {
+			case 4:
+				w.WriteBits(0b10, 2) // mmmm
+				w.WriteBits(uint64(idx), ib)
+			case 3:
+				w.WriteBits(0b1110, 4) // mmmx
+				w.WriteBits(uint64(idx), ib)
+				w.WriteBits(uint64(word&0xFF), 8)
+				d.push(word)
+			case 2:
+				w.WriteBits(0b1100, 4) // mmxx
+				w.WriteBits(uint64(idx), ib)
+				w.WriteBits(uint64(word&0xFFFF), 16)
+				d.push(word)
+			default:
+				w.WriteBits(0b01, 2) // xxxx
+				w.WriteBits(uint64(word), 32)
+				d.push(word)
+			}
+		}
+	}
+	return Encoded{Data: w.Bytes(), NBits: w.Len()}
+}
+
+func refFPCCompress(line []byte) Encoded {
+	var w bits.Writer
+	words := Words(line)
+	for p := 0; p < len(words); {
+		word := words[p]
+		if word == 0 {
+			run := zeroRun32(words[p:], 8)
+			w.WriteBits(0b000, 3)
+			w.WriteBits(uint64(run-1), 3)
+			p += run
+			continue
+		}
+		switch {
+		case fitsSignedBits(word, 4):
+			w.WriteBits(0b001, 3)
+			w.WriteBits(uint64(word&0xF), 4)
+		case fitsSignedBits(word, 8):
+			w.WriteBits(0b010, 3)
+			w.WriteBits(uint64(word&0xFF), 8)
+		case fitsSignedBits(word, 16):
+			w.WriteBits(0b011, 3)
+			w.WriteBits(uint64(word&0xFFFF), 16)
+		case word&0xFFFF == 0:
+			w.WriteBits(0b100, 3)
+			w.WriteBits(uint64(word>>16), 16)
+		case halfwordsFitBytes(word):
+			// Each halfword, as a signed 16-bit value, fits a byte.
+			w.WriteBits(0b101, 3)
+			w.WriteBits(uint64(word>>16&0xFF), 8)
+			w.WriteBits(uint64(word&0xFF), 8)
+		case word&0xFF == (word>>8)&0xFF && word&0xFF == (word>>16)&0xFF && word&0xFF == word>>24:
+			w.WriteBits(0b110, 3)
+			w.WriteBits(uint64(word&0xFF), 8)
+		default:
+			w.WriteBits(0b111, 3)
+			w.WriteBits(uint64(word), 32)
+		}
+		p++
+	}
+	return Encoded{Data: w.Bytes(), NBits: w.Len()}
+}
+
+func refSeededCompress(s *SeededLZSS, line []byte, refs [][]byte) Encoded {
+	z := newRefLZSS(s.name, s.window)
+	for _, r := range refs {
+		z.appendHistory(r)
+	}
+	return z.Compress(line)
+}
+
+// engineTestLine draws a 64-byte line: the LZSS stream classes plus
+// base+delta arrays at each BDI granularity, immediates mixed in.
+func engineTestLine(rng *rand.Rand, earlier [][]byte) []byte {
+	if rng.Intn(3) > 0 {
+		line := make([]byte, 64)
+		copy(line, lzssTestLine(rng, earlier))
+		return line
+	}
+	line := make([]byte, 64)
+	size := []int{8, 4, 2}[rng.Intn(3)]
+	base := rng.Uint64()
+	spread := int64(1) << uint(8*[]int{1, 2, 4}[rng.Intn(3)]-1)
+	for i := 0; i < 64; i += size {
+		v := base + uint64(rng.Int63n(2*spread+2)-spread-1) // a step past each limit too
+		if rng.Intn(4) == 0 {
+			v = uint64(rng.Int63n(2*spread) - spread) // immediate
+		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		copy(line[i:i+size], b[:])
+	}
+	return line
+}
+
+// TestScratchEnginesMatchReference drives the scratch paths (one
+// long-lived Scratch per engine, as a meter holds it) and the thin
+// Compress wrappers against the retained bodies.
+func TestScratchEnginesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bdi, fpc := NewBDI(), NewFPC()
+	cpacks := []*CPack{NewCPack("cpack", 64), NewCPack("cpack128", 128), NewCPack("cpack0", 0)}
+	seeded := NewSeededLZSS("gzip-seeded", 32<<10)
+	var scr [6]Scratch
+	var earlier [][]byte
+	for i := 0; i < 20000; i++ {
+		line := engineTestLine(rng, earlier)
+		refs := earlier[:min(len(earlier), rng.Intn(4))]
+		if len(earlier) < 8 {
+			earlier = append(earlier, line)
+		} else {
+			earlier[rng.Intn(8)] = line
+		}
+		check := func(name string, got, wrapped, want Encoded) {
+			t.Helper()
+			for _, e := range []Encoded{got, wrapped} {
+				if e.NBits != want.NBits || !bytes.Equal(e.Data, want.Data) {
+					t.Fatalf("line %d %x, %d refs: %s emits %d bits %x, reference %d bits %x", i, line, len(refs), name, e.NBits, e.Data, want.NBits, want.Data)
+				}
+			}
+		}
+		check("bdi", bdi.CompressScratch(&scr[0], line, refs), bdi.Compress(line, refs), refBDICompress(line))
+		check("fpc", fpc.CompressScratch(&scr[1], line, refs), fpc.Compress(line, refs), refFPCCompress(line))
+		for j, c := range cpacks {
+			check(c.Name(), c.CompressScratch(&scr[2+j], line, refs), c.Compress(line, refs), refCPackCompress(c, line, refs))
+		}
+		check("gzip-seeded", seeded.CompressScratch(&scr[5], line, refs), seeded.Compress(line, refs), refSeededCompress(seeded, line, refs))
+	}
+}

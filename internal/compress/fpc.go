@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"fmt"
-
-	"cable/internal/bits"
-)
+import "fmt"
 
 // FPC implements Frequent Pattern Compression (Alameldeen & Wood,
 // UW-Madison TR-1500), the classic significance-based compressor cited
@@ -35,9 +31,19 @@ func fitsSignedBits(w uint32, n int) bool {
 }
 
 // Compress implements Engine.
-func (*FPC) Compress(line []byte, refs [][]byte) Encoded {
-	var w bits.Writer
-	words := Words(line)
+func (f *FPC) Compress(line []byte, refs [][]byte) Encoded {
+	// The throwaway scratch dies here, so the result owns its bits.
+	var s Scratch
+	return f.CompressScratch(&s, line, refs)
+}
+
+// CompressScratch implements ScratchEngine: the source words and the
+// bit buffer live in s. The returned Encoded aliases s.
+func (*FPC) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
+	words := AppendWords(s.src[:0], line)
+	s.src = words
+	w := &s.w
+	w.Reset()
 	for p := 0; p < len(words); {
 		word := words[p]
 		if word == 0 {

@@ -43,16 +43,6 @@ type lbeDict struct {
 	cap   int
 }
 
-func newLBEDict(capWords int, refs [][]byte) *lbeDict {
-	d := &lbeDict{cap: capWords}
-	for _, r := range refs {
-		for _, w := range Words(r) {
-			d.push(w)
-		}
-	}
-	return d
-}
-
 // push appends a word; when full the dictionary stops growing (seeded
 // reference words are never displaced — they are the valuable content).
 func (d *lbeDict) push(w uint32) {
@@ -110,10 +100,9 @@ func (d *lbeDict) idxBits() int { return indexBits(d.cap) }
 
 // Compress implements Engine.
 func (l *LBE) Compress(line []byte, refs [][]byte) Encoded {
+	// The throwaway scratch dies here, so the result owns its bits.
 	var s Scratch
-	enc := l.CompressScratch(&s, line, refs)
-	// Detach from the throwaway scratch so the result owns its bits.
-	return Encoded{Data: append([]byte(nil), enc.Data...), NBits: enc.NBits}
+	return l.CompressScratch(&s, line, refs)
 }
 
 // CompressScratch implements ScratchEngine: the hot-path form used by

@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"fmt"
-
-	"cable/internal/bits"
-)
+import "fmt"
 
 // LZSS is the gzip-class streaming baseline (the paper models gzip as
 // IBM's ASIC LZ77 with a 32 KB dictionary, the max configurable size).
@@ -19,11 +15,17 @@ import (
 type LZSS struct {
 	name    string
 	window  int
+	offBits int
 	history []byte
-	// head is a chain hash over 3-byte prefixes to keep the match
-	// search linear in practice.
-	head map[uint32][]int
-	base int // bytes trimmed off the front of history
+	// head and prev chain the window's 3-byte prefixes the way deflate
+	// does: head[hash] is the position indexed last in its bucket,
+	// prev[i] the one indexed before history[i]. Entries are absolute
+	// stream position + 1; one at or below base predates the last Reset
+	// or trim and ends its chain, so neither ever clears the table.
+	head  []int32
+	prev  []int32
+	shift uint // 32 - log2(len(head))
+	base  int  // absolute stream position of history[0]
 }
 
 const (
@@ -32,14 +34,28 @@ const (
 	// field), which matters for long zero/value runs.
 	lzssMaxMatch = lzssMinMatch + 255
 	lzssLenBits  = 8
+	// lzssMaxChain bounds the match search: the newest 64 positions
+	// sharing the prefix are tried, in or out of the window.
+	lzssMaxChain = 64
+	// lzssRebase is where base wraps to zero (with one table clear) so
+	// positions keep fitting an int32.
+	lzssRebase = 1 << 30
 )
 
 // NewLZSS returns a streaming compressor with the given window size.
 func NewLZSS(name string, window int) *LZSS {
-	if window < lzssMaxMatch {
-		panic(fmt.Sprintf("compress: lzss window %d too small", window))
+	if window < lzssMaxMatch || window > lzssRebase/4 {
+		panic(fmt.Sprintf("compress: lzss window %d out of range", window))
 	}
-	return &LZSS{name: name, window: window, head: make(map[uint32][]int)}
+	// One bucket per window byte, within deflate's 2^8..2^15.
+	hashBits := min(max(indexBits(window), 8), 15)
+	return &LZSS{
+		name:    name,
+		window:  window,
+		offBits: indexBits(window),
+		head:    make([]int32, 1<<hashBits),
+		shift:   uint(32 - hashBits),
+	}
 }
 
 // Name implements StreamEngine.
@@ -49,9 +65,8 @@ func (z *LZSS) Name() string { return z.name }
 // keeping its buffers. A Reset compressor emits byte-identical output
 // to a newly built one.
 func (z *LZSS) Reset() {
+	z.retire()
 	z.history = z.history[:0]
-	clear(z.head)
-	z.base = 0
 }
 
 // Window returns the configured window size in bytes.
@@ -61,67 +76,91 @@ func lzssKey(p []byte) uint32 {
 	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16
 }
 
-func (z *LZSS) offBits() int { return indexBits(z.window) }
+// retire moves base past every indexed position, which turns all chain
+// entries stale at once.
+func (z *LZSS) retire() {
+	z.base += len(z.history)
+	if z.base > lzssRebase {
+		clear(z.head)
+		z.base = 0
+	}
+}
+
+func (z *LZSS) bucket(key uint32) uint32 { return key * 2654435761 >> z.shift }
+
+// index appends history[i:i+3] to its bucket's chain.
+func (z *LZSS) index(i int) {
+	b := z.bucket(lzssKey(z.history[i:]))
+	z.prev[i] = z.head[b]
+	z.head[b] = int32(z.base + i + 1)
+}
 
 // appendHistory adds b to the window, indexing new 3-byte prefixes and
-// trimming the window lazily.
+// trimming the window lazily. The order positions enter their chains
+// decides which of two equally long matches findMatch reports, so it is
+// part of the emitted bits: b's own positions first, then the two that
+// straddle the previous append.
 func (z *LZSS) appendHistory(b []byte) {
 	start := len(z.history)
-	z.history = append(z.history, b...)
-	for i := start; i+lzssMinMatch <= len(z.history); i++ {
-		if i < start-lzssMinMatch+1 {
-			continue
-		}
-		k := lzssKey(z.history[i:])
-		z.head[k] = append(z.head[k], z.base+i)
+	n := start + len(b)
+	if n > cap(z.history) {
+		// Grow fourfold, but never past what the window can hold: two
+		// windows and the line that tips the trim.
+		c := min(max(4*n, 4096), max(2*z.window+len(b), n))
+		z.history = append(make([]byte, 0, c), z.history...)
+		z.prev = append(make([]int32, 0, c), z.prev...)[:c]
 	}
-	// Also index positions straddling the previous append.
-	for i := start - lzssMinMatch + 1; i >= 0 && i < start; i++ {
-		k := lzssKey(z.history[i:])
-		z.head[k] = append(z.head[k], z.base+i)
+	z.history = append(z.history, b...)
+	for i := start; i+lzssMinMatch <= n; i++ {
+		z.index(i)
+	}
+	for i := start - lzssMinMatch + 1; i >= 0 && i < start && i+lzssMinMatch <= n; i++ {
+		z.index(i)
 	}
 	z.trim()
 }
 
+// trim cuts the history back to one window once it holds two, and
+// re-chains the survivors in position order; amortized O(window).
 func (z *LZSS) trim() {
-	if len(z.history) <= 2*z.window {
+	n := len(z.history)
+	if n <= 2*z.window {
 		return
 	}
-	cut := len(z.history) - z.window
-	z.history = append([]byte(nil), z.history[cut:]...)
-	z.base += cut
-	// Rebuild the chains; amortized O(window).
-	z.head = make(map[uint32][]int, len(z.head))
-	for i := 0; i+lzssMinMatch <= len(z.history); i++ {
-		k := lzssKey(z.history[i:])
-		z.head[k] = append(z.head[k], z.base+i)
+	z.retire()
+	copy(z.history, z.history[n-z.window:])
+	z.history = z.history[:z.window]
+	for i := 0; i+lzssMinMatch <= z.window; i++ {
+		z.index(i)
 	}
 }
 
-// findMatch searches the window for the longest match of src, where cur
-// is the absolute stream position of src[0].
-func (z *LZSS) findMatch(src []byte, cur int) (dist, length int) {
+// findMatch searches the window for the longest match of src, the
+// bytes from offset p of the line being encoded. Chains are walked
+// newest-first and the first of equally long candidates wins.
+func (z *LZSS) findMatch(src []byte, p int) (dist, length int) {
 	if len(src) < lzssMinMatch {
 		return 0, 0
 	}
-	chain := z.head[lzssKey(src)]
-	best := 0
-	bestDist := 0
-	// Walk newest-first; cap the chain walk to bound worst case.
-	for c, i := 0, len(chain)-1; i >= 0 && c < 64; i, c = i-1, c+1 {
-		pos := chain[i]
-		d := cur - pos
-		if d <= 0 || d > z.window {
+	hist, key, base := z.history, lzssKey(src), int32(z.base)
+	limit := min(len(src), lzssMaxMatch)
+	best, bestDist := 0, 0
+	for c, v := 0, z.head[z.bucket(key)]; v > base && c < lzssMaxChain; {
+		h := int(v-base) - 1
+		v = z.prev[h]
+		if lzssKey(hist[h:]) != key {
+			continue // a bucket neighbour, not a chain entry
+		}
+		c++
+		d := len(hist) - h + p
+		// Only a strictly longer candidate replaces best, and that one
+		// agrees with src at offset best.
+		if d > z.window || h+best >= len(hist) || hist[h+best] != src[best] {
 			continue
 		}
-		h := pos - z.base
-		if h < 0 {
-			continue
-		}
-		l := matchLen(z.history[h:], src, lzssMaxMatch)
-		if l > best {
+		if l := matchLen(hist[h:], src, limit); l > best {
 			best, bestDist = l, d
-			if best == lzssMaxMatch {
+			if best == limit {
 				break
 			}
 		}
@@ -138,24 +177,31 @@ func (z *LZSS) findMatch(src []byte, cur int) (dist, length int) {
 // decoder (whose window ends at the previous line) can always resolve
 // them.
 func (z *LZSS) Compress(line []byte) Encoded {
-	ob := z.offBits()
-	var w bits.Writer
+	// The throwaway scratch dies here, so the result owns its bits.
+	var s Scratch
+	return z.CompressScratch(&s, line)
+}
+
+// CompressScratch is Compress writing into s's reusable bit buffer, the
+// form the stream meters use; the result aliases s.
+func (z *LZSS) CompressScratch(s *Scratch, line []byte) Encoded {
+	w := &s.w
+	w.Reset()
+	ob := z.offBits
 	for p := 0; p < len(line); {
-		dist, l := z.findMatch(line[p:], z.base+len(z.history)+p)
+		dist, l := z.findMatch(line[p:], p)
 		// Also consider intra-line matches, including overlapping
 		// run matches (distance < length), which make zero/value
 		// runs cheap: the decoder resolves them byte-by-byte.
-		if id, il := intraLineMatch(line, p); il > l {
+		if id, il := intraLineMatch(line, p, l); il > l {
 			dist, l = id, il
 		}
+		// Flag and fields go out as one write each way (see LBE).
 		if l >= lzssMinMatch {
-			w.WriteBit(1)
-			w.WriteBits(uint64(dist-1), ob)
-			w.WriteBits(uint64(l-lzssMinMatch), lzssLenBits)
+			w.WriteBits(1<<uint(ob+lzssLenBits)|uint64(dist-1)<<lzssLenBits|uint64(l-lzssMinMatch), 1+ob+lzssLenBits)
 			p += l
 		} else {
-			w.WriteBit(0)
-			w.WriteBits(uint64(line[p]), 8)
+			w.WriteBits(uint64(line[p]), 1+8)
 			p++
 		}
 	}
@@ -164,31 +210,36 @@ func (z *LZSS) Compress(line []byte) Encoded {
 }
 
 // intraLineMatch finds the longest match for line[p:] whose source is an
-// earlier position in the same line. A match of length l at distance d
-// is valid iff line[p+i] == line[p+i-d] for all i < l — exactly the
-// sequence a byte-at-a-time decoder reproduces, so d < l (overlap) is
-// legal. Each position compares against the original line contents on
-// both sides, so the word-packed matchLen over the two (overlapping)
-// views computes the same predicate as the scalar loop.
-func intraLineMatch(line []byte, p int) (dist, length int) {
-	best, bestDist := 0, 0
-	max := lzssMaxMatch
-	if len(line)-p < max {
-		max = len(line) - p
+// earlier position in the same line and which is longer than floor, the
+// window match it has to beat; the smallest distance wins ties. A match
+// of length l at distance d is valid iff line[p+i] == line[p+i-d] for
+// all i < l — exactly the sequence a byte-at-a-time decoder reproduces,
+// so d < l (overlap) is legal. Each position compares against the
+// original line contents on both sides, so the word-packed matchLen over
+// the two (overlapping) views computes the same predicate as the scalar
+// loop.
+func intraLineMatch(line []byte, p, floor int) (dist, length int) {
+	limit := min(len(line)-p, lzssMaxMatch)
+	best := max(floor, lzssMinMatch-1)
+	if best >= limit {
+		return 0, 0
 	}
 	for d := 1; d <= p; d++ {
-		l := matchLen(line[p-d:], line[p:], max)
-		if l > best {
-			best, bestDist = l, d
-			if best == max {
+		// A longer match starts like line[p:] and agrees at offset best.
+		if line[p-d] != line[p] || line[p-d+best] != line[p+best] {
+			continue
+		}
+		if l := matchLen(line[p-d:], line[p:], limit); l > best {
+			best, dist = l, d
+			if best == limit {
 				break
 			}
 		}
 	}
-	if best < lzssMinMatch {
+	if dist == 0 {
 		return 0, 0
 	}
-	return bestDist, best
+	return dist, best
 }
 
 // LZSSDecoder mirrors LZSS on the receive side of the link.
@@ -257,9 +308,9 @@ func (z *LZSSDecoder) Decompress(enc Encoded, lineSize int) ([]byte, error) {
 		return nil, fmt.Errorf("lzss: decoded %d bytes, want %d", len(out), lineSize)
 	}
 	z.history = append(z.history, out...)
-	if len(z.history) > 2*z.window {
-		cut := len(z.history) - z.window
-		z.history = append([]byte(nil), z.history[cut:]...)
+	if n := len(z.history); n > 2*z.window {
+		copy(z.history, z.history[n-z.window:])
+		z.history = z.history[:z.window]
 	}
 	return out, nil
 }

@@ -21,11 +21,25 @@ func (s *SeededLZSS) Name() string { return s.name }
 
 // Compress implements Engine.
 func (s *SeededLZSS) Compress(line []byte, refs [][]byte) Encoded {
-	z := NewLZSS(s.name, s.window)
+	// The throwaway scratch dies here, so the result owns its bits.
+	var scr Scratch
+	return s.CompressScratch(&scr, line, refs)
+}
+
+// CompressScratch implements ScratchEngine. The window coder lives in
+// scr, not in the engine (which link ends share): each line Resets it —
+// no table clear — and re-primes it with refs. The returned Encoded
+// aliases scr.
+func (s *SeededLZSS) CompressScratch(scr *Scratch, line []byte, refs [][]byte) Encoded {
+	if scr.lz == nil || scr.lz.window != s.window {
+		scr.lz = NewLZSS(s.name, s.window)
+	}
+	z := scr.lz
+	z.Reset()
 	for _, r := range refs {
 		z.appendHistory(r)
 	}
-	return z.Compress(line)
+	return z.CompressScratch(scr, line)
 }
 
 // Decompress implements Engine.

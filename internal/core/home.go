@@ -136,7 +136,7 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 		buckets = 1
 	}
 	if wm == nil {
-		wm = NewWMT(home, remote)
+		wm = NewWMT(home.Config(), remote.Config())
 	}
 	h := &HomeEnd{
 		cfg:        cfg,

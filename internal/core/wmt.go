@@ -56,23 +56,22 @@ func (e wmtEntry) valid() bool   { return e&wmtValidBit != 0 }
 func (e wmtEntry) alias() uint64 { return uint64(e & wmtAliasMask) }
 func (e wmtEntry) homeWay() int  { return int(e>>wmtWayShift) & 0x7FFF }
 
-// NewWMT builds a WMT for a home cache of homeCfg tracking a remote
-// cache of remoteCfg. The home cache must have at least as many sets as
-// the remote (it is the larger, inclusive cache).
-func NewWMT(home, remote *cache.Cache) *WMT {
+// NewWMT builds a WMT for a home cache of geometry home tracking a
+// remote cache of geometry remote. The home cache must have at least as
+// many sets as the remote (it is the larger, inclusive cache).
+func NewWMT(home, remote cache.Config) *WMT {
 	if home.IndexBits() < remote.IndexBits() {
-		panic(fmt.Sprintf("core: home cache %q has fewer sets than remote %q",
-			home.Config().Name, remote.Config().Name))
+		panic(fmt.Sprintf("core: home cache %q has fewer sets than remote %q", home.Name, remote.Name))
 	}
 	w := &WMT{
 		sets:      remote.NumSets(),
-		ways:      remote.Config().Ways,
+		ways:      remote.Ways,
 		remoteIdx: remote.IndexBits(),
 		aliasBits: home.IndexBits() - remote.IndexBits(),
 	}
-	if w.aliasBits >= wmtWayShift || home.Config().Ways > 0x7FFF {
+	if w.aliasBits >= wmtWayShift || home.Ways > 0x7FFF {
 		panic(fmt.Sprintf("core: WMT geometry overflows packed entry (alias bits %d, home ways %d)",
-			w.aliasBits, home.Config().Ways))
+			w.aliasBits, home.Ways))
 	}
 	w.entries = wmtEntryPool.get(w.sets * w.ways)
 	return w

@@ -10,7 +10,7 @@ func wmtPair(t testing.TB) (*cache.Cache, *cache.Cache, *WMT) {
 	t.Helper()
 	home := cache.New(cache.Config{Name: "home", SizeBytes: 64 << 10, Ways: 16, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "remote", SizeBytes: 16 << 10, Ways: 8, LineSize: 64})
-	return home, remote, NewWMT(home, remote)
+	return home, remote, NewWMT(home.Config(), remote.Config())
 }
 
 func TestWMTSetLookupClear(t *testing.T) {
@@ -138,7 +138,7 @@ func TestWMTEntryBitsPaperGeometry(t *testing.T) {
 	// ~0.4% of the home data cache.
 	home := cache.New(cache.Config{Name: "l4", SizeBytes: 16 << 20, Ways: 8, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "llc", SizeBytes: 8 << 20, Ways: 8, LineSize: 64})
-	w := NewWMT(home, remote)
+	w := NewWMT(home.Config(), remote.Config())
 	frac := float64(w.SizeBits(home.WayBits())) / float64(16<<20*8)
 	if frac < 0.002 || frac > 0.006 {
 		t.Fatalf("WMT overhead %.4f, want ≈0.004 (paper: 0.4%%)", frac)
@@ -158,5 +158,5 @@ func TestNewWMTPanicsWhenHomeSmaller(t *testing.T) {
 	}()
 	home := cache.New(cache.Config{Name: "h", SizeBytes: 8 << 10, Ways: 8, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "r", SizeBytes: 64 << 10, Ways: 8, LineSize: 64})
-	NewWMT(home, remote)
+	NewWMT(home.Config(), remote.Config())
 }

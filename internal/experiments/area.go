@@ -9,6 +9,9 @@ import (
 // Tab3 reproduces the Table III area arithmetic: hash-table and WMT
 // storage as a percentage of the data cache, plus RemoteLID widths, for
 // the off-chip (buffer + on-chip cache) and multi-chip configurations.
+// It is arithmetic on cache.Config geometries and builds no cache: the
+// three paper-sized ones are ~50 MB of lines, which would set the peak
+// resident set of a whole report run for the length of this call.
 func Tab3(opt Options) (*Result, error) {
 	t := stats.NewTable("Table III: CABLE area overheads",
 		"hash-table-%", "wmt-%", "remotelid-bits")
@@ -16,32 +19,32 @@ func Tab3(opt Options) (*Result, error) {
 	line := 64
 	// Off-chip configuration: 8-way 8MB LLC on chip, 16-way 16MB
 	// buffer (§IV-D).
-	llc := cache.New(cache.Config{Name: "llc", SizeBytes: 8 << 20, Ways: 8, LineSize: line})
-	buf := cache.New(cache.Config{Name: "buf", SizeBytes: 16 << 20, Ways: 16, LineSize: line})
+	llc := cache.Config{Name: "llc", SizeBytes: 8 << 20, Ways: 8, LineSize: line}
+	buf := cache.Config{Name: "buf", SizeBytes: 16 << 20, Ways: 16, LineSize: line}
 
 	// Buffer side: half-sized hash table (§VI-A's memory-link
 	// configuration) + the WMT.
 	bufHT := core.NewHashTable(buf.NumLines()/2/2, 2)
 	bufWMT := core.NewWMT(buf, llc)
-	t.Set("off-chip buffer", "hash-table-%", pct(bufHT.SizeBits(buf.LineIDBits()), buf.Config().SizeBytes*8))
-	t.Set("off-chip buffer", "wmt-%", pct(bufWMT.SizeBits(buf.WayBits()), buf.Config().SizeBytes*8))
+	t.Set("off-chip buffer", "hash-table-%", pct(bufHT.SizeBits(buf.LineIDBits()), buf.SizeBytes*8))
+	t.Set("off-chip buffer", "wmt-%", pct(bufWMT.SizeBits(buf.WayBits()), buf.SizeBytes*8))
 	t.Set("off-chip buffer", "remotelid-bits", float64(llc.LineIDBits()))
 
 	// On-chip cache side: full-sized hash table over LLC lines, no
 	// WMT (only home caches keep one); its pointers address the
 	// buffer (18-bit HomeLIDs).
 	llcHT := core.NewHashTable(llc.NumLines()/2, 2)
-	t.Set("on-chip cache", "hash-table-%", pct(llcHT.SizeBits(llc.LineIDBits()), llc.Config().SizeBytes*8))
+	t.Set("on-chip cache", "hash-table-%", pct(llcHT.SizeBits(llc.LineIDBits()), llc.SizeBytes*8))
 	t.Set("on-chip cache", "remotelid-bits", float64(buf.LineIDBits()))
 
 	// Multi-chip configuration: 8-way 8MB LLCs both sides,
 	// quarter-sized hash tables, one full-sized WMT per link pair
 	// (three links per chip in a 4-node system).
-	nodeLLC := cache.New(cache.Config{Name: "node", SizeBytes: 8 << 20, Ways: 8, LineSize: line})
+	nodeLLC := cache.Config{Name: "node", SizeBytes: 8 << 20, Ways: 8, LineSize: line}
 	mcHT := core.NewHashTable(nodeLLC.NumLines()/4/2, 2)
 	mcWMT := core.NewWMT(nodeLLC, nodeLLC)
-	t.Set("multi-chip LLC", "hash-table-%", pct(mcHT.SizeBits(nodeLLC.LineIDBits()), nodeLLC.Config().SizeBytes*8))
-	t.Set("multi-chip LLC", "wmt-%", 3*pct(mcWMT.SizeBits(nodeLLC.WayBits()), nodeLLC.Config().SizeBytes*8))
+	t.Set("multi-chip LLC", "hash-table-%", pct(mcHT.SizeBits(nodeLLC.LineIDBits()), nodeLLC.SizeBytes*8))
+	t.Set("multi-chip LLC", "wmt-%", 3*pct(mcWMT.SizeBits(nodeLLC.WayBits()), nodeLLC.SizeBytes*8))
 	t.Set("multi-chip LLC", "remotelid-bits", float64(nodeLLC.LineIDBits()))
 
 	return &Result{ID: "tab3", Table: t, Notes: []string{

@@ -7,8 +7,9 @@ package link
 
 import (
 	"fmt"
-	"math/bits"
+	mathbits "math/bits"
 
+	"cable/internal/bits"
 	"cable/internal/obs"
 )
 
@@ -139,32 +140,34 @@ func (l *Link) Send(nbits int) int {
 func (l *Link) SendWire(data []byte, nbits int) int {
 	wire := l.Send(nbits)
 	w := l.cfg.WidthBits
-	toggleBits := nbits
-	if m := len(data) * 8; m < toggleBits {
-		toggleBits = m
+	var r bits.Reader
+	r.Reset(data, nbits) // clamps to the image
+	// Bit i of a word (from its MSB at position w-1) is wire lane i.
+	// Full words are read as many at a time as fit 64 bits, first-sent
+	// on top. Shifted down one word, with the previous word put above
+	// it, the batch lines every word up with its predecessor, so one
+	// XOR counts the toggles of them all.
+	prev, toggles := l.prevWord, 0
+	for full, batch := r.Remaining()/w, 64/w; full > 0; {
+		m := min(batch, full)
+		full -= m
+		x, _ := r.ReadBits(m * w)
+		toggles += mathbits.OnesCount64(x ^ (x>>uint(w) | prev<<uint((m-1)*w)))
+		prev = x & (^uint64(0) >> uint(64-w))
 	}
-	before := l.Toggles
-	for off := 0; off < toggleBits; off += w {
-		n := w
-		if off+n > toggleBits {
-			n = toggleBits - off
-		}
-		var word uint64
-		for b := 0; b < n; b++ {
-			byteIdx := (off + b) / 8
-			bit := (data[byteIdx] >> (7 - uint((off+b)%8))) & 1
-			word = word<<1 | uint64(bit)
-		}
-		// Bit i of word (from the word's MSB at position w-1) is wire
-		// lane i. A partial final word drives only the first n lanes:
+	if n := r.Remaining(); n > 0 {
+		// A partial final word drives only the first n lanes:
 		// left-align it and mask the comparison to the driven lanes, so
 		// undriven wires contribute no toggles and keep their state.
+		word, _ := r.ReadBits(n)
 		word <<= uint(w - n)
 		mask := (^uint64(0) >> uint(64-n)) << uint(w-n)
-		l.Toggles += uint64(bits.OnesCount64((word ^ l.prevWord) & mask))
-		l.prevWord = l.prevWord&^mask | word
+		toggles += mathbits.OnesCount64((word ^ prev) & mask)
+		prev = prev&^mask | word
 	}
-	l.mx.toggles.Add(l.shard, l.Toggles-before)
+	l.prevWord = prev
+	l.Toggles += uint64(toggles)
+	l.mx.toggles.Add(l.shard, uint64(toggles))
 	return wire
 }
 

@@ -73,6 +73,10 @@ type meterBase struct {
 	lnk      *link.Link
 	reg      *obs.Registry // nil = process-default
 	lastWire int
+	// scr is the meter's own compression scratch. Each transfer's
+	// Encoded aliases it and is consumed by account before the next
+	// Compress, so nothing may retain one across transfers.
+	scr compress.Scratch
 
 	mx    simCounters
 	shard uint32
@@ -129,16 +133,26 @@ func (m *RawMeter) OnWriteback(data []byte, owner int) { m.OnFill(data, owner) }
 // whose payload carries the §III-E header.
 type EngineMeter struct {
 	meterBase
-	engine compress.Engine
+	engine  compress.Engine
+	scratch compress.ScratchEngine // engine's allocation-free path, if it has one
 }
 
 // NewEngineMeterIn wraps a per-line engine.
 func NewEngineMeterIn(e compress.Engine, cfg link.Config, reg *obs.Registry) *EngineMeter {
-	return &EngineMeter{meterBase: newMeterBaseIn(e.Name(), cfg, reg), engine: e}
+	m := &EngineMeter{meterBase: newMeterBaseIn(e.Name(), cfg, reg), engine: e}
+	m.scratch, _ = e.(compress.ScratchEngine)
+	return m
 }
 
+// measure calls the engine directly, not through compress.CompressWith:
+// the compress.* counters belong to CABLE's own link ends.
 func (m *EngineMeter) measure(data []byte, owner int) {
-	enc := m.engine.Compress(data, nil)
+	var enc compress.Encoded
+	if m.scratch != nil {
+		enc = m.scratch.CompressScratch(&m.scr, data, nil)
+	} else {
+		enc = m.engine.Compress(data, nil)
+	}
 	m.account(owner, len(data)*8, enc.NBits, enc)
 }
 
@@ -170,13 +184,13 @@ func NewStreamMeterIn(name string, window int, cfg link.Config, reg *obs.Registr
 
 // OnFill implements Meter.
 func (m *StreamMeter) OnFill(data []byte, owner int) {
-	enc := m.down.Compress(data)
+	enc := m.down.CompressScratch(&m.scr, data)
 	m.account(owner, len(data)*8, enc.NBits, enc)
 }
 
 // OnWriteback implements Meter.
 func (m *StreamMeter) OnWriteback(data []byte, owner int) {
-	enc := m.up.Compress(data)
+	enc := m.up.CompressScratch(&m.scr, data)
 	m.account(owner, len(data)*8, enc.NBits, enc)
 }
 
