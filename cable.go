@@ -363,11 +363,13 @@ func WriteMetricsFile(path string, includeVolatile bool) error {
 // identities survive, so held counter handles keep working).
 func ResetMetrics() { obs.Default().Reset() }
 
-// MetricValue reads one counter's current total from the global
-// registry (0 when the counter does not exist yet). The CLIs use the
-// delta of "core.source_bits" across a run for their GB/s summary line.
+// MetricValue reads one counter's current total, volatile ones
+// included, from the global registry (0 when the counter does not exist
+// yet). The CLIs use the delta of "core.source_bits" less
+// "experiments.cellmemo_saved_bytes" across a run for their GB/s
+// summary line.
 func MetricValue(name string) uint64 {
-	return obs.Default().Snapshot(false).Counters[name]
+	return obs.Default().Snapshot(true).Counters[name]
 }
 
 // MetricsHandler serves the live registry over HTTP: /metrics (JSON),

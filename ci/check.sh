@@ -1,10 +1,11 @@
 #!/bin/sh
 # The pre-merge gate, and the only copy of it (`make check` calls this
-# script): formatting, vet, targeted race loops, fuzz smokes, the CLI
-# determinism comparisons, the repository benchmark's smoke and harness
-# tests, a one-iteration bench smoke (compiles and runs every benchmark
-# body, including the 0 allocs/op encode path), the full test suite
-# under the race detector, then a shared-flag smoke of both report CLIs.
+# script): formatting, vet, targeted race loops, the un-raced per-cell
+# allocation byte budgets, fuzz smokes, the CLI determinism comparisons,
+# the repository benchmark's smoke and harness tests, a one-iteration
+# bench smoke (compiles and runs every benchmark body, including the
+# 0 allocs/op encode path), the full test suite under the race detector,
+# then a shared-flag smoke of both report CLIs.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,13 +31,20 @@ echo "== streaming codec race loop"
 # whole package twice under the race detector before the full suite.
 go test -race -count=2 ./internal/codec
 
-echo "== line-cache + cell-memo race loop"
-# The two memoization layers: the workload line cache and the
-# experiment cell front end (8 concurrent requests for one cell through
-# each simulator's descriptor). Fast targeted pass before the full -race
-# suite reaches them.
+echo "== generator + cell-memo race loop"
+# The workload generators (one line buffer and one scratch rng each,
+# never shared) and the experiment cell front end (8 concurrent requests
+# for one cell through each simulator's descriptor). Fast targeted pass
+# before the full -race suite reaches them.
 go test -race -count=1 ./internal/workload
 go test -race -count=1 -run 'TestRunCellSingleFlight|TestCellMemoReuse|TestMetricsDeterministic' ./internal/experiments
+
+echo "== cell allocation budgets (bytes per transfer, no -race)"
+# The byte pins of TestCellAllocBudgets hold at their real values only
+# without the race detector (under it sync.Pool drops a quarter of its
+# Puts and TotalAlloc grows; the -race suite below checks the counts
+# only), so run them here once un-raced.
+go test -count=1 -run 'TestCellAllocBudgets' ./internal/experiments
 
 echo "== fault-injection race loop"
 # One injector per simulation is the concurrency contract; the shared

@@ -39,8 +39,8 @@ type Flags struct {
 	faultSeed                       uint64
 	topology, specFile, replayFiles string
 
-	flight  *cable.Flight
-	srcBits uint64
+	flight   *cable.Flight
+	srcBytes uint64
 }
 
 // Register declares the shared flags on fs. prog prefixes the -http
@@ -113,8 +113,17 @@ func (f *Flags) Options() (cable.ExperimentOptions, error) {
 			opt.Replay = append(opt.Replay, t)
 		}
 	}
-	f.srcBits = cable.MetricValue("core.source_bits")
+	f.srcBytes = encodedBytes()
 	return opt, nil
+}
+
+// encodedBytes is the source data pushed through CABLE home-end
+// encoders so far in this process. The cell runner merges a cell's
+// metrics into the default registry on every request, memo hits
+// included, and counts the source bytes a hit did not re-encode in
+// experiments.cellmemo_saved_bytes — exactly the over-count.
+func encodedBytes() uint64 {
+	return cable.MetricValue("core.source_bits")/8 - cable.MetricValue("experiments.cellmemo_saved_bytes")
 }
 
 // Finish reports on the run that started when Options returned and took
@@ -127,9 +136,9 @@ func (f *Flags) Finish(elapsed time.Duration, clock string) error {
 	// actually pushed through CABLE home-end encoders this run
 	// (memo-served cells encode nothing), the denominator whole-run
 	// wall-clock including simulation outside the encoder.
-	if bits := cable.MetricValue("core.source_bits") - f.srcBits; bits > 0 && elapsed > 0 {
+	if gb := float64(encodedBytes()-f.srcBytes) / 1e9; gb > 0 && elapsed > 0 {
 		fmt.Fprintf(os.Stderr, "encoded %.3f GB of source lines%s — %.3f GB/s through the encoders (whole-run clock; memoized cells encode nothing)\n",
-			float64(bits)/8e9, clock, float64(bits)/8e9/elapsed.Seconds())
+			gb, clock, gb/elapsed.Seconds())
 	}
 	if f.metrics != "" {
 		if err := cable.WriteMetricsFile(f.metrics, false); err != nil {

@@ -248,10 +248,8 @@ func (h *HomeEnd) encode(data []byte, out *Payload) (int, FillLatency) {
 }
 
 // init binds the scratch to its end's engine, registry and pointer
-// width (geomBits unless the tag-pointer ablation overrides it), and
-// draws pooled word buffers so the first encodes start warm.
+// width (geomBits unless the tag-pointer ablation overrides it).
 func (s *encScratch) init(e compress.Engine, cfg Config, geomBits int) {
-	s.prime()
 	s.standalone.UseRegistry(cfg.Metrics)
 	s.diff.UseRegistry(cfg.Metrics)
 	s.standaloneC = compress.NewBatchCompressor(e, &s.standalone)

@@ -67,40 +67,23 @@ func (w *WMT) Release() {
 	w.entries = nil
 }
 
-// Release recycles the home end's table backings and compression
-// scratches. Only a privately-owned WMT is released — a shared SuperWMT
-// view outlives any single link. The end is unusable afterwards.
+// Release recycles the home end's table backings. Only a
+// privately-owned WMT is released — a shared SuperWMT view outlives any
+// single link. The end is unusable afterwards.
 func (h *HomeEnd) Release() {
 	h.ht.Release()
 	if w, ok := h.wmt.(*WMT); ok {
 		w.Release()
 	}
-	h.scr.release()
 	h.ht = nil
 	h.wmt, h.pwmt = nil, nil
 	h.home = nil
 }
 
-// Release recycles the remote end's table backing and compression
-// scratches. The end is unusable afterwards.
+// Release recycles the remote end's table backing. The end is unusable
+// afterwards.
 func (r *RemoteEnd) Release() {
 	r.ht.Release()
-	r.scr.release()
 	r.ht = nil
 	r.remote = nil
-}
-
-// prime draws pooled word buffers for the scratch compressors so a
-// fresh link end's first encodes start from recycled capacity.
-func (s *encScratch) prime() {
-	s.standalone.Prime()
-	s.diff.Prime()
-	s.dec.Prime()
-}
-
-// release returns the scratch compressors' word buffers to their pool.
-func (s *encScratch) release() {
-	s.standalone.Release()
-	s.diff.Release()
-	s.dec.Release()
 }

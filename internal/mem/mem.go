@@ -13,9 +13,10 @@ type Store struct {
 	fill     func(lineAddr uint64) []byte
 
 	// arena is bump-allocated backing for materialized lines: fill's
-	// return may alias caller-owned scratch (workload generators hand
-	// out views of their line cache), so the store copies — in chunks,
-	// to keep the copy off the allocation profile.
+	// return may alias caller-owned scratch (a workload generator hands
+	// out the same buffer on every call), so the store copies — in
+	// chunks, to keep the copy off the allocation profile. This is the
+	// only place a materialized line is kept.
 	arena []byte
 
 	// Reads/Writes count backing-store traffic (≈ DRAM accesses).

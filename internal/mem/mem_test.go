@@ -24,6 +24,26 @@ func TestStoreLazyFill(t *testing.T) {
 	}
 }
 
+// TestStoreCopiesFill: workload generators return the same buffer from
+// every fill, so the store's copy is what keeps lines apart.
+func TestStoreCopiesFill(t *testing.T) {
+	buf := make([]byte, 4)
+	s := NewStore(4, func(a uint64) []byte {
+		for i := range buf {
+			buf[i] = byte(a)
+		}
+		return buf
+	})
+	a, b := s.Read(1), s.Read(2)
+	s.Read(3)
+	if !bytes.Equal(a, []byte{1, 1, 1, 1}) || !bytes.Equal(b, []byte{2, 2, 2, 2}) {
+		t.Fatalf("lines alias the fill buffer: line 1 = %v, line 2 = %v", a, b)
+	}
+	if got := s.Read(1); &got[0] != &a[0] {
+		t.Fatal("re-read returned a different copy")
+	}
+}
+
 func TestStoreWrite(t *testing.T) {
 	s := NewStore(4, func(uint64) []byte { return make([]byte, 4) })
 	w := []byte{1, 2, 3, 4}

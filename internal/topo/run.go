@@ -253,10 +253,11 @@ func Run(cfg Config) (*Result, error) {
 	for i, lm := range t.links {
 		perLink[i] = LinkStat{Name: lm.name, Src: int(lm.src), Dst: int(lm.dst)}
 	}
-	// The content function's line-cache traffic depends on which links a
-	// worker happens to claim — an artifact of the partition, not of the
-	// simulated system — so each reports into a throwaway registry to keep
-	// metric dumps identical at any parallelism.
+	// Each worker fills its own store, so how many lines the content
+	// function materializes depends on which links a worker happens to
+	// claim — an artifact of the partition, not of the simulated system —
+	// so each reports into a throwaway registry to keep metric dumps
+	// identical at any parallelism.
 	newContent := newContentFactory(cfg)
 	stores := make([]*mem.Store, workers)
 	for w := range stores {

@@ -125,10 +125,9 @@ type Source struct {
 }
 
 // Source builds a replay source over the trace, placing its address
-// space at base and registering content-cache counters in reg (nil
-// means the process-default registry). It fails if the header names a
-// benchmark this build does not know, since contents could not be
-// reconstructed.
+// space at base and counting materialized lines in reg (nil means the
+// process-default registry). It fails if the header names a benchmark
+// this build does not know, since contents could not be reconstructed.
 func (t *Trace) Source(base uint64, reg *obs.Registry) (*Source, error) {
 	gen, err := workload.NewIn(t.Header.Benchmark, int(t.Header.Instance), base, reg)
 	if err != nil {

@@ -40,22 +40,23 @@ type Generator struct {
 	accesses  uint64
 	streamPos uint64
 
-	// Line-content cache: a direct-mapped cache of materialized lines,
-	// sized to the spec's working set (bounded). Content is a pure
-	// function of the address, so a tag match can return the slot
-	// without re-derivation; repeat accesses — the overwhelming
-	// majority — become a copy-free lookup. Slots are allocated lazily
-	// so access-stream-only generators pay nothing.
-	tags  []uint64 // lineAddr+1 per slot; 0 marks an empty slot
-	lines []byte   // contiguous slot storage, slots × LineSize
-	mask  uint64
+	// line is the one buffer LineData derives into. There is no cache
+	// of materialized lines here: mem.Store keeps every line it has
+	// filled, so a simulator asks for an address at most once (DESIGN.md
+	// "Memoization").
+	line [LineSize]byte
 
 	// lineRng is materializeInto's scratch rng, reseeded per line; its
 	// lazySource makes that O(1).
 	lineRng *rand.Rand
 
-	mx    lineCounters
-	shard uint32
+	// materialized counts LineData calls. A pure function of the access
+	// stream, so it is non-volatile and survives byte-identical metric
+	// comparisons at any parallelism. Its registered name,
+	// workload.linecache_misses, dates from the line cache this package
+	// once had: the frozen benchmark harness reads it by that name.
+	materialized *obs.Counter
+	shard        uint32
 }
 
 // splitmix64 is a fast deterministic scrambler for per-address seeds.
@@ -97,8 +98,8 @@ func NewFromSpec(spec Spec, instance int, addrBase uint64) *Generator {
 	return NewFromSpecIn(spec, instance, addrBase, nil)
 }
 
-// NewFromSpecIn builds a generator whose line-cache counters report
-// into reg (nil means the process-default registry). Memoized
+// NewFromSpecIn builds a generator whose lines-materialized counter
+// reports into reg (nil means the process-default registry). Memoized
 // experiment cells run against private registries so their metric
 // deltas can be replayed deterministically.
 func NewFromSpecIn(spec Spec, instance int, addrBase uint64, reg *obs.Registry) *Generator {
@@ -109,8 +110,10 @@ func NewFromSpecIn(spec Spec, instance int, addrBase uint64, reg *obs.Registry) 
 		seed:     nameSeed(spec.Name),
 		rng:      rand.New(rand.NewSource(int64(nameSeed(spec.Name)) + int64(instance)*7919)),
 		lineRng:  rand.New(newLazySource(0)),
+
+		materialized: reg.Counter("workload.linecache_misses"),
+		shard:        obs.NextShard(),
 	}
-	g.mx, g.shard = lineMetricsIn(reg)
 	// Prototypes depend only on the benchmark: every copy lays out
 	// the same object types.
 	protoRng := rand.New(rand.NewSource(int64(nameSeed(spec.Name)) ^ 0x70726f746f))
@@ -205,57 +208,18 @@ func zeroLineInto(line []byte, rng *rand.Rand) {
 	}
 }
 
-// lineCacheMaxSlots bounds the direct-mapped line cache at 2 MB of
-// slot storage per generator (the largest specs have 1<<20-line
-// working sets; caching their full set would cost 64 MB each).
-const lineCacheMaxSlots = 1 << 15
-
-// lineCacheSlots sizes the cache to the working set: the next power of
-// two ≥ workingSetLines, clamped to [64, lineCacheMaxSlots]. Slots are
-// indexed by relative address, so a working set that fits maps without
-// conflict misses.
-func lineCacheSlots(workingSetLines int) int {
-	n := 64
-	for n < workingSetLines && n < lineCacheMaxSlots {
-		n <<= 1
-	}
-	return n
-}
-
-func (g *Generator) ensureLineCache() {
-	if g.tags != nil {
-		return
-	}
-	n := lineCacheSlots(g.spec.WorkingSetLines)
-	g.tags = make([]uint64, n)
-	g.lines = make([]byte, n*LineSize)
-	g.mask = uint64(n - 1)
-}
-
 // LineData materializes the memory contents of lineAddr. Content is a
 // pure function of (benchmark, relative address, instance), so backing
 // stores can fill lazily and co-run copies agree on structure.
 //
-// The returned slice aliases the generator's line cache: it is
-// read-only and valid until a conflicting LineData call reuses the
-// slot. Callers that retain line contents (backing stores, caches)
-// must copy; the simulators all do.
+// The returned slice is the generator's one line buffer: it is
+// read-only and valid until this generator's next LineData call.
+// Callers that retain line contents (backing stores, caches) must
+// copy; the simulators all do.
 func (g *Generator) LineData(lineAddr uint64) []byte {
-	g.ensureLineCache()
-	slot := (lineAddr - g.addrBase) & g.mask
-	buf := g.lines[slot*LineSize : slot*LineSize+LineSize : slot*LineSize+LineSize]
-	tag := lineAddr + 1
-	if g.tags[slot] == tag {
-		g.mx.hits.Inc(g.shard)
-		return buf
-	}
-	g.mx.misses.Inc(g.shard)
-	if g.tags[slot] != 0 {
-		g.mx.evictions.Inc(g.shard)
-	}
-	g.materializeInto(buf, lineAddr)
-	g.tags[slot] = tag
-	return buf
+	g.materialized.Inc(g.shard)
+	g.materializeInto(g.line[:], lineAddr)
+	return g.line[:]
 }
 
 // materializeInto is the pure derivation behind LineData: it derives

@@ -37,7 +37,7 @@ type MixOptions struct {
 	// phase-change boundaries. Live mixes require it; replay mixes
 	// ignore it (recorded addresses already encode their phase).
 	Budget uint64
-	// Registry receives content-cache counters (nil: process default).
+	// Registry receives the lines-materialized counter (nil: process default).
 	Registry *obs.Registry
 	// Replay, when set, supplies one capture per client (in client
 	// order, as written by RecordClients); the mix then replays the
@@ -276,8 +276,8 @@ type ContentTable struct {
 	reg  *obs.Registry
 }
 
-// NewContentTable builds the dispatch table for a workload, reporting
-// content-cache counters into reg (nil: process default).
+// NewContentTable builds the dispatch table for a workload, counting
+// materialized lines in reg (nil: process default).
 func NewContentTable(w *Workload, reg *obs.Registry) (*ContentTable, error) {
 	if w == nil || w.resolved == nil {
 		return nil, fmt.Errorf("spec: workload not compiled (use Parse or Load)")
