@@ -1,11 +1,15 @@
 #!/bin/sh
 # The pre-merge gate, and the only copy of it (`make check` calls this
-# script): formatting, vet, targeted race loops, the un-raced per-cell
-# allocation byte budgets, fuzz smokes, the CLI determinism comparisons,
-# the repository benchmark's smoke and harness tests, a one-iteration
-# bench smoke (compiles and runs every benchmark body, including the
+# script): formatting, vet, targeted race loops (the metrics registry,
+# the generators and the cell memo, fault injection), the un-raced
+# per-cell allocation byte budgets, fuzz smokes, the CLI determinism
+# comparisons and round-trip smokes (trace export, cablepipe, workload
+# record -> replay), the million-transfer mesh fault soak, the
+# repository benchmark's smoke and harness tests, a one-iteration bench
+# smoke (compiles and runs every benchmark body, including the
 # 0 allocs/op encode path), the full test suite under the race detector,
-# then a shared-flag smoke of both report CLIs.
+# a shared-flag smoke of both report CLIs, then the non-test Go LOC
+# figure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,11 +29,6 @@ echo "== obs race loop"
 # The metrics registry is the one structure every goroutine touches;
 # hammer it separately (twice, fast) before the long full-suite run.
 go test -race -count=2 ./internal/obs
-
-echo "== streaming codec race loop"
-# The codec's pipelined mode hands frames to a writer goroutine; run the
-# whole package twice under the race detector before the full suite.
-go test -race -count=2 ./internal/codec
 
 echo "== generator + cell-memo race loop"
 # The workload generators (one line buffer and one scratch rng each,

@@ -39,7 +39,6 @@ func main() {
 	ways := flag.Int("ways", 8, "dictionary associativity")
 	line := flag.Int("line", 64, "line size in bytes")
 	engine := flag.String("engine", "lbe", "per-line compression engine")
-	pipeline := flag.Bool("pipeline", true, "overlap frame emission with encoding")
 	stats := flag.Bool("stats", false, "print throughput and ratio to stderr")
 	flag.Parse()
 
@@ -67,7 +66,6 @@ func main() {
 		DictWays:  *ways,
 		Engine:    *engine,
 		Batch:     *batch,
-		Pipeline:  *pipeline,
 	}
 
 	start := time.Now()

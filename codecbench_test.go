@@ -191,45 +191,3 @@ func (c *countingDiscard) Write(p []byte) (int, error) {
 	*c += countingDiscard(len(p))
 	return len(p), nil
 }
-
-// BenchmarkCodecStreamPipelined measures the pipelined emission mode
-// against a writer that costs something (a gzip-free memcpy sink), the
-// case overlap is built for.
-func BenchmarkCodecStreamPipelined(b *testing.B) {
-	payload := codecStreamPayloads(b)["trace"]
-	for _, pipe := range []bool{false, true} {
-		name := "direct"
-		if pipe {
-			name = "pipelined"
-		}
-		b.Run(name, func(b *testing.B) {
-			sink := make([]byte, 0, len(payload))
-			w := &copySink{buf: sink}
-			e, err := cable.NewStreamEncoder(w, cable.StreamOptions{Pipeline: pipe})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.buf = w.buf[:0]
-				e.Reset(w)
-				if _, err := e.Write(payload); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// copySink models a writer with real per-byte cost (one copy), like a
-// socket buffer.
-type copySink struct{ buf []byte }
-
-func (s *copySink) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
-}

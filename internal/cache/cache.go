@@ -57,9 +57,6 @@ type Line struct {
 	valid bool
 }
 
-// Valid reports whether the entry holds a line.
-func (l *Line) Valid() bool { return l.valid }
-
 // Policy selects the replacement policy. CABLE is decoupled from the
 // policy (§II-C): it tracks evictions precisely via the per-request
 // way-replacement info, whatever chose the way.

@@ -109,9 +109,11 @@ type Options struct {
 	// Batch is the number of lines encoded per EncodeFills call and
 	// framed together (default 32, clamped to [1, MaxBatch]).
 	Batch int
-	// Pipeline runs frame emission on a writer goroutine so fill
-	// batching overlaps the underlying Write calls. Output bytes are
-	// identical; Close/Flush block until drained.
+	// Pipeline is accepted and ignored: the writer-goroutine emission
+	// mode it selected is deleted (DESIGN "One emission path"). The
+	// field stays only because the frozen benchmark/ harness sets it;
+	// ROADMAP item 5's [benchmark] PR drops it together with the
+	// then-redundant cablepipe.bulk_pipelined rung.
 	Pipeline bool
 }
 

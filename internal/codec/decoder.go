@@ -66,7 +66,8 @@ func (d *Decoder) Reset(r io.Reader) {
 
 // Read implements io.Reader. At end of stream it returns io.EOF; any
 // corruption surfaces as a typed error (ErrBadFrame or the core payload
-// error taxonomy), sticky across calls.
+// error taxonomy) and any other error of the underlying reader wrapped
+// as it came, all sticky across calls.
 func (d *Decoder) Read(p []byte) (int, error) {
 	for d.outPos == len(d.out) {
 		if d.err != nil {
@@ -103,16 +104,37 @@ func (d *Decoder) installLine(s uint64, data []byte) {
 	d.dict.OverwriteAt(s, data, cache.Shared, slot.Way)
 }
 
-// readFull wraps io.ReadFull, converting a mid-object EOF into a typed
-// truncation error.
+// readFull fills buf from the middle of an object, where the stream
+// ending is truncation.
 func (d *Decoder) readFull(buf []byte, what string) error {
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("codec: %s: %w: %w", what, core.ErrTruncatedPayload, err)
+	_, err := io.ReadFull(d.r, buf)
+	switch err {
+	case nil:
+		return nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		return fmt.Errorf("codec: %s: %w: %w", what, core.ErrTruncatedPayload, io.ErrUnexpectedEOF)
 	}
-	return nil
+	return d.transportErr(what, err)
+}
+
+// readStart fills buf with the start of a stream header or frame. Only
+// before its first byte is io.EOF a clean end of stream; one byte in,
+// the stream ending is truncation like anywhere else.
+func (d *Decoder) readStart(buf []byte, what string) error {
+	if _, err := io.ReadFull(d.r, buf[:1]); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return d.transportErr(what, err)
+	}
+	return d.readFull(buf[1:], what)
+}
+
+// transportErr wraps a reader error that is not an end of stream — a
+// timeout, a reset — with its position. It is the transport's failure,
+// so it is not reclassified as payload damage.
+func (d *Decoder) transportErr(what string, err error) error {
+	return fmt.Errorf("codec: reading %s at line %d: %w", what, d.seq, err)
 }
 
 // readHeader parses and validates the stream header, (re)building the
@@ -120,11 +142,8 @@ func (d *Decoder) readFull(buf []byte, what string) error {
 // geometry check.
 func (d *Decoder) readHeader() error {
 	var fixed [headerFixed]byte
-	if _, err := io.ReadFull(d.r, fixed[:1]); err != nil {
-		return io.EOF // empty stream: clean EOF before any magic byte
-	}
-	if err := d.readFull(fixed[1:], "stream header"); err != nil {
-		return err
+	if err := d.readStart(fixed[:], "stream header"); err != nil {
+		return err // io.EOF: an empty stream, clean before any magic byte
 	}
 	if [4]byte(fixed[:4]) != magic {
 		return fmt.Errorf("%w: bad magic %q", ErrBadFrame, fixed[:4])
@@ -182,14 +201,8 @@ func (d *Decoder) nextFrame() error {
 			return err
 		}
 	}
-	if _, err := io.ReadFull(d.r, d.head[:1]); err != nil {
-		if err == io.EOF {
-			return io.EOF // clean end of stream at a frame boundary
-		}
-		return fmt.Errorf("codec: frame header: %w: %w", core.ErrTruncatedPayload, err)
-	}
-	if err := d.readFull(d.head[1:], "frame header"); err != nil {
-		return err
+	if err := d.readStart(d.head[:], "frame header"); err != nil {
+		return err // io.EOF: clean end of stream at a frame boundary
 	}
 	kind := d.head[0]
 	count := int(rd16(d.head[1:3]))

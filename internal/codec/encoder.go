@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"cable/internal/bits"
 	"cable/internal/cache"
@@ -50,8 +49,6 @@ type Encoder struct {
 	curBase  uint64
 	curN     int
 
-	pipe *framePipe // non-nil in pipelined mode
-
 	// Stats accumulates this stream's traffic; Reset zeroes it.
 	Stats StreamStats
 }
@@ -80,9 +77,6 @@ func NewEncoder(w io.Writer, o Options) (*Encoder, error) {
 		wayBits:    dict.WayBits(),
 	}
 	e.emitFn = e.emitPayload
-	if o.Pipeline {
-		e.pipe = newFramePipe(w)
-	}
 	return e, nil
 }
 
@@ -127,9 +121,9 @@ func (e *Encoder) Write(p []byte) (int, error) {
 }
 
 // Flush encodes every buffered complete line as a (possibly short)
-// frame and blocks until the underlying writer has consumed everything
-// emitted so far. Bytes short of a line stay buffered: only Close can
-// emit them (as the tail frame).
+// frame; every frame has been handed to the underlying writer when it
+// returns. Bytes short of a line stay buffered: only Close can emit
+// them (as the tail frame).
 func (e *Encoder) Flush() error {
 	if e.err != nil {
 		return e.err
@@ -142,30 +136,21 @@ func (e *Encoder) Flush() error {
 		rem := copy(e.buf, e.buf[full:])
 		e.buf = e.buf[:rem]
 	}
-	if e.pipe != nil {
-		if err := e.pipe.drain(); err != nil {
-			e.err = err
-			return err
-		}
-	}
 	return nil
 }
 
-// Close flushes buffered lines, emits the tail frame for any sub-line
-// remainder, and shuts the pipeline down. It does not close the
-// underlying writer. Close is idempotent.
+// Close flushes buffered lines and emits the tail frame for any
+// sub-line remainder. It does not close the underlying writer. Close is
+// idempotent.
 func (e *Encoder) Close() error {
 	if e.closed {
 		return e.err
 	}
+	e.closed = true
 	if err := e.Flush(); err != nil {
-		e.closed = true
-		e.finishPipe()
 		return err
 	}
 	if err := e.ensureHeader(); err != nil {
-		e.closed = true
-		e.finishPipe()
 		return err
 	}
 	if len(e.buf) > 0 {
@@ -174,27 +159,9 @@ func (e *Encoder) Close() error {
 		e.Stats.TailBytes += uint64(len(e.buf))
 		err := e.emitFrame(kindTail, len(e.buf))
 		e.buf = e.buf[:0]
-		if err != nil {
-			e.closed = true
-			e.finishPipe()
-			return err
-		}
-	}
-	e.closed = true
-	if err := e.finishPipe(); err != nil {
-		e.err = err
 		return err
 	}
 	return nil
-}
-
-func (e *Encoder) finishPipe() error {
-	if e.pipe == nil {
-		return nil
-	}
-	err := e.pipe.stop()
-	e.pipe = nil
-	return err
 }
 
 // Reset discards all stream state — buffered bytes, the dictionary,
@@ -202,7 +169,6 @@ func (e *Encoder) finishPipe() error {
 // Reset encoder emits byte-identical output to a newly built one with
 // the same Options, which is what makes pooling instances safe.
 func (e *Encoder) Reset(w io.Writer) {
-	e.finishPipe()
 	e.w = w
 	e.dict.Reset()
 	e.he.Reset()
@@ -213,9 +179,6 @@ func (e *Encoder) Reset(w io.Writer) {
 	e.closed = false
 	e.err = nil
 	e.Stats = StreamStats{}
-	if e.opt.Pipeline {
-		e.pipe = newFramePipe(w)
-	}
 }
 
 // ensureHeader writes the stream header before the first frame.
@@ -325,112 +288,12 @@ func (e *Encoder) emitFrame(kind byte, count int) error {
 	return e.writeOut(e.frame)
 }
 
-// writeOut ships one buffer: directly, or through the pipeline (which
-// swaps e.frame for a recycled buffer so encoding can continue while
-// the writer goroutine drains).
+// writeOut ships one buffer; a write error is sticky.
 func (e *Encoder) writeOut(buf []byte) error {
 	e.Stats.OutBytes += uint64(len(buf))
-	if e.pipe != nil {
-		next, err := e.pipe.send(buf)
-		if err != nil {
-			e.err = err
-			return err
-		}
-		if len(e.frame) > 0 && &buf[0] == &e.frame[0] {
-			e.frame = next
-		}
-		return nil
-	}
 	if _, err := e.w.Write(buf); err != nil {
 		e.err = err
 		return err
 	}
 	return nil
-}
-
-// framePipe is the optional emission pipeline: a writer goroutine and a
-// two-buffer rotation, so the encoder fills the next frame while the
-// previous one is being written. Frames are written strictly in send
-// order, so pipelined output is byte-identical to direct output.
-type framePipe struct {
-	ch   chan pipeMsg
-	free chan []byte
-	done chan struct{}
-
-	mu  sync.Mutex
-	err error
-}
-
-type pipeMsg struct {
-	buf []byte
-	ack chan struct{}
-}
-
-func newFramePipe(w io.Writer) *framePipe {
-	p := &framePipe{
-		ch:   make(chan pipeMsg, 1),
-		free: make(chan []byte, 2),
-		done: make(chan struct{}),
-	}
-	p.free <- nil // second rotation buffer, grown on first use
-	go func() {
-		defer close(p.done)
-		for m := range p.ch {
-			if m.buf != nil {
-				if p.fail() == nil {
-					if _, err := w.Write(m.buf); err != nil {
-						p.setErr(err)
-					}
-				}
-				select {
-				case p.free <- m.buf:
-				default:
-				}
-			}
-			if m.ack != nil {
-				close(m.ack)
-			}
-		}
-	}()
-	return p
-}
-
-func (p *framePipe) fail() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-func (p *framePipe) setErr(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// send ships buf and returns a recycled buffer (length 0) for the
-// caller's next frame.
-func (p *framePipe) send(buf []byte) ([]byte, error) {
-	p.ch <- pipeMsg{buf: buf}
-	next := <-p.free
-	if next == nil {
-		next = make([]byte, 0, cap(buf))
-	}
-	return next[:0], p.fail()
-}
-
-// drain blocks until every sent frame has been written.
-func (p *framePipe) drain() error {
-	ack := make(chan struct{})
-	p.ch <- pipeMsg{ack: ack}
-	<-ack
-	return p.fail()
-}
-
-// stop drains and terminates the writer goroutine.
-func (p *framePipe) stop() error {
-	close(p.ch)
-	<-p.done
-	return p.fail()
 }

@@ -39,19 +39,6 @@ type Engine interface {
 	Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error)
 }
 
-// StreamEngine is a link compressor with persistent inter-block state
-// (gzip-class). Compressor and decompressor are separate objects whose
-// dictionaries evolve in lock-step as blocks flow over the link.
-type StreamEngine interface {
-	Name() string
-	Compress(line []byte) Encoded
-}
-
-// StreamDecoder mirrors a StreamEngine on the receiving side.
-type StreamDecoder interface {
-	Decompress(enc Encoded, lineSize int) ([]byte, error)
-}
-
 // Scratch holds the reusable buffers of the allocation-free compression
 // path. One Scratch belongs to one caller (a link end, a meter); it
 // must not be shared across goroutines. The Encoded returned by

@@ -34,9 +34,6 @@ func NewCPack(name string, dictBytes int) *CPack {
 // Name implements Engine.
 func (c *CPack) Name() string { return c.name }
 
-// DictBytes returns the configured dictionary capacity in bytes.
-func (c *CPack) DictBytes() int { return c.entries * 4 }
-
 // dict is the FIFO word dictionary shared by compressor and
 // decompressor. Insertion order alone determines contents, so both
 // sides stay synchronized by construction.

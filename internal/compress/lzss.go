@@ -58,7 +58,7 @@ func NewLZSS(name string, window int) *LZSS {
 	}
 }
 
-// Name implements StreamEngine.
+// Name returns the name the compressor was built with.
 func (z *LZSS) Name() string { return z.name }
 
 // Reset empties the window so the compressor can start a fresh stream,
@@ -68,9 +68,6 @@ func (z *LZSS) Reset() {
 	z.retire()
 	z.history = z.history[:0]
 }
-
-// Window returns the configured window size in bytes.
-func (z *LZSS) Window() int { return z.window }
 
 func lzssKey(p []byte) uint32 {
 	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16
@@ -171,11 +168,10 @@ func (z *LZSS) findMatch(src []byte, p int) (dist, length int) {
 	return bestDist, best
 }
 
-// Compress implements StreamEngine: it encodes line against the window
-// accumulated from all previous lines on this link, then appends line to
-// the window. Matches never span into the line being encoded, so the
-// decoder (whose window ends at the previous line) can always resolve
-// them.
+// Compress encodes line against the window accumulated from all
+// previous lines on this link, then appends line to the window. Matches
+// never span into the line being encoded, so the decoder (whose window
+// ends at the previous line) can always resolve them.
 func (z *LZSS) Compress(line []byte) Encoded {
 	// The throwaway scratch dies here, so the result owns its bits.
 	var s Scratch
@@ -259,7 +255,8 @@ func (z *LZSSDecoder) Reset() {
 	z.history = z.history[:0]
 }
 
-// Decompress implements StreamDecoder.
+// Decompress inverts Compress: it decodes enc against the window of
+// previously decoded lines, then appends the line to it.
 func (z *LZSSDecoder) Decompress(enc Encoded, lineSize int) ([]byte, error) {
 	ob := indexBits(z.window)
 	r := enc.Reader()

@@ -110,11 +110,10 @@ func (z *refLZSS) findMatch(src []byte, cur int) (dist, length int) {
 	return bestDist, best
 }
 
-// Compress implements StreamEngine: it encodes line against the window
-// accumulated from all previous lines on this link, then appends line to
-// the window. Matches never span into the line being encoded, so the
-// decoder (whose window ends at the previous line) can always resolve
-// them.
+// Compress encodes line against the window accumulated from all
+// previous lines on this link, then appends line to the window. Matches
+// never span into the line being encoded, so the decoder (whose window
+// ends at the previous line) can always resolve them.
 func (z *refLZSS) Compress(line []byte) Encoded {
 	ob := z.offBits()
 	var w bits.Writer

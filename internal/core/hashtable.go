@@ -13,8 +13,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cable/internal/cache"
 	"cable/internal/sig"
 )
@@ -122,20 +120,6 @@ func (h *HashTable) Remove(s sig.Signature, id cache.LineID) bool {
 	return false
 }
 
-// RemoveLine deletes every signature of data pointing at id.
-func (h *HashTable) RemoveLine(ex *sig.Extractor, data []byte, id cache.LineID) {
-	for _, s := range ex.InsertSignatures(data) {
-		h.Remove(s, id)
-	}
-}
-
-// InsertLine records the insert-signatures of data for id.
-func (h *HashTable) InsertLine(ex *sig.Extractor, data []byte, id cache.LineID) {
-	for _, s := range ex.InsertSignatures(data) {
-		h.Insert(s, id)
-	}
-}
-
 // Occupancy counts live entries (for tests and reports).
 func (h *HashTable) Occupancy() int {
 	n := 0
@@ -161,9 +145,4 @@ func (h *HashTable) ForEach(fn func(id cache.LineID)) {
 // width, for the Table III area model.
 func (h *HashTable) SizeBits(lineIDBits int) int {
 	return h.nbuckets * h.depth * (lineIDBits + 1)
-}
-
-// String implements fmt.Stringer.
-func (h *HashTable) String() string {
-	return fmt.Sprintf("hashtable{buckets=%d depth=%d live=%d}", h.nbuckets, h.depth, h.Occupancy())
 }

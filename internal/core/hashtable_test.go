@@ -83,23 +83,6 @@ func TestHashTableDistinctBuckets(t *testing.T) {
 	}
 }
 
-func TestHashTableInsertRemoveLine(t *testing.T) {
-	ht := NewHashTable(1024, 2)
-	ex := sig.NewExtractor(64, 1)
-	line := make([]byte, 64)
-	copy(line, []byte{0xDE, 0xAD, 0xBE, 0xEF})
-	copy(line[32:], []byte{0x11, 0x22, 0x33, 0x44})
-	id := cache.LineID{Index: 5, Way: 2}
-	ht.InsertLine(ex, line, id)
-	if ht.Occupancy() != 2 {
-		t.Fatalf("occupancy = %d, want 2 insert signatures", ht.Occupancy())
-	}
-	ht.RemoveLine(ex, line, id)
-	if ht.Occupancy() != 0 {
-		t.Fatalf("occupancy after RemoveLine = %d", ht.Occupancy())
-	}
-}
-
 func TestHashTableSizeBits(t *testing.T) {
 	// §IV-D: a full-sized table for a 16MB cache with 18-bit HomeLIDs
 	// is ~3.5% of the data cache.

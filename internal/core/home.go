@@ -158,9 +158,6 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 // tracer. The disabled path is a single pointer check per encode.
 func (h *HomeEnd) SetTracer(t *obs.Tracer) { h.tr = t }
 
-// Tracer returns the attached decision tracer, if any.
-func (h *HomeEnd) Tracer() *obs.Tracer { return h.tr }
-
 // SetRecorder attaches (or, with nil, detaches) the flight recorder.
 // Encodes and write-back decodes on this end land on track t.
 func (h *HomeEnd) SetRecorder(rec *obs.Recorder, t *obs.Track) { h.rec, h.recTrack = rec, t }

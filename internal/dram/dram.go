@@ -88,20 +88,3 @@ func (c *Channel) Access(now float64, lineAddr uint64, nbytes int) float64 {
 	c.bankFree[bank] = done + c.cfg.TRPNs*1e-9
 	return done
 }
-
-// IdleLatency is the unloaded access latency for nbytes.
-func (c *Channel) IdleLatency(nbytes int) float64 {
-	return (c.cfg.TRCDNs+c.cfg.TCASNs)*1e-9 + c.burst(nbytes)
-}
-
-// Utilization is the data-bus busy fraction over elapsed seconds.
-func (c *Channel) Utilization(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	u := c.BusyBus / elapsed
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

@@ -19,9 +19,6 @@ func TestIdleLatency(t *testing.T) {
 	c := NewChannel(DefaultConfig())
 	// tRCD + tCAS + 64B burst = 22.5ns + 5ns = 27.5ns
 	want := 27.5e-9
-	if got := c.IdleLatency(64); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("idle latency = %g, want %g", got, want)
-	}
 	done := c.Access(0, 0, 64)
 	if math.Abs(done-want) > 1e-12 {
 		t.Fatalf("first access done = %g, want %g", done, want)
@@ -42,7 +39,7 @@ func TestBankParallelismOverlapsActivates(t *testing.T) {
 	c := NewChannel(DefaultConfig())
 	d1 := c.Access(0, 0, 64) // bank 0
 	d2 := c.Access(0, 1, 64) // bank 1: activate overlaps, bus serializes
-	serial := 2 * c.IdleLatency(64)
+	serial := 2 * d1         // d1 found the channel idle
 	if d2 >= serial {
 		t.Fatalf("different banks should overlap: d2=%g, serial=%g, d1=%g", d2, serial, d1)
 	}
@@ -62,12 +59,6 @@ func TestBusUtilization(t *testing.T) {
 	// 100 64B bursts = 500ns of bus time.
 	if math.Abs(c.BusyBus-500e-9) > 1e-12 {
 		t.Fatalf("bus busy = %g, want 500ns", c.BusyBus)
-	}
-	if u := c.Utilization(1e-6); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if u := c.Utilization(0); u != 0 {
-		t.Fatal("zero elapsed should be 0")
 	}
 }
 

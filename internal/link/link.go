@@ -171,15 +171,6 @@ func (l *Link) SendWire(data []byte, nbits int) int {
 	return wire
 }
 
-// EffectiveRatio is the paper's headline metric: source bytes over wire
-// bits, i.e. how much raw bandwidth the link now appears to have.
-func (l *Link) EffectiveRatio(sourceBytes uint64) float64 {
-	if l.WireBits == 0 {
-		return 1
-	}
-	return float64(sourceBytes*8) / float64(l.WireBits)
-}
-
 // Channel is the busy-until timing model for one link direction: FCFS
 // occupancy, no preemption — exactly the first-order serialization
 // bottleneck the throughput study measures.

@@ -37,12 +37,6 @@ type Extractor struct {
 	insertOffsets []int
 }
 
-// DefaultInsertOffsets mirrors Fig 5: one signature sampled from the
-// first half of the line and one from the second half.
-func DefaultInsertOffsets(lineSize int) []int {
-	return []int{0, lineSize / 2}
-}
-
 // InsertOffsetsN spaces n sampling positions evenly across the line
 // (the bucket-count ablation; n=2 reproduces the paper's default).
 func InsertOffsetsN(lineSize, n int) []int {

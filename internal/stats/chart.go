@@ -6,51 +6,6 @@ import (
 	"strings"
 )
 
-// Chart renders one column of the table as a horizontal ASCII bar
-// chart, the terminal rendition of the paper's figures. Bars scale to
-// the column maximum; NaN rows are skipped.
-func (t *Table) Chart(col string) string {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return fmt.Sprintf("(no column %q)\n", col)
-	}
-	max := 0.0
-	for _, r := range t.rows {
-		if v := t.data[r][ci]; !math.IsNaN(v) && v > max {
-			max = v
-		}
-	}
-	if max <= 0 {
-		return "(no data)\n"
-	}
-	rowW := 10
-	for _, r := range t.rows {
-		if len(r) > rowW {
-			rowW = len(r)
-		}
-	}
-	const width = 48
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.Title, col)
-	for _, r := range t.rows {
-		v := t.data[r][ci]
-		if math.IsNaN(v) {
-			continue
-		}
-		n := int(v / max * width)
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&b, "%-*s |%-*s %8.3f\n", rowW, r, width, strings.Repeat("#", n), v)
-	}
-	return b.String()
-}
-
 // ChartAll renders every column as a grouped chart: per row, one bar
 // per column, labeled — useful for scheme-comparison figures.
 func (t *Table) ChartAll() string {

@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -46,21 +45,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean is the geometric mean, reported alongside for robustness.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Table is a simple named-rows × named-columns float table that renders
@@ -136,22 +120,6 @@ func (t *Table) AddMeanRow(name string) {
 	}
 	t.rows = append(t.rows, name)
 	t.data[name] = means
-}
-
-// SortRows orders rows by a column, ascending.
-func (t *Table) SortRows(col string) {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return
-	}
-	sort.SliceStable(t.rows, func(a, b int) bool {
-		return t.data[t.rows[a]][ci] < t.data[t.rows[b]][ci]
-	})
 }
 
 // String renders the table.

@@ -29,14 +29,8 @@ func TestMeans(t *testing.T) {
 	if Mean(xs) != 5 {
 		t.Fatalf("mean = %v", Mean(xs))
 	}
-	if GeoMean(xs) != 4 {
-		t.Fatalf("geomean = %v", GeoMean(xs))
-	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("empty means should be 0")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("non-positive geomean should be 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty mean should be 0")
 	}
 }
 
@@ -69,22 +63,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestTableSortRows(t *testing.T) {
-	tb := NewTable("s", "v")
-	tb.Set("big", "v", 9)
-	tb.Set("small", "v", 1)
-	tb.Set("mid", "v", 5)
-	tb.SortRows("v")
-	rows := tb.Rows()
-	if rows[0] != "small" || rows[2] != "big" {
-		t.Fatalf("sorted rows = %v", rows)
-	}
-	tb.SortRows("nope") // unknown column: no-op
-	if got := tb.Rows(); got[0] != "small" {
-		t.Fatalf("unknown column sort changed order: %v", got)
-	}
-}
-
 func TestTableUnknownColumnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -92,38 +70,6 @@ func TestTableUnknownColumnPanics(t *testing.T) {
 		}
 	}()
 	NewTable("t", "a").Set("r", "zzz", 1)
-}
-
-func TestChart(t *testing.T) {
-	tb := NewTable("Fig X", "ratio")
-	tb.Set("alpha", "ratio", 4)
-	tb.Set("beta", "ratio", 2)
-	tb.Set("gamma", "ratio", 0) // zero-length bar, still listed
-	s := tb.Chart("ratio")
-	if !strings.Contains(s, "alpha") || !strings.Contains(s, "####") {
-		t.Fatalf("chart missing bars:\n%s", s)
-	}
-	// alpha's bar must be about twice beta's.
-	var alphaBar, betaBar int
-	for _, line := range strings.Split(s, "\n") {
-		n := strings.Count(line, "#")
-		if strings.HasPrefix(line, "alpha") {
-			alphaBar = n
-		}
-		if strings.HasPrefix(line, "beta") {
-			betaBar = n
-		}
-	}
-	if alphaBar != 2*betaBar {
-		t.Fatalf("bar scaling wrong: alpha=%d beta=%d", alphaBar, betaBar)
-	}
-	if got := tb.Chart("nope"); !strings.Contains(got, "no column") {
-		t.Fatalf("unknown column: %q", got)
-	}
-	empty := NewTable("E", "v")
-	if got := empty.Chart("v"); !strings.Contains(got, "no data") {
-		t.Fatalf("empty chart: %q", got)
-	}
 }
 
 func TestChartAll(t *testing.T) {

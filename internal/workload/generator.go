@@ -331,6 +331,3 @@ func (g *Generator) Next() Access {
 		Gap:      gap,
 	}
 }
-
-// Accesses returns how many accesses have been generated.
-func (g *Generator) Accesses() uint64 { return g.accesses }
