@@ -335,16 +335,11 @@ func StreamExperiments(ids []string, opt ExperimentOptions) <-chan ExperimentStr
 	return experiments.RunAllStream(ids, opt)
 }
 
-// EncodeTracer records per-encode decisions on a home end: exact class
-// counts plus a sampled ring of recent records. Attach one via
-// MemoryLinkConfig.Trace or HomeEnd.SetTracer.
-type EncodeTracer = obs.Tracer
-
-// NewEncodeTracer builds a tracer keeping capacity records, recording
-// every sample-th encode into the ring (aggregates count everything).
-func NewEncodeTracer(capacity, sample int) *EncodeTracer {
-	return obs.NewTracer(capacity, sample)
-}
+// NewEncodeTracer returns nil: the decision tracer is deleted
+// (MemoryLinkResult.Home carries the class mix). The name survives, like
+// MemoryLinkConfig.Trace, only because the frozen benchmark/ calls it;
+// ROADMAP item 5's [benchmark] PR drops both with the rung that does.
+func NewEncodeTracer(capacity, sample int) *struct{} { return nil }
 
 // WriteMetrics dumps the global metrics registry as indented JSON.
 // With includeVolatile false the dump is deterministic: timing and

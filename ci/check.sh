@@ -3,13 +3,14 @@
 # script): formatting, vet, targeted race loops (the metrics registry,
 # the generators and the cell memo, fault injection), the un-raced
 # per-cell allocation byte budgets, fuzz smokes, the CLI determinism
-# comparisons and round-trip smokes (trace export, cablepipe, workload
-# record -> replay), the million-transfer mesh fault soak, the
-# repository benchmark's smoke and harness tests, a one-iteration bench
-# smoke (compiles and runs every benchmark body, including the
-# 0 allocs/op encode path), the full test suite under the race detector,
-# a shared-flag smoke of both report CLIs, then the non-test Go LOC
-# figure.
+# comparisons (fig12 under faults, the flight recorder's dumps,
+# breakdown through the cell memo, mesh, workload specs) and round-trip
+# smokes (trace export, cablepipe, workload record -> replay), the
+# million-transfer mesh fault soak, the repository benchmark's smoke and
+# harness tests, a one-iteration bench smoke (compiles and runs every
+# benchmark body, including the 0 allocs/op encode path), the full test
+# suite under the race detector, a shared-flag smoke of both report
+# CLIs, then the non-test Go LOC figure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -104,10 +105,23 @@ echo "== flight-recorder determinism (windows+timeline, any -parallel, memo on/o
 # memo disabled, 2 OS threads) against the serial memoized baseline.
 go run ./cmd/cablesim -exp fig12 -quick -parallel 1 \
     -windows "$tmpdir/w1.json" -timeline "$tmpdir/t1.json" >/dev/null
-go run ./cmd/cablesim -exp fig12 -quick -parallel 8 -nomemo -gomaxprocs 2 \
+GOMAXPROCS=2 go run ./cmd/cablesim -exp fig12 -quick -parallel 8 -nomemo \
     -windows "$tmpdir/w8.json" -timeline "$tmpdir/t8.json" >/dev/null
 cmp "$tmpdir/w1.json" "$tmpdir/w8.json"
 cmp "$tmpdir/t1.json" "$tmpdir/t8.json"
+
+echo "== breakdown determinism (memoized now)"
+# The coverage table's cells are plain memory-link cells, so they run
+# through the single-flight memo like fig12's: the table, the metrics
+# dump and the windows must match between the serial memoized run and 8
+# workers with the memo off on 2 OS threads.
+go run ./cmd/cablesim -exp breakdown -quick -parallel 1 \
+    -metrics "$tmpdir/bm1.json" -windows "$tmpdir/bw1.json" >"$tmpdir/b1.txt"
+GOMAXPROCS=2 go run ./cmd/cablesim -exp breakdown -quick -parallel 8 -nomemo \
+    -metrics "$tmpdir/bm8.json" -windows "$tmpdir/bw8.json" >"$tmpdir/b8.txt"
+cmp "$tmpdir/b1.txt" "$tmpdir/b8.txt"
+cmp "$tmpdir/bm1.json" "$tmpdir/bm8.json"
+cmp "$tmpdir/bw1.json" "$tmpdir/bw8.json"
 
 echo "== trace-export smoke (record -> convert -> validate)"
 go run ./tools/traceexport -in "$tmpdir/t1.json" -o "$tmpdir/trace.json"
@@ -124,7 +138,7 @@ echo "== mesh determinism (table+metrics, any -parallel, memo on/off)"
 # rendered table and the deterministic metrics dump must match between
 # a serial memoized run and 8 workers with the memo off on 2 OS threads.
 go run ./cmd/cablesim -exp mesh -quick -parallel 1 -metrics "$tmpdir/mm1.json" >"$tmpdir/m1.txt"
-go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -gomaxprocs 2 -metrics "$tmpdir/mm8.json" >"$tmpdir/m8.txt"
+GOMAXPROCS=2 go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -metrics "$tmpdir/mm8.json" >"$tmpdir/m8.txt"
 cmp "$tmpdir/m1.txt" "$tmpdir/m8.txt"
 cmp "$tmpdir/mm1.json" "$tmpdir/mm8.json"
 
@@ -137,7 +151,7 @@ echo "== workload spec record -> replay -> compare smoke"
 go run ./cmd/cabletrace -spec examples/workloads/bursty-mix.json -n 24000 -o "$tmpdir/mix" >/dev/null
 go run ./cmd/cablesim -exp workload -quick -parallel 1 \
     -workload-spec examples/workloads/bursty-mix.json | grep -v '^note:' >"$tmpdir/wl-live.txt"
-go run ./cmd/cablesim -exp workload -quick -parallel 8 -nomemo -gomaxprocs 2 \
+GOMAXPROCS=2 go run ./cmd/cablesim -exp workload -quick -parallel 8 -nomemo \
     -workload-spec examples/workloads/bursty-mix.json \
     -replay "$tmpdir/mix.frontend.trace,$tmpdir/mix.batch.trace" | grep -v '^note:' >"$tmpdir/wl-replay.txt"
 cmp "$tmpdir/wl-live.txt" "$tmpdir/wl-replay.txt"
@@ -147,7 +161,7 @@ echo "== mesh workload-spec determinism (any -parallel, memo on/off)"
 # a serial memoized run and 8 workers, memo off, 2 OS threads.
 go run ./cmd/cablesim -exp mesh -quick -parallel 1 \
     -workload-spec examples/workloads/bursty-mix.json >"$tmpdir/ms1.txt"
-go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -gomaxprocs 2 \
+GOMAXPROCS=2 go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo \
     -workload-spec examples/workloads/bursty-mix.json >"$tmpdir/ms8.txt"
 cmp "$tmpdir/ms1.txt" "$tmpdir/ms8.txt"
 
@@ -209,7 +223,7 @@ GOEOF
 for bin in cablesim cablereport; do
     own=""
     if [ "$bin" = cablereport ]; then own="-o /dev/null"; fi
-    go run ./cmd/$bin -exp tab3 -quick $own -parallel 2 -nomemo -gomaxprocs 2 \
+    GOMAXPROCS=2 go run ./cmd/$bin -exp tab3 -quick $own -parallel 2 -nomemo \
         -metrics "$tmpdir/$bin.m.json" -windows "$tmpdir/$bin.w.json" -timeline "$tmpdir/$bin.t.json" >/dev/null
     go run "$tmpdir/jsonok.go" "$tmpdir/$bin.m.json" "$tmpdir/$bin.w.json" "$tmpdir/$bin.t.json"
 done

@@ -8,7 +8,6 @@
 //	cablereport -quick       # reduced scale
 //	cablereport -o out.md    # write to a file
 //	cablereport -parallel 8  # bound the worker pool (default GOMAXPROCS)
-//	cablereport -gomaxprocs 2    # cap scheduler parallelism (scaling runs)
 //	cablereport -breakdown   # only the encoding-class coverage table
 //	cablereport -metrics m.json  # dump the metrics registry after the run
 //	cablereport -http :6060      # live /metrics, /health dashboard and /debug/pprof

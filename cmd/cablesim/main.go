@@ -6,7 +6,6 @@
 //	cablesim -exp fig12            # full-scale run
 //	cablesim -exp fig14a -quick    # reduced scale (seconds)
 //	cablesim -exp fig21 -parallel 8  # bound the per-cell worker pool
-//	cablesim -exp fig12 -gomaxprocs 2  # cap scheduler parallelism (scaling runs)
 //	cablesim -exp fig12 -metrics m.json  # dump the metrics registry after the run
 //	cablesim -exp fig12 -http :6060      # live /metrics, /health dashboard and /debug/pprof
 //	cablesim -exp fig12 -windows w.json  # dump the flight recorder's windowed time series

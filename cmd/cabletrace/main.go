@@ -116,26 +116,19 @@ func recordSpec(path string, n int, prefix string) error {
 	return nil
 }
 
+// summarize prints a capture's access statistics. A capture that ends
+// before its declared record count is an error (trace.Load), not a
+// shorter summary.
 func summarize(path string) error {
-	f, err := os.Open(path)
+	t, err := trace.Load(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	h := r.Header()
-	var records, writes uint64
-	var gaps uint64
+	h := t.Header
+	records := uint64(len(t.Accesses))
+	var writes, gaps uint64
 	seen := map[uint64]uint64{}
-	for {
-		a, err := r.Next()
-		if err != nil {
-			break
-		}
-		records++
+	for _, a := range t.Accesses {
 		if a.Write {
 			writes++
 		}

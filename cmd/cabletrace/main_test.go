@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -55,6 +56,36 @@ func TestSummarizeSmoke(t *testing.T) {
 	}
 	if err := summarize(filepath.Join(t.TempDir(), "missing.trace")); err == nil {
 		t.Fatal("missing file should error")
+	}
+}
+
+// TestSummarizeTruncated cuts a capture short of the record count its
+// header declares, once mid-record and once on a record boundary:
+// -stats must fail, not summarize the records that survived.
+func TestSummarizeTruncated(t *testing.T) {
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "gcc.trace")
+	if err := record("gcc", 0, 200, whole); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const recordSize = 13 // internal/trace's fixed record width
+	for name, keep := range map[string]int{
+		"mid-record": len(b) - 100*recordSize - 5,
+		"boundary":   len(b) - 100*recordSize,
+	} {
+		cut := filepath.Join(dir, name+".trace")
+		if err := os.WriteFile(cut, b[:keep], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := summarize(cut); err == nil {
+			t.Errorf("%s: a capture cut short of its 200 declared records summarized without error", name)
+		} else if name == "boundary" && !errors.Is(err, trace.ErrTruncated) {
+			t.Errorf("%s: %v, want trace.ErrTruncated", name, err)
+		}
 	}
 }
 

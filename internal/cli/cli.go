@@ -34,7 +34,7 @@ type Flags struct {
 	quick, nomemo                   bool
 	metrics, httpAddr               string
 	windows, timeline               string
-	flightWindow, gomaxprocs, chips int
+	flightWindow, chips             int
 	faultRate, faultTrunc           float64
 	faultSeed                       uint64
 	topology, specFile, replayFiles string
@@ -59,7 +59,6 @@ func Register(fs *flag.FlagSet, prog string, h Help) *Flags {
 	fs.Float64Var(&f.faultRate, "fault-rate", 0, "per-bit flip probability injected into CABLE wire images (0 disables; outputs at 0 are byte-identical to a fault-free build)")
 	fs.Float64Var(&f.faultTrunc, "fault-trunc-rate", 0, "per-image truncation probability injected into CABLE wire images")
 	fs.Uint64Var(&f.faultSeed, "fault-seed", 1, "seed for the deterministic fault pattern (same seed+rates ⇒ identical results at any -parallel)")
-	fs.IntVar(&f.gomaxprocs, "gomaxprocs", 0, "cap the Go scheduler's OS-thread parallelism before running (0 = keep the environment's GOMAXPROCS)")
 	fs.StringVar(&f.topology, "topology", "", h.Topology)
 	fs.IntVar(&f.chips, "chips", 0, h.Chips)
 	fs.StringVar(&f.specFile, "workload-spec", "", h.Spec)
@@ -67,14 +66,11 @@ func Register(fs *flag.FlagSet, prog string, h Help) *Flags {
 	return f
 }
 
-// Options applies -gomaxprocs, builds the flight recorder, starts the
-// -http server, loads the -workload-spec and -replay files and returns
-// the experiment options the flags describe. An error names the flag
-// whose file failed to load.
+// Options builds the flight recorder, starts the -http server, loads
+// the -workload-spec and -replay files and returns the experiment
+// options the flags describe. An error names the flag whose file failed
+// to load.
 func (f *Flags) Options() (cable.ExperimentOptions, error) {
-	if f.gomaxprocs > 0 {
-		runtime.GOMAXPROCS(f.gomaxprocs)
-	}
 	// The flight recorder is built whenever any consumer wants it: the
 	// dump flags or the live dashboard. Wall-clock span durations are
 	// volatile, so they are only captured for the live view — the

@@ -27,8 +27,8 @@ func TestSharedFlagParity(t *testing.T) {
 		}
 		args = append(args, "-"+fl.Name+"="+v)
 	})
-	if len(args) != 17 {
-		t.Fatalf("Register declared %d shared flags, the binaries' docs count 17", len(args))
+	if len(args) != 16 {
+		t.Fatalf("Register declared %d shared flags, the binaries' docs count 16", len(args))
 	}
 
 	bin := t.TempDir()

@@ -137,13 +137,13 @@ func (h *HomeEnd) flush() {
 // Like EncodeFill's result, the payload aliases the end's scratch and is
 // valid only for the duration of the callback; retainers must Clone.
 //
-// Every observable effect — payload bits, HT/WMT state, trace and
-// flight-recorder records, and (once the call returns) HomeStats and
-// metric totals — is identical to calling EncodeFill once per request;
-// Stats and counters are published at batch completion rather than per
-// line. On an error (line absent from the home cache) the effects of the
-// already-emitted prefix stand, matching a sequential caller that
-// stopped at the failing line.
+// Every observable effect — payload bits, HT/WMT state, flight-recorder
+// records, and (once the call returns) HomeStats and metric totals — is
+// identical to calling EncodeFill once per request; Stats and counters
+// are published at batch completion rather than per line. On an error
+// (line absent from the home cache) the effects of the already-emitted
+// prefix stand, matching a sequential caller that stopped at the failing
+// line.
 func (h *HomeEnd) EncodeFills(reqs []BatchFill, emit func(i int, p Payload, lat FillLatency)) error {
 	defer h.flush()
 	var payload Payload
@@ -162,8 +162,8 @@ func (h *HomeEnd) EncodeFills(reqs []BatchFill, emit func(i int, p Payload, lat 
 
 // fill is the per-line step: encode data (§III-C/E), then synchronize
 // the home-side structures for the transfer (§III-F), then tell the
-// tracer and recorder. cached is the home cache's own copy of the line,
-// at homeID — data itself for an inclusive home, nil when the line is
+// recorder. cached is the home cache's own copy of the line, at
+// homeID — data itself for an inclusive home, nil when the line is
 // not to become a reference (a non-inclusive home forwarding a line it
 // does not hold). The winning payload is written through out and
 // aliases the end's scratch.
@@ -177,7 +177,7 @@ func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, 
 	}
 	// bits is out.Bits(lidBits) by construction (AckSeq is not
 	// transmitted in the sized header), so nothing below recomputes it.
-	bits, lat := h.encode(data, out)
+	bits, skip, lat := h.encode(data, out)
 
 	// The displaced occupant of the target slot can no longer serve as a
 	// reference; a Shared line becomes one if the home caches it (always
@@ -208,18 +208,7 @@ func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, 
 		acc.refsUsed[len(out.Refs)]++
 	}
 	if h.rec != nil {
-		h.rec.Encode(h.recTrack, class, bits, h.lastSkip, h.rec.Clock()-encStart)
-	}
-	if h.tr != nil {
-		h.tr.Record(obs.EncodeRecord{
-			LineAddr:      req.LineAddr,
-			Class:         class,
-			Refs:          uint8(len(out.Refs)),
-			SigsSearched:  uint8(h.lastSigs),
-			Candidates:    uint8(h.lastCands),
-			ThresholdSkip: h.lastSkip,
-			PayloadBits:   uint32(bits),
-		})
+		h.rec.Encode(h.recTrack, class, bits, skip, h.rec.Clock()-encStart)
 	}
 	return lat
 }
@@ -227,24 +216,21 @@ func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, 
 // encode runs the §III-C/§III-E decision sequence on one line:
 // standalone compression, threshold check, signature search, CBV
 // ranking, DIFF compression, smallest payload wins. It returns the
-// winner's exact transmitted size.
-func (h *HomeEnd) encode(data []byte, out *Payload) (int, FillLatency) {
-	h.lastSigs, h.lastCands, h.lastSkip = 0, 0, false
+// winner's exact transmitted size and whether the standalone threshold
+// skipped the search.
+func (h *HomeEnd) encode(data []byte, out *Payload) (bits int, skip bool, lat FillLatency) {
 	scr := &h.scr
 	bestBits, standBits := scr.floor(data, out)
-	lat := FillLatency{CompressCycles: CompressLatency, DecompressCycles: DecompressLatency}
+	lat = FillLatency{CompressCycles: CompressLatency, DecompressCycles: DecompressLatency}
 	if h.standaloneSkips(standBits) {
 		h.acc.thresholdSkips++
-		h.lastSkip = true
-		return bestBits, lat
+		return bestBits, true, lat
 	}
 	scr.searchSigs = h.ex.AppendSearchSignatures(scr.searchSigs[:0], data, h.cfg.MaxSearchSigs)
-	h.lastSigs = len(scr.searchSigs)
 	h.acc.sigsSearched += uint64(len(scr.searchSigs))
 	lat.SearchCycles = searchLatency(len(scr.searchSigs))
 	cands := h.gatherCandidates(data, scr.searchSigs)
-	h.lastCands = len(cands)
-	return scr.tryDiff(data, cands, h.cfg.MaxRefs, bestBits, out), lat
+	return scr.tryDiff(data, cands, h.cfg.MaxRefs, bestBits, out), false, lat
 }
 
 // init binds the scratch to its end's engine, registry and pointer
@@ -313,7 +299,6 @@ func (s *encScratch) probe(ht *HashTable, sigs []sig.Signature, accessCount int)
 	s.dedup.begin(len(sigs) * ht.depth)
 	var hits uint64
 	for _, sg := range sigs {
-		ht.Lookups++
 		for _, e := range ht.bucket(sg) {
 			if !e.valid {
 				continue
@@ -389,12 +374,12 @@ func (h *HomeEnd) gatherCandidates(data []byte, sigs []sig.Signature) []candidat
 // signature scratch.
 func (h *HomeEnd) insertLine(data []byte, id cache.LineID) {
 	h.scr.insertSigs = h.ex.AppendInsertSignatures(h.scr.insertSigs[:0], data)
-	collisionsBefore := h.ht.Collisions
 	for _, s := range h.scr.insertSigs {
-		h.ht.Insert(s, id)
+		if h.ht.Insert(s, id) {
+			h.acc.htCollisions++
+		}
 	}
 	h.acc.htInserts += uint64(len(h.scr.insertSigs))
-	h.acc.htCollisions += h.ht.Collisions - collisionsBefore
 }
 
 // removeLine scrubs data's insert-signatures for id and returns how many

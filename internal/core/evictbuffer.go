@@ -15,10 +15,6 @@ import "cable/internal/cache"
 type EvictionBuffer struct {
 	pending map[cache.LineID][]evictRecord
 	nextSeq uint64
-
-	// Stats
-	Inserted uint64
-	Rescued  uint64 // decodes served from the buffer rather than the cache
 }
 
 type evictRecord struct {
@@ -36,7 +32,6 @@ func NewEvictionBuffer() *EvictionBuffer {
 // is copied.
 func (b *EvictionBuffer) Add(slot cache.LineID, data []byte) uint64 {
 	b.nextSeq++
-	b.Inserted++
 	b.pending[slot] = append(b.pending[slot], evictRecord{seq: b.nextSeq, data: append([]byte(nil), data...)})
 	return b.nextSeq
 }
@@ -53,7 +48,6 @@ func (b *EvictionBuffer) LastSeq() uint64 { return b.nextSeq }
 func (b *EvictionBuffer) Resolve(slot cache.LineID, ack uint64) []byte {
 	for _, r := range b.pending[slot] {
 		if r.seq > ack {
-			b.Rescued++
 			return r.data
 		}
 	}

@@ -30,12 +30,6 @@ type HashTable struct {
 	entries  []entry
 	nbuckets int
 	depth    int
-
-	// Stats
-	Inserts    uint64
-	Removes    uint64
-	Lookups    uint64
-	Collisions uint64 // insert displaced a live entry
 }
 
 type entry struct {
@@ -71,13 +65,13 @@ func (h *HashTable) bucket(s sig.Signature) []entry {
 // Insert records that the line at id carries signature s. Within a
 // bucket the oldest entry is displaced (FIFO): the most recent lines
 // keep their signatures, which is what lets a half-sized table "retain
-// signatures of the most recent half" (§IV-D).
-func (h *HashTable) Insert(s sig.Signature, id cache.LineID) {
-	h.Inserts++
+// signatures of the most recent half" (§IV-D). displaced reports that
+// the bucket was full and a live entry made way.
+func (h *HashTable) Insert(s sig.Signature, id cache.LineID) (displaced bool) {
 	b := h.bucket(s)
 	for i := range b {
 		if b[i].valid && b[i].id == id {
-			return // already present
+			return false // already present
 		}
 	}
 	for i := range b {
@@ -85,18 +79,17 @@ func (h *HashTable) Insert(s sig.Signature, id cache.LineID) {
 			// Shift to keep FIFO order: newest at the end.
 			copy(b[i:], b[i+1:])
 			b[len(b)-1] = entry{id: id, valid: true}
-			return
+			return false
 		}
 	}
-	h.Collisions++
 	copy(b, b[1:])
 	b[len(b)-1] = entry{id: id, valid: true}
+	return true
 }
 
 // Lookup appends the LineIDs stored under signature s to dst and
 // returns it.
 func (h *HashTable) Lookup(s sig.Signature, dst []cache.LineID) []cache.LineID {
-	h.Lookups++
 	for _, e := range h.bucket(s) {
 		if e.valid {
 			dst = append(dst, e.id)
@@ -113,7 +106,6 @@ func (h *HashTable) Remove(s sig.Signature, id cache.LineID) bool {
 		if b[i].valid && b[i].id == id {
 			copy(b[i:], b[i+1:])
 			b[len(b)-1] = entry{}
-			h.Removes++
 			return true
 		}
 	}

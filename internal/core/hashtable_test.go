@@ -45,8 +45,11 @@ func TestHashTableFIFODisplacement(t *testing.T) {
 	ht := NewHashTable(4, 2)
 	s := sig.Signature(0) // bucket 0
 	ids := []cache.LineID{{Index: 0, Way: 0}, {Index: 1, Way: 0}, {Index: 2, Way: 0}}
-	for _, id := range ids {
-		ht.Insert(s, id)
+	// Only the third insert finds the depth-2 bucket full.
+	for i, id := range ids {
+		if displaced := ht.Insert(s, id); displaced != (i == 2) {
+			t.Fatalf("insert %d: displaced = %v", i, displaced)
+		}
 	}
 	got := ht.Lookup(s, nil)
 	if len(got) != 2 {
@@ -57,9 +60,6 @@ func TestHashTableFIFODisplacement(t *testing.T) {
 		if id == ids[0] {
 			t.Fatal("FIFO should displace the oldest entry")
 		}
-	}
-	if ht.Collisions != 1 {
-		t.Fatalf("collisions = %d, want 1", ht.Collisions)
 	}
 }
 

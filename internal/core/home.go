@@ -40,20 +40,10 @@ type HomeEnd struct {
 	mx    *homeCounters
 	shard uint32
 
-	// tr is the optional decision-trace hook (nil = disabled, one
-	// pointer check on the encode path).
-	tr *obs.Tracer
-
 	// rec/recTrack feed the optional flight recorder (nil = disabled,
-	// same one-pointer-check discipline as tr).
+	// one pointer check on the encode path).
 	rec      *obs.Recorder
 	recTrack *obs.Track
-
-	// lastSigs/lastCands/lastSkip describe the most recent encode's
-	// search, for the trace record.
-	lastSigs  int
-	lastCands int
-	lastSkip  bool
 
 	// thrSkip[nbits] caches the standalone-threshold decision for every
 	// possible standalone output size (lineSize and threshold are fixed
@@ -153,10 +143,6 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 	h.scr.init(eng, cfg, remote.IndexBits()+remote.WayBits())
 	return h, nil
 }
-
-// SetTracer attaches (or, with nil, detaches) the sampled decision
-// tracer. The disabled path is a single pointer check per encode.
-func (h *HomeEnd) SetTracer(t *obs.Tracer) { h.tr = t }
 
 // SetRecorder attaches (or, with nil, detaches) the flight recorder.
 // Encodes and write-back decodes on this end land on track t.

@@ -17,8 +17,9 @@ const MaxRefsLimit = 3
 // cache line — cheap enough to leave enabled everywhere, including
 // BenchmarkEncodeFill, which must stay at 0 allocs/op.
 //
-// The per-end HomeStats/RemoteStats structs remain the authoritative
-// per-link numbers the simulators read; the registry aggregates the
+// The per-end HomeStats/RemoteStats structs count one link: HomeStats is
+// what sim.MemLinkResult.Home reports (the breakdown experiment's class
+// mix), RemoteStats is read by tests only. The registry aggregates the
 // same events process-wide so `-metrics` and the live `/metrics`
 // endpoint can see across every link of every experiment cell.
 

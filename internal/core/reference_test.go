@@ -200,6 +200,14 @@ func TestPipelineMatchesReference(t *testing.T) {
 			if s.DiffWins == stats.DiffWins {
 				t.Fatal("no reference-seeded payload among the checked fills")
 			}
+			// Every fill ends in exactly one class and a DIFF against k
+			// references is RefsUsed[k]: what lets the breakdown
+			// experiment read its columns from HomeStats.
+			if s.RawWins+s.StandaloneWins+s.DiffWins != s.Fills ||
+				s.RefsUsed[0] != s.StandaloneWins ||
+				s.RefsUsed[1]+s.RefsUsed[2]+s.RefsUsed[3] != s.DiffWins {
+				t.Fatalf("class counts do not partition the fills: %+v", s)
+			}
 		})
 	}
 }

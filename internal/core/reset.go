@@ -8,19 +8,15 @@ package core
 // connections, and rebuilding multi-megabyte tables per stream would
 // dwarf the per-stream work.
 
-// Reset clears every bucket and zeroes the stats, keeping the backing
-// array. A Reset table is indistinguishable from a newly built one of
-// the same geometry.
+// Reset clears every bucket, keeping the backing array. A Reset table is
+// indistinguishable from a newly built one of the same geometry.
 func (h *HashTable) Reset() {
 	clear(h.entries)
-	h.Inserts, h.Removes, h.Lookups, h.Collisions = 0, 0, 0, 0
 }
 
-// Reset invalidates every slot and zeroes the stats, keeping the
-// backing array.
+// Reset invalidates every slot, keeping the backing array.
 func (w *WMT) Reset() {
 	clear(w.entries)
-	w.Hits, w.Misses = 0, 0
 }
 
 // Reset drops every pending record and rewinds the sequence counter, so
@@ -28,7 +24,6 @@ func (w *WMT) Reset() {
 func (b *EvictionBuffer) Reset() {
 	clear(b.pending)
 	b.nextSeq = 0
-	b.Inserted, b.Rescued = 0, 0
 }
 
 // Reset rewinds the home end to its post-construction state: empty hash
@@ -44,7 +39,6 @@ func (h *HomeEnd) Reset() {
 	}
 	h.AckSeq = 0
 	h.Stats = HomeStats{}
-	h.lastSigs, h.lastCands, h.lastSkip = 0, 0, false
 }
 
 // Reset rewinds the remote end to its post-construction state: empty

@@ -48,8 +48,8 @@ type SuperWMT struct {
 	entries   [][]superEntry
 	tick      uint64
 
-	// Stats
-	Hits, Misses, Evictions uint64
+	// Evictions counts valid entries displaced under contention.
+	Evictions uint64
 }
 
 type superEntry struct {
@@ -126,13 +126,11 @@ func (v *superView) Lookup(homeID cache.LineID) (cache.LineID, bool) {
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.peer == v.peer && e.rIdx == rIdx && e.alias == alias && e.homeWay == homeID.Way {
-			p.Hits++
 			p.tick++
 			e.lru = p.tick
 			return cache.LineID{Index: e.rIdx, Way: e.rWy}, true
 		}
 	}
-	p.Misses++
 	return cache.LineID{}, false
 }
 

@@ -23,10 +23,6 @@ type WMT struct {
 	// set keeps cell startup off the allocator (see pool.go) and set
 	// scans on contiguous cache lines.
 	entries []wmtEntry
-
-	// Stats
-	Hits   uint64
-	Misses uint64
 }
 
 // wmtEntry packs one way-map slot into a single machine word — bit 63
@@ -90,11 +86,9 @@ func (w *WMT) Lookup(homeID cache.LineID) (cache.LineID, bool) {
 	set := w.entries[rIdx*w.ways : (rIdx+1)*w.ways]
 	for way, e := range set {
 		if e == key {
-			w.Hits++
 			return cache.LineID{Index: rIdx, Way: way}, true
 		}
 	}
-	w.Misses++
 	return cache.LineID{}, false
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cable/internal/obs"
+	"cable/internal/sim"
 	"cable/internal/stats"
 )
 
@@ -11,7 +12,8 @@ import (
 // the signature search because standalone compression already met the
 // threshold, and the mean payload bits per line. It is the coverage view
 // behind the Fig 12 ratios — the same simulations, decomposed by
-// encoding class instead of aggregated into one number.
+// encoding class instead of aggregated into one number, read from the
+// home end's own account (sim.MemLinkResult.Home).
 func Breakdown(opt Options) (*Result, error) {
 	cols := make([]string, 0, int(obs.NumClasses)+2)
 	for c := obs.EncodeClass(0); c < obs.NumClasses; c++ {
@@ -21,32 +23,33 @@ func Breakdown(opt Options) (*Result, error) {
 	t := stats.NewTable("Encoding-class breakdown per fill line", cols...)
 
 	names := zeroDominantLast(benchSubset(opt, false))
-	tracers, err := cells(opt, len(names), func(i int) (*obs.Tracer, error) {
-		// Exact class counts live in the tracer aggregates; the ring
-		// only keeps a bounded sample, so capacity is a memory knob,
-		// not a coverage one.
-		tr := obs.NewTracer(1024, 64)
+	results, err := cells(opt, len(names), func(i int) (*sim.MemLinkResult, error) {
 		cfg := memLinkCfg(opt, names[i])
 		cfg.WithMeters = false
-		cfg.Trace = tr
-		_, err := runMemLink(opt, cfg)
-		return tr, err
+		return runMemLink(opt, cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
-		tr := tracers[i]
-		total := tr.Total()
-		if total == 0 {
+		// Every fill ends in exactly one class, and a DIFF against k
+		// references is RefsUsed[k] (reference_test.go pins both).
+		h := results[i].Home
+		if h.Fills == 0 {
 			continue
 		}
-		counts := tr.ClassCounts()
-		for c := obs.EncodeClass(0); c < obs.NumClasses; c++ {
-			t.Set(name, c.String(), float64(counts[c])/float64(total))
+		counts := [obs.NumClasses]uint64{
+			obs.ClassRaw:        h.RawWins,
+			obs.ClassStandalone: h.StandaloneWins,
+			obs.ClassDiff1:      h.RefsUsed[1],
+			obs.ClassDiff2:      h.RefsUsed[2],
+			obs.ClassDiff3:      h.RefsUsed[3],
 		}
-		t.Set(name, "skip", float64(tr.ThresholdSkips())/float64(total))
-		t.Set(name, "bits/line", float64(tr.PayloadBits())/float64(total))
+		for c := obs.EncodeClass(0); c < obs.NumClasses; c++ {
+			t.Set(name, c.String(), float64(counts[c])/float64(h.Fills))
+		}
+		t.Set(name, "skip", float64(h.ThresholdSkips)/float64(h.Fills))
+		t.Set(name, "bits/line", float64(h.PayloadBits)/float64(h.Fills))
 	}
 	t.AddMeanRow("mean")
 	return &Result{ID: "breakdown", Table: t, Notes: []string{

@@ -58,7 +58,7 @@ type memoEntry struct {
 	err  error
 }
 
-// cellMemo is one mutex over one map: a quick report makes 285 lookups
+// cellMemo is one mutex over one map: a quick report makes 295 lookups
 // in 23 s, one per ~80 ms of simulation, so there is nothing to stripe.
 // Digests are version-tagged per simulator ("memlink/v1", "topo/v1",
 // ...), so every simulator shares the map without aliasing.
@@ -117,12 +117,9 @@ type cellKind[C, R any] struct {
 	digest func(C) sim.Digest
 	// key names the cell's flight recorder.
 	key func(C) string
-	// observers reports what the caller attached itself: a Metrics
-	// registry, a flight Recorder, a Tracer. Any of them makes the run a
-	// fresh side effect, so the cell bypasses the memo.
-	observers func(C) (reg *obs.Registry, rec *obs.Recorder, traced bool)
 	// run executes the simulation with cfg's Metrics and Recorder set to
-	// reg and rec (nil: process default / none).
+	// reg and rec (nil: process default / none). No driver attaches
+	// either itself, so nothing of the caller's is overwritten.
 	run func(cfg C, reg *obs.Registry, rec *obs.Recorder) (R, error)
 	// clone deep-copies a successful run's result, so requesters never
 	// share maps.
@@ -131,14 +128,13 @@ type cellKind[C, R any] struct {
 
 // runCell is the one front end between a driver and a simulator: every
 // cell of every experiment goes through it. A bypassed cell (memo
-// disabled, caller-attached observers, or a never-memoized simulator)
-// runs directly; otherwise the digest's single-flight owner computes
-// against a private registry and every request, owner and waiters
-// alike, merges that registry's snapshot into the default one and gets
-// its own copy of the result. With Options.Flight set, the one run of a
-// cell — the owner, or each bypassed run — feeds the recorder registered
-// under the cell's key (repeats of a key get throwaways, see
-// obs.Flight.Recorder).
+// disabled, or a never-memoized simulator) runs directly; otherwise the
+// digest's single-flight owner computes against a private registry and
+// every request, owner and waiters alike, merges that registry's
+// snapshot into the default one and gets its own copy of the result.
+// With Options.Flight set, the one run of a cell — the owner, or each
+// bypassed run — feeds the recorder registered under the cell's key
+// (repeats of a key get throwaways, see obs.Flight.Recorder).
 //
 // The memo's own counters (experiments.cellmemo_*) are deterministic
 // across -parallel — single-flight, see the file comment — but they
@@ -147,18 +143,18 @@ type cellKind[C, R any] struct {
 // out of the deterministic `-metrics` dump, visible live via `-http`.
 func runCell[C, R any](opt Options, k *cellKind[C, R], cfg C) (R, error) {
 	def, shard := obs.Default(), obs.NextShard()
-	reg, rec, traced := k.observers(cfg)
-	if opt.DisableCellMemo || k.digest == nil || reg != nil || rec != nil || traced {
+	var rec *obs.Recorder
+	if opt.DisableCellMemo || k.digest == nil {
 		def.VolatileCounter("experiments.cellmemo_bypass").Inc(shard)
-		if rec == nil && opt.Flight != nil {
+		if opt.Flight != nil {
 			rec = opt.Flight.Recorder(k.key(cfg))
 		}
-		return k.run(cfg, reg, rec)
+		return k.run(cfg, nil, rec)
 	}
 	e, owner := memo.lookup(k.digest(cfg))
 	if owner {
 		def.VolatileCounter("experiments.cellmemo_misses").Inc(shard)
-		reg = obs.NewRegistry()
+		reg := obs.NewRegistry()
 		if opt.Flight != nil {
 			rec = opt.Flight.Recorder(k.key(cfg))
 			opt.Flight.MemoEvent(false)
@@ -186,13 +182,14 @@ func runCell[C, R any](opt Options, k *cellKind[C, R], cfg C) (R, error) {
 }
 
 // copyMemLinkResult deep-copies the parts of a result drivers read (the
-// ratio/toggle maps); Chip stays nil in the copy.
+// ratio/toggle maps, the home end's stats); Chip stays nil in the copy.
 func copyMemLinkResult(r *sim.MemLinkResult) *sim.MemLinkResult {
 	out := &sim.MemLinkResult{
 		Programs:   slices.Clone(r.Programs),
 		Total:      maps.Clone(r.Total),
 		PerProgram: make(map[string][]stats.Ratio, len(r.PerProgram)),
 		Toggles:    maps.Clone(r.Toggles),
+		Home:       r.Home,
 	}
 	for k, v := range r.PerProgram {
 		out.PerProgram[k] = slices.Clone(v)
@@ -206,9 +203,6 @@ func copyMemLinkResult(r *sim.MemLinkResult) *sim.MemLinkResult {
 var memLinkCell = cellKind[sim.MemLinkConfig, *sim.MemLinkResult]{
 	digest: sim.MemLinkConfig.Digest,
 	key:    memLinkFlightKey,
-	observers: func(c sim.MemLinkConfig) (*obs.Registry, *obs.Recorder, bool) {
-		return c.Metrics, c.Recorder, c.Trace != nil
-	},
 	run: func(c sim.MemLinkConfig, reg *obs.Registry, rec *obs.Recorder) (*sim.MemLinkResult, error) {
 		c.Metrics, c.Recorder = reg, rec
 		res, err := sim.RunMemoryLink(c)
@@ -234,9 +228,6 @@ func runMemLink(opt Options, cfg sim.MemLinkConfig) (*sim.MemLinkResult, error) 
 var timingCell = cellKind[sim.TimingConfig, *sim.TimingResult]{
 	digest: sim.TimingConfig.Digest,
 	key:    timingFlightKey,
-	observers: func(c sim.TimingConfig) (*obs.Registry, *obs.Recorder, bool) {
-		return c.Metrics, c.Recorder, false
-	},
 	run: func(c sim.TimingConfig, reg *obs.Registry, rec *obs.Recorder) (*sim.TimingResult, error) {
 		c.Metrics, c.Recorder = reg, rec
 		return sim.RunTiming(c)
@@ -258,9 +249,6 @@ func runTiming(opt Options, cfg sim.TimingConfig) (*sim.TimingResult, error) {
 // digest) and nothing retains its result (clone is the identity).
 var multiChipCell = cellKind[sim.MultiChipConfig, *sim.MultiChipResult]{
 	key: multiChipFlightKey,
-	observers: func(c sim.MultiChipConfig) (*obs.Registry, *obs.Recorder, bool) {
-		return nil, c.Recorder, false
-	},
 	run: func(c sim.MultiChipConfig, _ *obs.Registry, rec *obs.Recorder) (*sim.MultiChipResult, error) {
 		c.Recorder = rec
 		return sim.RunMultiChip(c)

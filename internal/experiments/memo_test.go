@@ -94,8 +94,12 @@ func TestCellMemoReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Total, second.Total) ||
 		!reflect.DeepEqual(first.PerProgram, second.PerProgram) ||
-		!reflect.DeepEqual(first.Toggles, second.Toggles) {
+		!reflect.DeepEqual(first.Toggles, second.Toggles) ||
+		first.Home != second.Home {
 		t.Fatal("hit returned a result different from the computing miss")
+	}
+	if first.Home.Fills == 0 {
+		t.Fatal("slim copy dropped the home end's stats")
 	}
 	// Requesters must not share mutable state.
 	second.Total["tamper"] = first.Total["cable"]

@@ -34,9 +34,6 @@ func topoSourceLabel(cfg topo.Config) string {
 var topoCell = cellKind[topo.Config, *topo.Result]{
 	digest: topo.Config.Digest,
 	key:    topoFlightKey,
-	observers: func(c topo.Config) (*obs.Registry, *obs.Recorder, bool) {
-		return c.Metrics, c.Recorder, false
-	},
 	run: func(c topo.Config, reg *obs.Registry, rec *obs.Recorder) (*topo.Result, error) {
 		c.Metrics, c.Recorder = reg, rec
 		return topo.Run(c)

@@ -76,3 +76,30 @@ func TestBreakdownShape(t *testing.T) {
 		}
 	}
 }
+
+// TestBreakdownMemoized pins the path the coverage table takes: plain
+// memoized memory-link cells. A second call computes nothing, bypasses
+// nothing and renders the same table.
+func TestBreakdownMemoized(t *testing.T) {
+	obs.Default().Reset()
+	ResetCellMemo()
+	counter := func(name string) uint64 { return obs.Default().Snapshot(true).Counters[name] }
+	first, err := Breakdown(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := counter("experiments.cellmemo_misses")
+	second, err := Breakdown(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Table.String() != second.Table.String() {
+		t.Fatal("memo-served breakdown table differs from the computed one")
+	}
+	if got := counter("experiments.cellmemo_misses"); misses == 0 || got != misses {
+		t.Errorf("cellmemo_misses %d after the first call, %d after the second; want equal and non-zero", misses, got)
+	}
+	if got := counter("experiments.cellmemo_bypass"); got != 0 {
+		t.Errorf("cellmemo_bypass = %d, want 0: a breakdown cell is a plain memoized cell", got)
+	}
+}

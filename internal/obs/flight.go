@@ -31,8 +31,8 @@ import (
 //     digest registers exactly one recorder regardless of scheduling,
 //     which is what makes whole-run dumps deterministic.
 //
-// The disabled path follows the Tracer discipline: a nil *Recorder
-// costs one pointer check and zero allocations on the encode path.
+// The disabled path is a nil *Recorder: one pointer check and zero
+// allocations on the encode path.
 
 // Default flight-recorder bounds. Window is in virtual-time ticks (one
 // tick per simulated access); the rings bound memory for arbitrarily
@@ -114,6 +114,50 @@ func (k EventKind) String() string {
 // instant).
 func (k EventKind) span() bool { return k <= EvWBDecode }
 
+// EncodeClass is the outcome of one per-line encode decision — the
+// classes whose per-benchmark mix explains the Fig 11/12 ordering.
+type EncodeClass uint8
+
+// Encode outcome classes.
+const (
+	ClassRaw        EncodeClass = iota // uncompressed fallback won
+	ClassStandalone                    // compressed without references
+	ClassDiff1                         // DIFF against 1 reference
+	ClassDiff2                         // DIFF against 2 references
+	ClassDiff3                         // DIFF against 3 references
+	NumClasses
+)
+
+// String names the class for reports.
+func (c EncodeClass) String() string {
+	switch c {
+	case ClassRaw:
+		return "raw"
+	case ClassStandalone:
+		return "standalone"
+	case ClassDiff1:
+		return "diff-1ref"
+	case ClassDiff2:
+		return "diff-2ref"
+	case ClassDiff3:
+		return "diff-3ref"
+	}
+	return "unknown"
+}
+
+// DiffClass returns the class for a DIFF outcome with n references
+// (n in 1..3).
+func DiffClass(n int) EncodeClass {
+	switch n {
+	case 1:
+		return ClassDiff1
+	case 2:
+		return ClassDiff2
+	default:
+		return ClassDiff3
+	}
+}
+
 // Window accumulates one virtual-time window's deltas for one track.
 // All fields are pure functions of the simulated transfer stream.
 type Window struct {
@@ -179,8 +223,7 @@ func (t *Track) Name() string { return t.name }
 
 // Recorder is one simulation's flight recorder. The simulation thread
 // writes; live HTTP readers snapshot concurrently, so every operation
-// takes the recorder mutex (uncontended in the common one-writer case,
-// same discipline as Tracer).
+// takes the recorder mutex (uncontended in the common one-writer case).
 type Recorder struct {
 	mu        sync.Mutex
 	cfg       FlightConfig

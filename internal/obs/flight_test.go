@@ -261,3 +261,22 @@ func TestEventKindStrings(t *testing.T) {
 		t.Fatal("span() boundary wrong")
 	}
 }
+
+func TestEncodeClassNames(t *testing.T) {
+	want := map[EncodeClass]string{
+		ClassRaw:        "raw",
+		ClassStandalone: "standalone",
+		ClassDiff1:      "diff-1ref",
+		ClassDiff2:      "diff-2ref",
+		ClassDiff3:      "diff-3ref",
+		NumClasses:      "unknown",
+	}
+	for c, name := range want {
+		if c.String() != name {
+			t.Fatalf("%d.String() = %q, want %q", c, c.String(), name)
+		}
+	}
+	if DiffClass(1) != ClassDiff1 || DiffClass(2) != ClassDiff2 || DiffClass(3) != ClassDiff3 {
+		t.Fatal("DiffClass mapping wrong")
+	}
+}

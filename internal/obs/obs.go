@@ -1,7 +1,7 @@
 // Package obs is the dependency-free observability layer: a sharded
 // atomic counter/histogram registry threaded through the encode hot
-// paths, a sampled decision tracer, and deterministic snapshot export
-// (JSON/text dumps, an expvar-style HTTP handler).
+// paths, a virtual-time flight recorder, and deterministic snapshot
+// export (JSON/text dumps, an expvar-style HTTP handler).
 //
 // Design constraints, in order:
 //
@@ -16,7 +16,7 @@
 //     byte-identical at any Options.Parallelism. Wall-clock and
 //     queue-depth metrics are registered as volatile and excluded from
 //     deterministic dumps.
-//   - Optional hooks (the decision tracer) are nil by default and
+//   - Optional hooks (the flight recorder) are nil by default and
 //     guarded by a single pointer check.
 package obs
 

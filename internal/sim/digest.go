@@ -13,7 +13,7 @@ import (
 // Two configs with equal digests produce bit-identical simulation
 // results: every behavioral field is folded in with a stable, explicit
 // encoding (field order is part of the format), while observation-only
-// fields (Metrics registries, tracers) are deliberately excluded. The
+// fields (Metrics registries, recorders) are deliberately excluded. The
 // experiments' cell memo keys on these digests.
 //
 // The digest is 128 bits of FNV-1a, computed as two independent 64-bit
@@ -161,10 +161,9 @@ func (d *Digester) chipConfig(c ChipConfig) {
 	// c.Metrics is observation-only: excluded.
 }
 
-// Digest fingerprints every behavioral field of the config. Trace and
-// Metrics are excluded: they observe the simulation without altering
-// it (callers that attach a Tracer must not be memoized — the trace
-// itself is a fresh side effect per run).
+// Digest fingerprints every behavioral field of the config. Metrics and
+// Recorder are excluded: they observe the simulation without altering
+// it.
 func (c MemLinkConfig) Digest() Digest {
 	d := NewDigester("memlink/v1")
 	d.chipConfig(c.Chip)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"cable/internal/core"
 	"cable/internal/obs"
 	"cable/internal/stats"
 	"cable/internal/trace"
@@ -28,10 +29,12 @@ type MemLinkConfig struct {
 	ScaleCachesByPrograms bool
 	// WithMeters attaches the baseline comparison set.
 	WithMeters bool
-	// Trace, when non-nil, is attached to the home end so every fill
-	// encode is recorded (class counts exact, ring sampled). Used by
-	// the breakdown experiment; nil keeps the nil-check fast path.
-	Trace *obs.Tracer
+	// Trace is accepted and ignored: the decision tracer is deleted
+	// (MemLinkResult.Home carries the class mix), and the field survives
+	// in the smallest form that compiles only because the frozen
+	// benchmark/ sets it. Nothing else may read or set it; ROADMAP item
+	// 5's [benchmark] PR drops it with the rung that does.
+	Trace *struct{}
 	// Metrics, when non-nil, scopes the whole simulation's obs
 	// counters (chip, links, meters, workload generators) to a private
 	// registry. The cell memo runs memoized simulations this way and
@@ -76,6 +79,10 @@ type MemLinkResult struct {
 	PerProgram map[string][]stats.Ratio
 	// Toggles maps scheme → wire bit toggles (§VI-D).
 	Toggles map[string]uint64
+	// Home is the CABLE home end's encode account: fills, the class each
+	// ended up with, threshold skips, payload bits. Zero when the chip
+	// runs no CABLE link.
+	Home core.HomeStats
 	// Chip exposes the simulated chip for energy/latency accounting.
 	Chip *Chip
 }
@@ -218,9 +225,6 @@ func RunMemoryLink(cfg MemLinkConfig) (*MemLinkResult, error) {
 	if cfg.WithMeters {
 		chip.Meters = DefaultMetersIn(chipCfg.Link, cfg.Metrics)
 	}
-	if cfg.Trace != nil && chip.Home != nil {
-		chip.Home.SetTracer(cfg.Trace)
-	}
 
 	for step := 0; step < total; step++ {
 		e, err := feed.Next()
@@ -251,6 +255,7 @@ func RunMemoryLink(cfg MemLinkConfig) (*MemLinkResult, error) {
 	}
 	if chip.Home != nil {
 		collect("cable", chip.CableTotal(), chip.CableRatio, chip.CableLink.Toggles)
+		res.Home = chip.Home.Stats
 	}
 	return res, nil
 }
