@@ -86,7 +86,7 @@ func attachRecorder(chip *sim.Chip) func() []obs.TrackDump {
 	track := rec.Track("cable")
 	chip.Home.SetRecorder(rec, track)
 	chip.Remote.SetRecorder(rec, track)
-	return func() []obs.TrackDump { return rec.Dump(false).Tracks }
+	return func() []obs.TrackDump { return rec.Dump().Tracks }
 }
 
 func registryJSON(t *testing.T, reg *obs.Registry) []byte {

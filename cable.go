@@ -29,7 +29,6 @@ package cable
 
 import (
 	"io"
-	"net/http"
 
 	"cable/internal/cache"
 	"cable/internal/codec"
@@ -342,9 +341,9 @@ func StreamExperiments(ids []string, opt ExperimentOptions) <-chan ExperimentStr
 func NewEncodeTracer(capacity, sample int) *struct{} { return nil }
 
 // WriteMetrics dumps the global metrics registry as indented JSON.
-// With includeVolatile false the dump is deterministic: timing and
-// concurrency metrics are excluded, so two runs of the same workload
-// produce byte-identical output at any parallelism.
+// With includeVolatile false the dump is deterministic: the cell memo's
+// own counters are excluded, so two runs of the same workload produce
+// byte-identical output at any parallelism, memo on or off.
 func WriteMetrics(w io.Writer, includeVolatile bool) error {
 	return obs.Default().WriteJSON(w, includeVolatile)
 }
@@ -367,29 +366,16 @@ func MetricValue(name string) uint64 {
 	return obs.Default().Snapshot(true).Counters[name]
 }
 
-// MetricsHandler serves the live registry over HTTP: /metrics (JSON),
-// /metrics.txt, and the standard /debug/pprof endpoints. Backs the
-// cablesim -http flag. Use MetricsHandlerFor to additionally serve a
-// flight recorder's /windows, /timeline, and /health dashboard.
-func MetricsHandler() http.Handler { return MetricsHandlerFor(nil) }
-
-// MetricsHandlerFor is MetricsHandler plus the flight recorder
-// endpoints: /windows (windowed time series), /timeline (event
-// timeline), and /health (self-contained HTML link-health dashboard
-// with per-link sparklines and Go runtime health tiles). A nil flight
-// serves 404 on /windows and /timeline; /health still renders the
-// runtime tiles.
-func MetricsHandlerFor(f *Flight) http.Handler { return obs.HandlerWith(obs.Default(), f) }
-
 // Flight collects one virtual-time flight recorder per simulation cell
 // of an experiment run. Attach one via ExperimentOptions.Flight, then
-// export with WriteWindowsFile / WriteTimelineFile (deterministic with
-// includeVolatile false: byte-identical at any Parallelism, memo on or
-// off, any GOMAXPROCS) or serve it live via MetricsHandlerFor.
+// export with WriteWindowsFile / WriteTimelineFile after the run: the
+// files are byte-identical at any Parallelism, memo on or off, any
+// GOMAXPROCS. Its mutex guards the cell-key map, which the run's
+// workers register into concurrently.
 type Flight = obs.Flight
 
-// FlightConfig sizes flight recorders: virtual-time window length,
-// ring bounds, and optional volatile wall-clock span durations.
+// FlightConfig sizes flight recorders: virtual-time window length and
+// ring bounds.
 type FlightConfig = obs.FlightConfig
 
 // FlightRecorder is one simulation's virtual-time flight recorder:

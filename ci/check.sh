@@ -1,16 +1,18 @@
 #!/bin/sh
 # The pre-merge gate, and the only copy of it (`make check` calls this
-# script): formatting, vet, targeted race loops (the metrics registry,
-# the generators and the cell memo, fault injection), the un-raced
-# per-cell allocation byte budgets, fuzz smokes, the CLI determinism
-# comparisons (fig12 under faults, the flight recorder's dumps,
-# breakdown through the cell memo, mesh, workload specs) and round-trip
-# smokes (trace export, cablepipe, workload record -> replay), the
-# million-transfer mesh fault soak, the repository benchmark's smoke and
-# harness tests, a one-iteration bench smoke (compiles and runs every
-# benchmark body, including the 0 allocs/op encode path), the full test
-# suite under the race detector, a shared-flag smoke of both report
-# CLIs, then the non-test Go LOC figure.
+# script): formatting, vet, the dependency-closure gate (no network or
+# runtime-metrics package behind any binary), targeted race loops (the
+# metrics registry, the generators and the cell memo, fault injection),
+# the un-raced per-cell allocation byte budgets, fuzz smokes, the CLI
+# determinism comparisons (fig12 under faults, the flight recorder's
+# dumps, breakdown through the cell memo, the report file, mesh,
+# workload specs) and round-trip smokes (trace export, cablepipe,
+# workload record -> replay), the million-transfer mesh fault soak, the
+# repository benchmark's smoke and harness tests, a one-iteration bench
+# smoke (compiles and runs every benchmark body, including the 0
+# allocs/op encode path), the full test suite under the race detector, a
+# shared-flag smoke of both report CLIs, then the non-test Go LOC and
+# cablesim binary-size figures.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,6 +27,14 @@ fi
 
 echo "== go vet"
 go vet ./...
+
+echo "== dependency closure (no HTTP server, TLS stack or runtime/metrics)"
+# Telemetry is read from the post-run dumps only, so nothing in the
+# module may link a server: importing the encoder must mean an encoder.
+if go list -deps ./... | grep -xE 'net/http|crypto/tls|runtime/metrics'; then
+    echo "the packages above are in the module's dependency closure" >&2
+    exit 1
+fi
 
 echo "== obs race loop"
 # The metrics registry is the one structure every goroutine touches;
@@ -122,6 +132,13 @@ GOMAXPROCS=2 go run ./cmd/cablesim -exp breakdown -quick -parallel 8 -nomemo \
 cmp "$tmpdir/b1.txt" "$tmpdir/b8.txt"
 cmp "$tmpdir/bm1.json" "$tmpdir/bm8.json"
 cmp "$tmpdir/bw1.json" "$tmpdir/bw8.json"
+
+echo "== report determinism (one file, any -parallel, memo on/off)"
+# The report file holds no wall clock, so the contract its header states
+# is a plain cmp.
+go run ./cmd/cablereport -exp fig12 -quick -parallel 1 -o "$tmpdir/r1.md"
+GOMAXPROCS=2 go run ./cmd/cablereport -exp fig12 -quick -parallel 8 -nomemo -o "$tmpdir/r8.md"
+cmp "$tmpdir/r1.md" "$tmpdir/r8.md"
 
 echo "== trace-export smoke (record -> convert -> validate)"
 go run ./tools/traceexport -in "$tmpdir/t1.json" -o "$tmpdir/trace.json"
@@ -228,7 +245,8 @@ for bin in cablesim cablereport; do
     go run "$tmpdir/jsonok.go" "$tmpdir/$bin.m.json" "$tmpdir/$bin.w.json" "$tmpdir/$bin.t.json"
 done
 
-# The one reproducible size figure simplicity PRs cite.
-echo "non-test Go LOC: $(git ls-files '*.go' | grep -v _test.go | xargs wc -l | tail -1 | awk '{print $1}')"
+# The reproducible size figures simplicity PRs cite.
+go build -o "$tmpdir/cablesim" ./cmd/cablesim
+echo "non-test Go LOC: $(git ls-files '*.go' | grep -v _test.go | xargs wc -l | tail -1 | awk '{print $1}'); cablesim binary: $(wc -c <"$tmpdir/cablesim") bytes"
 
 echo "ci: OK"

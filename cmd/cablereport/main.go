@@ -10,13 +10,13 @@
 //	cablereport -parallel 8  # bound the worker pool (default GOMAXPROCS)
 //	cablereport -breakdown   # only the encoding-class coverage table
 //	cablereport -metrics m.json  # dump the metrics registry after the run
-//	cablereport -http :6060      # live /metrics, /health dashboard and /debug/pprof
 //	cablereport -windows w.json  # dump the flight recorder's windowed time series
 //	cablereport -timeline t.json # dump the event timeline (tools/traceexport input)
 //
 // Experiments run concurrently but the report streams in paper order:
 // each section is written as soon as it and everything before it have
-// finished. Output is bit-identical at any -parallel setting.
+// finished. Output is bit-identical at any -parallel setting: the
+// report holds no wall clock (each driver's seconds go to stderr).
 package main
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	shared := cli.Register(flag.CommandLine, "cablereport", cli.Help{
+	shared := cli.Register(flag.CommandLine, cli.Help{
 		Exp:      "single experiment id to run",
 		Quick:    "reduced-scale runs",
 		Parallel: "worker pool size across and within experiments",
@@ -95,7 +95,7 @@ func report(w io.Writer, shared *cli.Flags, opt cable.ExperimentOptions, ids []s
 		for _, n := range res.Notes {
 			fmt.Fprintf(w, "> %s\n", n)
 		}
-		fmt.Fprintf(w, "\n_(%s: %s, %.1fs)_\n\n", sr.ID, cable.DescribeExperiment(sr.ID), sr.Elapsed.Seconds())
+		fmt.Fprintf(w, "\n_(%s: %s)_\n\n", sr.ID, cable.DescribeExperiment(sr.ID))
 		fmt.Fprintf(os.Stderr, "done %-8s %.1fs\n", sr.ID, sr.Elapsed.Seconds())
 	}
 	elapsed := time.Since(total)

@@ -7,7 +7,6 @@
 //	cablesim -exp fig14a -quick    # reduced scale (seconds)
 //	cablesim -exp fig21 -parallel 8  # bound the per-cell worker pool
 //	cablesim -exp fig12 -metrics m.json  # dump the metrics registry after the run
-//	cablesim -exp fig12 -http :6060      # live /metrics, /health dashboard and /debug/pprof
 //	cablesim -exp fig12 -windows w.json  # dump the flight recorder's windowed time series
 //	cablesim -exp fig12 -timeline t.json # dump the event timeline (tools/traceexport input)
 //	cablesim -exp mesh -topology ring -chips 8  # N-chip topology scale-out
@@ -27,7 +26,7 @@ import (
 )
 
 func main() {
-	shared := cli.Register(flag.CommandLine, "cablesim", cli.Help{
+	shared := cli.Register(flag.CommandLine, cli.Help{
 		Exp:      "experiment id (see -list)",
 		Quick:    "reduced-scale run",
 		Parallel: "worker pool size for the driver's independent cells",

@@ -7,7 +7,6 @@ package cli
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -26,14 +25,11 @@ type Help struct {
 // Flags holds the parsed shared flags and, after Options, the run state
 // Finish reports on.
 type Flags struct {
-	prog string
-
 	Exp      string
 	Parallel int
 
 	quick, nomemo                   bool
-	metrics, httpAddr               string
-	windows, timeline               string
+	metrics, windows, timeline      string
 	flightWindow, chips             int
 	faultRate, faultTrunc           float64
 	faultSeed                       uint64
@@ -43,15 +39,13 @@ type Flags struct {
 	srcBytes uint64
 }
 
-// Register declares the shared flags on fs. prog prefixes the -http
-// server's error line.
-func Register(fs *flag.FlagSet, prog string, h Help) *Flags {
-	f := &Flags{prog: prog}
+// Register declares the shared flags on fs.
+func Register(fs *flag.FlagSet, h Help) *Flags {
+	f := &Flags{}
 	fs.StringVar(&f.Exp, "exp", "", h.Exp)
 	fs.BoolVar(&f.quick, "quick", false, h.Quick)
 	fs.IntVar(&f.Parallel, "parallel", runtime.GOMAXPROCS(0), h.Parallel)
 	fs.StringVar(&f.metrics, "metrics", "", "write a deterministic metrics-registry JSON dump to this file after the run")
-	fs.StringVar(&f.httpAddr, "http", "", "serve live /metrics, /windows, /timeline, /health and /debug/pprof on this address while running")
 	fs.StringVar(&f.windows, "windows", "", "write a deterministic flight-recorder windowed time-series JSON dump to this file after the run")
 	fs.StringVar(&f.timeline, "timeline", "", "write a deterministic flight-recorder event-timeline JSON dump to this file after the run")
 	fs.IntVar(&f.flightWindow, "flight-window", 0, "flight-recorder window length in virtual-time ticks (0 = default 2048)")
@@ -66,26 +60,12 @@ func Register(fs *flag.FlagSet, prog string, h Help) *Flags {
 	return f
 }
 
-// Options builds the flight recorder, starts the -http server, loads
-// the -workload-spec and -replay files and returns the experiment
-// options the flags describe. An error names the flag whose file failed
-// to load.
+// Options builds the flight recorder, loads the -workload-spec and
+// -replay files and returns the experiment options the flags describe.
+// An error names the flag whose file failed to load.
 func (f *Flags) Options() (cable.ExperimentOptions, error) {
-	// The flight recorder is built whenever any consumer wants it: the
-	// dump flags or the live dashboard. Wall-clock span durations are
-	// volatile, so they are only captured for the live view — the
-	// -windows/-timeline files are deterministic either way.
-	if f.windows != "" || f.timeline != "" || f.httpAddr != "" {
-		f.flight = cable.NewFlight(cable.FlightConfig{Window: f.flightWindow, WallClock: f.httpAddr != ""})
-	}
-	if f.httpAddr != "" {
-		// The server lives as long as the process; it has nothing to
-		// flush, so exiting is what stops it.
-		go func() {
-			if err := http.ListenAndServe(f.httpAddr, cable.MetricsHandlerFor(f.flight)); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: -http: %v\n", f.prog, err)
-			}
-		}()
+	if f.windows != "" || f.timeline != "" {
+		f.flight = cable.NewFlight(cable.FlightConfig{Window: f.flightWindow})
 	}
 	opt := cable.ExperimentOptions{
 		Quick: f.quick, Parallelism: f.Parallel, DisableCellMemo: f.nomemo,
@@ -122,19 +102,28 @@ func encodedBytes() uint64 {
 	return cable.MetricValue("core.source_bits")/8 - cable.MetricValue("experiments.cellmemo_saved_bytes")
 }
 
+// memoAccount renders the cell memo's own account of this process:
+// requests served from the memo, computed, and run around it. The
+// counters are volatile — kept out of -metrics so memo on and off dump
+// the same bytes — so the stderr line is where they are read.
+func memoAccount() string {
+	return fmt.Sprintf("memo: %d hits / %d misses / %d bypasses",
+		cable.MetricValue("experiments.cellmemo_hits"), cable.MetricValue("experiments.cellmemo_misses"), cable.MetricValue("experiments.cellmemo_bypass"))
+}
+
 // Finish reports on the run that started when Options returned and took
 // elapsed: the encoder-throughput line on stderr (clock is spliced in
 // after "source lines" — cablesim states the wall clock there,
-// cablereport has already printed it), then the -metrics, -windows and
-// -timeline dumps.
+// cablereport has already printed it) with the memo's account, then the
+// -metrics, -windows and -timeline dumps.
 func (f *Flags) Finish(elapsed time.Duration, clock string) error {
 	// Encoder throughput, honestly scoped: the numerator is source data
 	// actually pushed through CABLE home-end encoders this run
 	// (memo-served cells encode nothing), the denominator whole-run
 	// wall-clock including simulation outside the encoder.
 	if gb := float64(encodedBytes()-f.srcBytes) / 1e9; gb > 0 && elapsed > 0 {
-		fmt.Fprintf(os.Stderr, "encoded %.3f GB of source lines%s — %.3f GB/s through the encoders (whole-run clock; memoized cells encode nothing)\n",
-			gb, clock, gb/elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "encoded %.3f GB of source lines%s — %.3f GB/s through the encoders (whole-run clock; memoized cells encode nothing; %s)\n",
+			gb, clock, gb/elapsed.Seconds(), memoAccount())
 	}
 	if f.metrics != "" {
 		if err := cable.WriteMetricsFile(f.metrics, false); err != nil {
@@ -142,12 +131,12 @@ func (f *Flags) Finish(elapsed time.Duration, clock string) error {
 		}
 	}
 	if f.windows != "" {
-		if err := f.flight.WriteWindowsFile(f.windows, false); err != nil {
+		if err := f.flight.WriteWindowsFile(f.windows); err != nil {
 			return fmt.Errorf("windows: %w", err)
 		}
 	}
 	if f.timeline != "" {
-		if err := f.flight.WriteTimelineFile(f.timeline, false); err != nil {
+		if err := f.flight.WriteTimelineFile(f.timeline); err != nil {
 			return fmt.Errorf("timeline: %w", err)
 		}
 	}

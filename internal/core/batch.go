@@ -171,10 +171,6 @@ func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, 
 	acc := &h.acc
 	acc.fills++
 	acc.sourceBits += uint64(len(data) * 8)
-	var encStart int64
-	if h.rec != nil {
-		encStart = h.rec.Clock()
-	}
 	// bits is out.Bits(lidBits) by construction (AckSeq is not
 	// transmitted in the sized header), so nothing below recomputes it.
 	bits, skip, lat := h.encode(data, out)
@@ -208,7 +204,7 @@ func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, 
 		acc.refsUsed[len(out.Refs)]++
 	}
 	if h.rec != nil {
-		h.rec.Encode(h.recTrack, class, bits, skip, h.rec.Clock()-encStart)
+		h.rec.Encode(h.recTrack, class, bits, skip)
 	}
 	return lat
 }

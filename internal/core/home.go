@@ -291,10 +291,7 @@ func (h *HomeEnd) DecodeWriteback(p Payload) ([]byte, error) {
 	h.Stats.WBDecodes++
 	h.mx.wbDecodes.Inc(h.shard)
 	if h.rec != nil {
-		start := h.rec.Clock()
-		defer func() {
-			h.rec.Span(h.recTrack, obs.EvWBDecode, p.Bits(h.RemoteLIDBits()), h.rec.Clock()-start)
-		}()
+		defer h.rec.Span(h.recTrack, obs.EvWBDecode, p.Bits(h.RemoteLIDBits()))
 	}
 	if !p.Compressed {
 		if len(p.Raw) != h.lineSize {

@@ -20,8 +20,8 @@ const MaxRefsLimit = 3
 // The per-end HomeStats/RemoteStats structs count one link: HomeStats is
 // what sim.MemLinkResult.Home reports (the breakdown experiment's class
 // mix), RemoteStats is read by tests only. The registry aggregates the
-// same events process-wide so `-metrics` and the live `/metrics`
-// endpoint can see across every link of every experiment cell.
+// same events process-wide so `-metrics` can see across every link of
+// every experiment cell.
 
 // homeCounters is the resolved counter block for home-end encoders.
 // All home ends share the counter objects (they are process-wide

@@ -145,13 +145,9 @@ func (r *RemoteEnd) DecodeFills(ps []Payload, emit func(i int, data []byte)) err
 // with the counters left in acc for the caller to flush.
 func (r *RemoteEnd) decodeFill(p *Payload, acc *remoteDecodeAcc) ([]byte, error) {
 	acc.decodes++
-	var start int64
-	if r.rec != nil {
-		start = r.rec.Clock()
-	}
 	out, err := r.reconstruct(p, acc)
 	if r.rec != nil {
-		r.rec.Span(r.recTrack, obs.EvDecode, p.Bits(r.scr.lidBits), r.rec.Clock()-start)
+		r.rec.Span(r.recTrack, obs.EvDecode, p.Bits(r.scr.lidBits))
 	}
 	return out, err
 }
@@ -253,10 +249,6 @@ func (r *RemoteEnd) OnUpgrade(id cache.LineID, data []byte) {
 func (r *RemoteEnd) EncodeWriteback(data []byte) Payload {
 	r.Stats.Writebacks++
 	r.Stats.WBSourceBits += uint64(len(data) * 8)
-	var wbStart int64
-	if r.rec != nil {
-		wbStart = r.rec.Clock()
-	}
 	scr := &r.scr
 	var best Payload
 	bestBits, standBits := scr.floor(data, &best)
@@ -267,7 +259,7 @@ func (r *RemoteEnd) EncodeWriteback(data []byte) Payload {
 	}
 	scr.flushCompress()
 	if r.rec != nil {
-		r.rec.Span(r.recTrack, obs.EvWBEncode, bestBits, r.rec.Clock()-wbStart)
+		r.rec.Span(r.recTrack, obs.EvWBEncode, bestBits)
 	}
 	r.Stats.WBPayloadBits += uint64(bestBits)
 	r.mx.writebacks.Inc(r.shard)

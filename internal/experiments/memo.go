@@ -4,7 +4,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"time"
 
 	"cable/internal/obs"
 	"cable/internal/sim"
@@ -134,13 +133,15 @@ type cellKind[C, R any] struct {
 // snapshot into the default one and gets its own copy of the result.
 // With Options.Flight set, the one run of a cell — the owner, or each
 // bypassed run — feeds the recorder registered under the cell's key
-// (repeats of a key get throwaways, see obs.Flight.Recorder).
+// (a repeat of a key gets nil and records nothing, see
+// obs.Flight.Recorder).
 //
 // The memo's own counters (experiments.cellmemo_*) are deterministic
 // across -parallel — single-flight, see the file comment — but they
 // describe the process's caching, not the simulated workload: a
 // `-nomemo` run legitimately differs. They are therefore volatile: left
-// out of the deterministic `-metrics` dump, visible live via `-http`.
+// out of the deterministic `-metrics` dump, printed by the CLIs' closing
+// stderr line.
 func runCell[C, R any](opt Options, k *cellKind[C, R], cfg C) (R, error) {
 	def, shard := obs.Default(), obs.NextShard()
 	var rec *obs.Recorder
@@ -157,11 +158,8 @@ func runCell[C, R any](opt Options, k *cellKind[C, R], cfg C) (R, error) {
 		reg := obs.NewRegistry()
 		if opt.Flight != nil {
 			rec = opt.Flight.Recorder(k.key(cfg))
-			opt.Flight.MemoEvent(false)
 		}
-		start := time.Now()
 		e.res, e.err = k.run(cfg, reg, rec)
-		def.VolatileHistogram("experiments.cellmemo_compute_ms").Observe(uint64(time.Since(start).Milliseconds()))
 		e.snap = reg.Snapshot(false)
 		close(e.ready)
 	} else {
@@ -169,9 +167,6 @@ func runCell[C, R any](opt Options, k *cellKind[C, R], cfg C) (R, error) {
 		def.VolatileCounter("experiments.cellmemo_hits").Inc(shard)
 		// Simulated source bytes this request did not re-encode.
 		def.VolatileCounter("experiments.cellmemo_saved_bytes").Add(shard, e.snap.Counters["core.source_bits"]/8)
-		if opt.Flight != nil {
-			opt.Flight.MemoEvent(true)
-		}
 	}
 	def.Merge(e.snap)
 	if e.err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,8 +117,8 @@ func TestCellMemoReuse(t *testing.T) {
 		}
 	}
 
-	// The memo's own counters are volatile: visible in the live view
-	// (`-http` serves Snapshot(true)), absent from the deterministic
+	// The memo's own counters are volatile: read through Snapshot(true)
+	// (the CLIs' closing stderr line), absent from the deterministic
 	// dump a -nomemo run must reproduce.
 	vol := obs.Default().Snapshot(true)
 	if got := vol.Counters["experiments.cellmemo_hits"]; got != 1 {
@@ -148,6 +149,48 @@ func TestCellMemoReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Total, third.Total) {
 		t.Fatal("memoized and direct runs disagree")
+	}
+}
+
+// TestVolatileMetricsAreTheMemoCounters pins what "volatile" means.
+// Telemetry is read from the post-run dumps, which leave volatile
+// metrics out, so a volatile metric needs a reader of its own: the cell
+// memo's four counters have one (the CLIs' stderr line, the benchmark
+// harness). After memo-on runs (the second is served from the memo, so
+// every outcome is counted) and a memo-off run across every cell
+// descriptor, any other name that Snapshot(true) holds and
+// Snapshot(false) does not — a wall-clock histogram, a queue-depth
+// gauge — is write-only and fails here.
+func TestVolatileMetricsAreTheMemoCounters(t *testing.T) {
+	ResetCellMemo()
+	ids := []string{"fig12", "fig13", "mesh"}
+	for _, nomemo := range []bool{false, false, true} {
+		if _, err := RunAll(ids, Options{Quick: true, DisableCellMemo: nomemo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, det := obs.Default().Snapshot(true), obs.Default().Snapshot(false)
+	var volatile []string
+	for name := range all.Counters {
+		if _, ok := det.Counters[name]; !ok {
+			volatile = append(volatile, name)
+		}
+	}
+	for name := range all.Histograms {
+		if _, ok := det.Histograms[name]; !ok {
+			volatile = append(volatile, name)
+		}
+	}
+	sort.Strings(volatile)
+	want := []string{
+		"experiments.cellmemo_bypass", "experiments.cellmemo_hits",
+		"experiments.cellmemo_misses", "experiments.cellmemo_saved_bytes",
+	}
+	if !reflect.DeepEqual(volatile, want) {
+		t.Errorf("volatile metrics = %v, want exactly %v", volatile, want)
+	}
+	if len(all.Gauges) != 0 {
+		t.Errorf("snapshot holds gauges %v; the member is format-only and always empty", all.Gauges)
 	}
 }
 

@@ -25,28 +25,20 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runnerCounters tracks experiment/cell progress. Counts of completed
-// work are deterministic; everything measuring time or concurrency is
-// volatile so `-metrics` dumps stay byte-identical across -parallel
-// settings.
+// runnerCounters tracks experiment/cell progress: counts of completed
+// work, deterministic at any -parallel. Both are resolved wherever
+// either is counted, so a -metrics dump names experiments.completed
+// (at 0) even when one experiment ran without RunAllStream.
 type runnerCounters struct {
-	experiments   *obs.Counter
-	cells         *obs.Counter
-	queueDepth    *obs.Gauge     // experiments admitted but not finished
-	cellsInFlight *obs.Gauge     // cells currently executing
-	experimentMS  *obs.Histogram // per-experiment wall-clock, ms
-	cellMS        *obs.Histogram // per-cell wall-clock, ms
+	experiments *obs.Counter
+	cells       *obs.Counter
 }
 
 func runnerMetrics() runnerCounters {
 	r := obs.Default()
 	return runnerCounters{
-		experiments:   r.Counter("experiments.completed"),
-		cells:         r.Counter("experiments.cells"),
-		queueDepth:    r.VolatileGauge("experiments.queue_depth"),
-		cellsInFlight: r.VolatileGauge("experiments.cells_in_flight"),
-		experimentMS:  r.VolatileHistogram("experiments.experiment_ms"),
-		cellMS:        r.VolatileHistogram("experiments.cell_ms"),
+		experiments: r.Counter("experiments.completed"),
+		cells:       r.Counter("experiments.cells"),
 	}
 }
 
@@ -98,13 +90,10 @@ func RunAllStream(ids []string, opt Options) <-chan StreamResult {
 		go func(i int, id string) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			mx.queueDepth.Add(1)
 			start := time.Now()
 			res, err := Run(id, opt)
 			elapsed := time.Since(start)
-			mx.queueDepth.Add(-1)
 			mx.experiments.Inc(obs.NextShard())
-			mx.experimentMS.Observe(uint64(elapsed.Milliseconds()))
 			slots[i] <- StreamResult{
 				Index:   i,
 				ID:      id,
@@ -133,22 +122,15 @@ func RunAllStream(ids []string, opt Options) <-chan StreamResult {
 // workers <= 1 the loop degenerates to a plain serial for, so the
 // serial path is literally the same code.
 func cellRun(workers, n int, fn func(int)) {
-	mx := runnerMetrics()
-	instrumented := func(shard uint32, i int) {
-		mx.cellsInFlight.Add(1)
-		start := time.Now()
-		fn(i)
-		mx.cellsInFlight.Add(-1)
-		mx.cells.Inc(shard)
-		mx.cellMS.Observe(uint64(time.Since(start).Milliseconds()))
-	}
+	done := runnerMetrics().cells
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		shard := obs.NextShard()
 		for i := 0; i < n; i++ {
-			instrumented(shard, i)
+			fn(i)
+			done.Inc(shard)
 		}
 		return
 	}
@@ -160,7 +142,8 @@ func cellRun(workers, n int, fn func(int)) {
 			defer wg.Done()
 			shard := obs.NextShard()
 			for i := range next {
-				instrumented(shard, i)
+				fn(i)
+				done.Inc(shard)
 			}
 		}()
 	}

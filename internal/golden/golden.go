@@ -38,7 +38,7 @@ func HashRun(t testing.TB, result interface{}, reg *obs.Registry, rec *obs.Recor
 		Result  interface{}
 		Metrics obs.Snapshot
 		Flight  obs.RecorderDump
-	}{result, reg.Snapshot(false), rec.Dump(false)})
+	}{result, reg.Snapshot(false), rec.Dump()})
 }
 
 // Hash fingerprints v through its JSON encoding (encoding/json sorts map

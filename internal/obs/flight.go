@@ -7,16 +7,15 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // This file is the virtual-time flight recorder: windowed time-series
 // deltas and a span/event timeline for every link end a simulation
 // drives, stamped with the simulation's own access tick instead of wall
 // clock. Virtual time is a pure function of the workload, so recorder
-// dumps (with volatile fields excluded) are byte-identical at any
-// -parallel setting, with the cell memo on or off, and at any
-// GOMAXPROCS — the same contract the metrics registry keeps.
+// dumps are byte-identical at any -parallel setting, with the cell memo
+// on or off, and at any GOMAXPROCS — the same contract the metrics
+// registry keeps.
 //
 // Layering:
 //
@@ -43,7 +42,6 @@ const (
 	DefaultFlightWindow = 2048
 	defaultMaxWindows   = 1024
 	defaultMaxEvents    = 8192
-	defaultMaxMemoEv    = 4096
 )
 
 // FlightConfig sizes a Recorder (and every recorder a Flight creates).
@@ -56,10 +54,6 @@ type FlightConfig struct {
 	MaxWindows int
 	// MaxEvents bounds the recorder's timeline ring. 0 means 8192.
 	MaxEvents int
-	// WallClock additionally stamps spans with wall-clock durations.
-	// Durations are volatile: they never appear in deterministic dumps,
-	// only in live (/timeline) views and includeVolatile exports.
-	WallClock bool
 }
 
 func (c FlightConfig) withDefaults() FlightConfig {
@@ -78,9 +72,9 @@ func (c FlightConfig) withDefaults() FlightConfig {
 // EventKind classifies one timeline entry.
 type EventKind uint8
 
-// Timeline event kinds. Encode/decode/writeback kinds are spans (they
-// have a duration when wall-clock stamping is on); fault and degrade
-// are instants.
+// Timeline event kinds. Encode/decode/writeback kinds are spans (work
+// with an extent, which traceexport draws as a slice); fault and
+// degrade are instants.
 const (
 	EvEncode   EventKind = iota // home-end fill encode
 	EvDecode                    // remote-end fill decode
@@ -110,8 +104,7 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// span reports whether the kind is a duration-carrying span (vs an
-// instant).
+// span reports whether the kind is a span (vs an instant).
 func (k EventKind) span() bool { return k <= EvWBDecode }
 
 // EncodeClass is the outcome of one per-line encode decision — the
@@ -201,9 +194,6 @@ type Event struct {
 	Class EncodeClass
 	Skip  bool
 	Bits  uint32
-	// DurNs is the volatile wall-clock duration (0 when wall-clock
-	// stamping is off, and excluded from deterministic exports).
-	DurNs int64
 }
 
 // Track is one link end's window accumulator inside a Recorder. Feed it
@@ -221,9 +211,9 @@ type Track struct {
 // Name returns the track's name.
 func (t *Track) Name() string { return t.name }
 
-// Recorder is one simulation's flight recorder. The simulation thread
-// writes; live HTTP readers snapshot concurrently, so every operation
-// takes the recorder mutex (uncontended in the common one-writer case).
+// Recorder is one simulation's flight recorder. Every operation takes
+// the recorder mutex, so a Dump may run on another goroutine than the
+// simulation feeding it (uncontended in the common one-writer case).
 type Recorder struct {
 	mu        sync.Mutex
 	cfg       FlightConfig
@@ -277,17 +267,6 @@ func (r *Recorder) Now() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.now
-}
-
-// Clock returns a wall-clock timestamp in nanoseconds when wall-clock
-// stamping is enabled, else 0. Callers bracket a span with two Clock
-// calls and pass the difference as the span's duration; with stamping
-// off both reads are 0 and the duration stays 0.
-func (r *Recorder) Clock() int64 {
-	if !r.cfg.WallClock {
-		return 0
-	}
-	return time.Now().UnixNano()
 }
 
 func (r *Recorder) sealLocked(t *Track) { r.sealAtLocked(t, r.now) }
@@ -354,9 +333,9 @@ func (r *Recorder) Transfer(t *Track, sourceBits, wireBits int, toggles uint64) 
 }
 
 // Encode records one home-end fill encode: the winning class, the
-// pre-quantization payload bits, whether the signature search was
-// threshold-skipped, and the optional wall-clock duration.
-func (r *Recorder) Encode(t *Track, class EncodeClass, payloadBits int, skip bool, durNs int64) {
+// pre-quantization payload bits, and whether the signature search was
+// threshold-skipped.
+func (r *Recorder) Encode(t *Track, class EncodeClass, payloadBits int, skip bool) {
 	r.mu.Lock()
 	t.cur.Encodes++
 	t.cur.PayloadBits += uint64(payloadBits)
@@ -366,14 +345,13 @@ func (r *Recorder) Encode(t *Track, class EncodeClass, payloadBits int, skip boo
 	if class < NumClasses {
 		t.cur.Classes[class]++
 	}
-	r.eventLocked(Event{Kind: EvEncode, Track: t.index, Class: class, Skip: skip, Bits: uint32(payloadBits), DurNs: durNs})
+	r.eventLocked(Event{Kind: EvEncode, Track: t.index, Class: class, Skip: skip, Bits: uint32(payloadBits)})
 	r.mu.Unlock()
 }
 
 // Span records a decode or write-back span (EvDecode, EvWBEncode,
-// EvWBDecode) with the payload bits it carried and the optional
-// wall-clock duration.
-func (r *Recorder) Span(t *Track, kind EventKind, bits int, durNs int64) {
+// EvWBDecode) with the payload bits it carried.
+func (r *Recorder) Span(t *Track, kind EventKind, bits int) {
 	r.mu.Lock()
 	switch kind {
 	case EvDecode, EvWBDecode:
@@ -381,7 +359,7 @@ func (r *Recorder) Span(t *Track, kind EventKind, bits int, durNs int64) {
 	case EvWBEncode:
 		t.cur.Writebacks++
 	}
-	r.eventLocked(Event{Kind: kind, Track: t.index, Bits: uint32(bits), DurNs: durNs})
+	r.eventLocked(Event{Kind: kind, Track: t.index, Bits: uint32(bits)})
 	r.mu.Unlock()
 }
 
@@ -533,7 +511,6 @@ type EventDump struct {
 	Class string `json:"class,omitempty"`
 	Bits  uint32 `json:"bits,omitempty"`
 	Skip  bool   `json:"skip,omitempty"`
-	DurNs int64  `json:"dur_ns,omitempty"`
 }
 
 // RecorderDump is a recorder's full exported state.
@@ -544,10 +521,9 @@ type RecorderDump struct {
 	Events        []EventDump `json:"events"`
 }
 
-// Dump snapshots the recorder. With includeVolatile false, wall-clock
-// durations are zeroed out of the timeline, so the dump is a pure
-// function of the simulated workload.
-func (r *Recorder) Dump(includeVolatile bool) RecorderDump {
+// Dump snapshots the recorder: a pure function of the simulated
+// workload.
+func (r *Recorder) Dump() RecorderDump {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d := RecorderDump{Now: r.now, DroppedEvents: r.evDropped}
@@ -588,9 +564,6 @@ func (r *Recorder) Dump(includeVolatile bool) RecorderDump {
 		if e.Kind == EvEncode {
 			ed.Class = e.Class.String()
 		}
-		if includeVolatile {
-			ed.DurNs = e.DurNs
-		}
 		d.Events = append(d.Events, ed)
 	}
 	return d
@@ -598,29 +571,18 @@ func (r *Recorder) Dump(includeVolatile bool) RecorderDump {
 
 // Flight collects one Recorder per distinct simulation cell for a
 // multi-cell experiment run. Recorder(key) registers the first recorder
-// requested for a key and hands duplicate requesters a throwaway: with
-// the cell memo on, only the single-flight compute owner ever asks;
-// with it off, repeated runs of an identical cell record identical
-// content and only the first registration is kept. Either way the
-// collection — and its dumps — depends only on the set of distinct
-// cells, not on scheduling.
+// requested for a key and hands duplicate requesters nil, the disabled
+// recorder: with the cell memo on, only the single-flight compute owner
+// ever asks; with it off, repeated runs of an identical cell would
+// record identical content, so only the first run records. Either way
+// the collection — and its dumps — depends only on the set of distinct
+// cells, not on scheduling. The mutex guards the key map: cells on
+// different workers register concurrently.
 type Flight struct {
 	cfg FlightConfig
 
 	mu   sync.Mutex
 	recs map[string]*Recorder
-
-	memoHits   uint64
-	memoMisses uint64
-	memoEvents []FlightMemoEvent
-	memoDrops  uint64
-}
-
-// FlightMemoEvent is one cell-memo outcome observed during a flight
-// (volatile: arrival order and wall timestamps depend on scheduling).
-type FlightMemoEvent struct {
-	Hit    bool  `json:"hit"`
-	WallNs int64 `json:"wall_ns"`
 }
 
 // NewFlight builds a flight collection; every recorder it creates
@@ -632,15 +594,15 @@ func NewFlight(cfg FlightConfig) *Flight {
 // Config returns the flight's effective recorder configuration.
 func (f *Flight) Config() FlightConfig { return f.cfg }
 
-// Recorder returns a recorder for the cell key: the registered one on
-// first request, a feed-and-forget duplicate afterwards (identical
-// cells record identical content, so dropping repeats loses nothing
-// and keeps dumps scheduling-independent).
+// Recorder returns the recorder for the cell key on first request and
+// nil — the disabled recorder every hook checks for — afterwards
+// (identical cells record identical content, so not recording repeats
+// loses nothing and keeps dumps scheduling-independent).
 func (f *Flight) Recorder(key string) *Recorder {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.recs[key]; ok {
-		return NewRecorder(f.cfg)
+		return nil
 	}
 	r := NewRecorder(f.cfg)
 	f.recs[key] = r
@@ -664,23 +626,6 @@ func (f *Flight) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// MemoEvent records one cell-memo outcome (hit or miss) for the
-// timeline's volatile view.
-func (f *Flight) MemoEvent(hit bool) {
-	f.mu.Lock()
-	if hit {
-		f.memoHits++
-	} else {
-		f.memoMisses++
-	}
-	if len(f.memoEvents) < defaultMaxMemoEv {
-		f.memoEvents = append(f.memoEvents, FlightMemoEvent{Hit: hit, WallNs: time.Now().UnixNano()})
-	} else {
-		f.memoDrops++
-	}
-	f.mu.Unlock()
 }
 
 // FlightCellWindows is one cell's windowed time series.
@@ -709,24 +654,22 @@ type FlightCellTimeline struct {
 type FlightTimelineDump struct {
 	Window int                  `json:"window"`
 	Cells  []FlightCellTimeline `json:"cells"`
-	// MemoEvents appears only in volatile exports.
-	MemoEvents []FlightMemoEvent `json:"memo_events,omitempty"`
 }
 
 // snapshot dumps every registered recorder in key order.
-func (f *Flight) snapshot(includeVolatile bool) (keys []string, dumps []RecorderDump) {
+func (f *Flight) snapshot() (keys []string, dumps []RecorderDump) {
 	keys = f.Keys()
 	dumps = make([]RecorderDump, len(keys))
 	for i, k := range keys {
-		dumps[i] = f.Lookup(k).Dump(includeVolatile)
+		dumps[i] = f.Lookup(k).Dump()
 	}
 	return keys, dumps
 }
 
 // WindowsDump exports every cell's windowed time series, cells sorted
 // by key.
-func (f *Flight) WindowsDump(includeVolatile bool) FlightWindowsDump {
-	keys, dumps := f.snapshot(includeVolatile)
+func (f *Flight) WindowsDump() FlightWindowsDump {
+	keys, dumps := f.snapshot()
 	out := FlightWindowsDump{Window: f.cfg.Window, Cells: make([]FlightCellWindows, len(keys))}
 	for i, k := range keys {
 		out.Cells[i] = FlightCellWindows{Cell: k, Now: dumps[i].Now, Tracks: dumps[i].Tracks}
@@ -735,10 +678,9 @@ func (f *Flight) WindowsDump(includeVolatile bool) FlightWindowsDump {
 }
 
 // TimelineDump exports every cell's event timeline, cells sorted by
-// key. Volatile exports carry wall-clock durations and the cell-memo
-// hit/miss events; deterministic exports exclude both.
-func (f *Flight) TimelineDump(includeVolatile bool) FlightTimelineDump {
-	keys, dumps := f.snapshot(includeVolatile)
+// key.
+func (f *Flight) TimelineDump() FlightTimelineDump {
+	keys, dumps := f.snapshot()
 	out := FlightTimelineDump{Window: f.cfg.Window, Cells: make([]FlightCellTimeline, len(keys))}
 	for i, k := range keys {
 		out.Cells[i] = FlightCellTimeline{
@@ -746,36 +688,31 @@ func (f *Flight) TimelineDump(includeVolatile bool) FlightTimelineDump {
 			DroppedEvents: dumps[i].DroppedEvents, Events: dumps[i].Events,
 		}
 	}
-	if includeVolatile {
-		f.mu.Lock()
-		out.MemoEvents = append([]FlightMemoEvent(nil), f.memoEvents...)
-		f.mu.Unlock()
-	}
 	return out
 }
 
 // WriteWindowsJSON writes the windowed time series as indented JSON.
-// Struct field order is fixed and cells are key-sorted, so the
-// deterministic form is byte-stable.
-func (f *Flight) WriteWindowsJSON(w io.Writer, includeVolatile bool) error {
-	return writeJSON(w, f.WindowsDump(includeVolatile), true)
+// Struct field order is fixed and cells are key-sorted, so the output
+// is byte-stable.
+func (f *Flight) WriteWindowsJSON(w io.Writer) error {
+	return writeJSON(w, f.WindowsDump(), true)
 }
 
 // WriteTimelineJSON writes the event timeline as compact JSON (timeline
 // files carry thousands of events; the converter re-shapes them).
-func (f *Flight) WriteTimelineJSON(w io.Writer, includeVolatile bool) error {
-	return writeJSON(w, f.TimelineDump(includeVolatile), false)
+func (f *Flight) WriteTimelineJSON(w io.Writer) error {
+	return writeJSON(w, f.TimelineDump(), false)
 }
 
 // WriteWindowsFile dumps the windows JSON to path (the -windows flag).
-func (f *Flight) WriteWindowsFile(path string, includeVolatile bool) error {
-	return writeJSONFile(path, func(w io.Writer) error { return f.WriteWindowsJSON(w, includeVolatile) })
+func (f *Flight) WriteWindowsFile(path string) error {
+	return writeJSONFile(path, f.WriteWindowsJSON)
 }
 
 // WriteTimelineFile dumps the timeline JSON to path (the -timeline
 // flag).
-func (f *Flight) WriteTimelineFile(path string, includeVolatile bool) error {
-	return writeJSONFile(path, func(w io.Writer) error { return f.WriteTimelineJSON(w, includeVolatile) })
+func (f *Flight) WriteTimelineFile(path string) error {
+	return writeJSONFile(path, f.WriteTimelineJSON)
 }
 
 func writeJSON(w io.Writer, v interface{}, indent bool) error {

@@ -13,9 +13,9 @@ func drive(r *Recorder, t *Track, n int) {
 	for i := 0; i < n; i++ {
 		r.Tick()
 		r.Transfer(t, 512, 300+i%7, uint64(100+i%13))
-		r.Encode(t, EncodeClass(i%int(NumClasses)), 280+i%5, i%10 == 0, 0)
+		r.Encode(t, EncodeClass(i%int(NumClasses)), 280+i%5, i%10 == 0)
 		if i%2 == 0 {
-			r.Span(t, EvDecode, 280, 0)
+			r.Span(t, EvDecode, 280)
 		}
 	}
 }
@@ -25,7 +25,7 @@ func TestRecorderWindowSealing(t *testing.T) {
 	tr := r.Track("cable")
 	drive(r, tr, 20) // 2 sealed windows of 8, partial window of 4
 
-	d := r.Dump(false)
+	d := r.Dump()
 	if d.Now != 20 {
 		t.Fatalf("now = %d, want 20", d.Now)
 	}
@@ -65,13 +65,13 @@ func TestRecorderDerivedRates(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Tick()
 		r.Transfer(tr, 512, 256, 64)
-		r.Encode(tr, ClassDiff1, 200, i == 0, 0)
+		r.Encode(tr, ClassDiff1, 200, i == 0)
 	}
 	r.Fault(tr)
 	r.Degrade(tr, 512)
 
 	// Nothing sealed yet: the dump exposes the open window as a partial.
-	w := r.Dump(false).Tracks[0].Windows[0]
+	w := r.Dump().Tracks[0].Windows[0]
 	if w.BitsPerLine != 256 {
 		t.Fatalf("bits_per_line = %v, want 256", w.BitsPerLine)
 	}
@@ -93,7 +93,7 @@ func TestRecorderRingBounds(t *testing.T) {
 	tr := r.Track("cable")
 	drive(r, tr, 20) // 10 sealable windows, 30 events
 
-	d := r.Dump(false)
+	d := r.Dump()
 	td := d.Tracks[0]
 	// 10 seals with a ring of 3 keeps the newest 3, plus the open
 	// partial (the final iteration records after the tick at 20 seals).
@@ -124,40 +124,19 @@ func TestRecorderRingBounds(t *testing.T) {
 	}
 }
 
-// TestRecorderVolatileExclusion: wall-clock durations appear only in
-// volatile dumps; the deterministic dump zeroes them.
-func TestRecorderVolatileExclusion(t *testing.T) {
-	r := NewRecorder(FlightConfig{Window: 4, WallClock: true})
-	tr := r.Track("cable")
-	r.Tick()
-	start := r.Clock()
-	if start == 0 {
-		t.Fatal("Clock() = 0 with WallClock on")
-	}
-	r.Encode(tr, ClassStandalone, 100, false, 12345)
-
-	if d := r.Dump(true); d.Events[0].DurNs != 12345 {
-		t.Fatalf("volatile dur = %d, want 12345", d.Events[0].DurNs)
-	}
-	if d := r.Dump(false); d.Events[0].DurNs != 0 {
-		t.Fatalf("deterministic dur = %d, want 0", d.Events[0].DurNs)
-	}
-
-	off := NewRecorder(FlightConfig{})
-	if off.Clock() != 0 {
-		t.Fatal("Clock() != 0 with WallClock off")
-	}
-}
-
 // TestFlightRecorderDedup: the first request per key registers; later
-// requests get a live throwaway that never shows up in dumps.
+// requests get nil, the disabled recorder, so a repeated cell records
+// nothing.
 func TestFlightRecorderDedup(t *testing.T) {
 	f := NewFlight(FlightConfig{Window: 4})
 	a := f.Recorder("cell-a")
 	dup := f.Recorder("cell-a")
 	b := f.Recorder("cell-b")
-	if a == dup {
-		t.Fatal("duplicate key returned the registered recorder")
+	if a == nil || b == nil {
+		t.Fatal("first request for a key returned no recorder")
+	}
+	if dup != nil {
+		t.Fatal("duplicate key was handed a recorder; want nil (nobody reads a repeat's recording)")
 	}
 	if f.Lookup("cell-a") != a || f.Lookup("cell-b") != b {
 		t.Fatal("Lookup does not return the first-registered recorder")
@@ -166,37 +145,16 @@ func TestFlightRecorderDedup(t *testing.T) {
 		t.Fatalf("Keys() = %v", got)
 	}
 
-	// The throwaway must still be fully usable (memo-off duplicate runs
-	// feed it), it just doesn't appear in the flight dump.
-	dt := dup.Track("cable")
-	dup.Tick()
-	dup.Transfer(dt, 512, 256, 1)
-
 	at := a.Track("cable")
 	a.Tick()
 	a.Transfer(at, 512, 300, 2)
 
-	d := f.WindowsDump(false)
+	d := f.WindowsDump()
 	if len(d.Cells) != 2 {
 		t.Fatalf("cells = %d, want 2", len(d.Cells))
 	}
 	if w := d.Cells[0].Tracks[0].Windows; len(w) != 1 || w[0].WireBits != 300 {
 		t.Fatalf("cell-a windows = %+v, want the registered recorder's 300 wire bits", w)
-	}
-}
-
-// TestFlightMemoEventsVolatileOnly: memo hit/miss events ride only in
-// volatile timeline exports.
-func TestFlightMemoEventsVolatileOnly(t *testing.T) {
-	f := NewFlight(FlightConfig{})
-	f.MemoEvent(false)
-	f.MemoEvent(true)
-
-	if d := f.TimelineDump(true); len(d.MemoEvents) != 2 || !d.MemoEvents[1].Hit || d.MemoEvents[0].Hit {
-		t.Fatalf("volatile memo events = %+v", d.MemoEvents)
-	}
-	if d := f.TimelineDump(false); d.MemoEvents != nil {
-		t.Fatalf("deterministic dump carries memo events: %+v", d.MemoEvents)
 	}
 }
 
@@ -215,16 +173,16 @@ func TestFlightDumpByteStable(t *testing.T) {
 	}
 	var w1, w2, t1, t2 bytes.Buffer
 	f1, f2 := build(), build()
-	if err := f1.WriteWindowsJSON(&w1, false); err != nil {
+	if err := f1.WriteWindowsJSON(&w1); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.WriteWindowsJSON(&w2, false); err != nil {
+	if err := f2.WriteWindowsJSON(&w2); err != nil {
 		t.Fatal(err)
 	}
-	if err := f1.WriteTimelineJSON(&t1, false); err != nil {
+	if err := f1.WriteTimelineJSON(&t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.WriteTimelineJSON(&t2, false); err != nil {
+	if err := f2.WriteTimelineJSON(&t2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(w1.Bytes(), w2.Bytes()) {

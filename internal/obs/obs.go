@@ -1,7 +1,8 @@
 // Package obs is the dependency-free observability layer: a sharded
 // atomic counter/histogram registry threaded through the encode hot
 // paths, a virtual-time flight recorder, and deterministic snapshot
-// export (JSON/text dumps, an expvar-style HTTP handler).
+// export. Telemetry has one reader, the JSON dumps written after a run;
+// nothing here reads a wall clock.
 //
 // Design constraints, in order:
 //
@@ -13,8 +14,9 @@
 //   - Snapshots must be deterministic. Shard assignment varies with
 //     worker scheduling but sums do not, and JSON map keys marshal in
 //     sorted order, so a snapshot of the non-volatile metrics is
-//     byte-identical at any Options.Parallelism. Wall-clock and
-//     queue-depth metrics are registered as volatile and excluded from
+//     byte-identical at any Options.Parallelism. Counters that
+//     describe the process rather than the simulated workload (the cell
+//     memo's own account) are registered as volatile and excluded from
 //     deterministic dumps.
 //   - Optional hooks (the flight recorder) are nil by default and
 //     guarded by a single pointer check.
@@ -22,11 +24,9 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/bits"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,28 +85,6 @@ func (c *Counter) reset() {
 	}
 }
 
-// Gauge is a settable instantaneous value (queue depths, in-flight
-// work). Gauges are coarse-grained — one atomic, no sharding.
-type Gauge struct {
-	name     string
-	volatile bool
-	v        atomic.Int64
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Set stores an absolute value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
-
-func (g *Gauge) reset() { g.v.Store(0) }
-
 // HistBuckets is the fixed bucket count of a Histogram: bucket i counts
 // observations v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
 const HistBuckets = 32
@@ -114,11 +92,10 @@ const HistBuckets = 32
 // Histogram is a log2-bucketed histogram. Buckets are plain atomics
 // (one add per observation is rare enough not to shard).
 type Histogram struct {
-	name     string
-	volatile bool
-	count    atomic.Uint64
-	sum      atomic.Uint64
-	buckets  [HistBuckets]atomic.Uint64
+	name    string
+	count   atomic.Uint64
+	sum     atomic.Uint64
+	buckets [HistBuckets]atomic.Uint64
 }
 
 // Observe records one value.
@@ -215,13 +192,12 @@ type HistSnapshot struct {
 
 // Registry holds named metrics. Registration takes a lock (rare — once
 // per metric name); updates are lock-free on the metric itself. The
-// lookups (Counter, Gauge, Histogram and their volatile forms) treat a
-// nil *Registry as the process default, so a config's unset Metrics
-// field needs no translation where it is consumed.
+// lookups (Counter, VolatileCounter, Histogram) treat a nil *Registry as
+// the process default, so a config's unset Metrics field needs no
+// translation where it is consumed.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -229,7 +205,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -247,7 +222,8 @@ func Default() *Registry { return defaultRegistry }
 func (r *Registry) Counter(name string) *Counter { return r.counter(name, false) }
 
 // VolatileCounter returns a counter excluded from deterministic
-// snapshots (values that depend on timing or scheduling).
+// snapshots: one whose value describes the process, not the simulated
+// workload (the cell memo's hits, which -nomemo legitimately changes).
 func (r *Registry) VolatileCounter(name string) *Counter { return r.counter(name, true) }
 
 func (r *Registry) counter(name string, volatile bool) *Counter {
@@ -264,34 +240,8 @@ func (r *Registry) counter(name string, volatile bool) *Counter {
 	return c
 }
 
-// Gauge returns (creating on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge { return r.gauge(name, false) }
-
-// VolatileGauge returns a gauge excluded from deterministic snapshots.
-func (r *Registry) VolatileGauge(name string) *Gauge { return r.gauge(name, true) }
-
-func (r *Registry) gauge(name string, volatile bool) *Gauge {
-	if r == nil {
-		r = defaultRegistry
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, volatile: volatile}
-	r.gauges[name] = g
-	return g
-}
-
 // Histogram returns (creating on first use) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram { return r.histogram(name, false) }
-
-// VolatileHistogram returns a histogram excluded from deterministic
-// snapshots (e.g. wall-clock distributions).
-func (r *Registry) VolatileHistogram(name string) *Histogram { return r.histogram(name, true) }
-
-func (r *Registry) histogram(name string, volatile bool) *Histogram {
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		r = defaultRegistry
 	}
@@ -300,7 +250,7 @@ func (r *Registry) histogram(name string, volatile bool) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name, volatile: volatile}
+	h := &Histogram{name: name}
 	r.hists[name] = h
 	return h
 }
@@ -313,16 +263,13 @@ func (r *Registry) Reset() {
 	for _, c := range r.counters {
 		c.reset()
 	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
 	for _, h := range r.hists {
 		h.reset()
 	}
 }
 
-// Merge folds a snapshot into this registry, adding counter and gauge
-// values and accumulating histograms. Metrics named in the snapshot are
+// Merge folds a snapshot into this registry, adding counter values and
+// accumulating histograms. Metrics named in the snapshot are
 // created (non-volatile) if absent — zero-valued entries included, so a
 // merge also establishes name-set parity with the snapshot's source.
 // Memoized simulation cells use this: a cell runs once against a
@@ -342,14 +289,6 @@ func (r *Registry) Merge(s Snapshot) {
 		}
 		c.Add(shard, v)
 	}
-	for name, v := range s.Gauges {
-		g, ok := r.gauges[name]
-		if !ok {
-			g = &Gauge{name: name}
-			r.gauges[name] = g
-		}
-		g.Add(v)
-	}
 	for name, hs := range s.Histograms {
 		h, ok := r.hists[name]
 		if !ok {
@@ -362,14 +301,17 @@ func (r *Registry) Merge(s Snapshot) {
 
 // Snapshot is a point-in-time copy of a registry's metrics.
 type Snapshot struct {
-	Counters   map[string]uint64       `json:"counters"`
+	Counters map[string]uint64 `json:"counters"`
+	// Gauges is always empty: there is no gauge type. The member stays
+	// because it is part of the dump format — every -metrics file and
+	// every golden hash carries its `"gauges": {}` line.
 	Gauges     map[string]int64        `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
 // Snapshot captures the current metric values. With includeVolatile
-// false, timing/scheduling-dependent metrics are omitted and the result
-// is deterministic for a deterministic workload.
+// false the volatile counters are omitted and the result is
+// deterministic for a deterministic workload.
 func (r *Registry) Snapshot(includeVolatile bool) Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -384,16 +326,7 @@ func (r *Registry) Snapshot(includeVolatile bool) Snapshot {
 		}
 		s.Counters[name] = c.Value()
 	}
-	for name, g := range r.gauges {
-		if g.volatile && !includeVolatile {
-			continue
-		}
-		s.Gauges[name] = g.Value()
-	}
 	for name, h := range r.hists {
-		if h.volatile && !includeVolatile {
-			continue
-		}
 		hs := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 		for i := range h.buckets {
 			hs.Log2Buckets[i] = h.buckets[i].Load()
@@ -423,31 +356,4 @@ func (r *Registry) WriteJSONFile(path string, includeVolatile bool) error {
 		return err
 	}
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
-}
-
-// WriteText writes a flat "name value" dump, sorted by name — the
-// grep-friendly sibling of WriteJSON.
-func (r *Registry) WriteText(w io.Writer, includeVolatile bool) error {
-	s := r.Snapshot(includeVolatile)
-	lines := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, h := range s.Histograms {
-		mean := 0.0
-		if h.Count > 0 {
-			mean = float64(h.Sum) / float64(h.Count)
-		}
-		lines = append(lines, fmt.Sprintf("%s count=%d sum=%d mean=%.1f", name, h.Count, h.Sum, mean))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := io.WriteString(w, l+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -43,7 +42,6 @@ func TestCounterIdentity(t *testing.T) {
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc")
-	g := r.Gauge("gauge")
 	h := r.Histogram("hist")
 	var wg sync.WaitGroup
 	const workers, perWorker = 8, 10000
@@ -53,7 +51,6 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc(shard)
-				g.Add(1)
 				h.Observe(uint64(i))
 			}
 		}(NextShard())
@@ -61,9 +58,6 @@ func TestConcurrentCounters(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Fatalf("gauge = %d, want %d", got, workers*perWorker)
 	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("hist count = %d, want %d", got, workers*perWorker)
@@ -93,21 +87,16 @@ func TestHistogramBuckets(t *testing.T) {
 func TestVolatileExcludedFromDeterministicSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("stable").Inc(0)
-	r.VolatileCounter("wallclock").Inc(0)
-	r.VolatileGauge("queue").Set(3)
-	r.VolatileHistogram("ms").Observe(12)
+	r.VolatileCounter("memo").Inc(0)
 	det := r.Snapshot(false)
-	if _, ok := det.Counters["wallclock"]; ok {
+	if _, ok := det.Counters["memo"]; ok {
 		t.Fatal("volatile counter leaked into deterministic snapshot")
-	}
-	if len(det.Gauges) != 0 || len(det.Histograms) != 0 {
-		t.Fatalf("volatile metrics leaked: %+v", det)
 	}
 	if det.Counters["stable"] != 1 {
 		t.Fatal("stable counter missing")
 	}
 	all := r.Snapshot(true)
-	if all.Counters["wallclock"] != 1 || all.Gauges["queue"] != 3 || all.Histograms["ms"].Count != 1 {
+	if all.Counters["memo"] != 1 || all.Counters["stable"] != 1 {
 		t.Fatalf("full snapshot wrong: %+v", all)
 	}
 }
@@ -145,13 +134,11 @@ func TestReset(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	c.Add(0, 9)
-	g := r.Gauge("g")
-	g.Set(4)
 	h := r.Histogram("h")
 	h.Observe(3)
 	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("reset left values: c=%d g=%d h=%d", c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || h.Count() != 0 {
+		t.Fatalf("reset left values: c=%d h=%d", c.Value(), h.Count())
 	}
 	// Identities survive the reset.
 	if r.Counter("c") != c {
@@ -163,60 +150,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z.last").Inc(0)
-	r.Counter("a.first").Add(0, 2)
-	r.Gauge("m.gauge").Set(-3)
-	var b bytes.Buffer
-	if err := r.WriteText(&b, true); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %q", lines)
-	}
-	if lines[0] != "a.first 2" || lines[1] != "m.gauge -3" || lines[2] != "z.last 1" {
-		t.Fatalf("unsorted or malformed: %q", lines)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("served").Add(0, 7)
-	srv := httptest.NewServer(Handler(r))
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b bytes.Buffer
-		if _, err := b.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, b.String()
-	}
-
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, `"served": 7`) {
-		t.Fatalf("/metrics: code=%d body=%q", code, body)
-	}
-	if code, body := get("/metrics.txt"); code != 200 || !strings.Contains(body, "served 7") {
-		t.Fatalf("/metrics.txt: code=%d body=%q", code, body)
-	}
-	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "profile") {
-		t.Fatalf("/debug/pprof/: code=%d body=%q", code, body)
-	}
-	if code, _ := get("/nope"); code != 404 {
-		t.Fatalf("unknown path should 404, got %d", code)
-	}
-	if code, body := get("/"); code != 200 || !strings.Contains(body, "/metrics") {
-		t.Fatalf("index: code=%d body=%q", code, body)
-	}
-}
-
 func TestNextShardInRange(t *testing.T) {
 	for i := 0; i < 3*NumShards; i++ {
 		if s := NextShard(); s >= NumShards {
@@ -225,15 +158,13 @@ func TestNextShardInRange(t *testing.T) {
 	}
 }
 
-// mergeSource builds the snapshot the merge tests replay: counters,
-// gauges and histograms, including zero-valued entries (Merge must
+// mergeSource builds the snapshot the merge tests replay: counters and
+// histograms, including zero-valued entries (Merge must
 // still create those for name-set parity).
 func mergeSource() Snapshot {
 	src := NewRegistry()
 	src.Counter("m.count").Add(0, 3)
 	src.Counter("m.zero")
-	src.Gauge("m.gauge").Add(-2)
-	src.Gauge("m.gzero")
 	src.Histogram("m.hist").Observe(5)
 	src.Histogram("m.hist").Observe(300)
 	src.Histogram("m.hzero")
@@ -281,9 +212,8 @@ func TestConcurrentMerge(t *testing.T) {
 		t.Errorf("m.count = %d after %d merges of 3", got, workers*perWorker)
 	}
 	_, c := merged.Counters["m.zero"]
-	_, g := merged.Gauges["m.gzero"]
 	_, h := merged.Histograms["m.hzero"]
-	if !c || !g || !h {
-		t.Errorf("zero-valued names not created by Merge: counter %v gauge %v histogram %v", c, g, h)
+	if !c || !h {
+		t.Errorf("zero-valued names not created by Merge: counter %v histogram %v", c, h)
 	}
 }

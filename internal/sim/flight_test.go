@@ -43,7 +43,7 @@ func TestFlightWindowsReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := sumWindows(rec.Dump(false))
+	got := sumWindows(rec.Dump())
 	want := res.Total["cable"]
 	if got.SourceBits != want.SourceBits || got.WireBits != want.WireBits {
 		t.Fatalf("window sums source/wire = %d/%d, chip total = %d/%d",
@@ -77,7 +77,7 @@ func TestFlightWindowsUnderFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := sumWindows(rec.Dump(false))
+	got := sumWindows(rec.Dump())
 	chip := res.Chip
 	if chip.FaultsInjected == 0 {
 		t.Fatal("fault injector never fired; raise the rate or accesses")
@@ -109,7 +109,7 @@ func TestFlightRerunIdentical(t *testing.T) {
 		if _, err := RunMemoryLink(cfg); err != nil {
 			t.Fatal(err)
 		}
-		d := rec.Dump(false)
+		d := rec.Dump()
 		if len(d.Tracks) == 0 || len(d.Events) == 0 {
 			t.Fatal("nothing recorded")
 		}

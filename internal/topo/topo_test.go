@@ -230,7 +230,7 @@ func TestFlightWindowReconciliation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump := rec.Dump(false)
+	dump := rec.Dump()
 	if len(dump.Tracks) != len(res.PerLink) {
 		t.Fatalf("%d tracks for %d links", len(dump.Tracks), len(res.PerLink))
 	}

@@ -12,15 +12,14 @@
 // track a thread (tid) within it, both labeled with metadata events.
 // Encode/decode/write-back spans become complete ("X") events whose ts
 // is the virtual-time tick in microseconds — a stable, comparable
-// x-axis across runs — and whose duration is the recorded wall-clock
-// span when present (1 µs placeholder otherwise, so spans stay visible).
-// Faults and raw-fallback degradations become instant ("i") events.
-// Cell-memo hit/miss events (volatile timelines only) land on a
-// dedicated pid-0 process.
+// x-axis across runs — and whose duration is a 1 µs placeholder (the
+// recorder keeps no wall clock), so spans stay visible. Faults and
+// raw-fallback degradations become instant ("i") events.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -32,7 +31,6 @@ import (
 type timelineFile struct {
 	Window int            `json:"window"`
 	Cells  []cellTimeline `json:"cells"`
-	Memo   []memoEvent    `json:"memo_events"`
 }
 
 type cellTimeline struct {
@@ -49,12 +47,6 @@ type event struct {
 	Class string `json:"class"`
 	Bits  uint32 `json:"bits"`
 	Skip  bool   `json:"skip"`
-	DurNs int64  `json:"dur_ns"`
-}
-
-type memoEvent struct {
-	Hit    bool  `json:"hit"`
-	WallNs int64 `json:"wall_ns"`
 }
 
 // traceEvent is one Chrome trace-event entry (the JSON Array Format's
@@ -98,26 +90,46 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	var tl timelineFile
-	if err := json.NewDecoder(r).Decode(&tl); err != nil {
-		fatal(fmt.Errorf("parse timeline: %v", err))
-	}
-
-	tf := convert(&tl)
-
-	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(tf); err != nil {
+	tl, err := readTimeline(r)
+	if err != nil {
 		fatal(err)
 	}
+	tf := convert(tl)
+
+	w := os.Stdout
+	if out != "" {
+		if w, err = os.Create(out); err != nil {
+			fatal(err)
+		}
+	}
+	err = json.NewEncoder(w).Encode(tf)
+	// The trace is only on disk once Close succeeds.
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// readTimeline decodes a -timeline dump. Any JSON object decodes into
+// timelineFile, so the shape is checked: a file with no "cells" array,
+// or a cell with no "events" member (a -windows dump has "tracks"
+// there), is not a timeline and must not convert to an empty trace.
+func readTimeline(r io.Reader) (*timelineFile, error) {
+	var tl timelineFile
+	if err := json.NewDecoder(r).Decode(&tl); err != nil {
+		return nil, fmt.Errorf("parse timeline: %v", err)
+	}
+	if tl.Cells == nil {
+		return nil, errors.New(`not a timeline dump: no "cells" array`)
+	}
+	for _, c := range tl.Cells {
+		if c.Events == nil {
+			return nil, fmt.Errorf(`not a timeline dump: cell %q has no "events" (is it a -windows file?)`, c.Cell)
+		}
+	}
+	return &tl, nil
 }
 
 func parseArgs(args []string) (in, out, validate string) {
@@ -200,10 +212,7 @@ func convert(tl *timelineFile) *traceFile {
 				}
 			default:
 				te.Ph = "X"
-				te.Dur = float64(e.DurNs) / 1000.0
-				if te.Dur <= 0 {
-					te.Dur = 1 // keep zero-duration virtual spans visible
-				}
+				te.Dur = 1 // virtual spans have no extent; keep them visible
 				args := map[string]interface{}{"bits": e.Bits}
 				if e.Class != "" {
 					args["class"] = e.Class
@@ -214,20 +223,6 @@ func convert(tl *timelineFile) *traceFile {
 				te.Args = args
 			}
 			tf.TraceEvents = append(tf.TraceEvents, te)
-		}
-	}
-	if len(tl.Memo) > 0 {
-		meta(0, 0, "process_name", "cell-memo")
-		base := tl.Memo[0].WallNs
-		for _, m := range tl.Memo {
-			name := "memo-miss"
-			if m.Hit {
-				name = "memo-hit"
-			}
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: name, Ph: "i", S: "g",
-				Ts: float64(m.WallNs-base) / 1000.0,
-			})
 		}
 	}
 	return tf

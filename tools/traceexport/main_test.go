@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func sampleTimeline() *timelineFile {
 			{
 				Cell: "memlink/bzip2/abcdef", Now: 4096,
 				Events: []event{
-					{VT: 1, Kind: "encode", Track: "cable", Class: "diff1", Bits: 120, Skip: false, DurNs: 2500},
+					{VT: 1, Kind: "encode", Track: "cable", Class: "diff1", Bits: 120, Skip: false},
 					{VT: 1, Kind: "decode", Track: "cable", Bits: 120},
 					{VT: 2, Kind: "encode", Track: "cable", Class: "raw", Bits: 512, Skip: true},
 					{VT: 3, Kind: "fault", Track: "cable"},
@@ -27,7 +28,6 @@ func sampleTimeline() *timelineFile {
 				},
 			},
 		},
-		Memo: []memoEvent{{Hit: false, WallNs: 1000}, {Hit: true, WallNs: 5000}},
 	}
 }
 
@@ -54,32 +54,38 @@ func TestConvertShape(t *testing.T) {
 			t.Fatalf("unexpected phase %q", e.Ph)
 		}
 	}
-	// 5 spans (3 encodes/decodes + 2 writebacks), 2 instants + 2 memo
-	// instants, metadata: 2 process names + 3 thread names + memo process.
+	// 5 spans (3 encodes/decodes + 2 writebacks), 2 instants,
+	// metadata: 2 process names + 3 thread names.
 	if spans != 5 {
 		t.Fatalf("spans = %d, want 5", spans)
 	}
-	if instants != 4 {
-		t.Fatalf("instants = %d, want 4", instants)
+	if instants != 2 {
+		t.Fatalf("instants = %d, want 2", instants)
 	}
-	if meta != 6 {
-		t.Fatalf("metadata events = %d, want 6", meta)
+	if meta != 5 {
+		t.Fatalf("metadata events = %d, want 5", meta)
 	}
-	// Cells land on pids 1..N; memo on pid 0.
-	for _, pid := range []int{0, 1, 2} {
-		if !pids[pid] {
-			t.Fatalf("missing pid %d in %v", pid, pids)
+	// Cells land on pids 1..N.
+	if len(pids) != 2 || !pids[1] || !pids[2] {
+		t.Fatalf("pids = %v, want 1 and 2", pids)
+	}
+}
+
+// TestConvertRejectsNonTimeline: JSON that is not a -timeline dump is
+// an error, not an empty or metadata-only trace.
+func TestConvertRejectsNonTimeline(t *testing.T) {
+	for name, in := range map[string]string{
+		"windows dump": `{"window":512,"cells":[{"cell":"memlink/gcc/ab","now":9,"tracks":[{"name":"cable","windows":[]}]}]}`,
+		"empty object": `{}`,
+		"array":        `[]`,
+	} {
+		if tl, err := readTimeline(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted as a timeline of %d cells", name, len(tl.Cells))
 		}
 	}
-	// The explicit wall-clock duration survives in microseconds.
-	found := false
-	for _, e := range tf.TraceEvents {
-		if e.Ph == "X" && e.Dur == 2.5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("2500ns span did not convert to 2.5µs")
+	// A run that recorded nothing is still a timeline.
+	if _, err := readTimeline(strings.NewReader(`{"window":512,"cells":[{"cell":"c","now":0,"events":[]}]}`)); err != nil {
+		t.Errorf("empty timeline rejected: %v", err)
 	}
 }
 
