@@ -393,8 +393,9 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder { return obs.NewRecorde
 // StreamEncoder compresses a byte stream through a CABLE link: an
 // io.Writer whose dictionary is a cache the decoder mirrors in
 // lock-step (see internal/codec for the wire format). Close emits the
-// tail frame; Reset re-arms the instance for another stream, making
-// encoders sync.Pool-friendly.
+// tail and end frames — a stream that was not Closed does not decode to
+// EOF; Reset re-arms the instance for another stream, making encoders
+// sync.Pool-friendly.
 type StreamEncoder = codec.Encoder
 
 // StreamDecoder reconstructs the plaintext from a StreamEncoder's
@@ -407,9 +408,10 @@ type StreamOptions = codec.Options
 // StreamCodecStats counts one stream's traffic on either endpoint.
 type StreamCodecStats = codec.StreamStats
 
-// ErrBadFrame marks structural damage to a codec stream's framing.
-// Payload-level damage surfaces as ErrTruncatedPayload, ErrCRCMismatch,
-// ErrCorruptDiff or ErrBadReference instead.
+// ErrBadFrame marks structural damage to a codec stream's framing. A
+// failed frame check is ErrCRCMismatch, a cut stream ErrTruncatedPayload
+// (wrapping io.ErrUnexpectedEOF); ErrCorruptDiff and ErrBadReference
+// mark a payload that passed the check and still does not decode.
 var ErrBadFrame = codec.ErrBadFrame
 
 // NewStreamEncoder builds a streaming encoder writing to w. A zero

@@ -6,9 +6,10 @@
 # the un-raced per-cell allocation byte budgets, fuzz smokes, the CLI
 # determinism comparisons (fig12 under faults, the flight recorder's
 # dumps, breakdown through the cell memo, the report file, mesh,
-# workload specs) and round-trip smokes (trace export, cablepipe,
-# workload record -> replay), the million-transfer mesh fault soak, the
-# repository benchmark's smoke and harness tests, a one-iteration bench
+# workload specs) and round-trip smokes (trace export, cablepipe with
+# its cut and empty inputs that must fail, workload record -> replay),
+# the million-transfer mesh fault soak, the million-copy codec wire
+# fault census, the repository benchmark's smoke and harness tests, a one-iteration bench
 # smoke (compiles and runs every benchmark body, including the 0
 # allocs/op encode path), the full test suite under the race detector, a
 # shared-flag smoke of both report CLIs, then the non-test Go LOC and
@@ -147,8 +148,20 @@ go run ./tools/traceexport -validate "$tmpdir/trace.json"
 echo "== cablepipe encode|decode pipe smoke"
 # The codec CLI round trip at the process boundary: encode a real file,
 # decode it back, demand byte identity.
-go run ./cmd/cablepipe -encode -stats <cable.go >"$tmpdir/c.cbl"
-go run ./cmd/cablepipe -decode <"$tmpdir/c.cbl" | cmp - cable.go
+go build -o "$tmpdir/cablepipe" ./cmd/cablepipe
+"$tmpdir/cablepipe" -encode -stats <cable.go >"$tmpdir/c.cbl"
+"$tmpdir/cablepipe" -decode <"$tmpdir/c.cbl" | cmp - cable.go
+# Only the end frame ends a stream: a file cut one byte short, cut on the
+# last frame boundary (the whole 19-byte end frame missing), cut in the
+# middle, or empty (what `-decode </dev/null` reads) must make -decode
+# exit non-zero.
+size=$(wc -c <"$tmpdir/c.cbl")
+for keep in $((size - 1)) $((size - 19)) $((size / 2)) 0; do
+    if head -c "$keep" "$tmpdir/c.cbl" | "$tmpdir/cablepipe" -decode >/dev/null 2>&1; then
+        echo "cablepipe -decode accepted the first $keep of $size encoded bytes" >&2
+        exit 1
+    fi
+done
 
 echo "== mesh determinism (table+metrics, any -parallel, memo on/off)"
 # The topology engine's bit-identity contract at the CLI surface: the
@@ -192,6 +205,12 @@ echo "== mesh fault soak (1M transfers)"
 # transfers — zero panics, every corrupted frame counted and recovered
 # by exactly one raw resend.
 CABLE_MESH_SOAK_TRANSFERS=1000000 go test -count=1 -run 'TestMeshSoak' ./internal/topo
+
+echo "== codec wire fault census (1M damaged copies)"
+# internal/fault's injector over the codec's wire — 2 and 8 bit flips a
+# copy, and cuts at a random bit — a million damaged copies through one
+# Reset decoder: every one an error or the original output, none silent.
+CABLE_WIRE_CENSUS_COPIES=1000000 go test -count=1 -run 'TestWireFaultCensus' -v ./internal/codec
 
 echo "== parallel determinism under 2 workers (-race)"
 # The in-tree gate for the runner's bit-identity contract, clean and

@@ -16,6 +16,12 @@
 // from it, so `cablepipe -encode -connect` pairs with
 // `cablepipe -decode -listen` (and vice versa with the roles of
 // listener and dialer swapped).
+//
+// Every encoded stream closes with an end frame, so -decode fails (exit
+// 1, the cause on stderr) on input that stops anywhere before it: an
+// empty file, a file cut short — on a frame boundary too — or a peer
+// that went away. A damaged stream fails at the first frame whose CRC
+// does not match, before any of that frame is written out.
 package main
 
 import (

@@ -23,28 +23,51 @@
 // barrier: payload s may reference any slot as of line s-1, so lines
 // must decode (and install) strictly in stream order.
 //
-// # Wire format (version 1)
+// # Wire format (version 2)
 //
 //	header:  "CBLC" | ver u8 | lineSize u16 | sets u32 | ways u8 |
 //	         engLen u8 | engine name
-//	frame:   kind u8 | count u16 | bodyLen u32 | body
+//	frame:   kind u8 | count u16 | bodyLen u32 | crc u32 | body
 //
 // Integers are little-endian. Frame kinds:
 //
-//	kindCable (1): count lines; body is count × (nbits u16 | guarded
-//	               payload image of ceil(nbits/8) bytes) — the CRC-8
-//	               guarded CABLE payload of PR 4.
+//	kindCable (1): count lines; body is count CABLE payload images
+//	               (core.Payload.AppendTo: flag | refcount | RemoteLIDs |
+//	               DIFF) packed back to back in one bit stream, zero-
+//	               padded to a byte once. No payload carries a length:
+//	               the decompressed size is fixed, so every image is
+//	               self-delimiting (§III-E).
 //	kindRaw   (2): count lines verbatim (count × lineSize bytes) — the
 //	               raw-passthrough fallback for incompressible spans.
 //	               Dictionary installs still happen, so later frames
 //	               may reference these lines.
 //	kindTail  (3): count (== bodyLen < lineSize) literal trailing
-//	               bytes; not installed. At most one, at end of stream.
+//	               bytes; not installed. At most one, before the end.
+//	kindEnd   (4): count 0; body is the stream's plaintext length, u64.
+//	               Every stream closes with one, and the decoder reads
+//	               nothing after it.
+//
+// crc is one running IEEE CRC-32 over the stream header and then every
+// frame's kind | count | bodyLen | body; each frame carries the running
+// value. The decoder checks it before it parses or installs anything
+// from the frame, so damage never reaches the dictionary, and a frame
+// deleted, repeated, reordered or spliced in from another stream fails
+// the next check with no sequence number on the wire.
+//
+// Three decisions, each with its reason. There is no version-1 reader:
+// no v1 stream is stored anywhere, and a decoder that still took
+// version 1 would let one flipped header byte switch every check above
+// off. There are no dictionary-digest sync frames: with the check
+// before the install, a stream that passes cannot desynchronise the
+// dictionaries. And any end of input other than the end frame — a cut on
+// a frame boundary, a zero-byte wire — is truncation: an Encoder that
+// was Closed always wrote a header and an end frame.
 //
 // Corruption anywhere surfaces as a typed error — ErrBadFrame for
-// structural damage, core.ErrTruncatedPayload / core.ErrCRCMismatch /
-// core.ErrCorruptDiff / core.ErrBadReference for payload damage —
-// never a panic.
+// structural damage, core.ErrCRCMismatch for a failed frame check,
+// core.ErrTruncatedPayload (wrapping io.ErrUnexpectedEOF) for a cut, and
+// core.ErrCorruptDiff / core.ErrBadReference for a payload that passed
+// the check and still does not decode — never a panic.
 package codec
 
 import (
@@ -56,20 +79,24 @@ import (
 )
 
 // ErrBadFrame marks structural damage to the stream framing: a bad
-// magic or version, an unknown frame kind, or frame counts/lengths
-// that contradict each other. (Payload-level damage surfaces as the
-// core error taxonomy instead.)
+// magic or version, an unknown frame kind, frame counts/lengths that
+// contradict each other, or a frame body that does not end where its
+// payloads do. (A failed frame check and payload-level damage surface
+// as the core error taxonomy instead.)
 var ErrBadFrame = errors.New("codec: bad frame")
 
 // Wire constants.
 const (
-	version     = 1
+	version     = 2
 	headerFixed = 13 // magic + ver + lineSize + sets + ways + engLen
-	frameHdrLen = 7  // kind + count + bodyLen
+	frameHdrLen = 11 // kind + count + bodyLen + crc
+	crcOff      = 7  // the frame check covers head[:crcOff] and the body
 
 	kindCable = 1
 	kindRaw   = 2
 	kindTail  = 3
+	kindEnd   = 4
+	endBody   = 8 // the end frame's body: plaintext length, u64
 
 	// MaxBatch bounds lines per frame; the count field could carry
 	// 65535 but bounding it keeps a corrupted count from provoking a
@@ -192,16 +219,4 @@ func codecConfig(engine string) core.Config {
 	cfg.EngineName = engine
 	cfg.WritebackCompression = false // one-way stream: no write-backs
 	return cfg
-}
-
-func le16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-func le32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-func rd16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-func rd32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -1,11 +1,13 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
-	"cable/internal/compress"
 	"cable/internal/core"
 )
 
@@ -21,34 +23,25 @@ type Decoder struct {
 	geom   cache.Config
 	engine string
 
-	sets, ways       uint64
-	lineSize         int
-	idxBits, wayBits int
+	sets, ways uint64
+	lineSize   int
 
 	seq        uint64
 	headerDone bool
+	crc        uint32 // running CRC-32 of the stream so far
 	head       [frameHdrLen]byte
 	body       []byte
-	ps         []core.Payload
-	scrs       []core.PayloadScratch
+	br         bits.Reader // over a verified CABLE frame body
 	out        []byte
 	outPos     int
 	err        error
-
-	// emitFn is the DecodeFills callback, built once; it reads curBase.
-	emitFn  func(i int, data []byte)
-	curBase uint64
 
 	// Stats accumulates this stream's traffic; Reset zeroes it.
 	Stats StreamStats
 }
 
 // NewDecoder builds a decoder reading the encoded stream from r.
-func NewDecoder(r io.Reader) *Decoder {
-	d := &Decoder{r: r}
-	d.emitFn = d.emitLine
-	return d
-}
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
 // Reset discards all stream state and re-arms the decoder on r. The
 // dictionary survives if the next stream's header declares the same
@@ -64,10 +57,11 @@ func (d *Decoder) Reset(r io.Reader) {
 	d.Stats = StreamStats{}
 }
 
-// Read implements io.Reader. At end of stream it returns io.EOF; any
-// corruption surfaces as a typed error (ErrBadFrame or the core payload
-// error taxonomy) and any other error of the underlying reader wrapped
-// as it came, all sticky across calls.
+// Read implements io.Reader. After the end frame it returns io.EOF and
+// reads nothing further; any corruption — the input ending anywhere
+// else included — surfaces as a typed error (ErrBadFrame or the core
+// payload error taxonomy) and any other error of the underlying reader
+// wrapped as it came, all sticky across calls.
 func (d *Decoder) Read(p []byte) (int, error) {
 	for d.outPos == len(d.out) {
 		if d.err != nil {
@@ -88,15 +82,6 @@ func (d *Decoder) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// emitLine is the DecodeFills callback: install decoded line i at its
-// slot before payload i+1 decodes, keeping the dictionary synchronized
-// for payload i+1's references.
-func (d *Decoder) emitLine(i int, data []byte) {
-	d.installLine(d.curBase+uint64(i), data)
-	d.out = append(d.out, data...)
-	d.Stats.InBytes += uint64(len(data))
-}
-
 // installLine mirrors the encoder's dictionary install. The decoder
 // never touches the link tables: only the compressing side needs them.
 func (d *Decoder) installLine(s uint64, data []byte) {
@@ -104,30 +89,17 @@ func (d *Decoder) installLine(s uint64, data []byte) {
 	d.dict.OverwriteAt(s, data, cache.Shared, slot.Way)
 }
 
-// readFull fills buf from the middle of an object, where the stream
-// ending is truncation.
+// readFull fills buf. The input ending — anywhere: only the end frame
+// ends a stream — is truncation.
 func (d *Decoder) readFull(buf []byte, what string) error {
 	_, err := io.ReadFull(d.r, buf)
 	switch err {
 	case nil:
 		return nil
 	case io.EOF, io.ErrUnexpectedEOF:
-		return fmt.Errorf("codec: %s: %w: %w", what, core.ErrTruncatedPayload, io.ErrUnexpectedEOF)
+		return fmt.Errorf("codec: %s at line %d: %w: %w", what, d.seq, core.ErrTruncatedPayload, io.ErrUnexpectedEOF)
 	}
 	return d.transportErr(what, err)
-}
-
-// readStart fills buf with the start of a stream header or frame. Only
-// before its first byte is io.EOF a clean end of stream; one byte in,
-// the stream ending is truncation like anywhere else.
-func (d *Decoder) readStart(buf []byte, what string) error {
-	if _, err := io.ReadFull(d.r, buf[:1]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return d.transportErr(what, err)
-	}
-	return d.readFull(buf[1:], what)
 }
 
 // transportErr wraps a reader error that is not an end of stream — a
@@ -139,11 +111,11 @@ func (d *Decoder) transportErr(what string, err error) error {
 
 // readHeader parses and validates the stream header, (re)building the
 // dictionary and remote end unless the previous stream's survive the
-// geometry check.
+// geometry check, and starts the running CRC from it.
 func (d *Decoder) readHeader() error {
 	var fixed [headerFixed]byte
-	if err := d.readStart(fixed[:], "stream header"); err != nil {
-		return err // io.EOF: an empty stream, clean before any magic byte
+	if err := d.readFull(fixed[:], "stream header"); err != nil {
+		return err
 	}
 	if [4]byte(fixed[:4]) != magic {
 		return fmt.Errorf("%w: bad magic %q", ErrBadFrame, fixed[:4])
@@ -151,8 +123,8 @@ func (d *Decoder) readHeader() error {
 	if fixed[4] != version {
 		return fmt.Errorf("%w: version %d, want %d", ErrBadFrame, fixed[4], version)
 	}
-	lineSize := int(rd16(fixed[5:7]))
-	sets := int(rd32(fixed[7:11]))
+	lineSize := int(binary.LittleEndian.Uint16(fixed[5:7]))
+	sets := int(binary.LittleEndian.Uint32(fixed[7:11]))
 	ways := int(fixed[11])
 	nameLen := int(fixed[12])
 	if lineSize < minLineSize || lineSize > maxLineSize || lineSize%4 != 0 {
@@ -187,60 +159,57 @@ func (d *Decoder) readHeader() error {
 	d.sets = uint64(sets)
 	d.ways = uint64(ways)
 	d.lineSize = lineSize
-	d.idxBits = d.dict.IndexBits()
-	d.wayBits = d.dict.WayBits()
+	d.crc = crc32.Update(crc32.ChecksumIEEE(fixed[:]), crc32.IEEETable, name)
 	d.headerDone = true
 	d.Stats.OutBytes += uint64(headerFixed + nameLen)
 	return nil
 }
 
-// nextFrame reads and decodes one frame into d.out.
+// nextFrame reads one frame, verifies it and decodes it into d.out; the
+// end frame returns io.EOF.
 func (d *Decoder) nextFrame() error {
 	if !d.headerDone {
 		if err := d.readHeader(); err != nil {
 			return err
 		}
 	}
-	if err := d.readStart(d.head[:], "frame header"); err != nil {
-		return err // io.EOF: clean end of stream at a frame boundary
+	if err := d.readFull(d.head[:], "frame header"); err != nil {
+		return err
 	}
 	kind := d.head[0]
-	count := int(rd16(d.head[1:3]))
-	bodyLen := int(rd32(d.head[3:7]))
-	d.Stats.OutBytes += uint64(frameHdrLen + bodyLen)
+	count := int(binary.LittleEndian.Uint16(d.head[1:3]))
+	bodyLen := int(binary.LittleEndian.Uint32(d.head[3:7]))
 
 	// Sanity-check the header before allocating or reading the body, so
-	// a corrupted length cannot provoke a huge allocation and contradictory
-	// fields die as ErrBadFrame rather than a misparse.
+	// a corrupted length cannot provoke a huge allocation.
+	ok := false
 	switch kind {
-	case kindCable:
-		if count < 1 || count > MaxBatch {
-			return fmt.Errorf("%w: cable frame of %d lines", ErrBadFrame, count)
-		}
-		if bodyLen < 2*count || bodyLen > count*(4*d.lineSize+16) {
-			return fmt.Errorf("%w: cable frame body %dB for %d lines", ErrBadFrame, bodyLen, count)
-		}
+	case kindCable: // a body as long as its lines would have gone raw
+		ok = count >= 1 && count <= MaxBatch && bodyLen >= 1 && bodyLen < count*d.lineSize
 	case kindRaw:
-		if count < 1 || count > MaxBatch {
-			return fmt.Errorf("%w: raw frame of %d lines", ErrBadFrame, count)
-		}
-		if bodyLen != count*d.lineSize {
-			return fmt.Errorf("%w: raw frame body %dB for %d lines", ErrBadFrame, bodyLen, count)
-		}
+		ok = count >= 1 && count <= MaxBatch && bodyLen == count*d.lineSize
 	case kindTail:
-		if count != bodyLen || count < 1 || count >= d.lineSize {
-			return fmt.Errorf("%w: tail frame of %dB (body %dB)", ErrBadFrame, count, bodyLen)
-		}
-	default:
-		return fmt.Errorf("%w: kind %d", ErrBadFrame, kind)
+		ok = count == bodyLen && count >= 1 && count < d.lineSize
+	case kindEnd:
+		ok = count == 0 && bodyLen == endBody
 	}
-
+	if !ok {
+		return fmt.Errorf("%w: kind %d, count %d, body %dB at line %d", ErrBadFrame, kind, count, bodyLen, d.seq)
+	}
 	if cap(d.body) < bodyLen {
 		d.body = make([]byte, bodyLen)
 	}
 	d.body = d.body[:bodyLen]
 	if err := d.readFull(d.body, "frame body"); err != nil {
 		return err
+	}
+	d.Stats.OutBytes += uint64(frameHdrLen + bodyLen)
+
+	// The check comes before anything of the frame is parsed or
+	// installed: a frame that fails it never reaches the dictionary.
+	d.crc = crc32.Update(crc32.Update(d.crc, crc32.IEEETable, d.head[:crcOff]), crc32.IEEETable, d.body)
+	if got := binary.LittleEndian.Uint32(d.head[crcOff:]); got != d.crc {
+		return fmt.Errorf("codec: frame at line %d carries CRC %#08x, stream CRC %#08x: %w", d.seq, got, d.crc, core.ErrCRCMismatch)
 	}
 
 	switch kind {
@@ -250,52 +219,43 @@ func (d *Decoder) nextFrame() error {
 		for i := 0; i < count; i++ {
 			d.installLine(d.seq+uint64(i), d.body[i*d.lineSize:(i+1)*d.lineSize])
 		}
-		d.out = append(d.out, d.body...)
 		d.seq += uint64(count)
 		d.Stats.Lines += uint64(count)
 		d.Stats.RawFrames++
-		d.Stats.InBytes += uint64(len(d.body))
-		return nil
-	default: // kindTail
-		d.out = append(d.out, d.body...)
+	case kindTail:
 		d.Stats.TailBytes += uint64(count)
-		d.Stats.InBytes += uint64(count)
-		return nil
+	case kindEnd:
+		if total := binary.LittleEndian.Uint64(d.body); total != d.Stats.InBytes {
+			return fmt.Errorf("%w: end frame declares %d plaintext bytes, stream held %d", ErrBadFrame, total, d.Stats.InBytes)
+		}
+		return io.EOF
 	}
+	d.out = append(d.out, d.body...)
+	d.Stats.InBytes += uint64(bodyLen)
+	return nil
 }
 
-// decodeCableFrame parses the count payload entries out of d.body and
-// runs them through the batched decode path.
+// decodeCableFrame decodes the count payload images of d.body off one
+// bit reader, a line at a time: image i+1's references may name the
+// slot line i has just been installed in.
 func (d *Decoder) decodeCableFrame(count int) error {
-	if cap(d.ps) < count {
-		d.ps = make([]core.Payload, count)
-		d.scrs = make([]core.PayloadScratch, count)
-	}
-	d.ps = d.ps[:count]
-	d.scrs = d.scrs[:count]
-	off := 0
+	d.br.Reset(d.body, 8*len(d.body))
 	for i := 0; i < count; i++ {
-		if off+2 > len(d.body) {
-			return fmt.Errorf("%w: payload %d header past frame end", ErrBadFrame, i)
+		line, err := d.re.DecodeFillFrom(&d.br)
+		if err != nil {
+			return fmt.Errorf("codec: payload %d of the frame at line %d: %w", i, d.seq, err)
 		}
-		nb := int(rd16(d.body[off : off+2]))
-		off += 2
-		nbytes := (nb + 7) / 8
-		if off+nbytes > len(d.body) {
-			return fmt.Errorf("codec: payload %d: %d bits past frame end: %w", i, nb, core.ErrTruncatedPayload)
-		}
-		enc := compress.Encoded{Data: d.body[off : off+nbytes], NBits: nb}
-		off += nbytes
-		if err := core.UnmarshalPayloadGuardedScratch(&d.ps[i], &d.scrs[i], enc, d.idxBits, d.wayBits, d.lineSize); err != nil {
-			return fmt.Errorf("codec: payload %d: %w", i, err)
-		}
+		d.installLine(d.seq+uint64(i), line)
+		d.out = append(d.out, line...)
+		d.Stats.InBytes += uint64(len(line))
 	}
-	if off != len(d.body) {
-		return fmt.Errorf("%w: %d trailing bytes after %d payloads", ErrBadFrame, len(d.body)-off, count)
+	// The body ends with the last image, zero-padded to a byte.
+	pad := d.br.Remaining()
+	if pad >= 8 {
+		return fmt.Errorf("%w: %d bits after the %d payloads of the frame at line %d", ErrBadFrame, pad, count, d.seq)
 	}
-	d.curBase = d.seq
-	if err := d.re.DecodeFills(d.ps, d.emitFn); err != nil {
-		return fmt.Errorf("codec: frame at line %d: %w", d.seq, err)
+	if v, _ := d.br.ReadBits(pad); v != 0 {
+		return fmt.Errorf("%w: non-zero padding %#x in the frame at line %d", ErrBadFrame, v, d.seq)
 	}
 	d.seq += uint64(count)
 	d.Stats.Lines += uint64(count)

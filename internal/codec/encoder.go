@@ -1,8 +1,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/crc32"
 	"io"
 
 	"cable/internal/bits"
@@ -18,9 +19,10 @@ import (
 //
 // The hot path rides the batched EncodeFills API: Write accumulates
 // lines until a full batch is ready (or consumes full batches straight
-// from the caller's buffer, copy-free), encodes the batch in one call,
-// and frames the guarded payload images. Steady-state encoding
-// allocates nothing.
+// from the caller's buffer, copy-free), encodes the batch in one call
+// with every payload image appended to the frame's one bit stream, and
+// seals the frame with the stream's running CRC. Once the buffers have
+// grown a stream allocates its header and nothing else.
 type Encoder struct {
 	w   io.Writer
 	opt Options
@@ -36,8 +38,9 @@ type Encoder struct {
 	seq        uint64 // lines committed to the dictionary
 	buf        []byte // pending input (partial batch + partial line)
 	reqs       []core.BatchFill
-	frame      []byte // frame under construction, header reserved at [0:frameHdrLen]
-	mw         bits.Writer
+	frame      []byte      // the frame being shipped
+	mw         bits.Writer // a CABLE frame's body: its payload images back to back
+	crc        uint32      // running CRC-32 of the stream so far
 	headerDone bool
 	closed     bool
 	err        error
@@ -139,9 +142,9 @@ func (e *Encoder) Flush() error {
 	return nil
 }
 
-// Close flushes buffered lines and emits the tail frame for any
-// sub-line remainder. It does not close the underlying writer. Close is
-// idempotent.
+// Close flushes buffered lines, emits the tail frame for any sub-line
+// remainder and then the end frame that every stream closes with. It
+// does not close the underlying writer. Close is idempotent.
 func (e *Encoder) Close() error {
 	if e.closed {
 		return e.err
@@ -154,14 +157,17 @@ func (e *Encoder) Close() error {
 		return err
 	}
 	if len(e.buf) > 0 {
-		e.frame = append(e.frame[:0], make([]byte, frameHdrLen)...)
-		e.frame = append(e.frame, e.buf...)
 		e.Stats.TailBytes += uint64(len(e.buf))
-		err := e.emitFrame(kindTail, len(e.buf))
-		e.buf = e.buf[:0]
-		return err
+		if err := e.emitFrame(kindTail, len(e.buf), e.buf); err != nil {
+			return err
+		}
 	}
-	return nil
+	// The input buffer has nothing left to hold, so the end frame's body
+	// is built in it: a local array would escape through the sink.
+	e.buf = binary.LittleEndian.AppendUint64(e.buf[:0], e.Stats.InBytes)
+	err := e.emitFrame(kindEnd, 0, e.buf)
+	e.buf = e.buf[:0]
+	return err
 }
 
 // Reset discards all stream state — buffered bytes, the dictionary,
@@ -174,28 +180,26 @@ func (e *Encoder) Reset(w io.Writer) {
 	e.he.Reset()
 	e.seq = 0
 	e.buf = e.buf[:0]
-	e.frame = e.frame[:0]
 	e.headerDone = false
 	e.closed = false
 	e.err = nil
 	e.Stats = StreamStats{}
 }
 
-// ensureHeader writes the stream header before the first frame.
+// ensureHeader writes the stream header before the first frame and
+// starts the running CRC from it.
 func (e *Encoder) ensureHeader() error {
 	if e.headerDone {
 		return nil
 	}
+	e.headerDone = true
 	hdr := make([]byte, 0, headerFixed+len(e.opt.Engine))
 	hdr = append(hdr, magic[:]...)
-	hdr = append(hdr, version)
-	hdr = append(hdr, byte(e.lineSize), byte(e.lineSize>>8))
-	var s4 [4]byte
-	le32(s4[:], uint32(e.sets))
-	hdr = append(hdr, s4[:]...)
+	hdr = append(hdr, version, byte(e.lineSize), byte(e.lineSize>>8))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(e.sets))
 	hdr = append(hdr, byte(e.ways), byte(len(e.opt.Engine)))
 	hdr = append(hdr, e.opt.Engine...)
-	e.headerDone = true
+	e.crc = crc32.ChecksumIEEE(hdr)
 	return e.writeOut(hdr)
 }
 
@@ -212,22 +216,12 @@ func (e *Encoder) installLine(s uint64, data []byte) {
 	e.dict.OverwriteAt(s, data, cache.Shared, slot.Way)
 }
 
-// emitPayload is the EncodeFills callback: marshal payload i into the
-// frame, then install line i+1 — the exact point between line i's
-// structural mutations and line i+1's probe where the batch path
-// guarantees sequential equivalence.
+// emitPayload is the EncodeFills callback: append payload i's image to
+// the frame's bit stream, then install line i+1 — the exact point
+// between line i's structural mutations and line i+1's probe where the
+// batch path guarantees sequential equivalence.
 func (e *Encoder) emitPayload(i int, p core.Payload, _ core.FillLatency) {
-	enc := p.MarshalGuardedInto(&e.mw, e.idxBits, e.wayBits)
-	if enc.NBits > 0xFFFF {
-		// Unreachable for any supported lineSize/engine (see
-		// maxLineSize); guard the u16 field anyway.
-		if e.err == nil {
-			e.err = fmt.Errorf("codec: %d-bit payload overflows frame entry", enc.NBits)
-		}
-		return
-	}
-	e.frame = append(e.frame, byte(enc.NBits), byte(enc.NBits>>8))
-	e.frame = append(e.frame, enc.Data[:(enc.NBits+7)/8]...)
+	p.AppendTo(&e.mw, e.idxBits, e.wayBits)
 	if i+1 < e.curN {
 		off := (i + 1) * e.lineSize
 		e.installLine(e.curBase+uint64(i+1), e.curBlock[off:off+e.lineSize])
@@ -250,41 +244,34 @@ func (e *Encoder) encodeLines(block []byte) error {
 			ReplWay:  slotOf(s, e.sets, e.ways).Way,
 		})
 	}
-	e.frame = append(e.frame[:0], make([]byte, frameHdrLen)...)
+	e.mw.Reset()
 	e.installLine(e.seq, block[:e.lineSize])
 	if err := e.he.EncodeFills(e.reqs, e.emitFn); err != nil {
 		e.err = err
 		return err
 	}
-	if e.err != nil {
-		return e.err
-	}
 	e.seq += uint64(n)
 	e.Stats.Lines += uint64(n)
-	if len(e.frame)-frameHdrLen >= n*e.lineSize {
-		// Incompressible span: the payload framing costs at least as
-		// much as the lines themselves, so pass them through raw. The
-		// link tables already absorbed the batch identically, and the
-		// decoder installs raw lines at the same slots, so dictionary
-		// sync holds either way.
-		e.frame = append(e.frame[:0], make([]byte, frameHdrLen)...)
-		for i := 0; i < n; i++ {
-			line := e.dict.ReadByID(slotOf(e.curBase+uint64(i), e.sets, e.ways))
-			e.frame = append(e.frame, line.Data...)
-		}
-		e.Stats.RawFrames++
-		return e.emitFrame(kindRaw, n)
+	if body := e.mw.Bytes(); len(body) < len(block) {
+		e.Stats.CableFrames++
+		return e.emitFrame(kindCable, n, body)
 	}
-	e.Stats.CableFrames++
-	return e.emitFrame(kindCable, n)
+	// Incompressible span: the payload images cost at least as much as
+	// the lines themselves, so pass them through raw. The link tables
+	// already absorbed the batch identically, and the decoder installs
+	// raw lines at the same slots, so dictionary sync holds either way.
+	e.Stats.RawFrames++
+	return e.emitFrame(kindRaw, n, block)
 }
 
-// emitFrame stamps the reserved header of e.frame and ships it.
-func (e *Encoder) emitFrame(kind byte, count int) error {
-	body := len(e.frame) - frameHdrLen
-	e.frame[0] = kind
-	le16(e.frame[1:3], uint16(count))
-	le32(e.frame[3:7], uint32(body))
+// emitFrame ships one frame: its header, the running CRC extended over
+// kind | count | bodyLen | body, and the body.
+func (e *Encoder) emitFrame(kind byte, count int, body []byte) error {
+	e.frame = append(e.frame[:0], kind, byte(count), byte(count>>8))
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, uint32(len(body)))
+	e.crc = crc32.Update(crc32.Update(e.crc, crc32.IEEETable, e.frame), crc32.IEEETable, body)
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, e.crc)
+	e.frame = append(e.frame, body...)
 	return e.writeOut(e.frame)
 }
 

@@ -5,15 +5,16 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	"cable/internal/core"
 )
 
-// FuzzCodecFrameDecode throws arbitrary bytes at the decoder. Seeds are
-// real encoded streams (several geometries plus raw and tail frames),
-// so the mutator spends its time past the header checks. The decoder
-// must either finish or return a typed error; it must never panic and
-// never allocate proportionally to a corrupted length field.
+// FuzzCodecFrameDecode throws arbitrary bytes at the decoder, as they
+// come and with the CRC chain sealed again over them — else every
+// mutation of a seed dies at the first frame check and the payload
+// parsers behind it go unfuzzed. Seeds are real encoded streams
+// (several geometries plus raw and tail frames), so the mutator spends
+// its time past the header checks. The decoder must either finish or
+// return a typed error; it must never panic and never allocate
+// proportionally to a corrupted length field.
 func FuzzCodecFrameDecode(f *testing.F) {
 	seed := func(in []byte, o Options) {
 		var wire bytes.Buffer
@@ -46,24 +47,28 @@ func FuzzCodecFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		d := NewDecoder(bytes.NewReader(wire))
+		sealed := append([]byte(nil), wire...)
+		reseal(sealed)
 		buf := make([]byte, 4096)
-		for {
-			_, err := d.Read(buf)
-			if err == nil {
-				continue
-			}
-			if err == io.EOF {
-				return
-			}
-			if typedDecodeError(err) || errors.Is(err, io.ErrUnexpectedEOF) {
+		for _, w := range [][]byte{wire, sealed} {
+			d := NewDecoder(bytes.NewReader(w))
+			for {
+				_, err := d.Read(buf)
+				if err == nil {
+					continue
+				}
+				if err == io.EOF {
+					break
+				}
+				if !typedDecodeError(err) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("untyped decode error: %v", err)
+				}
 				// The error must be sticky: further reads repeat it.
 				if _, again := d.Read(buf); again == nil {
 					t.Fatal("decoder kept reading after a decode error")
 				}
-				return
+				break
 			}
-			t.Fatalf("untyped decode error: %v", err)
 		}
 	})
 }
@@ -111,5 +116,3 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-var _ = core.ErrTruncatedPayload // keep the import obvious at a glance

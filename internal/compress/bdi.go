@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"cable/internal/bits"
 	"cable/internal/sig"
 )
 
@@ -184,18 +185,12 @@ func deltaMask(bytes int) uint64 {
 
 // Decompress implements Engine.
 func (b *BDI) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	// A local scratch keeps one code path; the result is uniquely
-	// owned because the scratch dies here.
-	var s DecScratch
-	return b.DecompressScratch(&s, enc, refs, lineSize)
+	return DecompressWith(b, nil, enc, refs, lineSize)
 }
 
-// DecompressScratch implements ScratchDecoder: the bit reader and the
-// result bytes live in s, so steady-state decodes allocate nothing. The
-// result aliases s.
-func (*BDI) DecompressScratch(s *DecScratch, enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	s.r.Reset(enc.Data, enc.NBits)
-	r := &s.r
+// DecompressFrom implements Engine: the result bytes live in s, so
+// steady-state decodes allocate nothing.
+func (*BDI) DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
 	tag64, err := r.ReadBits(bdiTagBits)
 	if err != nil {
 		return nil, fmt.Errorf("bdi: %w", err)

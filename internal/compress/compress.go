@@ -37,6 +37,12 @@ type Engine interface {
 	// Decompress inverts Compress given the same refs and the
 	// original line size.
 	Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error)
+	// DecompressFrom is the engine's one decoder body: it decodes a line
+	// from r's current position, reusing s's buffers, and leaves r just
+	// after the last bit it used. Every code table is self-delimiting
+	// (the decompressed size is fixed), so a caller may pack streams back
+	// to back with no length between them. The result aliases s.
+	DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error)
 }
 
 // Scratch holds the reusable buffers of the allocation-free compression
@@ -83,9 +89,9 @@ func CompressWith(e Engine, s *Scratch, line []byte, refs [][]byte) Encoded {
 	return enc
 }
 
-// DecScratch holds the reusable buffers of the allocation-free
-// decompression path. One DecScratch belongs to one caller (a link
-// end); it must not be shared across goroutines. The slice returned by
+// DecScratch holds the reusable buffers of the decompression path. One
+// DecScratch belongs to one caller (a link end); it must not be shared
+// across goroutines. The slice returned by DecompressFrom and
 // DecompressWith aliases the DecScratch and is valid until the next
 // call with the same DecScratch.
 type DecScratch struct {
@@ -95,23 +101,24 @@ type DecScratch struct {
 	r    bits.Reader
 }
 
-// ScratchDecoder is implemented by engines offering an allocation-free
-// decompression path into caller-owned scratch space.
-type ScratchDecoder interface {
-	Engine
-	// DecompressScratch behaves like Decompress but reuses s's
-	// buffers; the result aliases s.
-	DecompressScratch(s *DecScratch, enc Encoded, refs [][]byte, lineSize int) ([]byte, error)
+// result stores the decoded words back in s (retaining the buffer's
+// grown capacity) and returns them serialized into s.res.
+func (s *DecScratch) result(out []uint32) []byte {
+	s.out = out
+	s.res = AppendPutWords(s.res[:0], out)
+	return s.res
 }
 
-// DecompressWith decompresses via the engine's scratch path when it
-// offers one, falling back to the allocating Decompress. Passing a nil
-// DecScratch always falls back.
+// DecompressWith decodes enc through e.DecompressFrom with s's reader
+// bounded to enc, so the result aliases s. A nil DecScratch gets a
+// throwaway one, which is every engine's Decompress: the result is then
+// uniquely owned because the scratch dies with the call.
 func DecompressWith(e Engine, s *DecScratch, enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	if sd, ok := e.(ScratchDecoder); ok && s != nil {
-		return sd.DecompressScratch(s, enc, refs, lineSize)
+	if s == nil {
+		s = new(DecScratch)
 	}
-	return e.Decompress(enc, refs, lineSize)
+	s.r.Reset(enc.Data, enc.NBits)
+	return e.DecompressFrom(s, &s.r, refs, lineSize)
 }
 
 // Words reinterprets a line as little-endian 32-bit words.

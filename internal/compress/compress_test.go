@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cable/internal/bits"
 )
 
 const lineSize = 64
@@ -88,6 +90,62 @@ func TestEnginesRoundTrip(t *testing.T) {
 				if !bytes.Equal(got, line) {
 					t.Fatalf("iter %d: round trip mismatch\n got %x\nwant %x", i, got, line)
 				}
+			}
+		})
+	}
+}
+
+// requireSelfDelimiting checks DecompressFrom's contract on one line:
+// out of a reader holding e's stream at an odd bit offset with random
+// bits after it, it returns Decompress's line and stops on the stream's
+// last bit. The codec's frames rest on it — they pack payloads back to
+// back with no length between them.
+func requireSelfDelimiting(t *testing.T, e Engine, line []byte, refs [][]byte, junk uint64) {
+	t.Helper()
+	enc := e.Compress(line, refs)
+	want, err := e.Decompress(enc, refs, len(line))
+	if err != nil {
+		t.Fatalf("%s: Decompress: %v", e.Name(), err)
+	}
+	lead := int(junk % 8)
+	var w bits.Writer
+	w.WriteBits(junk>>8, lead)
+	w.WriteStream(enc.Data, enc.NBits)
+	w.WriteBits(junk, 64)
+	w.WriteBits(^junk, 64)
+	r := bits.NewReader(w.Bytes(), w.Len())
+	r.ReadBits(lead)
+	var s DecScratch
+	got, err := e.DecompressFrom(&s, r, refs, len(line))
+	if err != nil {
+		t.Fatalf("%s: DecompressFrom with %d junk bits after a %d-bit stream: %v", e.Name(), 128, enc.NBits, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: DecompressFrom mismatch\n got %x\nwant %x", e.Name(), got, want)
+	}
+	if used := w.Len() - lead - r.Remaining(); used != enc.NBits {
+		t.Fatalf("%s: DecompressFrom consumed %d bits of a %d-bit stream", e.Name(), used, enc.NBits)
+	}
+}
+
+// TestDecompressFromSelfDelimiting runs the contract over every engine
+// name NewEngine builds, on random, sparse and near-duplicate lines,
+// with and without references.
+func TestDecompressFromSelfDelimiting(t *testing.T) {
+	for _, name := range []string{"bdi", "cpack", "cpack128", "lbe", "lbe256", "zero", "fpc", "oracle", "gzip-seeded"} {
+		e, err := NewEngine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			for i := 0; i < 300; i++ {
+				line := lineGen(rng)
+				refs := refGen(rng, line)
+				if i%3 == 0 {
+					refs = nil
+				}
+				requireSelfDelimiting(t, e, line, refs, rng.Uint64())
 			}
 		})
 	}

@@ -1,6 +1,10 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+
+	"cable/internal/bits"
+)
 
 // CPack implements C-Pack (Chen et al., TVLSI 2010), the scalable
 // pattern + dictionary cache compressor the paper uses as its primary
@@ -147,11 +151,17 @@ func (c *CPack) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded 
 
 // Decompress implements Engine.
 func (c *CPack) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	d := newCPackDict(c.entries, refs)
+	return DecompressWith(c, nil, enc, refs, lineSize)
+}
+
+// DecompressFrom implements Engine: dictionary, decoded words and
+// result bytes live in s.
+func (c *CPack) DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
+	d := cpackDict{words: s.dict[:0], cap: c.entries}
+	d.seed(refs)
 	ib := d.idxBits()
-	r := enc.Reader()
 	nWords := lineSize / 4
-	out := make([]uint32, 0, nWords)
+	out := s.out[:0]
 	for len(out) < nWords {
 		b0, err := r.ReadBit()
 		if err != nil {
@@ -240,5 +250,6 @@ func (c *CPack) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, er
 			return nil, fmt.Errorf("cpack: invalid code 1111")
 		}
 	}
-	return PutWords(out), nil
+	s.dict = d.words // retain grown capacity
+	return s.result(out), nil
 }

@@ -1,6 +1,10 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+
+	"cable/internal/bits"
+)
 
 // FPC implements Frequent Pattern Compression (Alameldeen & Wood,
 // UW-Madison TR-1500), the classic significance-based compressor cited
@@ -96,10 +100,14 @@ func signExtend32(v uint64, n int) uint32 {
 }
 
 // Decompress implements Engine.
-func (*FPC) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	r := enc.Reader()
+func (f *FPC) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
+	return DecompressWith(f, nil, enc, refs, lineSize)
+}
+
+// DecompressFrom implements Engine. refs are ignored.
+func (*FPC) DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
 	nWords := lineSize / 4
-	out := make([]uint32, 0, nWords)
+	out := s.out[:0]
 	for len(out) < nWords {
 		code, err := r.ReadBits(3)
 		if err != nil {
@@ -167,5 +175,5 @@ func (*FPC) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error)
 	if len(out) != nWords {
 		return nil, fmt.Errorf("fpc: decoded %d words, want %d", len(out), nWords)
 	}
-	return PutWords(out), nil
+	return s.result(out), nil
 }

@@ -64,6 +64,7 @@ func FuzzEngineRoundTrip(f *testing.F) {
 		if !bytes.Equal(got, line) {
 			t.Fatalf("%s: round trip mismatch", e.Name())
 		}
+		requireSelfDelimiting(t, e, line, refs, uint64(which)*0x9E3779B97F4A7C15)
 	})
 }
 

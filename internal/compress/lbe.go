@@ -1,6 +1,10 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+
+	"cable/internal/bits"
+)
 
 // LBE is a word-granularity dictionary encoder modeled on the
 // line-based encoder of MORC (Nguyen & Wentzlaff, MICRO 2015), the
@@ -165,16 +169,13 @@ func (l *LBE) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
 
 // Decompress implements Engine.
 func (l *LBE) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	// A local scratch keeps one code path; the result is uniquely
-	// owned because the scratch dies here.
-	var s DecScratch
-	return l.DecompressScratch(&s, enc, refs, lineSize)
+	return DecompressWith(l, nil, enc, refs, lineSize)
 }
 
-// DecompressScratch implements ScratchDecoder: the decode dictionary,
-// word buffers and result bytes all live in s, so steady-state decodes
-// allocate nothing. The result aliases s.
-func (l *LBE) DecompressScratch(s *DecScratch, enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
+// DecompressFrom implements Engine: the decode dictionary, word buffers
+// and result bytes all live in s, so steady-state decodes allocate
+// nothing.
+func (l *LBE) DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
 	d := lbeDict{words: s.dict[:0], cap: l.entries}
 	for _, ref := range refs {
 		s.out = AppendWords(s.out[:0], ref)
@@ -183,8 +184,6 @@ func (l *LBE) DecompressScratch(s *DecScratch, enc Encoded, refs [][]byte, lineS
 		}
 	}
 	ib := d.idxBits()
-	s.r.Reset(enc.Data, enc.NBits)
-	r := &s.r
 	nWords := lineSize / 4
 	out := s.out[:0]
 	for len(out) < nWords {
@@ -253,7 +252,6 @@ func (l *LBE) DecompressScratch(s *DecScratch, enc Encoded, refs [][]byte, lineS
 	if len(out) != nWords {
 		return nil, fmt.Errorf("lbe: decoded %d words, want %d", len(out), nWords)
 	}
-	s.dict, s.out = d.words, out // retain grown capacity
-	s.res = AppendPutWords(s.res[:0], out)
-	return s.res, nil
+	s.dict = d.words // retain grown capacity
+	return s.result(out), nil
 }

@@ -1,6 +1,10 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+
+	"cable/internal/bits"
+)
 
 // LZSS is the gzip-class streaming baseline (the paper models gzip as
 // IBM's ASIC LZ77 with a 32 KB dictionary, the max configurable size).
@@ -258,8 +262,12 @@ func (z *LZSSDecoder) Reset() {
 // Decompress inverts Compress: it decodes enc against the window of
 // previously decoded lines, then appends the line to it.
 func (z *LZSSDecoder) Decompress(enc Encoded, lineSize int) ([]byte, error) {
+	return z.decompressFrom(enc.Reader(), lineSize)
+}
+
+// decompressFrom is the decoder body, leaving r after the last bit used.
+func (z *LZSSDecoder) decompressFrom(r *bits.Reader, lineSize int) ([]byte, error) {
 	ob := indexBits(z.window)
-	r := enc.Reader()
 	out := make([]byte, 0, lineSize)
 	for len(out) < lineSize {
 		flag, err := r.ReadBit()

@@ -129,30 +129,31 @@ func (*Oracle) compressLZ(line []byte, refs [][]byte) Encoded {
 
 // Decompress implements Engine.
 func (o *Oracle) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	r0 := enc.Reader()
-	sel, err := r0.ReadBit()
+	return DecompressWith(o, nil, enc, refs, lineSize)
+}
+
+// DecompressFrom implements Engine: the selector bit, then the chosen
+// arm's decoder on the same reader.
+func (o *Oracle) DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
+	sel, err := r.ReadBit()
 	if err != nil {
 		return nil, fmt.Errorf("oracle: empty stream: %w", err)
 	}
-	var dw bits.Writer
-	dw.CopyRemaining(r0)
-	inner := Encoded{Data: dw.Bytes(), NBits: dw.Len()}
 	if sel == 1 {
-		return o.lbe.Decompress(inner, refs, lineSize)
+		return o.lbe.DecompressFrom(s, r, refs, lineSize)
 	}
-	return o.decompressLZ(inner, refs, lineSize)
+	return decompressLZ(s, r, refs, lineSize)
 }
 
 // decompressLZ inverts compressLZ.
-func (*Oracle) decompressLZ(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
+func decompressLZ(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
 	var region []byte
-	for _, r := range refs {
-		region = append(region, r...)
+	for _, ref := range refs {
+		region = append(region, ref...)
 	}
 	refLen := len(region)
 	ob := indexBits(refLen + lineSize)
-	r := enc.Reader()
-	out := make([]byte, 0, lineSize)
+	out := s.res[:0]
 	for len(out) < lineSize {
 		b0, err := r.ReadBit()
 		if err != nil {
@@ -218,5 +219,6 @@ func (*Oracle) decompressLZ(enc Encoded, refs [][]byte, lineSize int) ([]byte, e
 	if len(out) != lineSize {
 		return nil, fmt.Errorf("oracle: decoded %d bytes, want %d", len(out), lineSize)
 	}
+	s.res = out
 	return out, nil
 }

@@ -1,6 +1,10 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+
+	"cable/internal/bits"
+)
 
 // SeededLZSS adapts the streaming LZSS coder to the Engine interface for
 // the CABLE+gzip configuration of Fig 20: each line is compressed
@@ -44,11 +48,17 @@ func (s *SeededLZSS) CompressScratch(scr *Scratch, line []byte, refs [][]byte) E
 
 // Decompress implements Engine.
 func (s *SeededLZSS) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
+	return DecompressWith(s, nil, enc, refs, lineSize)
+}
+
+// DecompressFrom implements Engine: a fresh window decoder primed with
+// refs, as the compressing side's is. The scratch is not used.
+func (s *SeededLZSS) DecompressFrom(_ *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
 	d := NewLZSSDecoder(s.window)
-	for _, r := range refs {
-		d.history = append(d.history, r...)
+	for _, ref := range refs {
+		d.history = append(d.history, ref...)
 	}
-	return d.Decompress(enc, lineSize)
+	return d.decompressFrom(r, lineSize)
 }
 
 // Registry returns the evaluated engines by the names used throughout

@@ -33,21 +33,25 @@ func (*Zero) Compress(line []byte, refs [][]byte) Encoded {
 }
 
 // Decompress implements Engine.
-func (*Zero) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	r := enc.Reader()
-	out := make([]uint32, lineSize/4)
-	for i := range out {
+func (z *Zero) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
+	return DecompressWith(z, nil, enc, refs, lineSize)
+}
+
+// DecompressFrom implements Engine. refs are ignored.
+func (*Zero) DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error) {
+	out := s.out[:0]
+	for len(out) < lineSize/4 {
 		flag, err := r.ReadBit()
 		if err != nil {
 			return nil, fmt.Errorf("zero: truncated stream: %w", err)
 		}
+		var v uint64
 		if flag == 1 {
-			v, err := r.ReadBits(32)
-			if err != nil {
+			if v, err = r.ReadBits(32); err != nil {
 				return nil, err
 			}
-			out[i] = uint32(v)
 		}
+		out = append(out, uint32(v))
 	}
-	return PutWords(out), nil
+	return s.result(out), nil
 }

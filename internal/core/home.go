@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 	"cable/internal/obs"
@@ -81,6 +82,7 @@ type encScratch struct {
 	decRefs    [][]byte
 	decOut     []byte // raw-path decode output
 	dec        compress.DecScratch
+	decR       bits.Reader // over a materialized payload's DIFF
 	standalone compress.Scratch
 	diff       compress.Scratch
 	pick       refPicker

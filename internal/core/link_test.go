@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 )
 
@@ -151,6 +152,31 @@ func (h *linkHarness) roundTripWire(p *Payload, geom *cache.Cache) {
 	}
 }
 
+// decodeFrom decodes p's image out of the middle of a longer bit stream
+// through DecodeFillFrom — the streaming codec's path — and demands
+// that it stop on the image's last bit. (Every eviction of this request
+// is already acknowledged and none of their slots can be referenced, so
+// the image acknowledging nothing resolves the same lines.)
+func (h *linkHarness) decodeFrom(p Payload) []byte {
+	idx, way := h.remote.IndexBits(), h.remote.WayBits()
+	lead := h.fills % 9
+	junk := uint64(h.fills+1) * 0x9E3779B97F4A7C15
+	var w bits.Writer
+	w.WriteBits(junk, lead)
+	p.AppendTo(&w, idx, way)
+	w.WriteBits(junk, 64)
+	r := bits.NewReader(w.Bytes(), w.Len())
+	r.ReadBits(lead)
+	data, err := h.re.DecodeFillFrom(r)
+	if err != nil {
+		h.t.Fatalf("DecodeFillFrom: %v", err)
+	}
+	if used := w.Len() - lead - r.Remaining(); used != p.Bits(idx+way) {
+		h.t.Fatalf("DecodeFillFrom consumed %d bits of a %d-bit image", used, p.Bits(idx+way))
+	}
+	return append([]byte(nil), data...)
+}
+
 // request performs one remote-cache access.
 func (h *linkHarness) request(addr uint64, write bool) {
 	if line, id, ok := h.remote.Access(addr); ok {
@@ -191,9 +217,13 @@ func (h *linkHarness) request(addr uint64, write bool) {
 		h.t.Fatalf("latency %d exceeds worst case %d", lat.Total(), EndToEndLatency)
 	}
 	h.roundTripWire(&p, h.remote)
+	streamed := h.decodeFrom(p)
 	data, err := h.re.DecodeFill(p)
 	if err != nil {
 		h.t.Fatalf("decode fill %#x: %v", addr, err)
+	}
+	if !bytes.Equal(streamed, data) {
+		h.t.Fatalf("fill %#x: DecodeFillFrom disagrees with DecodeFill:\n got %x\nwant %x", addr, streamed, data)
 	}
 	want, _, _ := h.home.Probe(addr)
 	if !bytes.Equal(data, want.Data) {

@@ -72,10 +72,20 @@ func (p Payload) Marshal(idxBits, wayBits int) compress.Encoded {
 // Writer's next use.
 func (p Payload) MarshalInto(w *bits.Writer, idxBits, wayBits int) compress.Encoded {
 	w.Reset()
+	p.AppendTo(w, idxBits, wayBits)
+	return compress.Encoded{Data: w.Bytes(), NBits: w.Len()}
+}
+
+// AppendTo writes the wire image at w's current position, which may be
+// any bit offset: the image is self-delimiting (the raw form is one
+// line, the DIFF decodes to one line), so payloads appended back to
+// back need no length between them — RemoteEnd.DecodeFillFrom reads
+// them off one reader.
+func (p Payload) AppendTo(w *bits.Writer, idxBits, wayBits int) {
 	if !p.Compressed {
 		w.WriteBit(0)
 		w.WriteBytes(p.Raw)
-		return compress.Encoded{Data: w.Bytes(), NBits: w.Len()}
+		return
 	}
 	w.WriteBit(1)
 	w.WriteBits(uint64(len(p.Refs)), refCountBits)
@@ -86,7 +96,6 @@ func (p Payload) MarshalInto(w *bits.Writer, idxBits, wayBits int) compress.Enco
 	// The DIFF is the tail; its length is implied by the fixed
 	// decompressed size, so no length field is sent.
 	w.WriteStream(p.Diff.Data, p.Diff.NBits)
-	return compress.Encoded{Data: w.Bytes(), NBits: w.Len()}
 }
 
 // MarshalGuarded is Marshal plus an appended CRC-8 guard over the
@@ -149,22 +158,9 @@ func UnmarshalPayloadScratch(p *Payload, s *PayloadScratch, enc compress.Encoded
 		p.Raw = s.raw
 		return nil
 	}
-	n, err := r.ReadBits(refCountBits)
-	if err != nil {
-		return fmt.Errorf("core: refcount: %w: %w", ErrTruncatedPayload, err)
-	}
 	p.Compressed = true
-	s.refs = s.refs[:0]
-	for i := 0; i < int(n); i++ {
-		idx, err := r.ReadBits(idxBits)
-		if err != nil {
-			return fmt.Errorf("core: ref %d index: %w: %w", i, ErrTruncatedPayload, err)
-		}
-		way, err := r.ReadBits(wayBits)
-		if err != nil {
-			return fmt.Errorf("core: ref %d way: %w: %w", i, ErrTruncatedPayload, err)
-		}
-		s.refs = append(s.refs, cache.LineID{Index: int(idx), Way: int(way)})
+	if s.refs, err = readRefs(r, s.refs[:0], idxBits, wayBits); err != nil {
+		return err
 	}
 	if len(s.refs) > 0 {
 		p.Refs = s.refs
@@ -174,6 +170,29 @@ func UnmarshalPayloadScratch(p *Payload, s *PayloadScratch, enc compress.Encoded
 	s.diff.CopyRemaining(r)
 	p.Diff = compress.Encoded{Data: s.diff.Bytes(), NBits: nbits}
 	return nil
+}
+
+// readRefs parses what follows a compressed image's flag bit — the
+// reference count and that many RemoteLIDs — appending them to refs. It
+// is the one parser of that field, for the materializing unmarshal
+// above and for RemoteEnd.DecodeFillFrom.
+func readRefs(r *bits.Reader, refs []cache.LineID, idxBits, wayBits int) ([]cache.LineID, error) {
+	n, err := r.ReadBits(refCountBits)
+	if err != nil {
+		return refs, fmt.Errorf("core: refcount: %w: %w", ErrTruncatedPayload, err)
+	}
+	for i := 0; i < int(n); i++ {
+		idx, err := r.ReadBits(idxBits)
+		if err != nil {
+			return refs, fmt.Errorf("core: ref %d index: %w: %w", i, ErrTruncatedPayload, err)
+		}
+		way, err := r.ReadBits(wayBits)
+		if err != nil {
+			return refs, fmt.Errorf("core: ref %d way: %w: %w", i, ErrTruncatedPayload, err)
+		}
+		refs = append(refs, cache.LineID{Index: int(idx), Way: int(way)})
+	}
+	return refs, nil
 }
 
 // UnmarshalPayloadGuardedScratch verifies and strips the CRC-8 guard

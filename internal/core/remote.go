@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 	"cable/internal/obs"
@@ -162,9 +163,19 @@ func (r *RemoteEnd) reconstruct(p *Payload, acc *remoteDecodeAcc) ([]byte, error
 		r.scr.decOut = append(r.scr.decOut[:0], p.Raw...)
 		return r.scr.decOut, nil
 	}
+	r.scr.decR.Reset(p.Diff.Data, p.Diff.NBits)
+	return r.decodeDiff(&r.scr.decR, p.Refs, p.AckSeq, acc)
+}
+
+// decodeDiff is the one tail of both decode paths: resolve each
+// reference — the eviction buffer's copy if the slot was evicted after
+// the home end, having acknowledged ack, chose it (§IV-A), else the
+// slot's occupant — and decompress the DIFF at br against them, leaving
+// br after the DIFF's last bit.
+func (r *RemoteEnd) decodeDiff(br *bits.Reader, refs []cache.LineID, ack uint64, acc *remoteDecodeAcc) ([]byte, error) {
 	r.scr.decRefs = r.scr.decRefs[:0]
-	for _, rid := range p.Refs {
-		if data := r.evbuf.Resolve(rid, p.AckSeq); data != nil {
+	for _, rid := range refs {
+		if data := r.evbuf.Resolve(rid, ack); data != nil {
 			acc.rescues++
 			r.scr.decRefs = append(r.scr.decRefs, data)
 			continue
@@ -175,11 +186,52 @@ func (r *RemoteEnd) reconstruct(p *Payload, acc *remoteDecodeAcc) ([]byte, error
 		}
 		r.scr.decRefs = append(r.scr.decRefs, line.Data)
 	}
-	out, err := compress.DecompressWith(r.engine, &r.scr.dec, p.Diff, r.scr.decRefs, r.lineSize)
+	out, err := r.engine.DecompressFrom(&r.scr.dec, br, r.scr.decRefs, r.lineSize)
 	if err != nil {
 		return nil, fmt.Errorf("core: fill diff: %w: %w", ErrCorruptDiff, err)
 	}
 	return out, nil
+}
+
+// DecodeFillFrom is DecodeFill off a bit stream: it reads one payload
+// image (Payload.AppendTo's layout, for this cache's geometry) at br's
+// position and reconstructs the line, leaving br just after the image's
+// last bit, so images packed back to back decode one call each — the
+// next image's references may name the slot this line is about to be
+// installed in. AckSeq is not part of the image; as with an
+// unmarshalled payload, the image acknowledges nothing. Errors and the
+// result's lifetime are DecodeFill's.
+func (r *RemoteEnd) DecodeFillFrom(br *bits.Reader) ([]byte, error) {
+	acc := remoteDecodeAcc{decodes: 1}
+	start := br.Remaining()
+	out, err := r.reconstructFrom(br, &acc)
+	if r.rec != nil {
+		r.rec.Span(r.recTrack, obs.EvDecode, start-br.Remaining())
+	}
+	r.flushDecodes(acc)
+	return out, err
+}
+
+// reconstructFrom is reconstruct with the payload still on the wire:
+// it parses the flag, the raw line or the references, and hands the
+// rest to decodeDiff.
+func (r *RemoteEnd) reconstructFrom(br *bits.Reader, acc *remoteDecodeAcc) ([]byte, error) {
+	flag, err := br.ReadBit()
+	if err != nil {
+		return nil, fmt.Errorf("core: empty payload: %w: %w", ErrTruncatedPayload, err)
+	}
+	if flag == 0 {
+		if r.scr.decOut, err = br.AppendBytes(r.scr.decOut[:0], r.lineSize); err != nil {
+			return nil, fmt.Errorf("core: raw payload: %w: %w", ErrTruncatedPayload, err)
+		}
+		return r.scr.decOut, nil
+	}
+	var ids [MaxRefsLimit]cache.LineID
+	refs, err := readRefs(br, ids[:0], r.remote.IndexBits(), r.remote.WayBits())
+	if err != nil {
+		return nil, err
+	}
+	return r.decodeDiff(br, refs, 0, acc)
 }
 
 // insertLine and removeLine mirror the home end's scratch-backed
