@@ -3,7 +3,10 @@
 # script): formatting, vet, the dependency-closure gate (no network or
 # runtime-metrics package behind any binary), targeted race loops (the
 # metrics registry, the generators and the cell memo, fault injection),
-# the un-raced per-cell allocation byte budgets, fuzz smokes, the CLI
+# the un-raced per-cell allocation byte budgets, fuzz smokes (payload
+# faults, bit-IO parity, the LZSS window index and the LBE dictionary
+# index against their retained scans, seeded sources, workload specs,
+# codec frames), the CLI
 # determinism comparisons (fig12 under faults, the flight recorder's
 # dumps, breakdown through the cell memo, the report file, mesh,
 # workload specs) and round-trip smokes (trace export, cablepipe with
@@ -84,6 +87,13 @@ echo "== LZSS window-index parity fuzz smoke"
 # sizes, across trims and a Reset — every line's bits must be identical
 # and decode back.
 go test -run=NOTHING -fuzz=FuzzLZSSIndexParity -fuzztime=10s ./internal/compress
+
+echo "== LBE dictionary-index parity fuzz smoke"
+# Differential fuzz of LBE's indexed dictionary search against the
+# retained linear scans: random line streams with 0-3 earlier lines as
+# references, zero-heavy lines among them, at three dictionary sizes —
+# every line's bits must be identical and decode back.
+go test -run=NOTHING -fuzz=FuzzLBEIndexParity -fuzztime=10s ./internal/compress
 
 echo "== seeded-source parity fuzz smoke"
 # Differential fuzz of the lazily seeded content rng against

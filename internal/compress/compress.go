@@ -54,7 +54,8 @@ type Scratch struct {
 	w    bits.Writer
 	dict []uint32
 	src  []uint32
-	lz   *LZSS // SeededLZSS's per-line window coder, built on first use
+	lbe  lbeIndex // LBE's dictionary position index
+	lz   *LZSS    // SeededLZSS's per-line window coder, built on first use
 
 	mx       compressCounters // zero = process-default block, resolved on first flush
 	shard    uint32           // metrics shard, drawn lazily (zero value is valid)

@@ -193,6 +193,131 @@ func refFPCCompress(line []byte) Encoded {
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
 }
 
+// refLBEDict is LBE's dictionary as the encoder searched it before the
+// position index: two linear scans over every stored word.
+type refLBEDict struct {
+	words []uint32
+	cap   int
+}
+
+func (d *refLBEDict) push(w uint32) {
+	if len(d.words) < d.cap {
+		d.words = append(d.words, w)
+	}
+}
+
+func (d *refLBEDict) longestRun(src []uint32, p int) (idx, length int) {
+	best, bestIdx := 0, -1
+	w0 := src[p]
+	for i, e := range d.words {
+		if e != w0 {
+			continue
+		}
+		l := matchLen32(d.words[i:], src[p:], lbeMaxRun)
+		if l > best {
+			best, bestIdx = l, i
+		}
+	}
+	return bestIdx, best
+}
+
+func (d *refLBEDict) partialMatch(w uint32) (idx, matchBytes int) {
+	best, bestIdx := 0, -1
+	for i, e := range d.words {
+		x := e ^ w
+		if x>>16 != 0 {
+			continue
+		}
+		if x>>8 == 0 {
+			return i, 3
+		}
+		if best < 2 {
+			best, bestIdx = 2, i
+		}
+	}
+	return bestIdx, best
+}
+
+func refLBECompress(l *LBE, line []byte, refs [][]byte) Encoded {
+	d := &refLBEDict{cap: l.entries}
+	for _, r := range refs {
+		for i := 0; i+4 <= len(r); i += 4 {
+			d.push(Word32(r, i))
+		}
+	}
+	ib := indexBits(d.cap)
+	src := Words(line)
+	var w bits.Writer
+	for p := 0; p < len(src); {
+		zl := zeroRun32(src[p:], lbeMaxRun)
+		var idx, rl int
+		if zl < lbeMaxRun {
+			idx, rl = d.longestRun(src, p)
+		}
+		switch {
+		case zl > 0 && zl >= rl:
+			w.WriteBits(0b00<<4|uint64(zl-1), 6)
+			p += zl
+		case rl >= 2 || (rl == 1 && zl == 0):
+			w.WriteBits(0b01<<uint(ib+4)|uint64(idx)<<4|uint64(rl-1), 6+ib)
+			p += rl
+		default:
+			if mi, m := d.partialMatch(src[p]); m == 3 {
+				w.WriteBits(0b110<<uint(ib+8)|uint64(mi)<<8|uint64(src[p]&0xFF), 11+ib)
+				d.push(src[p])
+			} else if m == 2 {
+				w.WriteBits(0b111<<uint(ib+16)|uint64(mi)<<16|uint64(src[p]&0xFFFF), 19+ib)
+				d.push(src[p])
+			} else {
+				w.WriteBits(0b10<<32|uint64(src[p]), 34)
+				d.push(src[p])
+			}
+			p++
+		}
+	}
+	return Encoded{Data: w.Bytes(), NBits: w.Len()}
+}
+
+// FuzzLBEIndexParity is the differential check of the indexed
+// dictionary search against the linear scans: a random line stream with
+// 0-3 of its earlier lines as references, through one long-lived
+// Scratch, must give the scan's bits line for line and decode back. The
+// three shapes are the tree's (64-word dictionary, 64-byte lines), a
+// dictionary one reference overflows, and 128-byte lines under a
+// 256-word dictionary, whose three references run past the 64 words the
+// index covers.
+func FuzzLBEIndexParity(f *testing.F) {
+	for c := 0; c < 3; c++ {
+		f.Add(int64(c+1), uint8(c))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, which uint8) {
+		shape := []struct{ dictBytes, lineBytes int }{{256, 64}, {32, 64}, {1024, 128}}[which%3]
+		l := NewLBE("lbe", shape.dictBytes)
+		rng := rand.New(rand.NewSource(seed))
+		var scr Scratch
+		var earlier [][]byte
+		for i := 0; i < 256; i++ {
+			var line []byte
+			for len(line) < shape.lineBytes {
+				line = append(line, engineTestLine(rng, earlier)...)
+			}
+			refs := earlier[:min(len(earlier), rng.Intn(4))]
+			got, want := l.CompressScratch(&scr, line, refs), refLBECompress(l, line, refs)
+			if got.NBits != want.NBits || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("line %d %x, %d refs: index emits %d bits %x, scan %d bits %x", i, line, len(refs), got.NBits, got.Data, want.NBits, want.Data)
+			}
+			if back, err := l.Decompress(got, refs, len(line)); err != nil || !bytes.Equal(back, line) {
+				t.Fatalf("line %d: round trip: %x, %v", i, back, err)
+			}
+			if len(earlier) < 8 {
+				earlier = append(earlier, line)
+			} else {
+				earlier[rng.Intn(8)] = line
+			}
+		}
+	})
+}
+
 func refSeededCompress(s *SeededLZSS, line []byte, refs [][]byte) Encoded {
 	z := newRefLZSS(s.name, s.window)
 	for _, r := range refs {
@@ -201,9 +326,41 @@ func refSeededCompress(s *SeededLZSS, line []byte, refs [][]byte) Encoded {
 	return z.Compress(line)
 }
 
-// engineTestLine draws a 64-byte line: the LZSS stream classes plus
-// base+delta arrays at each BDI granularity, immediates mixed in.
+// zeroHeavyLine draws a 64-byte line of word-aligned zero runs of every
+// length between sparse words, most of them copied from the same or a
+// nearby word position of an earlier line (so runs start inside zeros
+// and sit at shifted dictionary positions), some with the low byte or
+// half changed: what LBE's zero code, run code and partial codes
+// compete over.
+func zeroHeavyLine(rng *rand.Rand, earlier [][]byte) []byte {
+	line := make([]byte, 64)
+	for j := rng.Intn(6); j < 16; j += 1 + rng.Intn(6) {
+		for k := 1 + rng.Intn(3); k > 0 && j < 16; k, j = k-1, j+1 {
+			w := rng.Uint32() >> uint(8*rng.Intn(4))
+			if len(earlier) > 0 && rng.Intn(4) > 0 {
+				if e := earlier[rng.Intn(len(earlier))]; len(e) == 64 {
+					w = Word32(e, 4*((j+rng.Intn(3)+15)%16))
+				}
+				switch rng.Intn(6) {
+				case 0:
+					w ^= uint32(rng.Intn(256))
+				case 1:
+					w ^= uint32(rng.Intn(1 << 16))
+				}
+			}
+			binary.LittleEndian.PutUint32(line[4*j:], w)
+		}
+	}
+	return line
+}
+
+// engineTestLine draws a 64-byte line: the LZSS stream classes, zero-
+// heavy lines, and base+delta arrays at each BDI granularity with
+// immediates mixed in.
 func engineTestLine(rng *rand.Rand, earlier [][]byte) []byte {
+	if rng.Intn(4) == 0 {
+		return zeroHeavyLine(rng, earlier)
+	}
 	if rng.Intn(3) > 0 {
 		line := make([]byte, 64)
 		copy(line, lzssTestLine(rng, earlier))
@@ -233,7 +390,8 @@ func TestScratchEnginesMatchReference(t *testing.T) {
 	bdi, fpc := NewBDI(), NewFPC()
 	cpacks := []*CPack{NewCPack("cpack", 64), NewCPack("cpack128", 128), NewCPack("cpack0", 0)}
 	seeded := NewSeededLZSS("gzip-seeded", 32<<10)
-	var scr [6]Scratch
+	lbes := []*LBE{NewLBE("lbe256", 256), NewLBE("lbe1k", 1024), NewLBE("lbe32", 32)}
+	var scr [9]Scratch
 	var earlier [][]byte
 	for i := 0; i < 20000; i++ {
 		line := engineTestLine(rng, earlier)
@@ -257,5 +415,8 @@ func TestScratchEnginesMatchReference(t *testing.T) {
 			check(c.Name(), c.CompressScratch(&scr[2+j], line, refs), c.Compress(line, refs), refCPackCompress(c, line, refs))
 		}
 		check("gzip-seeded", seeded.CompressScratch(&scr[5], line, refs), seeded.Compress(line, refs), refSeededCompress(seeded, line, refs))
+		for j, l := range lbes {
+			check(l.Name(), l.CompressScratch(&scr[6+j], line, refs), l.Compress(line, refs), refLBECompress(l, line, refs))
+		}
 	}
 }

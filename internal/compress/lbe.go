@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"cable/internal/bits"
 )
@@ -45,6 +46,7 @@ const lbeMaxRun = 16 // 4-bit run length field encodes 1..16 words
 type lbeDict struct {
 	words []uint32
 	cap   int
+	ix    *lbeIndex // over the reference words; the decoder never searches
 }
 
 // push appends a word; when full the dictionary stops growing (seeded
@@ -55,23 +57,110 @@ func (d *lbeDict) push(w uint32) {
 	}
 }
 
+// lbeIndexed is how many leading dictionary words the index covers: one
+// mask bit each. Three 64-byte references are 48 words and one 256-byte
+// reference is 64, so in every dictionary in the tree that is all of
+// the reference words. The limit is stated, not hidden: a larger
+// dictionary seeded past it (NewLBE builds any size) has the rest of its
+// reference words scanned with the pushed ones, by the same loop, and
+// FuzzLBEIndexParity runs that shape.
+const (
+	lbeIndexed = 64
+	lbeBuckets = 64
+)
+
+// lbeIndex is the software stand-in for the CAM a hardware LBE matches
+// its dictionary with (§VI-E). The dictionary a search sees is the
+// reference words — dozens, fixed for the line — followed by the few
+// literals the line has pushed so far. The index covers the first part:
+// for every bucket of a word hash and of an upper-half hash, the set of
+// positions that fall in it, as a bit mask, built once a line. A search
+// visits one bucket's set bits and then scans the pushed words; both in
+// ascending position, the order of a scan of the whole dictionary, so
+// "the first position that ..." picks the position that scan picked. A
+// line compressed without references builds nothing.
+type lbeIndex struct {
+	n     int  // words[:n] are in the masks, which are stale when n is 0
+	zeros bool // some reference word is zero (a pushed word never is)
+	word  [lbeBuckets]uint64
+	half  [lbeBuckets]uint64
+}
+
+func lbeHash(v uint32) uint32 { return v * 0x9E3779B1 >> 26 } // < lbeBuckets
+
+// build indexes the reference words a line's dictionary starts with.
+func (ix *lbeIndex) build(words []uint32) {
+	ix.n, ix.zeros = min(len(words), lbeIndexed), false
+	if ix.n == 0 {
+		return
+	}
+	ix.word, ix.half = [lbeBuckets]uint64{}, [lbeBuckets]uint64{}
+	for i, w := range words {
+		ix.zeros = ix.zeros || w == 0
+		if i < lbeIndexed {
+			ix.word[lbeHash(w)] |= 1 << uint(i)
+			ix.half[lbeHash(w>>16)] |= 1 << uint(i)
+		}
+	}
+}
+
+// wordAt returns the indexed positions that may hold w, as a mask.
+func (ix *lbeIndex) wordAt(w uint32) uint64 {
+	if ix.n == 0 {
+		return 0
+	}
+	return ix.word[lbeHash(w)]
+}
+
+// halfAt returns the indexed positions that may share w's upper half.
+func (ix *lbeIndex) halfAt(w uint32) uint64 {
+	if ix.n == 0 {
+		return 0
+	}
+	return ix.half[lbeHash(w>>16)]
+}
+
 // longestRun finds the dictionary position giving the longest run match
-// for src starting at word position p. Run extension is word-packed
+// for src starting at word position p, whose first zl (< lbeMaxRun)
+// words are zero: the first position with the strictly longest run, as a
+// scan of the whole dictionary finds it. Run extension is word-packed
 // (matchLen32), two dictionary words per comparison.
-func (d *lbeDict) longestRun(src []uint32, p int) (idx, length int) {
+//
+// Only a run longer than zl is ever used (the zero code covers zl words
+// for fewer bits), and such a run holds the non-zero src[p+zl] exactly
+// zl words in. So the candidates are the positions of that word, each
+// moved back by zl: every position the scan could have chosen is among
+// them in the scan's order, and the dictionary's zeros are never
+// visited. A result of zl or less may differ from the scan's; the caller
+// emits the zero code either way.
+func (d *lbeDict) longestRun(src []uint32, p, zl int) (idx, length int) {
+	anchor := p + zl
+	if anchor == len(src) || zl >= len(d.words) {
+		return -1, 0 // the line ends in these zeros, or no run holds them and more
+	}
+	// at[i] is the word a run starting at position i has at src[anchor].
+	w, src, words, at := src[anchor], src[p:], d.words, d.words[zl:]
+	maxLen := min(len(src), lbeMaxRun) // later positions cannot beat a run this long
 	best, bestIdx := 0, -1
-	w0 := src[p]
-	for i, e := range d.words {
-		// A candidate whose first word differs has run length 0 and can
-		// never beat best (≥ 0): skip it with one compare instead of a
-		// matchLen32 call. The surviving selection — first index with
-		// the strictly longest run — is unchanged.
-		if e != w0 {
+	for m := d.ix.wordAt(w) >> uint(zl); m != 0; m &= m - 1 {
+		i := mathbits.TrailingZeros64(m)
+		if at[i] != w || words[i] != src[0] {
 			continue
 		}
-		l := matchLen32(d.words[i:], src[p:], lbeMaxRun)
-		if l > best {
-			best, bestIdx = l, i
+		if l := matchLen32(words[i:], src, lbeMaxRun); l > best {
+			if best, bestIdx = l, i; l == maxLen {
+				return bestIdx, best
+			}
+		}
+	}
+	for i := max(d.ix.n-zl, 0); i < len(at); i++ {
+		if at[i] != w || words[i] != src[0] {
+			continue
+		}
+		if l := matchLen32(words[i:], src, lbeMaxRun); l > best {
+			if best, bestIdx = l, i; l == maxLen {
+				return bestIdx, best
+			}
 		}
 	}
 	return bestIdx, best
@@ -79,22 +168,23 @@ func (d *lbeDict) longestRun(src []uint32, p int) (idx, length int) {
 
 // partialMatch finds the dictionary word sharing the most upper bytes
 // with w: matchBytes is 3 (upper 3 bytes equal) or 2 (upper half), or 0.
+// The first position reaching 3 wins, else the first reaching 2.
 func (d *lbeDict) partialMatch(w uint32) (idx, matchBytes int) {
+	words, n := d.words, d.ix.n
 	best, bestIdx := 0, -1
-	for i, e := range d.words {
-		// One shift of the XOR rejects non-candidates with a single
-		// branch; survivors share at least the upper half.
-		x := e ^ w
-		if x>>16 != 0 {
-			continue
+	for m := d.ix.halfAt(w); m != 0; m &= m - 1 {
+		j := mathbits.TrailingZeros64(m)
+		if x := words[j] ^ w; x>>8 == 0 {
+			return j, 3
+		} else if x>>16 == 0 && best < 2 {
+			best, bestIdx = 2, j
 		}
-		if x>>8 == 0 {
-			// First index reaching m=3 always wins in the original
-			// best-tracking loop, whether or not an m=2 preceded it.
-			return i, 3
-		}
-		if best < 2 {
-			best, bestIdx = 2, i
+	}
+	for j, e := range words[n:] {
+		if x := e ^ w; x>>8 == 0 {
+			return n + j, 3
+		} else if x>>16 == 0 && best < 2 {
+			best, bestIdx = 2, n+j
 		}
 	}
 	return bestIdx, best
@@ -113,26 +203,31 @@ func (l *LBE) Compress(line []byte, refs [][]byte) Encoded {
 // CABLE link ends, which compress one line per fill and must not
 // allocate in steady state. The returned Encoded aliases s.
 func (l *LBE) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
-	d := &lbeDict{words: s.dict[:0], cap: l.entries}
+	d := &lbeDict{words: s.dict[:0], cap: l.entries, ix: &s.lbe}
 	for _, r := range refs {
 		for i := 0; i+4 <= len(r); i += 4 {
 			d.push(Word32(r, i))
 		}
 	}
+	d.ix.build(d.words)
 	ib := d.idxBits()
 	src := AppendWords(s.src[:0], line)
 	w := &s.w
 	w.Reset()
 	for p := 0; p < len(src); {
-		// Zero run.
-		zl := zeroRun32(src[p:], lbeMaxRun)
+		// Zero run; most words that are searched for are not zero.
+		zl := 0
+		if src[p] == 0 {
+			zl = zeroRun32(src[p:], lbeMaxRun)
+		}
 		var idx, rl int
-		if zl < lbeMaxRun {
-			idx, rl = d.longestRun(src, p)
+		if zl < lbeMaxRun && (zl == 0 || d.ix.zeros) {
+			idx, rl = d.longestRun(src, p, zl)
 		}
 		// A full-length zero run wins unconditionally (rl is capped at
 		// the same lbeMaxRun, so zl >= rl holds), hence the dictionary
-		// search above is skipped for it.
+		// search above is skipped for it. So does any zero run when no
+		// reference word is zero: a run that beats it starts on one.
 		// Cost per option, in saved bits vs. literals (32+2 each).
 		// Prefer the option covering the most words; ties favor the
 		// cheaper zero code.

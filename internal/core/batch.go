@@ -9,16 +9,19 @@ import (
 
 // This file is the fill pipeline — the one implementation behind
 // EncodeFill, EncodeFillData and EncodeFills (remote.go does the same
-// for DecodeFill and DecodeFills). A fill's cost is dominated not by
-// compression but by bookkeeping: ~30 atomic metric increments (htHits
-// per signature, per-candidate WMT/read counters, the payload
-// histogram's three atomics, two per engine call), per-call interface
-// dispatch for the engine and way-map, and the pointer-width override
-// check per Bits() evaluation. So the pipeline accumulates every counter and Stats field
-// in plain fields (encodeAcc) that an entry point flushes when it is
-// done — after its one line, or after its whole batch — probes the home
-// cache once per line, reads the pointer width and the devirtualized
-// way-map from the end, and fuses the hash-table probe with candidate
+// for DecodeFill and DecodeFills). Where a fill's time goes, by CPU
+// share of fill on the codec's mixed stream (bash benchmark/run.sh
+// --workload codec_mix --trace 1, at PR 24): the standalone compress
+// 26 %, the reference-seeded DIFF compress 27 %, gathering candidates
+// 28 % (the hash-table probe 10, way-map and data-array reads 10, the
+// CBVs 8), picking the references 7 %, search signatures 6 %, and the
+// synchronisation after the encode 4 %. The two compress calls are the
+// budget; the bookkeeping is kept out of it: every counter and Stats
+// field accumulates in plain fields (encodeAcc) that an entry point
+// flushes when it is done — after its one line, or after its whole batch
+// — instead of ~30 atomic increments a line; the home cache is probed
+// once per line; the pointer width and the devirtualized way-map are
+// read from the end; and the hash-table probe is fused with candidate
 // deduplication.
 //
 // Line i+1 may reference line i (the Shared branch inserts the filled
@@ -268,7 +271,7 @@ func (s *encScratch) floor(data []byte, out *Payload) (bestBits, standBits int) 
 // DIFF-compresses data against them, and replaces out when the result
 // is smaller than bestBits. It returns the winner's transmitted size.
 func (s *encScratch) tryDiff(data []byte, cands []candidate, maxRefs, bestBits int, out *Payload) int {
-	s.refs = s.pick.pick(cands, maxRefs, s.refs[:0])
+	s.refs = selectRefs(cands, maxRefs, s.refs[:0])
 	if len(s.refs) == 0 {
 		return bestBits
 	}
@@ -296,14 +299,15 @@ func (s *encScratch) probe(ht *HashTable, sigs []sig.Signature, accessCount int)
 	var hits uint64
 	for _, sg := range sigs {
 		for _, e := range ht.bucket(sg) {
-			if !e.valid {
+			if e == 0 {
 				continue
 			}
 			hits++
-			if pos, dup := s.dedup.insert(e.id, int32(len(cands))); dup {
+			id := e.id()
+			if pos, dup := s.dedup.insert(id, int32(len(cands))); dup {
 				cands[pos].dups++
 			} else {
-				cands = append(cands, candidate{id: e.id, dups: 1})
+				cands = append(cands, candidate{id: id, dups: 1})
 			}
 		}
 	}

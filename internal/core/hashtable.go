@@ -13,6 +13,8 @@
 package core
 
 import (
+	"fmt"
+
 	"cable/internal/cache"
 	"cable/internal/sig"
 )
@@ -32,9 +34,29 @@ type HashTable struct {
 	depth    int
 }
 
-type entry struct {
-	id    cache.LineID
-	valid bool
+// entry is one slot: a LineID packed into a word, (Index<<8 | Way) + 1,
+// or zero for an empty slot — 4 bytes where the unpacked pair and its
+// valid flag took 24, so a 2-deep bucket is one 8-byte load and a
+// cleared table is an empty one. The paper's LineID is 17 bits (§III-D);
+// this form holds 2^24-1 sets of up to 256 ways.
+type entry uint32
+
+const entryWayBits = 8
+
+// packEntry panics on a LineID the packed form cannot hold: no cache
+// geometry the tree can build comes near it, and an aliased entry would
+// be a silently wrong reference.
+func packEntry(id cache.LineID) entry {
+	if uint(id.Way) >= 1<<entryWayBits || uint(id.Index) >= 1<<(32-entryWayBits)-1 {
+		panic(fmt.Sprintf("core: hash table cannot hold LineID %+v", id))
+	}
+	return entry(id.Index<<entryWayBits|id.Way) + 1
+}
+
+// id unpacks a non-empty slot.
+func (e entry) id() cache.LineID {
+	e--
+	return cache.LineID{Index: int(e >> entryWayBits), Way: int(e & (1<<entryWayBits - 1))}
 }
 
 // NewHashTable builds a table with the given number of buckets (rounded
@@ -68,22 +90,22 @@ func (h *HashTable) bucket(s sig.Signature) []entry {
 // signatures of the most recent half" (§IV-D). displaced reports that
 // the bucket was full and a live entry made way.
 func (h *HashTable) Insert(s sig.Signature, id cache.LineID) (displaced bool) {
-	b := h.bucket(s)
+	b, e := h.bucket(s), packEntry(id)
 	for i := range b {
-		if b[i].valid && b[i].id == id {
+		if b[i] == e {
 			return false // already present
 		}
 	}
 	for i := range b {
-		if !b[i].valid {
+		if b[i] == 0 {
 			// Shift to keep FIFO order: newest at the end.
 			copy(b[i:], b[i+1:])
-			b[len(b)-1] = entry{id: id, valid: true}
+			b[len(b)-1] = e
 			return false
 		}
 	}
 	copy(b, b[1:])
-	b[len(b)-1] = entry{id: id, valid: true}
+	b[len(b)-1] = e
 	return true
 }
 
@@ -91,8 +113,8 @@ func (h *HashTable) Insert(s sig.Signature, id cache.LineID) (displaced bool) {
 // returns it.
 func (h *HashTable) Lookup(s sig.Signature, dst []cache.LineID) []cache.LineID {
 	for _, e := range h.bucket(s) {
-		if e.valid {
-			dst = append(dst, e.id)
+		if e != 0 {
+			dst = append(dst, e.id())
 		}
 	}
 	return dst
@@ -101,11 +123,11 @@ func (h *HashTable) Lookup(s sig.Signature, dst []cache.LineID) []cache.LineID {
 // Remove deletes the (s, id) association if present — the precise
 // invalidation CABLE performs when caches desynchronize (§III-B).
 func (h *HashTable) Remove(s sig.Signature, id cache.LineID) bool {
-	b := h.bucket(s)
+	b, e := h.bucket(s), packEntry(id)
 	for i := range b {
-		if b[i].valid && b[i].id == id {
+		if b[i] == e {
 			copy(b[i:], b[i+1:])
-			b[len(b)-1] = entry{}
+			b[len(b)-1] = 0
 			return true
 		}
 	}
@@ -115,8 +137,8 @@ func (h *HashTable) Remove(s sig.Signature, id cache.LineID) bool {
 // Occupancy counts live entries (for tests and reports).
 func (h *HashTable) Occupancy() int {
 	n := 0
-	for i := range h.entries {
-		if h.entries[i].valid {
+	for _, e := range h.entries {
+		if e != 0 {
 			n++
 		}
 	}
@@ -126,9 +148,9 @@ func (h *HashTable) Occupancy() int {
 // ForEach visits the LineID of every live entry (for the pair-level
 // synchronization checker).
 func (h *HashTable) ForEach(fn func(id cache.LineID)) {
-	for i := range h.entries {
-		if h.entries[i].valid {
-			fn(h.entries[i].id)
+	for _, e := range h.entries {
+		if e != 0 {
+			fn(e.id())
 		}
 	}
 }

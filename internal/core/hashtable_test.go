@@ -93,3 +93,32 @@ func TestHashTableSizeBits(t *testing.T) {
 		t.Fatalf("full-sized hash table overhead %.4f, want ≈0.035", frac)
 	}
 }
+
+// TestHashTableEntryPacking pins the packed slot: every LineID up to the
+// stated limits comes back from a lookup as it went in (slot zero, whose
+// packed form must not read as empty, included), and one past a limit
+// panics instead of aliasing another line.
+func TestHashTableEntryPacking(t *testing.T) {
+	const maxIndex = 1<<24 - 2
+	s := sig.Signature(5)
+	for _, id := range []cache.LineID{{Index: 0, Way: 0}, {Index: 0, Way: 255}, {Index: maxIndex, Way: 0}, {Index: maxIndex, Way: 255}, {Index: 1 << 17, Way: 15}} {
+		ht := NewHashTable(8, 2)
+		ht.Insert(s, id)
+		if got := ht.Lookup(s, nil); len(got) != 1 || got[0] != id {
+			t.Fatalf("inserted %+v, lookup returned %+v", id, got)
+		}
+		if ht.Occupancy() != 1 || !ht.Remove(s, id) || ht.Occupancy() != 0 {
+			t.Fatalf("%+v: occupancy/remove disagree with the insert", id)
+		}
+	}
+	for _, id := range []cache.LineID{{Index: maxIndex + 1, Way: 0}, {Index: 0, Way: 256}, {Index: -1, Way: 0}, {Index: 0, Way: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("insert of %+v did not panic", id)
+				}
+			}()
+			NewHashTable(8, 2).Insert(s, id)
+		}()
+	}
+}

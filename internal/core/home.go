@@ -85,7 +85,6 @@ type encScratch struct {
 	decR       bits.Reader // over a materialized payload's DIFF
 	standalone compress.Scratch
 	diff       compress.Scratch
-	pick       refPicker
 	dedup      dedupIndex
 }
 

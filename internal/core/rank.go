@@ -22,23 +22,23 @@ type candidate struct {
 
 // CoverageVector computes the CBV (§III-C): bit i set iff 32-bit word i
 // of ref equals word i of data. For 64-byte lines this is the paper's
-// 16-bit vector.
+// 16-bit vector. The vector is 32 bits wide: a longer line (the codec
+// takes lines up to 4096 bytes) is ranked by its first 32 words only, so
+// words from 32 on are not compared at all.
 func CoverageVector(data, ref []byte) uint32 {
+	n := min(len(data)/sig.WordSize, 32)
+	data, ref = data[:n*sig.WordSize], ref[:n*sig.WordSize]
 	var cbv uint32
-	n := len(data) / sig.WordSize
 	i := 0
 	// Two words per 64-bit XOR: a zero 32-bit lane is an exact word
 	// match. Lane order matches the scalar form because little-endian
 	// loads place word i in the low half and word i+1 in the high half.
+	// A lane holds less than 2^32, so (lane-1)>>63 is 1 exactly when
+	// the lane is zero: the bit is set without a branch on the data.
 	for ; i+2 <= n; i += 2 {
 		x := binary.LittleEndian.Uint64(data[i*sig.WordSize:]) ^
 			binary.LittleEndian.Uint64(ref[i*sig.WordSize:])
-		if x&0xFFFFFFFF == 0 {
-			cbv |= 1 << uint(i)
-		}
-		if x>>32 == 0 {
-			cbv |= 1 << uint(i+1)
-		}
+		cbv |= uint32((x&0xFFFFFFFF-1)>>63)<<uint(i) | uint32((x>>32-1)>>63)<<uint(i+1)
 	}
 	if i < n && sig.Word(data, i*sig.WordSize) == sig.Word(ref, i*sig.WordSize) {
 		cbv |= 1 << uint(i)
@@ -68,76 +68,51 @@ func preRank(cands []candidate, accessCount int) []candidate {
 	return cands
 }
 
-// maxRefBound caps the reference-set enumeration depth. The payload's
+// maxRefBound is the reference-set enumeration depth. The payload's
 // 2-bit refcount field bounds Config.MaxRefs to 3 (Validate enforces
-// it), so fixed arrays of this size make the picker allocation-free.
+// it), which is what lets selectRefs be three nested loops.
 const maxRefBound = 3
-
-// refPicker is the reusable scratch of the reference-selection step.
-// Zero value is ready; one picker belongs to one link end.
-type refPicker struct {
-	best    [maxRefBound]int
-	bestLen int
-	chosen  [maxRefBound]int
-}
 
 // selectRefs picks the subset of at most maxRefs candidates maximizing
 // combined CBV coverage, mirroring the paper's swap-capable greedy
 // (its worked example drops an already-chosen line for a better pair).
 // With at most six candidates exact enumeration is cheap and exactly
 // "maximize coverage". Ties prefer fewer references (each costs a
-// RemoteLID on the wire), then higher duplication counts. Candidates
-// contributing no additional coverage are dropped.
-func selectRefs(cands []candidate, maxRefs int) []candidate {
-	var pk refPicker
-	return pk.pick(cands, maxRefs, nil)
-}
-
-// pick appends the selected references to out and returns it; with a
-// reused out buffer the whole selection is allocation-free.
-func (pk *refPicker) pick(cands []candidate, maxRefs int, out []candidate) []candidate {
+// RemoteLID on the wire), then higher duplication counts, then the
+// subset enumerated first. Candidates contributing no additional
+// coverage are dropped. The selection is appended to out[:0]; with a
+// reused out buffer it is allocation-free.
+func selectRefs(cands []candidate, maxRefs int, out []candidate) []candidate {
 	if maxRefs <= 0 || len(cands) == 0 {
 		return out[:0]
 	}
-	if maxRefs > maxRefBound {
-		maxRefs = maxRefBound
-	}
-	bestCover, bestDups := -1, -1
-	pk.bestLen = 0
-	bestSize := 0
-	// walk enumerates index subsets in lexicographic order (identical
-	// to the recursive formulation, so tie-breaking is unchanged).
-	var walk func(start, depth int)
-	walk = func(start, depth int) {
-		if depth > 0 {
-			var cbv uint32
-			dups := 0
-			for _, i := range pk.chosen[:depth] {
-				cbv |= cands[i].cbv
-				dups += cands[i].dups
+	// Subsets are visited in lexicographic pre-order — {a}, {a,b},
+	// {a,b,c}, {a,b,c+1}, …, {a,b+1}, … — each level handing its OR-ed
+	// CBV and dup sum to the next, so a subset costs one OR, one add and
+	// one popcount. The order is the tie-break of last resort: it must
+	// stay the recursive enumeration's (referenceSelect in the tests).
+	bs := bestSet{cover: -1, dups: -1}
+	for a := range cands {
+		cbvA, dupsA := cands[a].cbv, cands[a].dups
+		bs.offer(cbvA, 1, dupsA, a, 0, 0)
+		if maxRefs < 2 {
+			continue
+		}
+		for b := a + 1; b < len(cands); b++ {
+			cbvB, dupsB := cbvA|cands[b].cbv, dupsA+cands[b].dups
+			bs.offer(cbvB, 2, dupsB, a, b, 0)
+			if maxRefs < 3 {
+				continue
 			}
-			cover := bits.OnesCount32(cbv)
-			better := cover > bestCover ||
-				(cover == bestCover && depth < bestSize) ||
-				(cover == bestCover && depth == bestSize && dups > bestDups)
-			if better {
-				bestCover, bestSize, bestDups = cover, depth, dups
-				pk.bestLen = copy(pk.best[:], pk.chosen[:depth])
+			for c := b + 1; c < len(cands); c++ {
+				bs.offer(cbvB|cands[c].cbv, 3, dupsB+cands[c].dups, a, b, c)
 			}
 		}
-		if depth == maxRefs {
-			return
-		}
-		for i := start; i < len(cands); i++ {
-			pk.chosen[depth] = i
-			walk(i+1, depth+1)
-		}
 	}
-	walk(0, 0)
-	if bestCover <= 0 {
+	if bs.cover <= 0 {
 		return out[:0] // no candidate matches even one word
 	}
-	best := pk.best[:pk.bestLen]
+	best := bs.set[:bs.size]
 	// Drop members that add nothing over the rest of the chosen set.
 	out = out[:0]
 	for k, i := range best {
@@ -155,4 +130,21 @@ func (pk *refPicker) pick(cands []candidate, maxRefs int, out []candidate) []can
 		out = append(out, cands[best[0]])
 	}
 	return out
+}
+
+// bestSet is the best subset selectRefs has visited so far.
+type bestSet struct {
+	cover, size, dups int
+	set               [maxRefBound]int
+}
+
+// offer replaces the best subset by the one given (its first size
+// indices count) when that covers more words, or as many with fewer
+// members, or as many with as many members and more duplicates.
+func (bs *bestSet) offer(cbv uint32, size, dups, a, b, c int) {
+	cover := bits.OnesCount32(cbv)
+	if cover > bs.cover ||
+		cover == bs.cover && (size < bs.size || size == bs.size && dups > bs.dups) {
+		*bs = bestSet{cover, size, dups, [maxRefBound]int{a, b, c}}
+	}
 }

@@ -47,16 +47,16 @@ func referenceFill(h *HomeEnd, remote *cache.Cache, data []byte) Payload {
 	for _, s := range h.ex.SearchSignatures(data, h.cfg.MaxSearchSigs) {
 	entries:
 		for _, e := range h.ht.bucket(s) {
-			if !e.valid {
+			if e == 0 {
 				continue
 			}
 			for i := range cands {
-				if cands[i].id == e.id {
+				if cands[i].id == e.id() {
 					cands[i].dups++
 					continue entries
 				}
 			}
-			cands = append(cands, candidate{id: e.id, dups: 1})
+			cands = append(cands, candidate{id: e.id(), dups: 1})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].dups > cands[j].dups })
