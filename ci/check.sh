@@ -5,8 +5,8 @@
 # metrics registry, the generators and the cell memo, fault injection),
 # the un-raced per-cell allocation byte budgets, fuzz smokes (payload
 # faults, bit-IO parity, the LZSS window index and the LBE dictionary
-# index against their retained scans, seeded sources, workload specs,
-# codec frames), the CLI
+# index against their retained scans, the eviction-buffer ring against
+# its retained map, seeded sources, workload specs, codec frames), the CLI
 # determinism comparisons (fig12 under faults, the flight recorder's
 # dumps, breakdown through the cell memo, the report file, mesh,
 # workload specs) and round-trip smokes (trace export, cablepipe with
@@ -94,6 +94,13 @@ echo "== LBE dictionary-index parity fuzz smoke"
 # references, zero-heavy lines among them, at three dictionary sizes —
 # every line's bits must be identical and decode back.
 go test -run=NOTHING -fuzz=FuzzLBEIndexParity -fuzztime=10s ./internal/compress
+
+echo "== eviction-buffer ring parity fuzz smoke"
+# Differential fuzz of the §IV-A eviction buffer's recycled ring against
+# the retained map-of-slices reference: arbitrary Add/Release/Reset
+# sequences over eight slots, up to three evictions pending on one —
+# Len, LastSeq and Resolve at every ack must agree after every step.
+go test -run=NOTHING -fuzz=FuzzEvictionBufferParity -fuzztime=10s ./internal/core
 
 echo "== seeded-source parity fuzz smoke"
 # Differential fuzz of the lazily seeded content rng against

@@ -270,7 +270,10 @@ func (c *Cache) Victim(lineAddr uint64) (way int, victim uint64, occupied bool) 
 	return way, victim, occupied
 }
 
-// Eviction describes a line displaced by an insertion.
+// Eviction describes a line taken out of the cache by Invalidate. Data
+// aliases the buffer the slot keeps: it is valid until that slot's next
+// install, and a caller that needs the bytes longer copies them (the
+// eviction buffer does, on Add).
 type Eviction struct {
 	LineAddr uint64
 	State    State
@@ -278,26 +281,17 @@ type Eviction struct {
 	ID       LineID
 }
 
-// InsertAt installs a line at an explicit way and returns the displaced
-// line, if any. The data slice is copied into the slot's reused buffer
-// (an Eviction's Data is a fresh copy — eviction buffers retain it).
-func (c *Cache) InsertAt(lineAddr uint64, data []byte, st State, way int) (Eviction, bool) {
+// InsertAt installs a line at an explicit way, copying data into the
+// slot's reused buffer. A previous occupant counts in Stats.Evictions
+// but is not copied out: a caller that needs the victim takes it first,
+// with Victim and Invalidate.
+func (c *Cache) InsertAt(lineAddr uint64, data []byte, st State, way int) {
 	if len(data) != c.cfg.LineSize {
 		panic(fmt.Sprintf("cache %q: insert of %dB line, want %dB", c.cfg.Name, len(data), c.cfg.LineSize))
 	}
-	idx := c.IndexOf(lineAddr)
-	var ev Eviction
-	evicted := false
-	l := &c.sets[idx][way]
+	l := &c.sets[c.IndexOf(lineAddr)][way]
 	if l.valid {
 		c.Stats.Evictions++
-		ev = Eviction{
-			LineAddr: c.AddrOf(l.Tag, idx),
-			State:    l.State,
-			Data:     append([]byte(nil), l.Data...),
-			ID:       LineID{Index: idx, Way: way},
-		}
-		evicted = true
 	}
 	c.tick++
 	c.rng += 0x2545F4914F6CDD1D // advance PolicyRandom state per insertion
@@ -309,51 +303,28 @@ func (c *Cache) InsertAt(lineAddr uint64, data []byte, st State, way int) (Evict
 	}
 	copy(buf, data)
 	*l = Line{Tag: c.TagOf(lineAddr), State: st, Data: buf, lru: c.tick, valid: true}
-	return ev, evicted
 }
 
-// OverwriteAt installs a line at an explicit way without materializing
-// the displaced line: the previous occupant (if any) still counts as an
-// eviction, but its data is not copied out — the allocation-free
-// sibling of InsertAt for callers that track victims themselves (via
-// LineAddrOf before overwriting) or do not need them. Replacement state
-// advances exactly as InsertAt's does, so interleaving the two keeps
-// policy decisions identical.
+// OverwriteAt is InsertAt, kept only because the frozen benchmark/ calls it.
 func (c *Cache) OverwriteAt(lineAddr uint64, data []byte, st State, way int) {
-	if len(data) != c.cfg.LineSize {
-		panic(fmt.Sprintf("cache %q: overwrite of %dB line, want %dB", c.cfg.Name, len(data), c.cfg.LineSize))
-	}
-	idx := c.IndexOf(lineAddr)
-	l := &c.sets[idx][way]
-	if l.valid {
-		c.Stats.Evictions++
-	}
-	c.tick++
-	c.rng += 0x2545F4914F6CDD1D
-	buf := l.Data
-	if cap(buf) >= c.cfg.LineSize {
-		buf = buf[:c.cfg.LineSize]
-	} else {
-		buf = make([]byte, c.cfg.LineSize)
-	}
-	copy(buf, data)
-	*l = Line{Tag: c.TagOf(lineAddr), State: st, Data: buf, lru: c.tick, valid: true}
+	c.InsertAt(lineAddr, data, st, way)
 }
 
-// Insert installs a line at the LRU victim way.
-func (c *Cache) Insert(lineAddr uint64, data []byte, st State) (Eviction, bool) {
-	return c.InsertAt(lineAddr, data, st, c.VictimWay(c.IndexOf(lineAddr)))
+// Insert installs a line at the policy's victim way.
+func (c *Cache) Insert(lineAddr uint64, data []byte, st State) {
+	c.InsertAt(lineAddr, data, st, c.VictimWay(c.IndexOf(lineAddr)))
 }
 
-// Invalidate removes a line if present, returning its previous content.
+// Invalidate removes a line if present and returns it. The Eviction's
+// Data is the slot's own buffer, not a copy: valid until the slot's next
+// InsertAt overwrites it.
 func (c *Cache) Invalidate(lineAddr uint64) (Eviction, bool) {
 	l, id, ok := c.Probe(lineAddr)
 	if !ok {
 		return Eviction{}, false
 	}
-	ev := Eviction{LineAddr: lineAddr, State: l.State, Data: append([]byte(nil), l.Data...), ID: id}
-	buf := l.Data[:0] // keep the slot buffer for the next insert
-	*l = Line{Data: buf}
+	ev := Eviction{LineAddr: lineAddr, State: l.State, Data: l.Data, ID: id}
+	*l = Line{Data: l.Data[:0]} // the slot keeps its buffer for the next install
 	return ev, true
 }
 

@@ -116,21 +116,65 @@ func TestLRUEviction(t *testing.T) {
 	sets := uint64(c.NumSets())
 	// Fill one set: addresses with the same index.
 	for i := uint64(0); i < 4; i++ {
-		if _, ev := c.Insert(5+i*sets, line64(byte(i)), Shared); ev {
+		if _, _, occupied := c.Victim(5 + i*sets); occupied {
 			t.Fatalf("unexpected eviction filling ways (%d)", i)
 		}
+		c.Insert(5+i*sets, line64(byte(i)), Shared)
 	}
 	// Touch line 0 so line 1 becomes LRU.
 	c.Access(5 + 0*sets)
-	ev, evicted := c.Insert(5+9*sets, line64(9), Shared)
-	if !evicted {
+	_, victim, occupied := c.Victim(5 + 9*sets)
+	if !occupied {
 		t.Fatal("expected an eviction from a full set")
 	}
+	ev, _ := c.Invalidate(victim)
 	if ev.LineAddr != 5+1*sets {
 		t.Fatalf("evicted %d, want LRU line %d", ev.LineAddr, 5+sets)
 	}
 	if ev.Data[0] != 1 {
 		t.Fatalf("eviction carries wrong data %x", ev.Data[0])
+	}
+	c.Insert(5+9*sets, line64(9), Shared)
+	if _, id, _ := c.Probe(5 + 9*sets); id != ev.ID {
+		t.Fatalf("fill landed at %v, not in the freed way %v", id, ev.ID)
+	}
+}
+
+// TestInvalidateReturnsSlotBuffer pins Invalidate's lifetime rule: the
+// Eviction's Data is the slot's own buffer, unchanged until the slot's
+// next InsertAt, which overwrites it.
+func TestInvalidateReturnsSlotBuffer(t *testing.T) {
+	c := testCache(t)
+	sets := uint64(c.NumSets())
+	c.Insert(3, line64(7), Modified)
+	ev, _ := c.Invalidate(3)
+	// Installs elsewhere, even in the same set, leave it alone.
+	c.Insert(4, line64(1), Shared)
+	c.InsertAt(3+sets, line64(2), Shared, ev.ID.Way+1)
+	if ev.Data[0] != 7 || len(ev.Data) != 64 {
+		t.Fatalf("evicted bytes changed before the slot was reused: %x (len %d)", ev.Data[0], len(ev.Data))
+	}
+	c.InsertAt(3+2*sets, line64(9), Shared, ev.ID.Way)
+	l := c.ReadByID(ev.ID)
+	if &l.Data[0] != &ev.Data[0] || ev.Data[0] != 9 {
+		t.Fatal("Invalidate did not return the slot's buffer, or the next install did not reuse it")
+	}
+}
+
+// TestInsertAtCountsEviction: installing over an occupied way counts an
+// eviction though nothing is copied out; a free way counts none.
+func TestInsertAtCountsEviction(t *testing.T) {
+	c := testCache(t)
+	c.InsertAt(5, line64(1), Shared, 2)
+	if c.Stats.Evictions != 0 {
+		t.Fatalf("install into a free way counted %d evictions", c.Stats.Evictions)
+	}
+	c.InsertAt(5+uint64(c.NumSets()), line64(2), Shared, 2)
+	if c.Stats.Evictions != 1 {
+		t.Fatalf("install over an occupied way counted %d evictions, want 1", c.Stats.Evictions)
+	}
+	if _, _, ok := c.Probe(5); ok {
+		t.Fatal("the displaced line is still resident")
 	}
 }
 
@@ -285,10 +329,12 @@ func TestPolicyFIFO(t *testing.T) {
 	}
 	// Touching line 0 must NOT save it under FIFO.
 	c.Access(3 + 0*sets)
-	ev, evicted := c.Insert(3+9*sets, line64(9), Shared)
-	if !evicted || ev.LineAddr != 3+0*sets {
+	_, victim, occupied := c.Victim(3 + 9*sets)
+	ev, _ := c.Invalidate(victim)
+	if !occupied || ev.LineAddr != 3+0*sets || ev.Data[0] != 0 {
 		t.Fatalf("FIFO should evict the oldest insertion, got %#x", ev.LineAddr)
 	}
+	c.Insert(3+9*sets, line64(9), Shared)
 }
 
 func TestPolicyRandomDeterministicAndStable(t *testing.T) {

@@ -86,7 +86,7 @@ func (d *Decoder) Read(p []byte) (int, error) {
 // never touches the link tables: only the compressing side needs them.
 func (d *Decoder) installLine(s uint64, data []byte) {
 	slot := slotOf(s, d.sets, d.ways)
-	d.dict.OverwriteAt(s, data, cache.Shared, slot.Way)
+	d.dict.InsertAt(s, data, cache.Shared, slot.Way)
 }
 
 // readFull fills buf. The input ending — anywhere: only the end frame

@@ -213,7 +213,7 @@ func (e *Encoder) installLine(s uint64, data []byte) {
 	if victim, ok := e.dict.LineAddrOf(slot); ok {
 		e.he.OnHomeEviction(victim)
 	}
-	e.dict.OverwriteAt(s, data, cache.Shared, slot.Way)
+	e.dict.InsertAt(s, data, cache.Shared, slot.Way)
 }
 
 // emitPayload is the EncodeFills callback: append payload i's image to

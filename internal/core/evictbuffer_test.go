@@ -71,6 +71,175 @@ func TestEvictionBufferUnknownSlot(t *testing.T) {
 	}
 }
 
+// refEvictionBuffer is the map-of-slices eviction buffer the ring
+// replaced, kept verbatim (names aside) as the reference of the
+// differential tests below.
+type refEvictionBuffer struct {
+	pending map[cache.LineID][]refEvictRecord
+	nextSeq uint64
+}
+
+type refEvictRecord struct {
+	seq  uint64
+	data []byte
+}
+
+func newRefEvictionBuffer() *refEvictionBuffer {
+	return &refEvictionBuffer{pending: make(map[cache.LineID][]refEvictRecord)}
+}
+
+func (b *refEvictionBuffer) Add(slot cache.LineID, data []byte) uint64 {
+	b.nextSeq++
+	b.pending[slot] = append(b.pending[slot], refEvictRecord{seq: b.nextSeq, data: append([]byte(nil), data...)})
+	return b.nextSeq
+}
+
+func (b *refEvictionBuffer) LastSeq() uint64 { return b.nextSeq }
+
+func (b *refEvictionBuffer) Resolve(slot cache.LineID, ack uint64) []byte {
+	for _, r := range b.pending[slot] {
+		if r.seq > ack {
+			return r.data
+		}
+	}
+	return nil
+}
+
+func (b *refEvictionBuffer) Release(ack uint64) {
+	for slot, recs := range b.pending {
+		keep := recs[:0]
+		for _, r := range recs {
+			if r.seq > ack {
+				keep = append(keep, r)
+			}
+		}
+		if len(keep) == 0 {
+			delete(b.pending, slot)
+		} else {
+			b.pending[slot] = keep
+		}
+	}
+}
+
+func (b *refEvictionBuffer) Len() int {
+	n := 0
+	for _, recs := range b.pending {
+		n += len(recs)
+	}
+	return n
+}
+
+func (b *refEvictionBuffer) Reset() {
+	clear(b.pending)
+	b.nextSeq = 0
+}
+
+// evbufSlots is the parity tests' slot alphabet: eight slots, so the
+// ring outgrows its first capacity (4) long before any slot holds three
+// pending evictions.
+var evbufSlots = func() (s []cache.LineID) {
+	for i := 0; i < 8; i++ {
+		s = append(s, cache.LineID{Index: i / 2, Way: i % 2})
+	}
+	return s
+}()
+
+// evbufCoverage is what one operation sequence exercised.
+type evbufCoverage struct{ maxPerSlot, maxLen, partial, resets int }
+
+// checkEvictionBufferParity runs ops through the ring and the reference
+// and, after every operation, compares Len, LastSeq and Resolve for
+// every slot at every ack from 0 to LastSeq+1. Each op byte picks Add
+// (to a slot with fewer than three pending evictions, with 2–8 bytes
+// unique to the eviction), Release at an ack from 0 to LastSeq+1, or
+// rarely Reset.
+func checkEvictionBufferParity(t *testing.T, ops []byte) evbufCoverage {
+	t.Helper()
+	b, ref := NewEvictionBuffer(), newRefEvictionBuffer()
+	var cov evbufCoverage
+	for i, op := range ops {
+		switch {
+		case op%16 == 15:
+			b.Reset()
+			ref.Reset()
+			cov.resets++
+		case op%16 >= 10:
+			ack := uint64(op) * 7919 % (ref.LastSeq() + 2)
+			if n := ref.Len(); ack > 0 && ack < ref.LastSeq() && n > 1 {
+				cov.partial++
+			}
+			b.Release(ack)
+			ref.Release(ack)
+		default:
+			slot := evbufSlots[op%8]
+			if len(ref.pending[slot]) == 3 {
+				continue
+			}
+			data := make([]byte, 2+int(op>>4)%7)
+			binary.LittleEndian.PutUint16(data, uint16(i))
+			data[len(data)-1] ^= op
+			if got, want := b.Add(slot, data), ref.Add(slot, data); got != want {
+				t.Fatalf("op %d: Add issued EvictSeq %d, reference %d", i, got, want)
+			}
+			data[0]++ // both must have copied
+			cov.maxPerSlot = max(cov.maxPerSlot, len(ref.pending[slot]))
+		}
+		cov.maxLen = max(cov.maxLen, ref.Len())
+		if b.Len() != ref.Len() || b.LastSeq() != ref.LastSeq() {
+			t.Fatalf("op %d: Len/LastSeq %d/%d, reference %d/%d", i, b.Len(), b.LastSeq(), ref.Len(), ref.LastSeq())
+		}
+		for _, slot := range evbufSlots {
+			for ack := uint64(0); ack <= ref.LastSeq()+1; ack++ {
+				got, want := b.Resolve(slot, ack), ref.Resolve(slot, ack)
+				if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+					t.Fatalf("op %d: Resolve(%v, ack %d) = %v, reference %v", i, slot, ack, got, want)
+				}
+			}
+		}
+	}
+	return cov
+}
+
+// TestEvictionBufferMatchesReference drives the ring and the map-based
+// reference through seeded random operation sequences and checks that
+// together they reached every corner: three evictions pending on one
+// slot, partial releases, resets, and more pending records than the
+// ring's first capacity.
+func TestEvictionBufferMatchesReference(t *testing.T) {
+	var cov evbufCoverage
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 300)
+		for i := range ops {
+			// Mostly adds early, so the ring fills before releases drain it.
+			if i < 40 {
+				ops[i] = byte(rng.Intn(10)) | byte(rng.Intn(16))<<4
+			} else {
+				rng.Read(ops[i : i+1])
+			}
+		}
+		c := checkEvictionBufferParity(t, ops)
+		cov.maxPerSlot, cov.maxLen = max(cov.maxPerSlot, c.maxPerSlot), max(cov.maxLen, c.maxLen)
+		cov.partial, cov.resets = cov.partial+c.partial, cov.resets+c.resets
+	}
+	if cov.maxPerSlot < 3 || cov.maxLen <= 4 || cov.partial == 0 || cov.resets == 0 {
+		t.Fatalf("sequences missed a corner: %+v", cov)
+	}
+}
+
+// FuzzEvictionBufferParity is TestEvictionBufferMatchesReference over
+// arbitrary operation sequences.
+func FuzzEvictionBufferParity(f *testing.F) {
+	f.Add([]byte{0, 8, 0x10, 0x20, 1, 2, 3, 4, 5, 6, 7, 10, 0x30, 11, 15, 0, 9})
+	f.Add([]byte{0, 0x10, 0x20, 0x30, 1, 9, 0x19, 12, 13, 0xfa, 14, 0xff})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		checkEvictionBufferParity(t, ops)
+	})
+}
+
 // TestOutOfOrderEvictionRace reproduces the §IV-A race end to end: the
 // home end selects a reference, the remote cache evicts it before the
 // response arrives, and the eviction buffer must still decompress the

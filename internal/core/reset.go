@@ -20,10 +20,10 @@ func (w *WMT) Reset() {
 }
 
 // Reset drops every pending record and rewinds the sequence counter, so
-// the next Add issues EvictSeq 1 again.
+// the next Add issues EvictSeq 1 again. The ring and its line buffers
+// stay for reuse.
 func (b *EvictionBuffer) Reset() {
-	clear(b.pending)
-	b.nextSeq = 0
+	b.head, b.n, b.nextSeq = 0, 0, 0
 }
 
 // Reset rewinds the home end to its post-construction state: empty hash

@@ -60,6 +60,7 @@ type Pair struct {
 	// The decode method values, bound once.
 	decodeFill, decodeWB func(core.Payload) ([]byte, error)
 	fills                uint64 // counted only while syncCheckEvery is on
+	victim               []byte // FillResult.Victim.Data under the silent protocol
 }
 
 // NewPair builds both ends over the given caches and wires the transfer
@@ -109,7 +110,8 @@ type FillResult struct {
 	Latency core.FillLatency
 	// Victim and VictimWB report the line the install displaced under
 	// the silent protocol, for the driver's accounting (Victim.Data is
-	// nil when the way was free or notices are explicit).
+	// nil when the way was free or notices are explicit, and otherwise a
+	// buffer the pair reuses: valid until its next Fill).
 	Victim   cache.Eviction
 	VictimWB TransferResult
 }
@@ -136,6 +138,9 @@ func (p *Pair) Fill(addr uint64, data []byte, state cache.State, way int) FillRe
 	if p.silent {
 		if victim, ok := p.RemoteCache.LineAddrOf(id); ok {
 			res.Victim, _ = p.RemoteCache.Invalidate(victim)
+			// The install below overwrites the slot buffer Data aliases.
+			p.victim = append(p.victim[:0], res.Victim.Data...)
+			res.Victim.Data = p.victim
 			var absorbed bool
 			res.VictimWB, absorbed = p.EvictRemote(res.Victim)
 			if res.Victim.State == cache.Modified && !absorbed {

@@ -166,6 +166,11 @@ func TestPairSteps(t *testing.T) {
 			if res.Victim.LineAddr != victim || res.VictimWB.Wire == 0 {
 				t.Fatalf("fill reported victim %#x (wb %d bits), want %#x written back", res.Victim.LineAddr, res.VictimWB.Wire, victim)
 			}
+			// The install reused the victim's slot buffer; the reported
+			// victim must still read as the line that left.
+			if !bytes.Equal(res.Victim.Data, dirty) {
+				t.Fatal("reported victim bytes are not the evicted line's")
+			}
 			if hl, _, _ := p.HomeCache.Probe(victim); !bytes.Equal(hl.Data, dirty) {
 				t.Fatal("home did not absorb the silently evicted dirty line")
 			}
@@ -263,6 +268,59 @@ func TestPairSteps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestPairStepAllocs pins a warm pair's steps at zero allocations: an
+// explicit-notice eviction and fill, the same with a dirty victim (its
+// write-back compressed, sent and absorbed), and a silent fill over a
+// Modified victim. Each step cycles 16 lines through one 8-way remote
+// set, so every fill displaces a line; the lines fit the home cache and
+// the store has them all.
+func TestPairStepAllocs(t *testing.T) {
+	step := func(silent, dirty bool) (*Pair, func()) {
+		r := newPairRig(t, 1, 16, func(c *PairConfig) { c.Silent = silent }, nil)
+		p, i := r.pairs[0], 0
+		return p, func() {
+			a := uint64(i%16) * 32
+			i++
+			line, _, _, _ := p.EnsureHome(a, r.store, nil)
+			way, victim, occupied := r.remote.Victim(a)
+			if occupied && dirty {
+				vl, id, _ := r.remote.Probe(victim)
+				if vl.State == cache.Shared {
+					p.Upgrade(id, vl.Data, victim)
+					vl.State = cache.Modified
+				}
+				vl.Data[3] ^= 0x5a
+			}
+			if occupied && !silent {
+				ev, _ := r.remote.Invalidate(victim)
+				p.EvictRemote(ev)
+			}
+			p.Fill(a, line.Data, cache.Shared, way)
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		silent, dirty bool
+	}{
+		{"explicit evict+fill", false, false},
+		{"explicit dirty write-back+fill", false, true},
+		{"silent fill over a Modified victim", true, true},
+	} {
+		p, f := step(tc.silent, tc.dirty)
+		for range 64 {
+			f() // warm: every line materialized, every buffer grown
+		}
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %.2f allocations a step, want 0", tc.name, allocs)
+		}
+		// The steps did what they are named for: 165 fills, each one
+		// displacing a line from the second lap on.
+		if wb := p.Remote.Stats.Writebacks; tc.dirty != (wb >= 150) || (!tc.silent) != (p.Home.AckSeq >= 150) {
+			t.Errorf("%s: %d write-backs, %d notices acknowledged", tc.name, wb, p.Home.AckSeq)
+		}
 	}
 }
 
