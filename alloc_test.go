@@ -75,10 +75,11 @@ func TestDefaultMetersAllocs(t *testing.T) {
 // allocation (≥2000 allocs here) sneak back into a hot path. The
 // faulted case covers the guarded half of sim.LinkTransfer — CRC
 // marshal, injector, scratch unmarshal, raw resend — which the
-// hand-written drivers share and a clean run never enters: ~800
-// measured (the clean run plus two per rejected frame, the wrapped
-// decode error, over ~220 faults in ~1860 transfers), so its budget
-// sits below what one allocation per transfer would cost.
+// hand-written drivers share and a clean run never enters: ~340
+// measured, within a dozen of the clean run, because a rejected frame
+// returns the bare core.ErrCRCMismatch. Its budget sits below what one
+// allocation per rejected frame (~220 faults in ~1860 transfers) would
+// cost.
 func TestRunMemoryLinkAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -86,7 +87,7 @@ func TestRunMemoryLinkAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"clean", cable.FaultConfig{}, 7492},
-		{"faulted", cable.FaultConfig{BitRate: 1e-3, Seed: 1}, 1500},
+		{"faulted", cable.FaultConfig{BitRate: 1e-3, Seed: 1}, 450},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cable.DefaultMemoryLinkConfig("dealII")
@@ -158,14 +159,15 @@ func TestRunNonInclusiveAllocBudget(t *testing.T) {
 // TestRunTopologyAllocBudget pins the topology engine's allocations per
 // link transfer on BenchmarkMeshSoak's configuration. The typed event
 // heap took it from ~14.6 (two boxed events per queue operation) to
-// ~2.3, and sending through sim.LinkTransfer (scratch unmarshal, no
-// error value built per degraded frame) to ~0.7; what remains is
-// per-link state and slice growth. The budget sits below the ~1.7 that
-// one allocation per transfer (or per event) coming back would read,
-// and above the ~1.25 the race detector reads (under it sync.Pool drops
-// a quarter of its Puts, so pooled link state is rebuilt more often).
+// ~2.3, sending through sim.LinkTransfer (scratch unmarshal) to ~0.7,
+// and a failed guard returning the bare core.ErrCRCMismatch instead of
+// a formatted error to 0.20; what remains is per-link state and slice
+// growth. The race detector reads 0.57 (under it sync.Pool drops a
+// quarter of its Puts, so pooled link state is rebuilt more often), and
+// the budget is that plus headroom: one allocation per transfer (or per
+// event) coming back reads 1.2 and more.
 func TestRunTopologyAllocBudget(t *testing.T) {
-	const budget = 1.5
+	const budget = 0.7
 	cfg := cable.DefaultTopologyConfig("dealII")
 	cfg.Transfers = 50000
 	cfg.Verify = false

@@ -6,7 +6,8 @@
 # the un-raced per-cell allocation byte budgets, fuzz smokes (payload
 # faults, bit-IO parity, the LZSS window index and the LBE dictionary
 # index against their retained scans, the eviction-buffer ring against
-# its retained map, seeded sources, workload specs, codec frames), the CLI
+# its retained map, the calendar event queue against its retained heap,
+# seeded sources, workload specs, codec frames), the CLI
 # determinism comparisons (fig12 under faults, the flight recorder's
 # dumps, breakdown through the cell memo, the report file, mesh,
 # workload specs) and round-trip smokes (trace export, cablepipe with
@@ -63,7 +64,9 @@ go test -count=1 -run 'TestCellAllocBudgets' ./internal/experiments
 echo "== fault-injection race loop"
 # One injector per simulation is the concurrency contract; the shared
 # piece is the process-default metric counters. Hammer the injector
-# and the three topology soaks under the race detector, along with the
+# (its package run includes TestCorruptMatchesReference, the register-
+# held bit loop against the per-draw reference) and the three topology
+# soaks under the race detector, along with the
 # protocol pair's step tests and the golden hashes that pin every
 # driver's results (clean and fault-injected) bit for bit.
 go test -race -count=1 ./internal/fault
@@ -101,6 +104,12 @@ echo "== eviction-buffer ring parity fuzz smoke"
 # sequences over eight slots, up to three evictions pending on one —
 # Len, LastSeq and Resolve at every ack must agree after every step.
 go test -run=NOTHING -fuzz=FuzzEvictionBufferParity -fuzztime=10s ./internal/core
+
+echo "== event-queue parity fuzz smoke"
+# Differential fuzz of the topology DES's calendar queue against the
+# retained typed heap: arbitrary push/pop sequences, pushes up to nine
+# windows ahead — every pop must be the heap's, (time, seq) ties included.
+go test -run=NOTHING -fuzz=FuzzEventQueueParity -fuzztime=10s ./internal/topo
 
 echo "== seeded-source parity fuzz smoke"
 # Differential fuzz of the lazily seeded content rng against

@@ -197,9 +197,10 @@ func readRefs(r *bits.Reader, refs []cache.LineID, idxBits, wayBits int) ([]cach
 
 // UnmarshalPayloadGuardedScratch verifies and strips the CRC-8 guard
 // appended by MarshalGuarded, then parses the remaining image into
-// caller scratch (see UnmarshalPayloadScratch). A failed check returns a
-// wrapped ErrCRCMismatch; an image too short to carry the guard returns a
-// wrapped ErrTruncatedPayload.
+// caller scratch (see UnmarshalPayloadScratch). A failed check returns
+// the bare ErrCRCMismatch sentinel, so a condemned frame allocates
+// nothing; an image too short to carry the guard returns a wrapped
+// ErrTruncatedPayload.
 func UnmarshalPayloadGuardedScratch(p *Payload, s *PayloadScratch, enc compress.Encoded, idxBits, wayBits, lineSize int) error {
 	if enc.NBits < crcBits+flagBits {
 		return fmt.Errorf("core: %d-bit image below guard size: %w", enc.NBits, ErrTruncatedPayload)
@@ -214,7 +215,7 @@ func UnmarshalPayloadGuardedScratch(p *Payload, s *PayloadScratch, enc compress.
 		got = got<<1 | enc.Data[pos/8]>>(7-uint(pos%8))&1
 	}
 	if want := crc8Image(enc.Data, bodyBits); got != want {
-		return fmt.Errorf("core: guard %#02x, image CRC %#02x: %w", got, want, ErrCRCMismatch)
+		return ErrCRCMismatch
 	}
 	return UnmarshalPayloadScratch(p, s, compress.Encoded{Data: enc.Data, NBits: bodyBits}, idxBits, wayBits, lineSize)
 }

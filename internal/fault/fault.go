@@ -98,8 +98,15 @@ func rateToThreshold(rate float64) uint64 {
 
 // next advances the splitmix64 stream.
 func (in *Injector) next() uint64 {
-	in.state += 0x9E3779B97F4A7C15
-	z := in.state
+	in.state += goldenGamma
+	return mix(in.state)
+}
+
+// goldenGamma is splitmix64's stream increment.
+const goldenGamma = 0x9E3779B97F4A7C15
+
+// mix is splitmix64's output function of a stream state.
+func mix(z uint64) uint64 {
 	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
 	z = (z ^ z>>27) * 0x94D049BB133111EB
 	return z ^ z>>31
@@ -109,7 +116,8 @@ func (in *Injector) next() uint64 {
 // and returns the post-fault bit length (shorter when truncated) and
 // whether anything was altered. One rng draw per bit keeps the fault
 // pattern a pure function of (seed, transfer stream), independent of
-// buffer capacities or scheduling.
+// buffer capacities or scheduling. The per-bit loop draws from a local
+// copy of the stream state and counts its flips once per image.
 func (in *Injector) Corrupt(data []byte, nbits int) (outBits int, corrupted bool) {
 	in.Stats.Images++
 	in.mx.images.Inc(in.shard)
@@ -120,14 +128,20 @@ func (in *Injector) Corrupt(data []byte, nbits int) (outBits int, corrupted bool
 		in.mx.truncations.Inc(in.shard)
 		corrupted = true
 	}
-	if in.bitThresh > 0 {
+	if thresh := in.bitThresh; thresh > 0 {
+		s, flipped := in.state, uint64(0)
 		for pos := 0; pos < outBits; pos++ {
-			if in.next() < in.bitThresh {
+			s += goldenGamma
+			if mix(s) < thresh {
 				data[pos/8] ^= 0x80 >> uint(pos%8)
-				in.Stats.BitsFlipped++
-				in.mx.bitsFlipped.Inc(in.shard)
-				corrupted = true
+				flipped++
 			}
+		}
+		in.state = s
+		if flipped > 0 {
+			in.Stats.BitsFlipped += flipped
+			in.mx.bitsFlipped.Add(in.shard, flipped)
+			corrupted = true
 		}
 	}
 	if corrupted {

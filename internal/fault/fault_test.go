@@ -2,8 +2,11 @@ package fault
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
+
+	"cable/internal/obs"
 )
 
 func TestZeroConfigBuildsNoInjector(t *testing.T) {
@@ -126,4 +129,70 @@ func TestConcurrentInjectors(t *testing.T) {
 		}(uint64(g + 1))
 	}
 	wg.Wait()
+}
+
+// refCorrupt is Corrupt with one in.next() and one counter bump per
+// drawn bit: the reference the register-held loop must match.
+func refCorrupt(in *Injector, data []byte, nbits int) (outBits int, corrupted bool) {
+	in.Stats.Images++
+	in.mx.images.Inc(in.shard)
+	outBits = nbits
+	if in.truncThresh > 0 && nbits > 0 && in.next() < in.truncThresh {
+		outBits = int(in.next() % uint64(nbits))
+		in.Stats.Truncations++
+		in.mx.truncations.Inc(in.shard)
+		corrupted = true
+	}
+	if in.bitThresh > 0 {
+		for pos := 0; pos < outBits; pos++ {
+			if in.next() < in.bitThresh {
+				data[pos/8] ^= 0x80 >> uint(pos%8)
+				in.Stats.BitsFlipped++
+				in.mx.bitsFlipped.Inc(in.shard)
+				corrupted = true
+			}
+		}
+	}
+	if corrupted {
+		in.Stats.Corrupted++
+		in.mx.corrupted.Inc(in.shard)
+	}
+	return outBits, corrupted
+}
+
+// TestCorruptMatchesReference runs Corrupt and refCorrupt side by side
+// across seeds, bit rates, truncation rates and every image length from
+// 0 to 600 bits: the images, outBits, corrupted, Stats, the fault.*
+// counters and the stream that follows must all agree.
+func TestCorruptMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 0xDEADBEEF} {
+		for _, bitRate := range []float64{0, 1e-3, 3e-2, 0.5, 1} {
+			for _, truncRate := range []float64{0, 1e-2, 0.5} {
+				cfg := Config{BitRate: bitRate, TruncRate: truncRate, Seed: seed}
+				if !cfg.Enabled() {
+					continue
+				}
+				regGot, regWant := obs.NewRegistry(), obs.NewRegistry()
+				got, want := NewIn(cfg, regGot), NewIn(cfg, regWant)
+				fill := New(Config{BitRate: 0.5, Seed: seed})
+				for nbits := 0; nbits <= 600; nbits++ {
+					img := make([]byte, (nbits+7)/8+1)
+					fill.Corrupt(img, len(img)*8)
+					ref := append([]byte(nil), img...)
+					gb, gc := got.Corrupt(img, nbits)
+					wb, wc := refCorrupt(want, ref, nbits)
+					if gb != wb || gc != wc || !bytes.Equal(img, ref) || got.Stats != want.Stats {
+						t.Fatalf("%+v, %d bits: Corrupt = (%d, %v, %x, %+v), reference (%d, %v, %x, %+v)",
+							cfg, nbits, gb, gc, img, got.Stats, wb, wc, ref, want.Stats)
+					}
+				}
+				if g, w := got.next(), want.next(); g != w {
+					t.Fatalf("%+v: the stream after the images diverged: %#x, reference %#x", cfg, g, w)
+				}
+				if g, w := regGot.Snapshot(false).Counters, regWant.Snapshot(false).Counters; !reflect.DeepEqual(g, w) {
+					t.Fatalf("%+v: counters %v, reference %v", cfg, g, w)
+				}
+			}
+		}
+	}
 }

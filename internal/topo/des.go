@@ -1,17 +1,21 @@
 package topo
 
-import "cable/internal/obs"
+import (
+	"math/bits"
+
+	"cable/internal/obs"
+)
 
 // This file is the discrete-event core shared by the schedule pass
 // (raw service times, records the per-link transfer sequences) and the
 // replay pass (measured CABLE service times, records timing and flight
 // windows). Determinism rules:
 //
-//   - The event queue is a binary min-heap ordered by (time, seq):
-//     seq is a monotonically increasing push counter, so the order is
-//     total and simultaneous events pop in push order. No map
-//     iteration, no randomness — event order is a pure function of
-//     the config.
+//   - Events pop in (time, seq) order: seq is a monotonically
+//     increasing push counter, so the order is total and simultaneous
+//     events pop in push order. The calendar queue below keeps exactly
+//     that order. No map iteration, no randomness — event order is a
+//     pure function of the config.
 //   - Every server (one encoder per chip, one wire per directed link)
 //     is FIFO: arrivals queue in event-pop order and are served in
 //     queue order.
@@ -51,8 +55,134 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is the event queue, typed rather than container/heap:
-// boxing an event through interface{} allocated on every push and pop.
+// calW is the calendar queue's window in virtual cycles, a power of two
+// that covers the default config's direct delays: the 34-cycle raw
+// wire, the ~70-cycle fault resend and the ≤23-cycle inject gap.
+const calW = 256
+
+// eventQueue is a calendar queue (Brown, CACM 31(10), 1988): one FIFO
+// slot per virtual cycle of the window [now, now+calW), where now is
+// the time of the last pop. A slot is an index-linked list over one
+// recycled node slab, and a bitmap marks the occupied slots. Events at
+// or beyond the window wait in the far heap and move into their slots
+// the moment a pop advances the window over them, before any direct
+// push can land there, so every slot holds its events in seq order and
+// pops come out in exactly the heap's (time, seq) order. Pushes must
+// not precede the last pop, and reset must run before first use.
+type eventQueue struct {
+	now        uint64
+	n          int // events in the slots
+	occ        [calW / 64]uint64
+	head, tail [calW]int32
+	slab       []qnode
+	free       int32 // free-list head in slab, -1 when none
+	far        eventHeap
+}
+
+type qnode struct {
+	ev   event
+	next int32
+}
+
+func (q *eventQueue) reset() {
+	q.now, q.n, q.occ = 0, 0, [calW / 64]uint64{}
+	q.slab, q.free, q.far = q.slab[:0], -1, q.far[:0]
+}
+
+func (q *eventQueue) empty() bool { return q.n == 0 && len(q.far) == 0 }
+
+func (q *eventQueue) push(e event) {
+	if e.at < q.now {
+		panic("topo: event scheduled before the current time")
+	}
+	if e.at-q.now >= calW {
+		q.far.push(e)
+		return
+	}
+	q.insert(e)
+}
+
+// insert appends e to its slot's list.
+func (q *eventQueue) insert(e event) {
+	i := q.free
+	if i >= 0 {
+		q.free = q.slab[i].next
+	} else {
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, qnode{})
+	}
+	// Field by field: a whole-struct copy reloads the spilled argument
+	// with wider moves than spilled it (see pop).
+	nd := &q.slab[i]
+	nd.ev.at, nd.ev.seq, nd.ev.kind, nd.ev.id, nd.ev.ref = e.at, e.seq, e.kind, e.id, e.ref
+	nd.next = -1
+	s := e.at & (calW - 1)
+	if bit := uint64(1) << (s & 63); q.occ[s>>6]&bit == 0 {
+		q.occ[s>>6] |= bit
+		q.head[s] = i
+	} else {
+		q.slab[q.tail[s]].next = i
+	}
+	q.tail[s] = i
+	q.n++
+}
+
+// advance moves the window to start at t and migrates the far events
+// it now covers, in (time, seq) order.
+func (q *eventQueue) advance(t uint64) {
+	q.now = t
+	for len(q.far) > 0 && q.far[0].at-t < calW {
+		q.insert(q.far.pop())
+	}
+}
+
+// pop removes the earliest event and returns it in place, valid until
+// the next push; the queue must not be empty. Callers copy it out whole:
+// returning a five-field struct by value goes through a stack temporary
+// that is stored field by field and reloaded with wider moves, which
+// stalls store forwarding.
+func (q *eventQueue) pop() *event {
+	if q.n == 0 {
+		// Jump across the empty window to the far heap's earliest time.
+		q.advance(q.far[0].at)
+	}
+	s := q.nextSlot()
+	if t := q.now + (s-q.now)&(calW-1); t != q.now {
+		q.advance(t)
+	}
+	i := q.head[s]
+	nd := &q.slab[i]
+	if nd.next < 0 {
+		q.occ[s>>6] &^= 1 << (s & 63)
+	} else {
+		q.head[s] = nd.next
+	}
+	nd.next, q.free = q.free, i
+	q.n--
+	return &nd.ev
+}
+
+// nextSlot returns the first occupied slot at or after now's,
+// circularly; at least one slot must be occupied.
+func (q *eventQueue) nextSlot() uint64 {
+	s := q.now & (calW - 1)
+	w := s >> 6
+	if m := q.occ[w] >> (s & 63); m != 0 {
+		return s + uint64(bits.TrailingZeros64(m))
+	}
+	// The last probe wraps onto word w itself, whose bits at or above
+	// s are clear by now.
+	for k := uint64(1); k <= calW/64; k++ {
+		wi := (w + k) & (calW/64 - 1)
+		if m := q.occ[wi]; m != 0 {
+			return wi<<6 + uint64(bits.TrailingZeros64(m))
+		}
+	}
+	panic("topo: nextSlot on an empty window")
+}
+
+// eventHeap is a typed binary min-heap over (time, seq), the calendar
+// queue's overflow for events beyond its window.
 type eventHeap []event
 
 func (h *eventHeap) push(e event) {
@@ -105,6 +235,8 @@ type fifo struct {
 }
 
 func (q *fifo) empty() bool { return q.head == len(q.refs) }
+
+func (q *fifo) clear() { q.refs, q.ats, q.head = q.refs[:0], q.ats[:0], 0 }
 
 func (q *fifo) push(ref, at uint64) {
 	if q.head > 1024 && q.head*2 > len(q.refs) {
@@ -170,7 +302,7 @@ type engine struct {
 	// full uncompressed line plus a fixed 32-bit header allowance.
 	rawCycles uint64
 
-	heap    eventHeap
+	q       eventQueue
 	seq     uint64
 	encCur  []uint64 // per chip: ref in the encoder, refNone if idle
 	encQ    []fifo
@@ -207,20 +339,21 @@ const rawHeaderBits = 32
 
 func (e *engine) push(at uint64, kind uint8, id int32, ref uint64) {
 	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, kind: kind, id: id, ref: ref})
+	e.q.push(event{at: at, seq: e.seq, kind: kind, id: id, ref: ref})
 }
 
-// reset clears the server and queue state between passes.
+// reset clears the server and queue state between passes, keeping the
+// storage the previous pass grew.
 func (e *engine) reset() {
-	e.heap = e.heap[:0]
+	e.q.reset()
 	e.seq = 0
 	for i := range e.encCur {
 		e.encCur[i] = refNone
-		e.encQ[i] = fifo{}
+		e.encQ[i].clear()
 	}
 	for i := range e.wireCur {
 		e.wireCur[i] = refNone
-		e.wireQ[i] = fifo{}
+		e.wireQ[i].clear()
 		e.wireSvc[i] = 0
 	}
 }
@@ -313,8 +446,8 @@ func (e *engine) simulate(record bool, feed injectFeed, rec *obs.Recorder, track
 	}
 
 	var routeBuf []int32
-	for len(e.heap) > 0 {
-		ev := e.heap.pop()
+	for !e.q.empty() {
+		ev := *e.q.pop()
 		t := ev.at
 		if t > ps.makespan {
 			ps.makespan = t

@@ -3,15 +3,15 @@
 // chip counts wired as a ring, a 2D mesh (XY routing), or a star, with
 // one CABLE home/remote end pair per directed link.
 //
-// The engine runs in three passes (see engine.go):
+// The engine runs in three passes (see run.go):
 //
-//  1. Schedule (serial DES): a monotonic virtual-time event queue
-//     (a binary heap ordered by (time, seq)) drives per-chip arrival
-//     processes through each chip's shared encoder queue and each
-//     directed link's FIFO wire queue at raw (uncompressed) line cost.
-//     This pass discovers, per link, the exact ordered transfer
-//     sequence — the frozen content schedule — plus the raw-baseline
-//     makespan.
+//  1. Schedule (serial DES): a calendar queue pops events in exact
+//     (time, seq) order — one FIFO slot per cycle of a 256-cycle window;
+//     later events wait in a heap and enter their slot before any direct
+//     push can — and drives per-chip arrival processes through each
+//     chip's shared encoder queue and each directed link's FIFO wire
+//     queue at raw line cost. This discovers, per link, the exact ordered
+//     transfer sequence (the frozen content schedule) and the raw makespan.
 //  2. Encode (parallel by link): each link independently replays its
 //     frozen transfer sequence through a private CABLE pipeline (home
 //     cache + HomeEnd, remote cache + RemoteEnd, link meter, per-link

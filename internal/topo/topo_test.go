@@ -13,39 +13,121 @@ import (
 	"cable/internal/sim"
 )
 
-// testConfig is a small-but-nontrivial cell: every chip sends, every
-// link carries traffic, and the caches are small enough to evict.
-// TestEventHeapOrder checks the typed heap against a sort: interleaved
-// pushes and pops must yield events in (at, seq) order, ties included.
-func TestEventHeapOrder(t *testing.T) {
+// TestEventQueueOrder checks the calendar queue against a sort:
+// interleaved pushes and pops must yield events in (at, seq) order, ties
+// included. Times reach several windows past the last pop, so pushes go
+// to the far heap, pops migrate them into slots and jump across empty
+// windows, and pushes land on a slot that pops have partly drained.
+func TestEventQueueOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var h eventHeap
+	var q eventQueue
+	q.reset()
 	var pending []event
-	pops := 0
+	var now uint64
+	var pops, farPushes, migrations, jumps, partlyDrained int
 	drain := func(n int) {
 		sort.Slice(pending, func(i, j int) bool { return pending[i].before(pending[j]) })
-		for ; n > 0 && len(h) > 0; n-- {
+		for ; n > 0 && !q.empty(); n-- {
+			if q.n == 0 {
+				jumps++
+			}
+			far := len(q.far)
+			got := *q.pop()
+			if len(q.far) < far {
+				migrations++
+			}
 			pops++
-			if got, want := h.pop(), pending[0]; got != want {
+			if want := pending[0]; got != want {
 				t.Fatalf("pop %d = %+v, want %+v", pops, got, want)
 			}
 			pending = pending[1:]
+			now = got.at
 		}
 	}
-	for seq := uint64(1); seq <= 5000; seq++ {
-		ev := event{at: uint64(rng.Intn(64)), seq: seq, id: int32(seq)}
-		h.push(ev)
+	for seq := uint64(1); seq <= 20000; seq++ {
+		var at uint64
+		switch rng.Intn(4) {
+		case 0:
+			at = now
+			if s := now & (calW - 1); pops > 0 && q.occ[s>>6]>>(s&63)&1 == 1 {
+				partlyDrained++
+			}
+		case 1:
+			at = now + uint64(rng.Intn(calW))
+		default:
+			at = now + uint64(rng.Intn(4*calW))
+		}
+		if at-now >= calW {
+			farPushes++
+		}
+		ev := event{at: at, seq: seq, kind: uint8(seq), id: int32(seq), ref: seq * 3}
+		q.push(ev)
 		pending = append(pending, ev)
-		if rng.Intn(3) == 0 {
-			drain(1 + rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			drain(1 + rng.Intn(3))
 		}
 	}
-	drain(len(h))
-	if len(h) != 0 || len(pending) != 0 {
-		t.Fatalf("heap holds %d events, reference %d, after draining", len(h), len(pending))
+	drain(len(pending))
+	if !q.empty() || len(pending) != 0 {
+		t.Fatalf("queue empty=%v, reference holds %d, after draining", q.empty(), len(pending))
+	}
+	t.Logf("%d pops: %d far pushes, %d migrating pops, %d jumps, %d same-cycle pushes onto a partly drained slot",
+		pops, farPushes, migrations, jumps, partlyDrained)
+	if farPushes == 0 || migrations == 0 || jumps == 0 || partlyDrained == 0 {
+		t.Fatal("a calendar queue path went unexercised")
 	}
 }
 
+// FuzzEventQueueParity runs the calendar queue against the typed heap
+// it replaced over arbitrary push/pop sequences. Each byte is one
+// operation: b&3 == 0 pops; otherwise it pushes at the last popped
+// time plus 0 (b&3 == 1), b>>2 (2) or 37*(b>>2) cycles (3, up to nine
+// windows ahead).
+func FuzzEventQueueParity(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 1, 0, 0})
+	f.Add([]byte{255, 7, 3, 0, 251, 1, 0, 0, 0, 6, 2, 0, 0})
+	f.Add([]byte{131, 127, 0, 1, 5, 0, 255, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q eventQueue
+		q.reset()
+		var h eventHeap
+		var now, seq uint64
+		pop := func() {
+			got, want := *q.pop(), h.pop()
+			if got != want {
+				t.Fatalf("after %d pushes: calendar popped %+v, heap %+v", seq, got, want)
+			}
+			now = got.at
+		}
+		for _, b := range ops {
+			var d uint64
+			switch b & 3 {
+			case 0:
+				if len(h) > 0 {
+					pop()
+				}
+				continue
+			case 2:
+				d = uint64(b >> 2)
+			case 3:
+				d = 37 * uint64(b>>2)
+			}
+			seq++
+			ev := event{at: now + d, seq: seq, kind: b, id: int32(seq), ref: d}
+			q.push(ev)
+			h.push(ev)
+		}
+		for len(h) > 0 {
+			pop()
+		}
+		if !q.empty() {
+			t.Fatal("calendar queue holds events the heap has drained")
+		}
+	})
+}
+
+// testConfig is a small-but-nontrivial cell: every chip sends, every
+// link carries traffic, and the caches are small enough to evict.
 func testConfig(shape string, chips int) Config {
 	cfg := DefaultConfig("dealII")
 	cfg.Shape = shape
