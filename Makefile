@@ -1,5 +1,5 @@
 # Tier-1 verification (ROADMAP.md): build + tests.
-.PHONY: all build test check bench report soak-mesh
+.PHONY: all build test check report soak-mesh
 
 all: build test
 
@@ -12,13 +12,6 @@ test:
 # check is the pre-merge gate; ci/check.sh is its one definition.
 check:
 	bash ci/check.sh
-
-# bench runs the hot-path microbenchmarks in benchstat-friendly form
-# (10 samples each); pipe the output of two builds into benchstat. The
-# repository benchmark — workloads, metrics, paired parent/change runs —
-# is `bash benchmark/run.sh` (see benchmark/README.md).
-bench:
-	go test -run xxx -bench 'BenchmarkEncodeFill|BenchmarkDecodeFill|BenchmarkEngineCompress' -benchmem -count 10 .
 
 # soak-mesh drives the 16-chip mesh through 1M fault-injected transfers
 # (the PR-acceptance run used 10M via CABLE_MESH_SOAK_TRANSFERS=10000000):

@@ -1,14 +1,14 @@
 package cable_test
 
-// Equivalence contract of the batched encode/decode API: EncodeFills and
-// DecodeFills must be observably indistinguishable from the one-line
-// EncodeFill/DecodeFill loop — same payload bytes, same latencies, same
-// HomeStats/RemoteStats, same metric totals, same flight-recorder
-// windows — at every batch size. Both are entry points over one
-// pipeline (internal/core/batch.go), so what this pins is the part that
-// does differ: when counters are flushed, and that nothing carries over
-// a batch boundary. internal/core's reference encoder pins the payload
-// bits themselves.
+// Equivalence contract of the batched encode API: EncodeFills must be
+// observably indistinguishable from the one-line EncodeFill loop — same
+// payload bytes, same latencies, same HomeStats/RemoteStats, same metric
+// totals, same flight-recorder windows — at every batch size. Both are
+// entry points over one pipeline (internal/core/batch.go), so what this
+// pins is the part that does differ: when counters are flushed, and that
+// nothing carries over a batch boundary. Decoding has one entry point,
+// so both sides decode per line with DecodeFill. internal/core's
+// reference encoder pins the payload bits themselves.
 
 import (
 	"bytes"
@@ -17,39 +17,10 @@ import (
 	"testing"
 
 	"cable"
+	"cable/internal/bits"
 	"cable/internal/obs"
 	"cable/internal/sim"
 )
-
-// batchWarmChip builds a deterministic warm chip whose link ends report
-// into a private registry, so counter totals of independent chips can be
-// compared exactly.
-func batchWarmChip(t *testing.T, reg *obs.Registry) (*sim.Chip, []uint64) {
-	t.Helper()
-	cfg := cable.DefaultMemoryLinkConfig("dealII")
-	cfg.AccessesPerProgram = 2000
-	cfg.WithMeters = false
-	cfg.Chip.LLCBytes = 128 << 10
-	cfg.Chip.L4Bytes = 512 << 10
-	cfg.Metrics = reg
-	res, err := cable.RunMemoryLink(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := res.Chip
-	var addrs []uint64
-	for idx := 0; idx < chip.L4.NumSets(); idx++ {
-		for way := 0; way < chip.L4.Config().Ways; way++ {
-			if addr, ok := chip.L4.LineAddrOf(cable.LineID{Index: idx, Way: way}); ok {
-				addrs = append(addrs, addr)
-			}
-		}
-	}
-	if len(addrs) == 0 {
-		t.Fatal("warm chip has empty L4")
-	}
-	return chip, addrs
-}
 
 // batchFillSeq builds the shared driving sequence: cycling addresses,
 // alternating coherence states (exercising both sides of the home-sync
@@ -109,19 +80,20 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 	const n = 257
 
 	regSeq := obs.NewRegistry()
-	seqChip, addrs := batchWarmChip(t, regSeq)
+	seqChip, addrs := warmChip(t, regSeq)
 	ways := seqChip.LLC.Config().Ways
 	idxBits, wayBits := seqChip.LLC.IndexBits(), seqChip.LLC.WayBits()
 	reqs := batchFillSeq(addrs, ways, n)
 	seqWindows := attachRecorder(seqChip)
 
+	var w bits.Writer
 	seq := make([]encOut, n)
 	for i, rq := range reqs {
 		p, lat, err := seqChip.Home.EncodeFill(rq.LineAddr, rq.State, rq.ReplWay)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := p.Marshal(idxBits, wayBits)
+		enc := p.MarshalInto(&w, idxBits, wayBits)
 		data, err := seqChip.Remote.DecodeFill(p)
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +116,7 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 	for _, k := range []int{1, 5, 32} {
 		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
 			reg := obs.NewRegistry()
-			chip, addrs2 := batchWarmChip(t, reg)
+			chip, addrs2 := warmChip(t, reg)
 			if !reflect.DeepEqual(addrs2, addrs) {
 				t.Fatal("warm chips disagree on resident lines; simulation is not deterministic")
 			}
@@ -158,7 +130,7 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 				}
 				payloads = payloads[:0]
 				err := chip.Home.EncodeFills(reqs[off:end], func(i int, p cable.Payload, lat cable.FillLatency) {
-					enc := p.Marshal(idxBits, wayBits)
+					enc := p.MarshalInto(&w, idxBits, wayBits)
 					got = append(got, encOut{
 						img:   append([]byte(nil), enc.Data...),
 						nbits: enc.NBits,
@@ -169,11 +141,12 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				base := off
-				if err := chip.Remote.DecodeFills(payloads, func(i int, data []byte) {
-					got[base+i].decoded = append([]byte(nil), data...)
-				}); err != nil {
-					t.Fatal(err)
+				for i, p := range payloads {
+					data, err := chip.Remote.DecodeFill(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[off+i].decoded = append([]byte(nil), data...)
 				}
 			}
 			if len(got) != n {
@@ -212,7 +185,7 @@ func TestEncodeFillsMatchesSequential(t *testing.T) {
 // failure.
 func TestEncodeFillsMissingLine(t *testing.T) {
 	reg := obs.NewRegistry()
-	chip, addrs := batchWarmChip(t, reg)
+	chip, addrs := warmChip(t, reg)
 	ways := chip.LLC.Config().Ways
 
 	// An address with the L4's tag bits flipped cannot be resident.

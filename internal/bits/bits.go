@@ -292,10 +292,9 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	return v, nil
 }
 
-// AppendBytes consumes 8·n bits and appends them to dst, the
-// allocation-free sibling of ReadBytes: with a reused dst the
-// steady-state decode path allocates nothing. At a byte boundary this
-// is a single copy.
+// AppendBytes consumes 8·n bits and appends them to dst: with a reused
+// dst the steady-state decode path allocates nothing. At a byte
+// boundary this is a single copy. On an error dst comes back unchanged.
 func (r *Reader) AppendBytes(dst []byte, n int) ([]byte, error) {
 	if n < 0 {
 		return dst, fmt.Errorf("bits: AppendBytes count %d out of range", n)
@@ -321,13 +320,4 @@ func (r *Reader) AppendBytes(dst []byte, n int) ([]byte, error) {
 		r.pos += 8
 	}
 	return dst, nil
-}
-
-// ReadBytes consumes 8·n bits into a fresh slice.
-func (r *Reader) ReadBytes(n int) ([]byte, error) {
-	p, err := r.AppendBytes(make([]byte, 0, n), n)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
 }

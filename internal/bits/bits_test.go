@@ -62,7 +62,7 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 	if _, err := r.ReadBit(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadBytes(len(payload))
+	got, err := r.AppendBytes(nil, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,35 +146,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkWriteBits(b *testing.B) {
-	var w Writer
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			w.Reset()
-		}
-		w.WriteBits(uint64(i), 17)
-	}
-}
-
-func BenchmarkReadBits(b *testing.B) {
-	var w Writer
-	const n = 1024
-	for i := 0; i < n; i++ {
-		w.WriteBits(uint64(i), 17)
-	}
-	buf, nbits := w.Bytes(), w.Len()
-	var r Reader
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%n == 0 {
-			r.Reset(buf, nbits)
-		}
-		if _, err := r.ReadBits(17); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -310,17 +310,6 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessHit(b *testing.B) {
-	c := New(Config{Name: "bench", SizeBytes: 1 << 20, Ways: 8, LineSize: 64})
-	for i := uint64(0); i < 1024; i++ {
-		c.Insert(i, line64(byte(i)), Shared)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i) & 1023)
-	}
-}
-
 func TestPolicyFIFO(t *testing.T) {
 	c := New(Config{Name: "fifo", SizeBytes: 8 << 10, Ways: 4, LineSize: 64, Policy: PolicyFIFO})
 	sets := uint64(c.NumSets())

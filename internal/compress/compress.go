@@ -143,11 +143,6 @@ func AppendWords(dst []uint32, line []byte) []uint32 {
 	return dst
 }
 
-// PutWords serializes words back to bytes.
-func PutWords(ws []uint32) []byte {
-	return AppendPutWords(make([]byte, 0, len(ws)*4), ws)
-}
-
 // AppendPutWords appends words' little-endian bytes to dst.
 func AppendPutWords(dst []byte, ws []uint32) []byte {
 	for _, w := range ws {

@@ -320,7 +320,7 @@ func TestLZSSWindowEviction(t *testing.T) {
 
 func TestWordsPutWordsInverse(t *testing.T) {
 	f := func(raw [lineSize]byte) bool {
-		return bytes.Equal(PutWords(Words(raw[:])), raw[:])
+		return bytes.Equal(AppendPutWords(nil, Words(raw[:])), raw[:])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -386,40 +386,6 @@ func TestBDIEncodesKnownPatterns(t *testing.T) {
 	}
 }
 
-func BenchmarkCPackCompress(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	line := lineGen(rng)
-	e := NewCPack("cpack", 64)
-	b.SetBytes(lineSize)
-	for i := 0; i < b.N; i++ {
-		e.Compress(line, nil)
-	}
-}
-
-func BenchmarkLBECompressSeeded(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	line := lineGen(rng)
-	refs := [][]byte{lineGen(rng), lineGen(rng), lineGen(rng)}
-	e := NewLBE("lbe", 256)
-	b.SetBytes(lineSize)
-	for i := 0; i < b.N; i++ {
-		e.Compress(line, refs)
-	}
-}
-
-func BenchmarkLZSSStream(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	c := NewLZSS("gzip", 32<<10)
-	lines := make([][]byte, 256)
-	for i := range lines {
-		lines[i] = lineGen(rng)
-	}
-	b.SetBytes(lineSize)
-	for i := 0; i < b.N; i++ {
-		c.Compress(lines[i%len(lines)])
-	}
-}
-
 func TestFPCKnownPatterns(t *testing.T) {
 	e := NewFPC()
 	cases := []struct {
@@ -433,7 +399,7 @@ func TestFPCKnownPatterns(t *testing.T) {
 		{"halfword-hi", []uint32{0xABCD0000}, 19 + 2*6},
 	}
 	for _, c := range cases {
-		line := PutWords(append(append([]uint32{}, c.words...), make([]uint32, 16-len(c.words))...))
+		line := AppendPutWords(nil, append(append([]uint32{}, c.words...), make([]uint32, 16-len(c.words))...))
 		enc := e.Compress(line, nil)
 		if enc.NBits > c.maxBits {
 			t.Errorf("%s: %d bits, want ≤ %d", c.name, enc.NBits, c.maxBits)
@@ -449,7 +415,7 @@ func TestFPCSignExtension(t *testing.T) {
 	e := NewFPC()
 	// Negative values in each width class.
 	words := []uint32{0xFFFFFFF8, 0xFFFFFF80, 0xFFFF8000, 0x00FF00FE}
-	line := PutWords(append(words, make([]uint32, 12)...))
+	line := AppendPutWords(nil, append(words, make([]uint32, 12)...))
 	enc := e.Compress(line, nil)
 	dec, err := e.Decompress(enc, nil, 64)
 	if err != nil || !bytes.Equal(dec, line) {

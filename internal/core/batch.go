@@ -8,8 +8,9 @@ import (
 )
 
 // This file is the fill pipeline — the one implementation behind
-// EncodeFill, EncodeFillData and EncodeFills (remote.go does the same
-// for DecodeFill and DecodeFills). Where a fill's time goes, by CPU
+// EncodeFill, EncodeFillData and EncodeFills (the decode side has one
+// entry point per form, DecodeFill and DecodeFillFrom, in remote.go).
+// Where a fill's time goes, by CPU
 // share of fill on the codec's mixed stream (bash benchmark/run.sh
 // --workload codec_mix --trace 1, at PR 24): the standalone compress
 // 26 %, the reference-seeded DIFF compress 27 %, gathering candidates

@@ -5,26 +5,29 @@ import (
 	"sync"
 	"testing"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 )
 
-// FuzzUnmarshalPayload feeds arbitrary wire bits to the payload parser:
-// it must either parse or error, never panic, and parsed payloads must
+// FuzzUnmarshalPayloadScratch feeds arbitrary wire bits to the payload
+// parser, through one reused scratch as the link transfer does: it must
+// either parse or error, never panic, and parsed payloads must
 // re-marshal to an equivalent wire image.
-func FuzzUnmarshalPayload(f *testing.F) {
+func FuzzUnmarshalPayloadScratch(f *testing.F) {
 	f.Add([]byte{0x00}, 8)
 	f.Add([]byte{0xC0, 0x01, 0x02, 0x03}, 32)
+	p, ps := new(Payload), new(PayloadScratch)
+	var w bits.Writer
 	f.Fuzz(func(t *testing.T, data []byte, nbits int) {
 		if nbits < 0 || nbits > len(data)*8 {
 			return
 		}
 		enc := compress.Encoded{Data: data, NBits: nbits}
-		p, err := UnmarshalPayload(enc, 9, 3, 64)
-		if err != nil {
+		if err := UnmarshalPayloadScratch(p, ps, enc, 9, 3, 64); err != nil {
 			return
 		}
-		re := p.Marshal(9, 3)
+		re := p.MarshalInto(&w, 9, 3)
 		if re.NBits != p.Bits(12) {
 			t.Fatalf("re-marshal %d bits, Bits() %d", re.NBits, p.Bits(12))
 		}
@@ -81,6 +84,7 @@ func FuzzPayloadDecodeFaults(f *testing.F) {
 	for _, s := range fuzzSeedImages() {
 		f.Add(s.Data, s.NBits, uint16(0), uint16(s.NBits))
 	}
+	q, ps := new(Payload), new(PayloadScratch)
 	f.Fuzz(func(t *testing.T, data []byte, nbits int, flipPos, trunc uint16) {
 		if nbits < 0 || nbits > len(data)*8 {
 			return
@@ -91,15 +95,14 @@ func FuzzPayloadDecodeFaults(f *testing.F) {
 			img[pos/8] ^= 0x80 >> uint(pos%8)
 			nbits = int(trunc) % (nbits + 1)
 		}
-		q, err := UnmarshalPayloadGuarded(compress.Encoded{Data: img, NBits: nbits}, 9, 3, 64)
-		if err != nil {
+		if err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: img, NBits: nbits}, 9, 3, 64); err != nil {
 			if !errors.Is(err, ErrCRCMismatch) && !errors.Is(err, ErrTruncatedPayload) {
 				t.Fatalf("unmarshal error outside the taxonomy: %v", err)
 			}
 			return
 		}
 		re, _ := fuzzRemote()
-		if _, err := re.DecodeFill(q); err != nil {
+		if _, err := re.DecodeFill(*q); err != nil {
 			if !errors.Is(err, ErrTruncatedPayload) && !errors.Is(err, ErrBadReference) && !errors.Is(err, ErrCorruptDiff) {
 				t.Fatalf("decode error outside the taxonomy: %v", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 )
@@ -23,14 +24,14 @@ func guardTestPayloads() []Payload {
 
 func TestGuardedMarshalRoundTrip(t *testing.T) {
 	idxBits, wayBits := 9, 3
+	got, ps := new(Payload), new(PayloadScratch)
 	for i, p := range guardTestPayloads() {
 		enc := p.MarshalGuarded(idxBits, wayBits)
 		if enc.NBits != p.Bits(idxBits+wayBits)+crcBits {
 			t.Fatalf("case %d: guarded image %d bits, want body %d + %d guard",
 				i, enc.NBits, p.Bits(idxBits+wayBits), crcBits)
 		}
-		got, err := UnmarshalPayloadGuarded(enc, idxBits, wayBits, 64)
-		if err != nil {
+		if err := UnmarshalPayloadGuardedScratch(got, ps, enc, idxBits, wayBits, 64); err != nil {
 			t.Fatalf("case %d: clean guarded image rejected: %v", i, err)
 		}
 		if got.Compressed != p.Compressed || len(got.Refs) != len(p.Refs) ||
@@ -45,12 +46,13 @@ func TestGuardedMarshalRoundTrip(t *testing.T) {
 // rejected with ErrCRCMismatch.
 func TestGuardDetectsEverySingleBitFlip(t *testing.T) {
 	idxBits, wayBits := 9, 3
+	q, ps := new(Payload), new(PayloadScratch)
 	for i, p := range guardTestPayloads() {
 		enc := p.MarshalGuarded(idxBits, wayBits)
 		for pos := 0; pos < enc.NBits; pos++ {
 			img := append([]byte(nil), enc.Data...)
 			img[pos/8] ^= 0x80 >> uint(pos%8)
-			_, err := UnmarshalPayloadGuarded(compress.Encoded{Data: img, NBits: enc.NBits}, idxBits, wayBits, 64)
+			err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: img, NBits: enc.NBits}, idxBits, wayBits, 64)
 			if !errors.Is(err, ErrCRCMismatch) {
 				t.Fatalf("case %d: flip at bit %d not caught: %v", i, pos, err)
 			}
@@ -63,10 +65,11 @@ func TestGuardDetectsEverySingleBitFlip(t *testing.T) {
 // on another byte-aligned boundary cannot alias a valid image.
 func TestGuardDetectsTruncation(t *testing.T) {
 	idxBits, wayBits := 9, 3
+	q, ps := new(Payload), new(PayloadScratch)
 	for i, p := range guardTestPayloads() {
 		enc := p.MarshalGuarded(idxBits, wayBits)
 		for nb := 0; nb < enc.NBits; nb++ {
-			_, err := UnmarshalPayloadGuarded(compress.Encoded{Data: enc.Data, NBits: nb}, idxBits, wayBits, 64)
+			err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: enc.Data, NBits: nb}, idxBits, wayBits, 64)
 			if err == nil {
 				t.Fatalf("case %d: truncation to %d/%d bits accepted", i, nb, enc.NBits)
 			}
@@ -75,7 +78,7 @@ func TestGuardDetectsTruncation(t *testing.T) {
 			}
 		}
 		// A declared length past the physical buffer is truncation too.
-		_, err := UnmarshalPayloadGuarded(compress.Encoded{Data: enc.Data, NBits: 8*len(enc.Data) + 1}, idxBits, wayBits, 64)
+		err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: enc.Data, NBits: 8*len(enc.Data) + 1}, idxBits, wayBits, 64)
 		if !errors.Is(err, ErrTruncatedPayload) {
 			t.Fatalf("case %d: overlong declared length misclassified: %v", i, err)
 		}
@@ -86,14 +89,16 @@ func TestGuardDetectsTruncation(t *testing.T) {
 // ErrTruncatedPayload (never a panic, never an unclassified error).
 func TestUnmarshalTruncationTyped(t *testing.T) {
 	idxBits, wayBits := 9, 3
+	q, ps := new(Payload), new(PayloadScratch)
+	var w bits.Writer
 	for i, p := range guardTestPayloads() {
-		enc := p.Marshal(idxBits, wayBits)
+		enc := p.MarshalInto(&w, idxBits, wayBits)
 		// Raw payloads shorter than a line and headers cut mid-field.
 		for _, nb := range []int{0, 1, 2, 5, enc.NBits / 2} {
 			if nb >= enc.NBits {
 				continue
 			}
-			_, err := UnmarshalPayload(compress.Encoded{Data: enc.Data, NBits: nb}, idxBits, wayBits, 64)
+			err := UnmarshalPayloadScratch(q, ps, compress.Encoded{Data: enc.Data, NBits: nb}, idxBits, wayBits, 64)
 			if p.Compressed && nb >= flagBits+refCountBits+len(p.Refs)*(idxBits+wayBits) {
 				// Compressed bodies treat any tail as DIFF bits; the
 				// corruption surfaces later, at decompress time.

@@ -66,7 +66,7 @@ func TestFig7HashCollisionFiltered(t *testing.T) {
 	req := append([]byte(nil), ref...)
 	binary.LittleEndian.PutUint32(req[8:], 0xFEED0001)
 	junkLine, junkID, _ := home.Probe(0x222)
-	for _, s := range he.ex.SearchSignatures(req, 16) {
+	for _, s := range he.ex.AppendSearchSignatures(nil, req, 16) {
 		he.ht.Insert(s, junkID) // artificial collisions (Fig 7)
 	}
 	_ = junkLine

@@ -138,12 +138,13 @@ func (h *linkHarness) ensureHome(addr uint64) {
 // roundTripWire marshals and unmarshals the payload, asserting the wire
 // format is lossless and that Bits() matches the marshaled length.
 func (h *linkHarness) roundTripWire(p *Payload, geom *cache.Cache) {
-	enc := p.Marshal(geom.IndexBits(), geom.WayBits())
+	var w bits.Writer
+	enc := p.MarshalInto(&w, geom.IndexBits(), geom.WayBits())
 	if enc.NBits != p.Bits(geom.IndexBits()+geom.WayBits()) {
 		h.t.Fatalf("Bits()=%d but marshal produced %d bits", p.Bits(geom.IndexBits()+geom.WayBits()), enc.NBits)
 	}
-	got, err := UnmarshalPayload(enc, geom.IndexBits(), geom.WayBits(), h.lineSize)
-	if err != nil {
+	var got Payload
+	if err := UnmarshalPayloadScratch(&got, new(PayloadScratch), enc, geom.IndexBits(), geom.WayBits(), h.lineSize); err != nil {
 		h.t.Fatalf("unmarshal: %v", err)
 	}
 	got.AckSeq = p.AckSeq // not on the wire

@@ -14,8 +14,8 @@ const MaxRefsLimit = 3
 // registry (internal/obs). Every link end resolves its counter pointers
 // once at construction and draws a private shard index, so a
 // steady-state increment is one uncontended atomic add on a padded
-// cache line — cheap enough to leave enabled everywhere, including
-// BenchmarkEncodeFill, which must stay at 0 allocs/op.
+// cache line — cheap enough to leave enabled everywhere, including the
+// encode path TestEncodeFillAllocs pins at 0 allocs/op.
 //
 // The per-end HomeStats/RemoteStats structs count one link: HomeStats is
 // what sim.MemLinkResult.Home reports (the breakdown experiment's class

@@ -59,17 +59,11 @@ func (p Payload) Bits(remoteLIDBits int) int {
 	return flagBits + refCountBits + len(p.Refs)*remoteLIDBits + p.Diff.NBits
 }
 
-// Marshal serializes the payload to the wire. idxBits and wayBits
-// describe the remote cache geometry (RemoteLID = index + way).
-func (p Payload) Marshal(idxBits, wayBits int) compress.Encoded {
-	var w bits.Writer
-	return p.MarshalInto(&w, idxBits, wayBits)
-}
-
-// MarshalInto is the scratch form of Marshal: it resets w and writes
-// the wire image into it, so a caller-owned Writer amortizes the
-// buffer across payloads. The result aliases w and is valid until the
-// Writer's next use.
+// MarshalInto serializes the payload to the wire: it resets w and
+// writes the wire image into it, so a caller-owned Writer amortizes the
+// buffer across payloads. idxBits and wayBits describe the remote cache
+// geometry (RemoteLID = index + way). The result aliases w and is valid
+// until the Writer's next use.
 func (p Payload) MarshalInto(w *bits.Writer, idxBits, wayBits int) compress.Encoded {
 	w.Reset()
 	p.AppendTo(w, idxBits, wayBits)
@@ -98,8 +92,9 @@ func (p Payload) AppendTo(w *bits.Writer, idxBits, wayBits int) {
 	w.WriteStream(p.Diff.Data, p.Diff.NBits)
 }
 
-// MarshalGuarded is Marshal plus an appended CRC-8 guard over the
-// payload image; UnmarshalPayloadGuarded verifies and strips it. The
+// MarshalGuarded is MarshalInto, into a fresh Writer, plus an appended
+// CRC-8 guard over the payload image; UnmarshalPayloadGuardedScratch
+// verifies and strips it. The
 // guard costs crcBits on the wire, so it is an option the fault-aware
 // drivers enable rather than part of the baseline format (whose bit
 // accounting matches the paper).
@@ -114,16 +109,6 @@ func (p Payload) MarshalGuardedInto(w *bits.Writer, idxBits, wayBits int) compre
 	crc := crc8Image(enc.Data, enc.NBits)
 	w.WriteBits(uint64(crc), crcBits)
 	return compress.Encoded{Data: w.Bytes(), NBits: w.Len()}
-}
-
-// UnmarshalPayload parses a wire payload into buffers it allocates; the
-// result owns them. See UnmarshalPayloadScratch for the parser.
-func UnmarshalPayload(enc compress.Encoded, idxBits, wayBits, lineSize int) (Payload, error) {
-	var p Payload
-	if err := UnmarshalPayloadScratch(&p, new(PayloadScratch), enc, idxBits, wayBits, lineSize); err != nil {
-		return Payload{}, err
-	}
-	return p, nil
 }
 
 // PayloadScratch holds the reusable buffers of the allocation-free
@@ -218,14 +203,4 @@ func UnmarshalPayloadGuardedScratch(p *Payload, s *PayloadScratch, enc compress.
 		return ErrCRCMismatch
 	}
 	return UnmarshalPayloadScratch(p, s, compress.Encoded{Data: enc.Data, NBits: bodyBits}, idxBits, wayBits, lineSize)
-}
-
-// UnmarshalPayloadGuarded is UnmarshalPayloadGuardedScratch into buffers
-// it allocates; the result owns them.
-func UnmarshalPayloadGuarded(enc compress.Encoded, idxBits, wayBits, lineSize int) (Payload, error) {
-	var p Payload
-	if err := UnmarshalPayloadGuardedScratch(&p, new(PayloadScratch), enc, idxBits, wayBits, lineSize); err != nil {
-		return Payload{}, err
-	}
-	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 )
@@ -36,13 +37,14 @@ func TestPayloadMarshalRoundTrip(t *testing.T) {
 			Diff:       compress.Encoded{Data: []byte{0xDE, 0xAD, 0xBE}, NBits: 23},
 		},
 	}
+	got, ps := new(Payload), new(PayloadScratch)
+	var w bits.Writer
 	for i, p := range cases {
-		enc := p.Marshal(idxBits, wayBits)
+		enc := p.MarshalInto(&w, idxBits, wayBits)
 		if enc.NBits != p.Bits(idxBits+wayBits) {
 			t.Fatalf("case %d: marshal %d bits, Bits() %d", i, enc.NBits, p.Bits(idxBits+wayBits))
 		}
-		got, err := UnmarshalPayload(enc, idxBits, wayBits, 64)
-		if err != nil {
+		if err := UnmarshalPayloadScratch(got, ps, enc, idxBits, wayBits, 64); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if got.Compressed != p.Compressed || len(got.Refs) != len(p.Refs) ||
@@ -66,12 +68,13 @@ func TestPayloadMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalPayload(compress.Encoded{}, 9, 3, 64); err == nil {
+	p, ps := new(Payload), new(PayloadScratch)
+	if err := UnmarshalPayloadScratch(p, ps, compress.Encoded{}, 9, 3, 64); err == nil {
 		t.Fatal("empty payload should error")
 	}
 	// Raw flag but truncated body.
 	short := compress.Encoded{Data: []byte{0x00, 0xFF}, NBits: 9}
-	if _, err := UnmarshalPayload(short, 9, 3, 64); err == nil {
+	if err := UnmarshalPayloadScratch(p, ps, short, 9, 3, 64); err == nil {
 		t.Fatal("truncated raw payload should error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	bitio "cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 	"cable/internal/obs"
@@ -44,7 +45,7 @@ func referenceFill(h *HomeEnd, remote *cache.Cache, data []byte) Payload {
 	// Signature search: every live entry of every probed bucket, first
 	// seen first, counting how many signatures led to each line.
 	var cands []candidate
-	for _, s := range h.ex.SearchSignatures(data, h.cfg.MaxSearchSigs) {
+	for _, s := range h.ex.AppendSearchSignatures(nil, data, h.cfg.MaxSearchSigs) {
 	entries:
 		for _, e := range h.ht.bucket(s) {
 			if e == 0 {
@@ -156,8 +157,9 @@ func referenceSelect(cands []candidate, maxRefs int) []candidate {
 // requireSamePayload compares two payloads by wire image, bit for bit.
 func requireSamePayload(t *testing.T, addr uint64, got, want Payload, geom *cache.Cache) {
 	t.Helper()
-	g := got.Marshal(geom.IndexBits(), geom.WayBits())
-	w := want.Marshal(geom.IndexBits(), geom.WayBits())
+	var gw, ww bitio.Writer
+	g := got.MarshalInto(&gw, geom.IndexBits(), geom.WayBits())
+	w := want.MarshalInto(&ww, geom.IndexBits(), geom.WayBits())
 	if g.NBits != w.NBits || !bytes.Equal(g.Data, w.Data) {
 		t.Fatalf("fill %#x: pipeline payload differs from the reference encoder\n got %d bits, %d refs, compressed=%v: %x\nwant %d bits, %d refs, compressed=%v: %x",
 			addr, g.NBits, len(got.Refs), got.Compressed, g.Data, w.NBits, len(want.Refs), want.Compressed, w.Data)

@@ -93,17 +93,14 @@ func (r *RemoteEnd) EvictionBuffer() *EvictionBuffer { return r.evbuf }
 // configured override for the tag-pointer ablation.
 func (r *RemoteEnd) RemoteLIDBits() int { return r.scr.lidBits }
 
-// remoteDecodeAcc defers a decode batch's two counters.
-type remoteDecodeAcc struct{ decodes, rescues uint64 }
-
-func (r *RemoteEnd) flushDecodes(a remoteDecodeAcc) {
-	r.Stats.FillDecodes += a.decodes
-	r.Stats.RescuedRefs += a.rescues
-	if a.decodes != 0 {
-		r.mx.fillDecodes.Add(r.shard, a.decodes)
-	}
-	if a.rescues != 0 {
-		r.mx.evictRescues.Add(r.shard, a.rescues)
+// countDecode publishes one fill decode and the references the
+// eviction buffer served it.
+func (r *RemoteEnd) countDecode(rescues uint64) {
+	r.Stats.FillDecodes++
+	r.Stats.RescuedRefs += rescues
+	r.mx.fillDecodes.Inc(r.shard)
+	if rescues != 0 {
+		r.mx.evictRescues.Add(r.shard, rescues)
 	}
 }
 
@@ -114,48 +111,18 @@ func (r *RemoteEnd) flushDecodes(a remoteDecodeAcc) {
 // is valid until the next decode; retainers must copy (the simulators'
 // caches all copy on install).
 func (r *RemoteEnd) DecodeFill(p Payload) ([]byte, error) {
-	var acc remoteDecodeAcc
-	out, err := r.decodeFill(&p, &acc)
-	r.flushDecodes(acc)
-	return out, err
-}
-
-// DecodeFills decodes a batch of fill payloads in order, invoking emit
-// for each reconstructed line. The data slice aliases the end's decode
-// scratch and is valid only for the duration of the callback (the same
-// contract as DecodeFill); per-decode counters and Stats are flushed
-// once per batch. Decoding stops at the first corrupt payload, after the
-// prefix's counters are published — identical to a sequential caller.
-func (r *RemoteEnd) DecodeFills(ps []Payload, emit func(i int, data []byte)) error {
-	var acc remoteDecodeAcc
-	for i := range ps {
-		out, err := r.decodeFill(&ps[i], &acc)
-		if err != nil {
-			r.flushDecodes(acc)
-			return err
-		}
-		if emit != nil {
-			emit(i, out)
-		}
-	}
-	r.flushDecodes(acc)
-	return nil
-}
-
-// decodeFill is the per-payload step of DecodeFill and DecodeFills,
-// with the counters left in acc for the caller to flush.
-func (r *RemoteEnd) decodeFill(p *Payload, acc *remoteDecodeAcc) ([]byte, error) {
-	acc.decodes++
-	out, err := r.reconstruct(p, acc)
+	var rescues uint64
+	out, err := r.reconstruct(&p, &rescues)
 	if r.rec != nil {
 		r.rec.Span(r.recTrack, obs.EvDecode, p.Bits(r.scr.lidBits))
 	}
+	r.countDecode(rescues)
 	return out, err
 }
 
 // reconstruct rebuilds the line: a raw payload is copied out, a
 // compressed one is decompressed against its resolved references.
-func (r *RemoteEnd) reconstruct(p *Payload, acc *remoteDecodeAcc) ([]byte, error) {
+func (r *RemoteEnd) reconstruct(p *Payload, rescues *uint64) ([]byte, error) {
 	if !p.Compressed {
 		if len(p.Raw) != r.lineSize {
 			return nil, fmt.Errorf("core: raw fill of %dB, want %dB: %w", len(p.Raw), r.lineSize, ErrTruncatedPayload)
@@ -164,19 +131,19 @@ func (r *RemoteEnd) reconstruct(p *Payload, acc *remoteDecodeAcc) ([]byte, error
 		return r.scr.decOut, nil
 	}
 	r.scr.decR.Reset(p.Diff.Data, p.Diff.NBits)
-	return r.decodeDiff(&r.scr.decR, p.Refs, p.AckSeq, acc)
+	return r.decodeDiff(&r.scr.decR, p.Refs, p.AckSeq, rescues)
 }
 
 // decodeDiff is the one tail of both decode paths: resolve each
 // reference — the eviction buffer's copy if the slot was evicted after
 // the home end, having acknowledged ack, chose it (§IV-A), else the
-// slot's occupant — and decompress the DIFF at br against them, leaving
-// br after the DIFF's last bit.
-func (r *RemoteEnd) decodeDiff(br *bits.Reader, refs []cache.LineID, ack uint64, acc *remoteDecodeAcc) ([]byte, error) {
+// slot's occupant, counted in rescues — and decompress the DIFF at br
+// against them, leaving br after the DIFF's last bit.
+func (r *RemoteEnd) decodeDiff(br *bits.Reader, refs []cache.LineID, ack uint64, rescues *uint64) ([]byte, error) {
 	r.scr.decRefs = r.scr.decRefs[:0]
 	for _, rid := range refs {
 		if data := r.evbuf.Resolve(rid, ack); data != nil {
-			acc.rescues++
+			*rescues++
 			r.scr.decRefs = append(r.scr.decRefs, data)
 			continue
 		}
@@ -202,20 +169,20 @@ func (r *RemoteEnd) decodeDiff(br *bits.Reader, refs []cache.LineID, ack uint64,
 // unmarshalled payload, the image acknowledges nothing. Errors and the
 // result's lifetime are DecodeFill's.
 func (r *RemoteEnd) DecodeFillFrom(br *bits.Reader) ([]byte, error) {
-	acc := remoteDecodeAcc{decodes: 1}
+	var rescues uint64
 	start := br.Remaining()
-	out, err := r.reconstructFrom(br, &acc)
+	out, err := r.reconstructFrom(br, &rescues)
 	if r.rec != nil {
 		r.rec.Span(r.recTrack, obs.EvDecode, start-br.Remaining())
 	}
-	r.flushDecodes(acc)
+	r.countDecode(rescues)
 	return out, err
 }
 
 // reconstructFrom is reconstruct with the payload still on the wire:
 // it parses the flag, the raw line or the references, and hands the
 // rest to decodeDiff.
-func (r *RemoteEnd) reconstructFrom(br *bits.Reader, acc *remoteDecodeAcc) ([]byte, error) {
+func (r *RemoteEnd) reconstructFrom(br *bits.Reader, rescues *uint64) ([]byte, error) {
 	flag, err := br.ReadBit()
 	if err != nil {
 		return nil, fmt.Errorf("core: empty payload: %w: %w", ErrTruncatedPayload, err)
@@ -231,7 +198,7 @@ func (r *RemoteEnd) reconstructFrom(br *bits.Reader, acc *remoteDecodeAcc) ([]by
 	if err != nil {
 		return nil, err
 	}
-	return r.decodeDiff(br, refs, 0, acc)
+	return r.decodeDiff(br, refs, 0, rescues)
 }
 
 // insertLine and removeLine mirror the home end's scratch-backed

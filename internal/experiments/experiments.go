@@ -1,8 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§VI). Each driver regenerates the corresponding
 // rows/series; cmd/cablereport runs them all and EXPERIMENTS.md records
-// paper-vs-measured values. The same drivers back the bench_test.go
-// targets.
+// paper-vs-measured values. This package's tests run every driver at
+// quick scale.
 package experiments
 
 import (

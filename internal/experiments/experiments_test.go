@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -153,6 +154,34 @@ func TestFig18EnergyShape(t *testing.T) {
 	}
 	if link := res.Table.Get("mean", "base-link"); link < 0.05 {
 		t.Fatalf("baseline link energy fraction %.3f — too small to matter", link)
+	}
+}
+
+// TestFig19Shape covers both cache-size sweeps: CABLE leads gzip and
+// CPACK at every point, never falls as the LLC (its dictionary) grows,
+// and barely moves with the L4 ratio, because the dictionary is bounded
+// by the smaller cache (paper: within ~1 %).
+func TestFig19Shape(t *testing.T) {
+	for _, id := range []string{"fig19a", "fig19b"} {
+		res := run(t, id)
+		var cables []float64
+		for _, row := range res.Table.Rows() {
+			cable := res.Table.Get(row, "cable")
+			if gzip, cpack := res.Table.Get(row, "gzip"), res.Table.Get(row, "cpack"); cable <= gzip || cable <= cpack {
+				t.Errorf("%s %s: CABLE %.3f must lead gzip %.3f and CPACK %.3f", id, row, cable, gzip, cpack)
+			}
+			cables = append(cables, cable)
+		}
+		switch id {
+		case "fig19a":
+			if !slices.IsSorted(cables) {
+				t.Errorf("fig19a: CABLE %v falls as the LLC grows", cables)
+			}
+		case "fig19b":
+			if lo, hi := slices.Min(cables), slices.Max(cables); hi > lo*1.03 {
+				t.Errorf("fig19b: CABLE spans %.3f–%.3f across L4 ratios, want within 3%%", lo, hi)
+			}
+		}
 	}
 }
 

@@ -93,20 +93,15 @@ func (e *Extractor) AppendInsertSignatures(dst []Signature, line []byte) []Signa
 	return dst
 }
 
-// SearchSignatures extracts every distinct non-trivial word signature in
-// the line, up to max (the paper uses 16 for 64-byte lines, §III-C).
-// A zero-filled line yields none.
-func (e *Extractor) SearchSignatures(line []byte, max int) []Signature {
-	return e.AppendSearchSignatures(make([]Signature, 0, max), line, max)
-}
-
-// AppendSearchSignatures is the allocation-free form of
-// SearchSignatures: it appends at most max distinct signatures to dst
-// and returns the extended slice. The line is scanned two words per
-// 8-byte load (nonTrivialMask), so all-trivial stretches — the common
-// case on integer-heavy lines — cost one branch per chunk.
-// Deduplication is a linear scan over the appended region — max is
-// small (16 in the paper), so this beats a map and allocates nothing.
+// AppendSearchSignatures appends every distinct non-trivial word
+// signature in the line to dst, up to max (the paper uses 16 for 64-byte
+// lines, §III-C), and returns the extended slice; a zero-filled line
+// yields none. The line is scanned two words per 8-byte load
+// (nonTrivialMask), so all-trivial stretches — the common case on
+// integer-heavy lines — cost one branch per chunk. Deduplication is a
+// linear scan over the appended region — max is small (16 in the
+// paper), so this beats a map, and with a reused dst nothing is
+// allocated.
 func (e *Extractor) AppendSearchSignatures(dst []Signature, line []byte, max int) []Signature {
 	start := len(dst)
 	off := 0

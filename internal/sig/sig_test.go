@@ -130,11 +130,11 @@ func TestSearchSignaturesMaxAndDedup(t *testing.T) {
 	}
 	words[5] = words[3] // one duplicate
 	line := makeLine(words...)
-	sigs := e.SearchSignatures(line, 16)
+	sigs := e.AppendSearchSignatures(nil, line, 16)
 	if len(sigs) != 15 {
 		t.Fatalf("got %d signatures, want 15 (16 words, 1 dup)", len(sigs))
 	}
-	capped := e.SearchSignatures(line, 4)
+	capped := e.AppendSearchSignatures(nil, line, 4)
 	if len(capped) != 4 {
 		t.Fatalf("max not honored: got %d", len(capped))
 	}
@@ -142,7 +142,7 @@ func TestSearchSignaturesMaxAndDedup(t *testing.T) {
 
 func TestSearchSignaturesZeroLine(t *testing.T) {
 	e := NewExtractor(64, 1)
-	if got := e.SearchSignatures(make([]byte, 64), 16); len(got) != 0 {
+	if got := e.AppendSearchSignatures(nil, make([]byte, 64), 16); len(got) != 0 {
 		t.Fatalf("zero line should yield no search signatures, got %d", len(got))
 	}
 }
@@ -165,8 +165,8 @@ func TestSimilarLinesShareSignatures(t *testing.T) {
 	}
 	edited := append([]byte(nil), base...)
 	binary.LittleEndian.PutUint32(edited[28:], 0x55667788) // edit one word
-	a := e.SearchSignatures(base, 16)
-	b := e.SearchSignatures(edited, 16)
+	a := e.AppendSearchSignatures(nil, base, 16)
+	b := e.AppendSearchSignatures(nil, edited, 16)
 	shared := 0
 	set := map[Signature]bool{}
 	for _, s := range a {
@@ -179,38 +179,5 @@ func TestSimilarLinesShareSignatures(t *testing.T) {
 	}
 	if shared < 10 {
 		t.Fatalf("edited copy shares only %d signatures", shared)
-	}
-}
-
-func BenchmarkSearchSignatures(b *testing.B) {
-	e := NewExtractor(64, 1)
-	rng := rand.New(rand.NewSource(9))
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(rng.Intn(256))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.SearchSignatures(line, 16)
-	}
-}
-
-// BenchmarkSigScan times the packed-word triviality scan on a line with
-// an interleaved trivial/non-trivial pattern (the advance kernel's
-// worst case: it can't skip a whole 2-word chunk branch-free).
-func BenchmarkSigScan(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(rng.Intn(256))
-	}
-	for w := 0; w < len(line)/WordSize; w += 2 {
-		binary.LittleEndian.PutUint32(line[w*WordSize:], uint32(rng.Intn(2))) // trivial word
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if NonTrivialWords(line) == 0 {
-			b.Fatal("line unexpectedly all-trivial")
-		}
 	}
 }

@@ -92,16 +92,11 @@ func NewIn(name string, instance int, addrBase uint64, reg *obs.Registry) (*Gene
 	return NewFromSpecIn(spec, instance, addrBase, reg), nil
 }
 
-// NewFromSpec builds a generator from an explicit spec, reporting into
-// the process-default metrics registry.
-func NewFromSpec(spec Spec, instance int, addrBase uint64) *Generator {
-	return NewFromSpecIn(spec, instance, addrBase, nil)
-}
-
-// NewFromSpecIn builds a generator whose lines-materialized counter
-// reports into reg (nil means the process-default registry). Memoized
-// experiment cells run against private registries so their metric
-// deltas can be replayed deterministically.
+// NewFromSpecIn builds a generator from an explicit spec; its
+// lines-materialized counter reports into reg (nil means the
+// process-default registry). Memoized experiment cells run against
+// private registries so their metric deltas can be replayed
+// deterministically.
 func NewFromSpecIn(spec Spec, instance int, addrBase uint64, reg *obs.Registry) *Generator {
 	g := &Generator{
 		spec:     spec,

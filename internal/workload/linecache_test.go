@@ -66,7 +66,7 @@ func TestLineCacheBitIdentical(t *testing.T) {
 				g := NewFromSpecIn(spec, instance, addrBase, reg)
 				// ref shares nothing with g and only lends its spec
 				// and prototypes to referenceLineInto.
-				ref := NewFromSpec(spec, instance, addrBase)
+				ref := NewFromSpecIn(spec, instance, addrBase, nil)
 				refBuf := make([]byte, LineSize)
 
 				rels := []uint64{

@@ -118,13 +118,13 @@ func TestCopiesSimilarNotIdentical(t *testing.T) {
 			identical++
 			continue
 		}
-		sa := ex.SearchSignatures(la, 16)
+		sa := ex.AppendSearchSignatures(nil, la, 16)
 		set := map[sig.Signature]bool{}
 		for _, s := range sa {
 			set[s] = true
 		}
 		shared := 0
-		for _, s := range ex.SearchSignatures(lb, 16) {
+		for _, s := range ex.AppendSearchSignatures(nil, lb, 16) {
 			if set[s] {
 				shared++
 			}
@@ -259,14 +259,6 @@ func TestInstancesDesynchronize(t *testing.T) {
 	}
 }
 
-// BenchmarkLineData is the cost of deriving one line; every call does.
-func BenchmarkLineData(b *testing.B) {
-	g, _ := New("dealII", 0, 0)
-	for i := 0; i < b.N; i++ {
-		g.LineData(uint64(i))
-	}
-}
-
 // TestLineDataMissAllocs pins LineData at zero allocations from the
 // first call: derivation reseeds the generator's scratch rng in place
 // and writes into the generator's own buffer.
@@ -280,13 +272,6 @@ func TestLineDataMissAllocs(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("%s: LineData allocated %.2f times", name, avg)
 		}
-	}
-}
-
-func BenchmarkNext(b *testing.B) {
-	g, _ := New("mcf", 0, 0)
-	for i := 0; i < b.N; i++ {
-		g.Next()
 	}
 }
 
@@ -306,11 +291,11 @@ func TestValueModelFamilies(t *testing.T) {
 }
 
 func TestTextLinesAreASCII(t *testing.T) {
-	g := NewFromSpec(Spec{
+	g := NewFromSpecIn(Spec{
 		Name: "texty", Class: "int", Model: ValueText,
 		ProtoCount: 4, ObjLines: 1, MutateWords: 0,
 		WorkingSetLines: 1024, HotLines: 16, PhaseLen: 100, GapInstrs: 1,
-	}, 0, 0)
+	}, 0, 0, nil)
 	line := g.LineData(500) // beyond Zero/Proto fractions (both 0) → fresh
 	for i, b := range line {
 		if b >= 0x80 {
@@ -320,11 +305,11 @@ func TestTextLinesAreASCII(t *testing.T) {
 }
 
 func TestFPLinesShareExponents(t *testing.T) {
-	g := NewFromSpec(Spec{
+	g := NewFromSpecIn(Spec{
 		Name: "fpy", Class: "fp", Model: ValueFP,
 		ProtoCount: 4, ObjLines: 1, MutateWords: 0,
 		WorkingSetLines: 1024, HotLines: 16, PhaseLen: 100, GapInstrs: 1,
-	}, 0, 0)
+	}, 0, 0, nil)
 	line := g.LineData(321)
 	// All eight doubles come from base + i·delta: top bytes repeat.
 	top := line[7]
@@ -340,11 +325,11 @@ func TestFPLinesShareExponents(t *testing.T) {
 }
 
 func TestPointerLinesShareBase(t *testing.T) {
-	g := NewFromSpec(Spec{
+	g := NewFromSpecIn(Spec{
 		Name: "ptr", Class: "int", Model: ValuePointer,
 		ProtoCount: 4, ObjLines: 1, MutateWords: 0,
 		WorkingSetLines: 1024, HotLines: 16, PhaseLen: 100, GapInstrs: 1,
-	}, 0, 0)
+	}, 0, 0, nil)
 	line := g.LineData(99)
 	nonNull := 0
 	for i := 0; i < 64; i += 8 {
