@@ -283,8 +283,8 @@ func ParseWorkloadSpec(data []byte) (*WorkloadSpec, error) { return spec.Parse(d
 func LoadWorkloadSpec(path string) (*WorkloadSpec, error) { return spec.Load(path) }
 
 // RecordedTrace is a fully-loaded cabletrace capture: header plus
-// decoded accesses, replayable through the simulators via
-// ExperimentOptions.Replay and the sim/topo config Replay fields.
+// decoded accesses, replayable through ExperimentOptions.Replay,
+// MemoryLinkConfig.Replay or TopologyConfig.Replay.
 type RecordedTrace = trace.Trace
 
 // LoadTrace reads a capture file written by cabletrace (or

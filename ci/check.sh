@@ -9,9 +9,10 @@
 # its retained map, the calendar event queue against its retained heap,
 # seeded sources, workload specs, codec frames), the CLI
 # determinism comparisons (fig12 under faults, the flight recorder's
-# dumps, breakdown through the cell memo, the report file, mesh,
-# workload specs) and round-trip smokes (trace export, cablepipe with
-# its cut and empty inputs that must fail, workload record -> replay),
+# dumps for fig12 and fig13, breakdown through the cell memo, the report
+# file, mesh with its flight windows, workload specs) and round-trip
+# smokes (trace export, cablepipe with its cut and empty inputs that
+# must fail, workload record -> replay),
 # the million-transfer mesh fault soak, the million-copy codec wire
 # fault census, the repository benchmark's smoke and harness tests, the
 # one-surface gate (no `go test -bench` function outside benchmark/), the
@@ -139,12 +140,16 @@ echo "== flight-recorder determinism (windows+timeline, any -parallel, memo on/o
 # must be byte-identical across worker counts, GOMAXPROCS, and the
 # cell-memo being on or off. Compare the adversarial corner (8 workers,
 # memo disabled, 2 OS threads) against the serial memoized baseline.
-go run ./cmd/cablesim -exp fig12 -quick -parallel 1 \
-    -windows "$tmpdir/w1.json" -timeline "$tmpdir/t1.json" >/dev/null
-GOMAXPROCS=2 go run ./cmd/cablesim -exp fig12 -quick -parallel 8 -nomemo \
-    -windows "$tmpdir/w8.json" -timeline "$tmpdir/t8.json" >/dev/null
-cmp "$tmpdir/w1.json" "$tmpdir/w8.json"
-cmp "$tmpdir/t1.json" "$tmpdir/t8.json"
+# fig13's multichip cells are never memoized, so this is the only gate
+# on their flight keys.
+for exp in fig12 fig13; do
+    go run ./cmd/cablesim -exp $exp -quick -parallel 1 \
+        -windows "$tmpdir/$exp.w1.json" -timeline "$tmpdir/$exp.t1.json" >/dev/null
+    GOMAXPROCS=2 go run ./cmd/cablesim -exp $exp -quick -parallel 8 -nomemo \
+        -windows "$tmpdir/$exp.w8.json" -timeline "$tmpdir/$exp.t8.json" >/dev/null
+    cmp "$tmpdir/$exp.w1.json" "$tmpdir/$exp.w8.json"
+    cmp "$tmpdir/$exp.t1.json" "$tmpdir/$exp.t8.json"
+done
 
 echo "== breakdown determinism (memoized now)"
 # The coverage table's cells are plain memory-link cells, so they run
@@ -167,7 +172,7 @@ GOMAXPROCS=2 go run ./cmd/cablereport -exp fig12 -quick -parallel 8 -nomemo -o "
 cmp "$tmpdir/r1.md" "$tmpdir/r8.md"
 
 echo "== trace-export smoke (record -> convert -> validate)"
-go run ./tools/traceexport -in "$tmpdir/t1.json" -o "$tmpdir/trace.json"
+go run ./tools/traceexport -in "$tmpdir/fig12.t1.json" -o "$tmpdir/trace.json"
 go run ./tools/traceexport -validate "$tmpdir/trace.json"
 
 echo "== cablepipe encode|decode pipe smoke"
@@ -188,14 +193,19 @@ for keep in $((size - 1)) $((size - 19)) $((size / 2)) 0; do
     fi
 done
 
-echo "== mesh determinism (table+metrics, any -parallel, memo on/off)"
+echo "== mesh determinism (table+metrics+windows, any -parallel, memo on/off)"
 # The topology engine's bit-identity contract at the CLI surface: the
-# rendered table and the deterministic metrics dump must match between
-# a serial memoized run and 8 workers with the memo off on 2 OS threads.
-go run ./cmd/cablesim -exp mesh -quick -parallel 1 -metrics "$tmpdir/mm1.json" >"$tmpdir/m1.txt"
-GOMAXPROCS=2 go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -metrics "$tmpdir/mm8.json" >"$tmpdir/m8.txt"
+# rendered table, the deterministic metrics dump and the flight windows
+# must match between a serial memoized run and 8 workers with the memo
+# off on 2 OS threads. The windows' cell keys carry the config digest,
+# which must leave Parallelism out.
+go run ./cmd/cablesim -exp mesh -quick -parallel 1 -metrics "$tmpdir/mm1.json" \
+    -windows "$tmpdir/mw1.json" >"$tmpdir/m1.txt"
+GOMAXPROCS=2 go run ./cmd/cablesim -exp mesh -quick -parallel 8 -nomemo -metrics "$tmpdir/mm8.json" \
+    -windows "$tmpdir/mw8.json" >"$tmpdir/m8.txt"
 cmp "$tmpdir/m1.txt" "$tmpdir/m8.txt"
 cmp "$tmpdir/mm1.json" "$tmpdir/mm8.json"
+cmp "$tmpdir/mw1.json" "$tmpdir/mw8.json"
 
 echo "== workload spec record -> replay -> compare smoke"
 # The record→replay contract at the CLI surface: capture the example

@@ -47,7 +47,7 @@ type Config struct {
 	// captured once and replayed on cache hits. Not part of the
 	// behavioral configuration: it never affects simulated results and
 	// is excluded from content digests.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `digest:"-"`
 }
 
 // DefaultConfig returns the paper's baseline parameters.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cable/internal/obs"
@@ -24,7 +25,8 @@ import (
 // cache (2.25 MiB a cell) or an un-recycled cache backing.
 //
 // The first run of each case follows two GCs, which empty every
-// sync.Pool: the gap between its bytes and the warm runs' is what the
+// sync.Pool: the gap between its bytes and the warm runs' (which run
+// with the collector off, so their pools stay warm) is what the
 // cache-backing and core-table pools save a cell (DESIGN.md
 // "Memoization").
 func TestCellAllocBudgets(t *testing.T) {
@@ -56,6 +58,10 @@ func TestCellAllocBudgets(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 			_, coldBytes := run()
+			// No GC between the warm runs: two cycles landing inside
+			// them would empty the pools again and bill one cold run's
+			// backings to the warm average.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			const runs = 3
 			var allocs, bytes float64
 			for i := 0; i < runs; i++ {

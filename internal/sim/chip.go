@@ -29,12 +29,12 @@ type ChipConfig struct {
 	L4Policy  cache.Policy
 	Link      link.Config
 	Cable     core.Config
-	// EnableCable runs the full CABLE protocol (home/remote ends).
-	EnableCable bool
-	// Scheme selects the compressor whose bits drive Transfer
-	// reporting when CABLE is disabled: "none", "bdi", "cpack",
-	// "cpack128", "lbe256" or "gzip". The timing simulator runs one
-	// scheme per simulation this way.
+	// Scheme selects the scheme under test, whose bits drive Transfer
+	// reporting: "cable" runs the full CABLE protocol (home/remote
+	// ends); "none", "bdi", "cpack", "cpack128", "lbe256" or "gzip"
+	// move lines uncompressed between the caches and meter that
+	// compressor instead. The timing simulator runs one scheme per
+	// simulation this way.
 	Scheme string
 	// Verify decodes every CABLE payload and checks it bit-exact
 	// against the home data. Always on in tests; the pure-throughput
@@ -59,12 +59,12 @@ type ChipConfig struct {
 	// Metrics, when non-nil, scopes this chip's obs counters (link
 	// ends, links, scheme meter) to a private registry. Never affects
 	// simulated results; excluded from content digests.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `digest:"-"`
 	// Recorder, when non-nil, attaches a virtual-time flight recorder:
 	// every access ticks it, and the CABLE link feeds a "cable" track
 	// (transfers, encode/decode events, fault degradation). Never
 	// affects simulated results; excluded from content digests.
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder `digest:"-"`
 }
 
 // DefaultChipConfig returns the Table IV single-thread configuration:
@@ -73,11 +73,11 @@ func DefaultChipConfig() ChipConfig {
 	return ChipConfig{
 		LLCBytes: 1 << 20, LLCWays: 8,
 		L4Bytes: 4 << 20, L4Ways: 16,
-		LineSize:    64,
-		Link:        link.DefaultConfig(),
-		Cable:       core.DefaultConfig(),
-		EnableCable: true,
-		Verify:      true,
+		LineSize: 64,
+		Link:     link.DefaultConfig(),
+		Cable:    core.DefaultConfig(),
+		Scheme:   "cable",
+		Verify:   true,
 	}
 }
 
@@ -163,7 +163,7 @@ func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 		Store:         mem.NewStore(cfg.LineSize, fill),
 		writeVersions: writeVersions{},
 	}
-	if cfg.EnableCable || cfg.Scheme == "cable" {
+	if cfg.Scheme == "cable" {
 		c.CableLink = link.NewIn(cfg.Link, cfg.Metrics)
 		// Fault injection targets the CABLE payload stream (the
 		// baseline scheme meters never materialize wire images).

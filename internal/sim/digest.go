@@ -1,20 +1,20 @@
 package sim
 
 import (
+	"fmt"
 	"math"
-
-	"cable/internal/core"
-	"cable/internal/fault"
-	"cable/internal/link"
-	"cable/internal/trace"
+	"reflect"
 )
 
-// This file derives canonical content digests for simulation configs.
-// Two configs with equal digests produce bit-identical simulation
-// results: every behavioral field is folded in with a stable, explicit
-// encoding (field order is part of the format), while observation-only
-// fields (Metrics registries, recorders) are deliberately excluded. The
-// experiments' cell memo keys on these digests.
+// This file derives the canonical content digests the experiments'
+// cell memo keys on: two configs with equal digests produce
+// bit-identical simulation results. The encoding is read off the
+// config's own declaration, so a new field is digested the moment it is
+// declared. Fields tagged `digest:"-"` are observation-only (Metrics
+// registries, recorders, worker counts) and are skipped;
+// TestDigestCoversEveryField pins that set. Unexported fields are
+// skipped too: a config's unexported state (a compiled workload spec's
+// rates) must be derived from its exported fields.
 //
 // The digest is 128 bits of FNV-1a, computed as two independent 64-bit
 // streams over the same bytes (different offset bases), which is far
@@ -31,77 +31,19 @@ const (
 	fnvOffsetAlt = 0x6c62272e07bb0142
 )
 
-// Digester is a canonical digest stream: the stable folding primitives
-// every config digest is built from. It is exported (and satisfies
-// spec.Folder) for the workload specs and for simulator packages outside
-// sim (internal/topo) whose cells share the experiments' memo map.
-// Cross-package digests can never alias: every digest starts with a
-// version-tagged string ("topo/v1", "memlink/v1", ...) and the
-// length-prefixed string encoding keeps field concatenations unambiguous.
-type Digester struct {
-	h1, h2 uint64
-}
-
-// NewDigester starts a digest stream tagged with a format version string.
-func NewDigester(version string) *Digester {
-	d := &Digester{h1: fnvOffset64, h2: fnvOffsetAlt}
-	d.Str(version)
-	return d
-}
-
-func (d *Digester) byte(b byte) {
-	d.h1 = (d.h1 ^ uint64(b)) * fnvPrime64
-	d.h2 = (d.h2 ^ uint64(b)) * fnvPrime64
-}
-
-// U64 folds in a uint64, low byte first.
-func (d *Digester) U64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.byte(byte(v >> (8 * i)))
-	}
-}
-
-// Int folds in an int.
-func (d *Digester) Int(v int) { d.U64(uint64(int64(v))) }
-
-// F64 folds in a float64 (by bit pattern).
-func (d *Digester) F64(v float64) { d.U64(math.Float64bits(v)) }
-
-// Bool folds in a bool.
-func (d *Digester) Bool(v bool) {
-	if v {
-		d.byte(1)
-	} else {
-		d.byte(0)
-	}
-}
-
-// Str folds in a length-prefixed string, so concatenations can't alias.
-func (d *Digester) Str(s string) {
-	d.Int(len(s))
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
-	}
-}
-
-// Replays folds a replay capture list: count, then each capture's
-// content digest (which covers header and every record). A nil entry —
-// an unset single-capture field — is skipped, so it folds as the empty
-// list.
-func (d *Digester) Replays(ts ...*trace.Trace) {
-	if len(ts) == 1 && ts[0] == nil {
-		ts = nil
-	}
-	d.Int(len(ts))
-	for _, t := range ts {
-		for _, b := range t.Digest() {
-			d.byte(b)
-		}
-	}
-}
-
-// Sum finalizes the 128-bit digest.
-func (d *Digester) Sum() Digest {
+// DigestOf fingerprints cfg by its declaration. Bools fold as one byte;
+// ints, uints and floats (by bit pattern) as eight, low byte first;
+// strings and slices are length-prefixed, so concatenations cannot
+// alias; pointers fold a nil flag, then what they point to. A kind with
+// no canonical encoding (map, func, chan, interface, complex) panics:
+// such a field must be tagged `digest:"-"` or the config redesigned.
+// Digests of different config types never alias, because each starts
+// with its type's package path and name.
+func DigestOf(cfg any) Digest {
+	v := reflect.ValueOf(cfg)
+	d := digester{h1: fnvOffset64, h2: fnvOffsetAlt}
+	d.str(v.Type().PkgPath() + "." + v.Type().Name())
+	d.value(v)
 	var out Digest
 	for i := 0; i < 8; i++ {
 		out[i] = byte(d.h1 >> (8 * i))
@@ -110,151 +52,78 @@ func (d *Digester) Sum() Digest {
 	return out
 }
 
-// CoreConfig folds in a CABLE core configuration.
-func (d *Digester) CoreConfig(c core.Config) {
-	d.Int(c.MaxSearchSigs)
-	d.Int(c.AccessCount)
-	d.Int(c.MaxRefs)
-	d.Int(c.BucketDepth)
-	d.Int(c.InsertSigs)
-	d.F64(c.HashSizeFactor)
-	d.F64(c.StandaloneThreshold)
-	d.Str(c.EngineName)
-	d.U64(uint64(c.SigSeed))
-	d.Int(c.PointerBitsOverride)
-	d.Bool(c.WritebackCompression)
-	// c.Metrics is observation-only: excluded.
+// digester is one digest stream.
+type digester struct {
+	h1, h2 uint64
 }
 
-// LinkConfig folds in a link configuration.
-func (d *Digester) LinkConfig(c link.Config) {
-	d.Int(c.WidthBits)
-	d.F64(c.FreqHz)
-	d.Bool(c.Packed)
+func (d *digester) byte(b byte) {
+	d.h1 = (d.h1 ^ uint64(b)) * fnvPrime64
+	d.h2 = (d.h2 ^ uint64(b)) * fnvPrime64
 }
 
-// FaultConfig folds in a fault-injection configuration.
-func (d *Digester) FaultConfig(c fault.Config) {
-	d.F64(c.BitRate)
-	d.F64(c.TruncRate)
-	d.U64(c.Seed)
-}
-
-func (d *Digester) chipConfig(c ChipConfig) {
-	d.Int(c.LLCBytes)
-	d.Int(c.LLCWays)
-	d.Int(c.L4Bytes)
-	d.Int(c.L4Ways)
-	d.Int(c.LineSize)
-	d.byte(byte(c.LLCPolicy))
-	d.byte(byte(c.L4Policy))
-	d.LinkConfig(c.Link)
-	d.CoreConfig(c.Cable)
-	d.Bool(c.EnableCable)
-	d.Str(c.Scheme)
-	d.Bool(c.Verify)
-	d.Bool(c.TagPointers)
-	d.Bool(c.SilentEvictions)
-	// Fault is behavioral: injected corruption changes wire bits and
-	// the degradation counters, so it must split memo cells.
-	d.FaultConfig(c.Fault)
-	// c.Metrics is observation-only: excluded.
-}
-
-// Digest fingerprints every behavioral field of the config. Metrics and
-// Recorder are excluded: they observe the simulation without altering
-// it.
-func (c MemLinkConfig) Digest() Digest {
-	d := NewDigester("memlink/v1")
-	d.chipConfig(c.Chip)
-	d.Int(len(c.Benchmarks))
-	for _, b := range c.Benchmarks {
-		d.Str(b)
+func (d *digester) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		d.byte(byte(v >> (8 * i)))
 	}
-	d.Int(c.AccessesPerProgram)
-	d.Bool(c.ScaleCachesByPrograms)
-	d.Bool(c.WithMeters)
-	// Workload and Replay change the access stream, so they split memo
-	// cells: distinct specs (or captures) must never alias.
-	d.Bool(c.Workload != nil)
-	if c.Workload != nil {
-		c.Workload.Fold(d)
+}
+
+func (d *digester) flag(b bool) {
+	if b {
+		d.byte(1)
+	} else {
+		d.byte(0)
 	}
-	d.Replays(c.Replay...)
-	return d.Sum()
 }
 
-// Digest fingerprints every behavioral field of the config; Recorder
-// is excluded (observation-only).
-func (c MultiChipConfig) Digest() Digest {
-	d := NewDigester("multichip/v1")
-	d.Int(c.Nodes)
-	d.Str(c.Benchmark)
-	d.Int(c.Accesses)
-	d.U64(c.PageLines)
-	d.Int(c.LLCBytes)
-	d.Int(c.LLCWays)
-	d.LinkConfig(c.Link)
-	d.CoreConfig(c.Cable)
-	d.Bool(c.WithMeters)
-	d.Bool(c.PooledWMT)
-	d.F64(c.PooledWMTFactor)
-	d.Bool(c.Verify)
-	d.FaultConfig(c.Fault)
-	d.Replays(c.Replay)
-	return d.Sum()
+func (d *digester) str(s string) {
+	d.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		d.byte(s[i])
+	}
 }
 
-// Digest fingerprints every behavioral field of the config; Recorder
-// is excluded (observation-only).
-func (c NonInclusiveConfig) Digest() Digest {
-	d := NewDigester("noninclusive/v1")
-	d.Str(c.Benchmark)
-	d.Int(c.Accesses)
-	d.Int(c.RemoteBytes)
-	d.Int(c.RemoteWays)
-	d.Int(c.HomeBytes)
-	d.Int(c.HomeWays)
-	d.LinkConfig(c.Link)
-	d.CoreConfig(c.Cable)
-	d.Bool(c.Verify)
-	d.FaultConfig(c.Fault)
-	d.Replays(c.Replay)
-	return d.Sum()
+func (d *digester) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		d.flag(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		d.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		d.u64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		d.u64(math.Float64bits(v.Float()))
+	case reflect.String:
+		d.str(v.String())
+	case reflect.Slice:
+		d.u64(uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			d.value(v.Index(i))
+		}
+	case reflect.Pointer:
+		d.flag(!v.IsNil())
+		if !v.IsNil() {
+			d.value(v.Elem())
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() && f.Tag.Get("digest") != "-" {
+				d.value(v.Field(i))
+			}
+		}
+	default:
+		panic(fmt.Sprintf("sim: %s has no canonical digest encoding", v.Type()))
+	}
 }
 
-// Digest fingerprints every behavioral field of the config; Metrics
-// and Recorder are excluded (observation-only).
-func (c TimingConfig) Digest() Digest {
-	d := NewDigester("timing/v1")
-	d.Str(c.Scheme)
-	d.Str(c.Benchmark)
-	d.Int(c.Threads)
-	d.Int(c.TotalTh)
-	d.U64(c.InstrPerTh)
-	d.U64(c.WarmupPerTh)
-	d.F64(c.CoreHz)
-	d.Int(c.Private.L1Bytes)
-	d.Int(c.Private.L1Ways)
-	d.Int(c.Private.L1Cycles)
-	d.Int(c.Private.L2Bytes)
-	d.Int(c.Private.L2Ways)
-	d.Int(c.Private.L2Cycles)
-	d.Int(c.Private.LineSize)
-	d.Int(c.LLCCycles)
-	d.Int(c.L4Cycles)
-	d.F64(c.LinkSetupNs)
-	d.F64(c.TotalLinkBW)
-	d.F64(c.TotalDRAMBW)
-	d.Int(c.LLCPerThread)
-	d.Int(c.L4Ratio)
-	d.Int(c.RequestBits)
-	d.LinkConfig(c.Link)
-	d.CoreConfig(c.Cable)
-	d.Bool(c.OnOff)
-	d.F64(c.SampleWindowSec)
-	d.Bool(c.NoWorkingSetScale)
-	d.Bool(c.Verify)
-	d.FaultConfig(c.Fault)
-	return d.Sum()
-}
+// Digest fingerprints every behavioral field of the config.
+func (c MemLinkConfig) Digest() Digest { return DigestOf(c) }
+
+// Digest fingerprints every behavioral field of the config.
+func (c MultiChipConfig) Digest() Digest { return DigestOf(c) }
+
+// Digest fingerprints every behavioral field of the config.
+func (c TimingConfig) Digest() Digest { return DigestOf(c) }

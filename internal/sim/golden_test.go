@@ -67,7 +67,7 @@ func TestGoldenDrivers(t *testing.T) {
 		memlink("tagptr", v, func(c *MemLinkConfig) { c.Chip.TagPointers = true })
 	}
 	memlink("bdi", golden.Variants[0], func(c *MemLinkConfig) {
-		c.Chip.EnableCable, c.Chip.Scheme = false, "bdi"
+		c.Chip.Scheme = "bdi"
 	})
 
 	for _, v := range golden.Variants {

@@ -34,17 +34,17 @@ type MemLinkConfig struct {
 	// in the smallest form that compiles only because the frozen
 	// benchmark/ sets it. Nothing else may read or set it; ROADMAP item
 	// 5's [benchmark] PR drops it with the rung that does.
-	Trace *struct{}
+	Trace *struct{} `digest:"-"`
 	// Metrics, when non-nil, scopes the whole simulation's obs
 	// counters (chip, links, meters, workload generators) to a private
 	// registry. The cell memo runs memoized simulations this way and
 	// merges the captured delta into the default registry per request.
 	// Never affects simulated results; excluded from content digests.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `digest:"-"`
 	// Recorder, when non-nil, attaches a virtual-time flight recorder
 	// to the chip (see ChipConfig.Recorder). Observation-only; excluded
 	// from content digests.
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder `digest:"-"`
 	// Workload, when non-nil, replaces Benchmarks with a declarative
 	// multi-client mix (internal/workload/spec): arrival-process
 	// scheduled clients instead of the fixed round-robin interleave.
@@ -52,7 +52,7 @@ type MemLinkConfig struct {
 	// Replay, when non-empty, feeds recorded captures instead of live
 	// generators: one per program slot for plain captures, or —
 	// combined with Workload — one per client as written by
-	// spec.RecordClients. Behavioral, so folded into the digest.
+	// spec.RecordClients. Behavioral: the digest covers every record.
 	Replay []*trace.Trace
 }
 
@@ -176,7 +176,6 @@ func newFeed(cfg MemLinkConfig) (accessFeed, int, error) {
 // newSlotSource resolves program slot's access source and label: a live
 // generator for benchmark, or a replay capture (mutually exclusive)
 // holding at least need records, placed in the slot's address space.
-// The single-program drivers (multichip, noninclusive) use slot 0.
 func newSlotSource(benchmark string, replay *trace.Trace, slot, need int, reg *obs.Registry) (workload.Source, string, error) {
 	base := uint64(slot) * programSpacing
 	if replay == nil {
@@ -185,9 +184,6 @@ func newSlotSource(benchmark string, replay *trace.Trace, slot, need int, reg *o
 			return nil, "", err
 		}
 		return workload.AsSource(gen), benchmark, nil
-	}
-	if benchmark != "" {
-		return nil, "", fmt.Errorf("sim: Benchmark and Replay are mutually exclusive")
 	}
 	src, err := replay.Source(base, reg)
 	if err != nil {

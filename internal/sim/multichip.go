@@ -11,7 +11,7 @@ import (
 	"cable/internal/mem"
 	"cable/internal/obs"
 	"cable/internal/stats"
-	"cable/internal/trace"
+	"cable/internal/workload"
 )
 
 // MultiChipConfig drives the coherence-link study (§V-B, Fig 13): a
@@ -54,11 +54,7 @@ type MultiChipConfig struct {
 	// Recorder, when non-nil, attaches a virtual-time flight recorder:
 	// every access ticks it and each node-pair link feeds its own
 	// "link<h>" track. Observation-only; excluded from content digests.
-	Recorder *obs.Recorder
-	// Replay, when non-nil, feeds a recorded capture instead of the
-	// live Benchmark generator (mutually exclusive with Benchmark).
-	// Behavioral, so folded into the digest.
-	Replay *trace.Trace
+	Recorder *obs.Recorder `digest:"-"`
 }
 
 // DefaultMultiChipConfig is the paper's 4-node setup.
@@ -129,11 +125,11 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	src, _, err := newSlotSource(cfg.Benchmark, cfg.Replay, 0, cfg.Accesses, nil)
+	gen, err := workload.New(cfg.Benchmark, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	store := mem.NewStore(64, src.LineData)
+	store := mem.NewStore(64, gen.LineData)
 	home := func(addr uint64) int { return int((addr / cfg.PageLines) % uint64(cfg.Nodes)) }
 
 	reqLLC := cache.New(cache.Config{Name: "llc0", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
@@ -210,10 +206,7 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		if rec != nil {
 			rec.Tick()
 		}
-		a, err := src.Next()
-		if err != nil {
-			return nil, fmt.Errorf("sim: access %d: %w", i, err)
-		}
+		a := gen.Next()
 		h := home(a.LineAddr)
 		if line, id, ok := reqLLC.Access(a.LineAddr); ok {
 			if a.Write && line.State == cache.Shared {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"cable/internal/cache"
 	"cable/internal/core"
 	"cable/internal/fault"
@@ -10,7 +8,7 @@ import (
 	"cable/internal/mem"
 	"cable/internal/obs"
 	"cable/internal/stats"
-	"cable/internal/trace"
+	"cable/internal/workload"
 )
 
 // NonInclusiveConfig drives the §IV-C extension: a Haswell-EP-style
@@ -44,12 +42,8 @@ type NonInclusiveConfig struct {
 	Fault fault.Config
 	// Recorder, when non-nil, attaches a virtual-time flight recorder:
 	// every access ticks it and the link feeds a "cable" track.
-	// Observation-only; excluded from content digests.
+	// Observation-only.
 	Recorder *obs.Recorder
-	// Replay, when non-nil, feeds a recorded capture instead of the
-	// live Benchmark generator (mutually exclusive with Benchmark).
-	// Behavioral, so folded into the digest.
-	Replay *trace.Trace
 }
 
 // DefaultNonInclusiveConfig mirrors the memory-link setup with a
@@ -88,11 +82,11 @@ type NonInclusiveResult struct {
 
 // RunNonInclusive executes the non-inclusive simulation.
 func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
-	src, _, err := newSlotSource(cfg.Benchmark, cfg.Replay, 0, cfg.Accesses, nil)
+	gen, err := workload.New(cfg.Benchmark, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	store := mem.NewStore(64, src.LineData)
+	store := mem.NewStore(64, gen.LineData)
 	remote := cache.New(cache.Config{Name: "ca", SizeBytes: cfg.RemoteBytes, Ways: cfg.RemoteWays, LineSize: 64})
 	home := cache.New(cache.Config{Name: "ha", SizeBytes: cfg.HomeBytes, Ways: cfg.HomeWays, LineSize: 64})
 	rec := cfg.Recorder
@@ -110,10 +104,7 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 		if rec != nil {
 			rec.Tick()
 		}
-		a, err := src.Next()
-		if err != nil {
-			return nil, fmt.Errorf("sim: access %d: %w", i, err)
-		}
+		a := gen.Next()
 		if line, id, ok := remote.Access(a.LineAddr); ok {
 			if a.Write {
 				if line.State == cache.Shared {

@@ -19,16 +19,15 @@ import (
 // scales with Threads/TotalThreads, so one simulated group represents
 // the whole statistically-identical system.
 type TimingConfig struct {
-	Scheme     string // "none", "bdi", "cpack", "cpack128", "lbe256", "gzip", "cable"
-	Benchmark  string
-	Threads    int // simulated group size (8 in the paper)
-	TotalTh    int // system thread count (256..2048)
+	Scheme    string // "none", "bdi", "cpack", "cpack128", "lbe256", "gzip", "cable"
+	Benchmark string
+	Threads   int // simulated group size (8 in the paper)
+	TotalTh   int // system thread count (256..2048)
+	// InstrPerTh is each thread's measured instruction budget. As many
+	// instructions first run functionally (caches and CABLE structures
+	// fill, no timing), mirroring the paper's 100M-instruction SimPoint
+	// warm-up.
 	InstrPerTh uint64
-	// WarmupPerTh instructions run functionally (caches and CABLE
-	// structures fill, no timing) before measurement starts, mirroring
-	// the paper's 100M-instruction SimPoint warm-up. Defaults to
-	// InstrPerTh when zero; set negative semantics are not supported.
-	WarmupPerTh uint64
 
 	CoreHz       float64 // 2 GHz in-order, 1 CPI non-memory
 	Private      PrivateConfig
@@ -57,12 +56,6 @@ type TimingConfig struct {
 	// 1 ms). Scaled-down runs that simulate less wall time may lower
 	// it proportionally.
 	SampleWindowSec float64
-	// NoWorkingSetScale disables fitting each benchmark's working set
-	// to the simulated cache scale. By default working sets are capped
-	// at ¾ of the L4 share, preserving the paper's regime where the
-	// L4 absorbs most post-LLC misses and the off-chip link — not
-	// DRAM — is the bottleneck.
-	NoWorkingSetScale bool
 	// Verify keeps bit-exact payload checking on.
 	Verify bool
 	// Fault configures deterministic corruption of the CABLE wire
@@ -72,12 +65,12 @@ type TimingConfig struct {
 	// Metrics, when non-nil, scopes the simulation's obs counters to a
 	// private registry (see MemLinkConfig.Metrics). Never affects
 	// simulated results; excluded from content digests.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `digest:"-"`
 	// Recorder, when non-nil, attaches a virtual-time flight recorder
 	// to the underlying chip (warm-up accesses tick it too — the clock
 	// stays a pure function of the access stream). Observation-only;
 	// excluded from content digests.
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder `digest:"-"`
 }
 
 // DefaultTimingConfig returns the Table IV system for one benchmark.
@@ -177,15 +170,17 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.NoWorkingSetScale {
-		l4Lines := cfg.LLCPerThread * cfg.L4Ratio / 64
-		if cap := l4Lines * 3 / 4; spec.WorkingSetLines > cap {
-			spec.WorkingSetLines = cap
-		}
-		llcLines := cfg.LLCPerThread / 64
-		if cap := llcLines / 2; spec.HotLines > cap && cap > 0 {
-			spec.HotLines = cap
-		}
+	// Fit the working set to the simulated cache scale: at most ¾ of the
+	// L4 share, preserving the paper's regime where the L4 absorbs most
+	// post-LLC misses and the off-chip link — not DRAM — is the
+	// bottleneck.
+	l4Lines := cfg.LLCPerThread * cfg.L4Ratio / 64
+	if cap := l4Lines * 3 / 4; spec.WorkingSetLines > cap {
+		spec.WorkingSetLines = cap
+	}
+	llcLines := cfg.LLCPerThread / 64
+	if cap := llcLines / 2; spec.HotLines > cap && cap > 0 {
+		spec.HotLines = cap
 	}
 	gens := make([]*workload.Generator, cfg.Threads)
 	for i := range gens {
@@ -226,13 +221,9 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 	// Functional warm-up: fill the private levels, shared hierarchy
 	// and CABLE structures so measurement excludes compulsory cold
 	// misses (the paper warms 100M instructions per SimPoint).
-	warm := cfg.WarmupPerTh
-	if warm == 0 {
-		warm = cfg.InstrPerTh
-	}
 	for _, th := range allThreads {
 		var instr uint64
-		for instr < warm {
+		for instr < cfg.InstrPerTh {
 			a := th.gen.Next()
 			instr += uint64(a.Gap) + 1
 			if lvl := th.priv.lookup(a.LineAddr); lvl == 0 || a.Write {

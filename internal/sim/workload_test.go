@@ -181,27 +181,6 @@ func TestMemLinkReplayTooShort(t *testing.T) {
 	}
 }
 
-// TestMultiChipReplayMatchesLive replays a capture through the
-// coherence-link driver.
-func TestMultiChipReplayMatchesLive(t *testing.T) {
-	cfg := quickMultiChip("zeusmp")
-	cfg.Accesses = 8000
-	live, err := RunMultiChip(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayCfg := cfg
-	replayCfg.Benchmark = ""
-	replayCfg.Replay = recordBench(t, "zeusmp", 0, cfg.Accesses)
-	replay, err := RunMultiChip(replayCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replay) {
-		t.Fatal("multichip replay diverged from the live generator")
-	}
-}
-
 // TestWorkloadDigestsDistinct pins the memo-aliasing contract: spec,
 // replay and benchmark runs of otherwise-identical configs key
 // different memo cells, and distinct specs/captures never collide.

@@ -51,9 +51,10 @@ const (
 	ShapeStar = "star"
 )
 
-// Config drives one topology simulation. Every field except Metrics,
-// Recorder and Parallelism is behavioral (folded into Digest);
-// Parallelism only partitions work and cannot change any output bit.
+// Config drives one topology simulation. Every field except the ones
+// tagged `digest:"-"` (Metrics, Recorder, Parallelism) is behavioral
+// and folded into Digest; Parallelism only partitions work and cannot
+// change any output bit.
 type Config struct {
 	// Shape is the interconnect: ShapeRing, ShapeMesh (2D, XY routing,
 	// most-square factoring of Chips) or ShapeStar (hub is chip 0).
@@ -107,13 +108,13 @@ type Config struct {
 	// Parallelism bounds the pass-2 worker pool (0 ⇒ GOMAXPROCS).
 	// Observation-only for results: outputs are bit-identical at any
 	// setting.
-	Parallelism int
+	Parallelism int `digest:"-"`
 	// Metrics scopes obs counters (nil ⇒ process default registry).
-	Metrics *obs.Registry
+	Metrics *obs.Registry `digest:"-"`
 	// Recorder, when non-nil, attaches a flight recorder with one
 	// track per directed link, fed at explicit virtual times during
 	// the serial replay pass. Observation-only.
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder `digest:"-"`
 	// Workload, when non-nil, replaces Benchmark: every chip runs the
 	// declarative multi-client mix (variant-decorated per chip, so the
 	// chips' streams decorrelate while content stays a pure address
@@ -205,39 +206,9 @@ func (c Config) Validate() error {
 }
 
 // Digest fingerprints every behavioral field with the sim package's
-// canonical digester, so topology cells share the experiments' memo
-// map with the other simulators without aliasing. Metrics, Recorder
-// and Parallelism are excluded (observation-only / partitioning-only).
-func (c Config) Digest() sim.Digest {
-	d := sim.NewDigester("topo/v1")
-	d.Str(c.Shape)
-	d.Int(c.Chips)
-	d.Str(c.Benchmark)
-	d.Int(c.Transfers)
-	d.U64(c.PageLines)
-	d.U64(c.Seed)
-	d.Int(c.MeanGap)
-	d.Int(c.EncodeCycles)
-	d.Int(c.HopCycles)
-	d.Int(c.HomeBytes)
-	d.Int(c.HomeWays)
-	d.Int(c.RemoteBytes)
-	d.Int(c.RemoteWays)
-	d.LinkConfig(c.Link)
-	d.CoreConfig(c.Cable)
-	d.Bool(c.Verify)
-	// The per-link seed derivation (linkFaultConfig) is part of the
-	// format; folding the base config covers it.
-	d.FaultConfig(c.Fault)
-	// Workload and Replay change the access schedule, so they split
-	// memo cells: distinct specs (or captures) must never alias.
-	d.Bool(c.Workload != nil)
-	if c.Workload != nil {
-		c.Workload.Fold(d)
-	}
-	d.Replays(c.Replay...)
-	return d.Sum()
-}
+// canonical encoder, so topology cells share the experiments' memo map
+// with the other simulators without aliasing.
+func (c Config) Digest() sim.Digest { return sim.DigestOf(c) }
 
 // linkFaultConfig derives directed link li's injector configuration:
 // same rates, a per-link decorrelated seed.

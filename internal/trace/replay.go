@@ -7,7 +7,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 
@@ -19,12 +18,10 @@ import (
 // trace holds.
 var ErrExhausted = errors.New("trace: replay exhausted")
 
-// Trace is a fully loaded capture: header plus every record, with a
-// content digest for memo keys.
+// Trace is a fully loaded capture: header plus every record.
 type Trace struct {
 	Header   Header
 	Accesses []workload.Access
-	digest   [16]byte
 }
 
 // ReadAll loads a complete trace from r, validating the declared record
@@ -49,9 +46,7 @@ func ReadAll(r io.Reader) (*Trace, error) {
 		}
 		recs = append(recs, a)
 	}
-	t := &Trace{Header: h, Accesses: recs}
-	t.digest = t.computeDigest()
-	return t, nil
+	return &Trace{Header: h, Accesses: recs}, nil
 }
 
 // Load reads a trace file from disk.
@@ -66,50 +61,6 @@ func Load(path string) (*Trace, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
-}
-
-// Digest returns a 128-bit content digest over the header and every
-// record, for folding replayed traces into config digest chains:
-// distinct captures never alias memo cells.
-func (t *Trace) Digest() [16]byte { return t.digest }
-
-func (t *Trace) computeDigest() [16]byte {
-	h := fnv.New128a()
-	var buf [13]byte
-	io.WriteString(h, "cbltrace/v1\x00")
-	io.WriteString(h, t.Header.Benchmark)
-	h.Write([]byte{0})
-	putU32(buf[:], t.Header.Instance)
-	h.Write(buf[:4])
-	putU64(buf[:], t.Header.AddrBase)
-	h.Write(buf[:8])
-	putU64(buf[:], uint64(len(t.Accesses)))
-	h.Write(buf[:8])
-	for _, a := range t.Accesses {
-		putU64(buf[:], a.LineAddr)
-		putU32(buf[8:], uint32(a.Gap))
-		buf[12] = 0
-		if a.Write {
-			buf[12] = 1
-		}
-		h.Write(buf[:13])
-	}
-	var d [16]byte
-	h.Sum(d[:0])
-	return d
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // Source replays a trace as a workload.Source: the access stream comes

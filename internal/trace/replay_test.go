@@ -57,40 +57,6 @@ func TestReadAllAndSourceRebase(t *testing.T) {
 	}
 }
 
-// TestTraceDigestDistinct pins digest behavior: loading the same bytes
-// twice gives the same digest, and any change — one record, or only a
-// header field — gives a different one (distinct captures never alias
-// memo cells).
-func TestTraceDigestDistinct(t *testing.T) {
-	mk := func(instance uint32, gap int) *Trace {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, Header{Benchmark: "gcc", Instance: instance, Records: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Write(workload.Access{LineAddr: 1, Gap: 1})
-		w.Write(workload.Access{LineAddr: 2, Gap: gap})
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := ReadAll(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	a1, a2 := mk(0, 7), mk(0, 7)
-	if a1.Digest() != a2.Digest() {
-		t.Fatal("identical captures must share a digest")
-	}
-	if a1.Digest() == mk(0, 8).Digest() {
-		t.Fatal("a record change must change the digest")
-	}
-	if a1.Digest() == mk(1, 7).Digest() {
-		t.Fatal("a header change must change the digest")
-	}
-}
-
 // TestSourceUnknownBenchmark: replay needs the content model, so a
 // header naming an unknown benchmark must fail Source construction.
 func TestSourceUnknownBenchmark(t *testing.T) {

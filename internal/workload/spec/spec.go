@@ -392,58 +392,3 @@ func (w *Workload) ClientIDs() []string {
 	}
 	return ids
 }
-
-// Folder is the digest sink Fold writes to; cable's config digesters
-// satisfy it without this package importing them.
-type Folder interface {
-	Str(s string)
-	Int(v int)
-	U64(v uint64)
-	F64(v float64)
-	Bool(v bool)
-}
-
-// Fold writes a canonical encoding of the spec into f, so distinct
-// specs never alias config-digest memo cells. Every semantic field is
-// folded; compiled state is derived deterministically from them.
-func (w *Workload) Fold(f Folder) {
-	f.Str("wspec/v1")
-	f.Int(w.Version)
-	f.Str(w.Name)
-	f.U64(w.Seed)
-	f.Int(w.MeanGap)
-	f.Int(len(w.Clients))
-	for i := range w.Clients {
-		c := &w.Clients[i]
-		f.Str(c.ID)
-		f.F64(w.rates[i])
-		f.Str(c.Arrival.Process)
-		f.F64(c.Arrival.CV)
-		f.F64(c.Arrival.Shape)
-		f.Int(len(w.resolved[i]))
-		for p, s := range w.resolved[i] {
-			if p > 0 {
-				f.F64(c.Phases[p-1].At)
-			}
-			foldSpec(f, s)
-		}
-	}
-}
-
-func foldSpec(f Folder, s workload.Spec) {
-	f.Str(s.Name)
-	f.Int(int(s.Model))
-	f.F64(s.ZeroFrac)
-	f.F64(s.ProtoFrac)
-	f.Int(s.ProtoCount)
-	f.Int(s.MutateWords)
-	f.F64(s.ByteShiftFrac)
-	f.Int(s.ObjLines)
-	f.Int(s.WorkingSetLines)
-	f.Int(s.HotLines)
-	f.F64(s.HotFrac)
-	f.F64(s.StreamFrac)
-	f.F64(s.WriteFrac)
-	f.Int(s.PhaseLen)
-	f.Bool(s.ZeroDominant)
-}

@@ -298,61 +298,6 @@ func TestReplayMismatch(t *testing.T) {
 	}
 }
 
-// TestFoldDistinguishesSpecs: the digest folding must separate specs
-// differing in any semantic field.
-func TestFoldDistinguishesSpecs(t *testing.T) {
-	base := mustParse(t, exampleJSON)
-	variants := []string{
-		`{"version": 1, "name": "test-mix", "seed": 8, "mean_gap": 50, "clients": [
-		  {"id": "a", "rate_fraction": 0.7, "arrival": {"process": "poisson"}, "content": {"base": "gcc"},
-		   "phases": [{"at": 0.5, "content": {"base": "omnetpp", "working_set_lines": 4096, "hot_lines": 512}}]},
-		  {"id": "b", "rate_fraction": 0.3, "arrival": {"process": "gamma", "cv": 3}, "content": {"base": "mcf", "stream_frac": 0.5}}]}`,
-		`{"version": 1, "name": "test-mix", "seed": 7, "mean_gap": 50, "clients": [
-		  {"id": "a", "rate_fraction": 0.7, "arrival": {"process": "poisson"}, "content": {"base": "gcc"},
-		   "phases": [{"at": 0.6, "content": {"base": "omnetpp", "working_set_lines": 4096, "hot_lines": 512}}]},
-		  {"id": "b", "rate_fraction": 0.3, "arrival": {"process": "gamma", "cv": 3}, "content": {"base": "mcf", "stream_frac": 0.5}}]}`,
-		`{"version": 1, "name": "test-mix", "seed": 7, "mean_gap": 50, "clients": [
-		  {"id": "a", "rate_fraction": 0.7, "arrival": {"process": "poisson"}, "content": {"base": "gcc"},
-		   "phases": [{"at": 0.5, "content": {"base": "omnetpp", "working_set_lines": 4096, "hot_lines": 512}}]},
-		  {"id": "b", "rate_fraction": 0.3, "arrival": {"process": "gamma", "cv": 2}, "content": {"base": "mcf", "stream_frac": 0.5}}]}`,
-	}
-	baseFold := foldString(base)
-	if baseFold != foldString(mustParse(t, exampleJSON)) {
-		t.Fatal("identical specs folded differently")
-	}
-	for i, src := range variants {
-		if foldString(mustParse(t, src)) == baseFold {
-			t.Errorf("variant %d folded identically to base", i)
-		}
-	}
-}
-
-type recordingFolder struct{ buf bytes.Buffer }
-
-func (r *recordingFolder) Str(s string) { r.buf.WriteString("s:" + s + ";") }
-func (r *recordingFolder) Int(v int)    { writeInt(&r.buf, int64(v)) }
-func (r *recordingFolder) U64(v uint64) { writeInt(&r.buf, int64(v)) }
-func (r *recordingFolder) F64(v float64) {
-	r.buf.WriteString("f:")
-	writeInt(&r.buf, int64(math.Float64bits(v)))
-}
-func (r *recordingFolder) Bool(v bool) { r.buf.WriteString(map[bool]string{true: "T", false: "F"}[v]) }
-
-func writeInt(b *bytes.Buffer, v int64) {
-	var tmp [8]byte
-	for i := range tmp {
-		tmp[i] = byte(v >> (8 * i))
-	}
-	b.Write(tmp[:])
-	b.WriteByte(';')
-}
-
-func foldString(w *Workload) string {
-	var r recordingFolder
-	w.Fold(&r)
-	return r.buf.String()
-}
-
 type nopCloser struct{ io.Writer }
 
 func (nopCloser) Close() error { return nil }
