@@ -90,7 +90,9 @@ type BatchFill = core.BatchFill
 type FillLatency = core.FillLatency
 
 // Engine is a pluggable per-line compression algorithm; CABLE is a
-// framework and delegates the actual DIFF coding to one of these.
+// framework and delegates the actual DIFF coding to one of these. Each
+// engine is one encoder body (CompressScratch) and one decoder body
+// (DecompressFrom); Compress and Decompress drive them on one line.
 type Engine = compress.Engine
 
 // LinkConfig describes the physical link (width, frequency, packing).
@@ -132,8 +134,18 @@ func NewLink(cfg Config, home, remote *Cache) (*HomeEnd, *RemoteEnd, error) {
 func NewEngine(name string) (Engine, error) { return compress.NewEngine(name) }
 
 // Engines lists the built-in engine names.
-func Engines() []string {
-	return []string{"bdi", "cpack", "cpack128", "fpc", "lbe", "lbe256", "zero", "oracle", "gzip-seeded"}
+func Engines() []string { return compress.EngineNames() }
+
+// Compress encodes line with e; refs, if non-empty, seed the engine's
+// dictionary. The result owns its bits, and no link's compress.*
+// counters move.
+func Compress(e Engine, line []byte, refs [][]byte) compress.Encoded {
+	return e.CompressScratch(new(compress.Scratch), line, refs)
+}
+
+// Decompress inverts Compress given the same refs and the line size.
+func Decompress(e Engine, enc compress.Encoded, refs [][]byte, lineSize int) ([]byte, error) {
+	return compress.DecompressWith(e, nil, enc, refs, lineSize)
 }
 
 // Benchmarks lists the synthetic SPEC2006 workload models.

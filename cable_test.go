@@ -85,8 +85,8 @@ func TestEnginesRegistry(t *testing.T) {
 		}
 		line := make([]byte, 64)
 		line[7] = 0xAB
-		enc := e.Compress(line, nil)
-		got, err := e.Decompress(enc, nil, 64)
+		enc := cable.Compress(e, line, nil)
+		got, err := cable.Decompress(e, enc, nil, 64)
 		if err != nil || !bytes.Equal(got, line) {
 			t.Fatalf("%s: round trip failed: %v", name, err)
 		}

@@ -5,7 +5,8 @@
 # metrics registry, the generators and the cell memo, fault injection),
 # the un-raced per-cell allocation byte budgets, fuzz smokes (payload
 # faults, bit-IO parity, the LZSS window index and the LBE dictionary
-# index against their retained scans, the eviction-buffer ring against
+# index against their retained scans, every engine's round trip and
+# every decoder on arbitrary bits, the eviction-buffer ring against
 # its retained map, the calendar event queue against its retained heap,
 # seeded sources, workload specs, codec frames), the CLI
 # determinism comparisons (fig12 under faults, the flight recorder's
@@ -97,6 +98,13 @@ echo "== LBE dictionary-index parity fuzz smoke"
 # references, zero-heavy lines among them, at three dictionary sizes —
 # every line's bits must be identical and decode back.
 go test -run=NOTHING -fuzz=FuzzLBEIndexParity -fuzztime=10s ./internal/compress
+
+echo "== engine round-trip and decoder-robustness fuzz smokes"
+# Every engine of the test list on arbitrary lines and references: a valid
+# stream must decode back to its line and stop on its last bit; arbitrary
+# bits fed to any decoder must surface as an error, never a panic.
+go test -run=NOTHING -fuzz=FuzzEngineRoundTrip -fuzztime=10s ./internal/compress
+go test -run=NOTHING -fuzz=FuzzDecoderRobustness -fuzztime=10s ./internal/compress
 
 echo "== eviction-buffer ring parity fuzz smoke"
 # Differential fuzz of the §IV-A eviction buffer's recycled ring against

@@ -160,6 +160,7 @@ func profileBench(bench string, n int) error {
 	var zeroLines, trivialWords, totalWords int
 	sigOwners := map[sig.Signature]int{}
 	encBits := make([]uint64, len(engines))
+	var scr compress.Scratch
 	for i := 0; i < n; i++ {
 		a := gen.Next()
 		line := gen.LineData(a.LineAddr)
@@ -173,7 +174,7 @@ func profileBench(bench string, n int) error {
 			sigOwners[s]++
 		}
 		for e, eng := range engines {
-			encBits[e] += uint64(eng.Compress(line, nil).NBits)
+			encBits[e] += uint64(eng.CompressScratch(&scr, line, nil).NBits)
 		}
 	}
 	shared := 0

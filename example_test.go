@@ -46,8 +46,8 @@ func ExampleNewLink() {
 func ExampleNewEngine() {
 	e, _ := cable.NewEngine("lbe")
 	zero := make([]byte, 64)
-	enc := e.Compress(zero, nil)
-	dec, _ := e.Decompress(enc, nil, 64)
+	enc := cable.Compress(e, zero, nil)
+	dec, _ := cable.Decompress(e, enc, nil, 64)
 	fmt.Printf("%d bits, lossless=%v\n", enc.NBits, string(dec) == string(zero))
 	// Output:
 	// 6 bits, lossless=true

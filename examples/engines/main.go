@@ -37,9 +37,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bare := e.Compress(line, nil)
-		seeded := e.Compress(line, [][]byte{ref})
-		dec, err := e.Decompress(seeded, [][]byte{ref}, 64)
+		bare := cable.Compress(e, line, nil)
+		seeded := cable.Compress(e, line, [][]byte{ref})
+		dec, err := cable.Decompress(e, seeded, [][]byte{ref}, 64)
 		if err != nil || !bytes.Equal(dec, line) {
 			log.Fatalf("%s: round trip broken: %v", name, err)
 		}

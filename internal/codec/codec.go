@@ -128,7 +128,8 @@ type Options struct {
 	// dictionaries keep references alive longer; both sides allocate
 	// this much.
 	DictBytes int
-	// DictWays is the dictionary associativity (default 8).
+	// DictWays is the dictionary associativity (default 8, at most 255:
+	// the header stores it in one byte).
 	DictWays int
 	// Engine names the delegated per-line compression engine
 	// (default "lbe").
@@ -172,6 +173,9 @@ func (o Options) normalize() (Options, error) {
 	}
 	if len(o.Engine) > maxEngName {
 		return o, fmt.Errorf("codec: engine name %q longer than %d bytes", o.Engine, maxEngName)
+	}
+	if o.DictWays > 0xFF {
+		return o, fmt.Errorf("codec: %d dictionary ways do not fit the header's one-byte ways field", o.DictWays)
 	}
 	cfg := dictConfig(o.DictBytes, o.DictWays, o.LineSize)
 	if err := cfg.Validate(); err != nil {

@@ -761,6 +761,23 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestDictWaysFitHeader: the header stores the ways in one byte, so 255
+// is the most a stream can describe. 256 and 257 would be written as 0
+// and 1, and the decoder would reject the stream or misread its frames.
+func TestDictWaysFitHeader(t *testing.T) {
+	for _, ways := range []int{256, 257} {
+		o := Options{DictWays: ways, DictBytes: ways * 64 * 4}
+		if _, err := NewEncoder(io.Discard, o); err == nil || !strings.Contains(err.Error(), "ways field") {
+			t.Fatalf("%d ways: got %v, want the header-field error", ways, err)
+		}
+	}
+	in := testPayload(64<<10, 255)
+	wire := encodeAll(t, in, Options{DictWays: 255, DictBytes: 255 * 64 * 4}, 4096)
+	if got := decodeAll(t, wire, 4096); !bytes.Equal(got, in) {
+		t.Fatal("255-way round trip mismatch")
+	}
+}
+
 // countWriter counts bytes without retaining them.
 type countWriter struct{ n int }
 

@@ -119,16 +119,9 @@ func (l bdiLayout) sizeBits(lineBytes int) int {
 	return bdiTagBits + l.base*8 + lineBytes/l.base*(1+l.delta*8)
 }
 
-// Compress implements Engine. BDI has no dictionary; refs are ignored.
-func (b *BDI) Compress(line []byte, refs [][]byte) Encoded {
-	// The throwaway scratch dies here, so the result owns its bits.
-	var s Scratch
-	return b.CompressScratch(&s, line, refs)
-}
-
-// CompressScratch implements ScratchEngine: a handful of compares and
+// CompressScratch implements Engine: a handful of compares and
 // subtractions per layout straight off the line bytes, no value or mask
-// buffers. The returned Encoded aliases s.
+// buffers. BDI has no dictionary; refs are ignored.
 func (*BDI) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
 	w := &s.w
 	w.Reset()
@@ -181,11 +174,6 @@ func deltaMask(bytes int) uint64 {
 		return ^uint64(0)
 	}
 	return (1 << uint(bytes*8)) - 1
-}
-
-// Decompress implements Engine.
-func (b *BDI) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	return DecompressWith(b, nil, enc, refs, lineSize)
 }
 
 // DecompressFrom implements Engine: the result bytes live in s, so

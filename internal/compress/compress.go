@@ -3,9 +3,10 @@
 // algorithm") and the baseline link compressors the paper evaluates
 // against: CPACK, CPACK128, BDI, LBE256 and a gzip-class streaming LZSS.
 //
-// Every engine is bit-exact: Decompress(Compress(line)) == line, and
-// encoded sizes are counted in bits because the paper's ratios and link
-// flit quantization depend on exact payload bits.
+// Every engine is one encoder body (CompressScratch) and one decoder body
+// (DecompressFrom), bit-exact: the decoder returns the line the encoder
+// was given. Encoded sizes are counted in bits because the paper's
+// ratios and link flit quantization depend on exact payload bits.
 package compress
 
 import (
@@ -31,12 +32,11 @@ func (e Encoded) Reader() *bits.Reader { return bits.NewReader(e.Data, e.NBits) 
 type Engine interface {
 	// Name identifies the engine in reports ("cpack", "lbe", ...).
 	Name() string
-	// Compress encodes line. refs, if non-empty, seed the engine's
-	// dictionary; both sides of the link must pass identical refs.
-	Compress(line []byte, refs [][]byte) Encoded
-	// Decompress inverts Compress given the same refs and the
-	// original line size.
-	Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error)
+	// CompressScratch is the engine's one encoder body: it encodes line
+	// into s's buffers, and the result aliases s. refs, if non-empty,
+	// seed the engine's dictionary; both sides of the link must pass
+	// identical refs.
+	CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded
 	// DecompressFrom is the engine's one decoder body: it decodes a line
 	// from r's current position, reusing s's buffers, and leaves r just
 	// after the last bit it used. Every code table is self-delimiting
@@ -45,11 +45,48 @@ type Engine interface {
 	DecompressFrom(s *DecScratch, r *bits.Reader, refs [][]byte, lineSize int) ([]byte, error)
 }
 
-// Scratch holds the reusable buffers of the allocation-free compression
-// path. One Scratch belongs to one caller (a link end, a meter); it
-// must not be shared across goroutines. The Encoded returned by
-// CompressWith aliases the Scratch and is valid until the next call
-// with the same Scratch.
+// engineTable is the one list of engines by the names the paper's
+// figures use, including the CABLE-seeded variants. Each engine is built
+// under its own name; "lbe" and "lbe256" are the same 256-byte LBE.
+var engineTable = [...]struct {
+	name  string
+	build func(name string) Engine
+}{
+	{"bdi", func(string) Engine { return NewBDI() }},
+	{"cpack", func(n string) Engine { return NewCPack(n, 64) }},
+	{"cpack128", func(n string) Engine { return NewCPack(n, 128) }},
+	{"fpc", func(string) Engine { return NewFPC() }},
+	{"lbe", func(n string) Engine { return NewLBE(n, 256) }},
+	{"lbe256", func(n string) Engine { return NewLBE(n, 256) }},
+	{"zero", func(string) Engine { return NewZero() }},
+	{"oracle", func(string) Engine { return NewOracle() }},
+	{"gzip-seeded", func(n string) Engine { return NewSeededLZSS(n, 32<<10) }},
+}
+
+// EngineNames lists every name NewEngine builds, in table order.
+func EngineNames() []string {
+	names := make([]string, len(engineTable))
+	for i, t := range engineTable {
+		names[i] = t.name
+	}
+	return names
+}
+
+// NewEngine builds an engine by name; it errors on unknown names.
+func NewEngine(name string) (Engine, error) {
+	for _, t := range engineTable {
+		if t.name == name {
+			return t.build(name), nil
+		}
+	}
+	return nil, fmt.Errorf("compress: unknown engine %q", name)
+}
+
+// Scratch holds the reusable buffers of the compression path. One
+// Scratch belongs to one caller (a link end, a meter); it must not be
+// shared across goroutines. The Encoded returned by CompressScratch and
+// CompressWith aliases the Scratch and is valid until the next call with
+// the same Scratch.
 type Scratch struct {
 	w    bits.Writer
 	dict []uint32
@@ -70,20 +107,14 @@ func (s *Scratch) UseRegistry(reg *obs.Registry) {
 	s.mx = newCompressCounters(reg)
 }
 
-// ScratchEngine is implemented by engines offering an allocation-free
-// compression path into caller-owned scratch space.
-type ScratchEngine interface {
-	Engine
-	// CompressScratch behaves like Compress but reuses s's buffers;
-	// the result aliases s.
-	CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded
-}
-
-// CompressWith compresses via the engine's scratch path when it offers
-// one, falling back to the allocating Compress. Passing a nil Scratch
-// always falls back. It is a BatchCompressor of one line: engine
-// dispatch and counter publication live in batch.go only.
+// CompressWith is a BatchCompressor of one line: it compresses through
+// e.CompressScratch and publishes the compress.* counters. A nil Scratch
+// gets a throwaway one, as in DecompressWith: the result is then uniquely
+// owned because the scratch dies with the call.
 func CompressWith(e Engine, s *Scratch, line []byte, refs [][]byte) Encoded {
+	if s == nil {
+		s = new(Scratch)
+	}
 	b := NewBatchCompressor(e, s)
 	enc := b.Compress(line, refs)
 	b.Flush()
@@ -112,8 +143,8 @@ func (s *DecScratch) result(out []uint32) []byte {
 
 // DecompressWith decodes enc through e.DecompressFrom with s's reader
 // bounded to enc, so the result aliases s. A nil DecScratch gets a
-// throwaway one, which is every engine's Decompress: the result is then
-// uniquely owned because the scratch dies with the call.
+// throwaway one: the result is then uniquely owned because the scratch
+// dies with the call.
 func DecompressWith(e Engine, s *DecScratch, enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
 	if s == nil {
 		s = new(DecScratch)

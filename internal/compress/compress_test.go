@@ -82,8 +82,8 @@ func TestEnginesRoundTrip(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				line := lineGen(rng)
 				refs := refGen(rng, line)
-				enc := e.Compress(line, refs)
-				got, err := e.Decompress(enc, refs, lineSize)
+				enc := CompressWith(e, nil, line, refs)
+				got, err := DecompressWith(e, nil, enc, refs, lineSize)
 				if err != nil {
 					t.Fatalf("iter %d: decompress: %v", i, err)
 				}
@@ -97,15 +97,15 @@ func TestEnginesRoundTrip(t *testing.T) {
 
 // requireSelfDelimiting checks DecompressFrom's contract on one line:
 // out of a reader holding e's stream at an odd bit offset with random
-// bits after it, it returns Decompress's line and stops on the stream's
+// bits after it, it returns DecompressWith's line and stops on the stream's
 // last bit. The codec's frames rest on it — they pack payloads back to
 // back with no length between them.
 func requireSelfDelimiting(t *testing.T, e Engine, line []byte, refs [][]byte, junk uint64) {
 	t.Helper()
-	enc := e.Compress(line, refs)
-	want, err := e.Decompress(enc, refs, len(line))
+	enc := CompressWith(e, nil, line, refs)
+	want, err := DecompressWith(e, nil, enc, refs, len(line))
 	if err != nil {
-		t.Fatalf("%s: Decompress: %v", e.Name(), err)
+		t.Fatalf("%s: DecompressWith: %v", e.Name(), err)
 	}
 	lead := int(junk % 8)
 	var w bits.Writer
@@ -129,10 +129,10 @@ func requireSelfDelimiting(t *testing.T, e Engine, line []byte, refs [][]byte, j
 }
 
 // TestDecompressFromSelfDelimiting runs the contract over every engine
-// name NewEngine builds, on random, sparse and near-duplicate lines,
-// with and without references.
+// of the table, on random, sparse and near-duplicate lines, with and
+// without references.
 func TestDecompressFromSelfDelimiting(t *testing.T) {
-	for _, name := range []string{"bdi", "cpack", "cpack128", "lbe", "lbe256", "zero", "fpc", "oracle", "gzip-seeded"} {
+	for _, name := range EngineNames() {
 		e, err := NewEngine(name)
 		if err != nil {
 			t.Fatal(err)
@@ -158,8 +158,8 @@ func TestEnginesRoundTripQuick(t *testing.T) {
 			f := func(raw [lineSize]byte, seed int64) bool {
 				line := raw[:]
 				refs := refGen(rand.New(rand.NewSource(seed)), line)
-				enc := e.Compress(line, refs)
-				got, err := e.Decompress(enc, refs, lineSize)
+				enc := CompressWith(e, nil, line, refs)
+				got, err := DecompressWith(e, nil, enc, refs, lineSize)
 				return err == nil && bytes.Equal(got, line)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -172,7 +172,7 @@ func TestEnginesRoundTripQuick(t *testing.T) {
 func TestZeroLineIsTiny(t *testing.T) {
 	zeroLine := make([]byte, lineSize)
 	for _, e := range engines() {
-		enc := e.Compress(zeroLine, nil)
+		enc := CompressWith(e, nil, zeroLine, nil)
 		// LZSS pays 15-bit offsets per run code (a real gzip would
 		// Huffman-code these); everything else should reach 8x.
 		want := 8.0
@@ -190,7 +190,7 @@ func TestRandomLineExpandsBounded(t *testing.T) {
 	line := make([]byte, lineSize)
 	rng.Read(line)
 	for _, e := range engines() {
-		enc := e.Compress(line, nil)
+		enc := CompressWith(e, nil, line, nil)
 		// Worst-case expansion should stay modest (< 13% for the
 		// worst coder here, LZSS literals at 9/8 bits per byte).
 		if enc.NBits > lineSize*8*9/8+bdiTagBits {
@@ -212,8 +212,8 @@ func TestSeededEnginesExploitReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeded := e.Compress(line, [][]byte{ref}).NBits
-		bare := e.Compress(line, nil).NBits
+		seeded := CompressWith(e, nil, line, [][]byte{ref}).NBits
+		bare := CompressWith(e, nil, line, nil).NBits
 		if seeded >= bare {
 			t.Errorf("%s: seeded %d bits >= unseeded %d bits", name, seeded, bare)
 		}
@@ -231,8 +231,8 @@ func TestLBEAlignedBlockCopyBeatsCPack(t *testing.T) {
 	ref := make([]byte, lineSize)
 	rng.Read(ref)
 	line := append([]byte(nil), ref...)
-	lbe := NewLBE("lbe", 256).Compress(line, [][]byte{ref}).NBits
-	cp := NewCPack("cpack", 256).Compress(line, [][]byte{ref}).NBits
+	lbe := CompressWith(NewLBE("lbe", 256), nil, line, [][]byte{ref}).NBits
+	cp := CompressWith(NewCPack("cpack", 256), nil, line, [][]byte{ref}).NBits
 	if lbe >= cp {
 		t.Fatalf("LBE %d bits should beat CPack %d bits on exact copy", lbe, cp)
 	}
@@ -268,7 +268,7 @@ func TestLZSSStreamingRoundTrip(t *testing.T) {
 			line = lineGen(rng)
 		}
 		enc := c.Compress(line)
-		got, err := d.Decompress(enc, lineSize)
+		got, err := d.DecompressFrom(enc.Reader(), lineSize)
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
@@ -302,7 +302,7 @@ func TestLZSSWindowEviction(t *testing.T) {
 	rng.Read(marker)
 	push := func(line []byte) {
 		enc := c.Compress(line)
-		got, err := d.Decompress(enc, lineSize)
+		got, err := d.DecompressFrom(enc.Reader(), lineSize)
 		if err != nil || !bytes.Equal(got, line) {
 			t.Fatalf("desync after eviction: %v", err)
 		}
@@ -312,7 +312,7 @@ func TestLZSSWindowEviction(t *testing.T) {
 		push(lineGen(rng))
 	}
 	enc := c.Compress(marker)
-	got, err := d.Decompress(enc, lineSize)
+	got, err := d.DecompressFrom(enc.Reader(), lineSize)
 	if err != nil || !bytes.Equal(got, marker) {
 		t.Fatalf("marker after eviction: %v", err)
 	}
@@ -340,18 +340,21 @@ func TestNewEngineUnknown(t *testing.T) {
 	if _, err := NewEngine("nope"); err == nil {
 		t.Fatal("expected error for unknown engine")
 	}
-	for _, name := range []string{"bdi", "cpack", "cpack128", "lbe", "lbe256", "zero", "oracle", "gzip-seeded"} {
-		if _, err := NewEngine(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
 }
 
+// TestRegistryNamesMatch checks the engine table: every name builds an
+// engine reporting that name, and no name appears twice.
 func TestRegistryNamesMatch(t *testing.T) {
-	for name, e := range Registry() {
-		if e.Name() != name {
-			t.Errorf("registry key %q has engine name %q", name, e.Name())
+	seen := map[string]bool{}
+	for _, name := range EngineNames() {
+		e, err := NewEngine(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if e.Name() != name || seen[name] {
+			t.Errorf("table name %q: engine name %q, listed before %v", name, e.Name(), seen[name])
+		}
+		seen[name] = true
 	}
 }
 
@@ -365,7 +368,7 @@ func TestOracleHandlesByteShift(t *testing.T) {
 	line[lineSize-1] = 0x42
 	o := NewOracle()
 	shifted := o.Compress(line, [][]byte{ref}).NBits
-	cp := NewCPack("cpack", 256).Compress(line, [][]byte{ref}).NBits
+	cp := CompressWith(NewCPack("cpack", 256), nil, line, [][]byte{ref}).NBits
 	if shifted >= cp {
 		t.Fatalf("oracle %d bits should beat cpack %d bits on byte-shifted copy", shifted, cp)
 	}
@@ -380,7 +383,7 @@ func TestBDIEncodesKnownPatterns(t *testing.T) {
 	for i := 0; i < lineSize; i += 4 {
 		binary.LittleEndian.PutUint32(line[i:], 1000+uint32(i))
 	}
-	enc := NewBDI().Compress(line, nil)
+	enc := CompressWith(NewBDI(), nil, line, nil)
 	if enc.NBits >= lineSize*8/2 {
 		t.Fatalf("small-int array compresses to %d bits, want < %d", enc.NBits, lineSize*8/2)
 	}
@@ -400,11 +403,11 @@ func TestFPCKnownPatterns(t *testing.T) {
 	}
 	for _, c := range cases {
 		line := AppendPutWords(nil, append(append([]uint32{}, c.words...), make([]uint32, 16-len(c.words))...))
-		enc := e.Compress(line, nil)
+		enc := CompressWith(e, nil, line, nil)
 		if enc.NBits > c.maxBits {
 			t.Errorf("%s: %d bits, want ≤ %d", c.name, enc.NBits, c.maxBits)
 		}
-		dec, err := e.Decompress(enc, nil, 64)
+		dec, err := DecompressWith(e, nil, enc, nil, 64)
 		if err != nil || !bytes.Equal(dec, line) {
 			t.Errorf("%s: round trip failed: %v", c.name, err)
 		}
@@ -416,8 +419,8 @@ func TestFPCSignExtension(t *testing.T) {
 	// Negative values in each width class.
 	words := []uint32{0xFFFFFFF8, 0xFFFFFF80, 0xFFFF8000, 0x00FF00FE}
 	line := AppendPutWords(nil, append(words, make([]uint32, 12)...))
-	enc := e.Compress(line, nil)
-	dec, err := e.Decompress(enc, nil, 64)
+	enc := CompressWith(e, nil, line, nil)
+	dec, err := DecompressWith(e, nil, enc, nil, 64)
 	if err != nil || !bytes.Equal(dec, line) {
 		t.Fatalf("sign-extension round trip failed: %v", err)
 	}

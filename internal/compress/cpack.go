@@ -103,17 +103,10 @@ func (d *cpackDict) match(w uint32) (idx, matchBytes int) {
 
 func (d *cpackDict) idxBits() int { return indexBits(d.cap) }
 
-// Compress implements Engine. refs seed the dictionary (used by the
+// CompressScratch implements Engine: dictionary, source words and bit
+// buffer all live in s. refs seed the dictionary (used by the
 // CABLE+CPACK configuration); the baseline link compressor passes nil
 // and resets its dictionary per line, as C-Pack does per block.
-func (c *CPack) Compress(line []byte, refs [][]byte) Encoded {
-	// The throwaway scratch dies here, so the result owns its bits.
-	var s Scratch
-	return c.CompressScratch(&s, line, refs)
-}
-
-// CompressScratch implements ScratchEngine: dictionary, source words
-// and bit buffer all live in s. The returned Encoded aliases s.
 func (c *CPack) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
 	d := cpackDict{words: s.dict[:0], cap: c.entries}
 	d.seed(refs)
@@ -147,11 +140,6 @@ func (c *CPack) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded 
 	}
 	s.dict, s.src = d.words, src
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
-}
-
-// Decompress implements Engine.
-func (c *CPack) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	return DecompressWith(c, nil, enc, refs, lineSize)
 }
 
 // DecompressFrom implements Engine: dictionary, decoded words and

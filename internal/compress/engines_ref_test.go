@@ -306,7 +306,7 @@ func FuzzLBEIndexParity(f *testing.F) {
 			if got.NBits != want.NBits || !bytes.Equal(got.Data, want.Data) {
 				t.Fatalf("line %d %x, %d refs: index emits %d bits %x, scan %d bits %x", i, line, len(refs), got.NBits, got.Data, want.NBits, want.Data)
 			}
-			if back, err := l.Decompress(got, refs, len(line)); err != nil || !bytes.Equal(back, line) {
+			if back, err := DecompressWith(l, nil, got, refs, len(line)); err != nil || !bytes.Equal(back, line) {
 				t.Fatalf("line %d: round trip: %x, %v", i, back, err)
 			}
 			if len(earlier) < 8 {
@@ -382,16 +382,30 @@ func engineTestLine(rng *rand.Rand, earlier [][]byte) []byte {
 	return line
 }
 
-// TestScratchEnginesMatchReference drives the scratch paths (one
-// long-lived Scratch per engine, as a meter holds it) and the thin
-// Compress wrappers against the retained bodies.
-func TestScratchEnginesMatchReference(t *testing.T) {
+func refZeroCompress(line []byte) Encoded {
+	var w bits.Writer
+	for _, word := range Words(line) {
+		if word == 0 {
+			w.WriteBit(0)
+		} else {
+			w.WriteBit(1)
+			w.WriteBits(uint64(word), 32)
+		}
+	}
+	return Encoded{Data: w.Bytes(), NBits: w.Len()}
+}
+
+// TestEngineBodiesMatchReference drives every engine's one encoder body
+// through one long-lived Scratch per engine, as a meter holds it,
+// against the retained bodies. The oracle's reference is its own
+// allocating Compress, on every tenth line (it is the slow one).
+func TestEngineBodiesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	bdi, fpc := NewBDI(), NewFPC()
+	bdi, fpc, zero, oracle := NewBDI(), NewFPC(), NewZero(), NewOracle()
 	cpacks := []*CPack{NewCPack("cpack", 64), NewCPack("cpack128", 128), NewCPack("cpack0", 0)}
 	seeded := NewSeededLZSS("gzip-seeded", 32<<10)
 	lbes := []*LBE{NewLBE("lbe256", 256), NewLBE("lbe1k", 1024), NewLBE("lbe32", 32)}
-	var scr [9]Scratch
+	var scr [11]Scratch
 	var earlier [][]byte
 	for i := 0; i < 20000; i++ {
 		line := engineTestLine(rng, earlier)
@@ -401,22 +415,77 @@ func TestScratchEnginesMatchReference(t *testing.T) {
 		} else {
 			earlier[rng.Intn(8)] = line
 		}
-		check := func(name string, got, wrapped, want Encoded) {
+		check := func(name string, got, want Encoded) {
 			t.Helper()
-			for _, e := range []Encoded{got, wrapped} {
-				if e.NBits != want.NBits || !bytes.Equal(e.Data, want.Data) {
-					t.Fatalf("line %d %x, %d refs: %s emits %d bits %x, reference %d bits %x", i, line, len(refs), name, e.NBits, e.Data, want.NBits, want.Data)
-				}
+			if got.NBits != want.NBits || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("line %d %x, %d refs: %s emits %d bits %x, reference %d bits %x", i, line, len(refs), name, got.NBits, got.Data, want.NBits, want.Data)
 			}
 		}
-		check("bdi", bdi.CompressScratch(&scr[0], line, refs), bdi.Compress(line, refs), refBDICompress(line))
-		check("fpc", fpc.CompressScratch(&scr[1], line, refs), fpc.Compress(line, refs), refFPCCompress(line))
+		check("bdi", bdi.CompressScratch(&scr[0], line, refs), refBDICompress(line))
+		check("fpc", fpc.CompressScratch(&scr[1], line, refs), refFPCCompress(line))
 		for j, c := range cpacks {
-			check(c.Name(), c.CompressScratch(&scr[2+j], line, refs), c.Compress(line, refs), refCPackCompress(c, line, refs))
+			check(c.Name(), c.CompressScratch(&scr[2+j], line, refs), refCPackCompress(c, line, refs))
 		}
-		check("gzip-seeded", seeded.CompressScratch(&scr[5], line, refs), seeded.Compress(line, refs), refSeededCompress(seeded, line, refs))
+		check("gzip-seeded", seeded.CompressScratch(&scr[5], line, refs), refSeededCompress(seeded, line, refs))
 		for j, l := range lbes {
-			check(l.Name(), l.CompressScratch(&scr[6+j], line, refs), l.Compress(line, refs), refLBECompress(l, line, refs))
+			check(l.Name(), l.CompressScratch(&scr[6+j], line, refs), refLBECompress(l, line, refs))
+		}
+		check("zero", zero.CompressScratch(&scr[9], line, refs), refZeroCompress(line))
+		if i%10 == 0 {
+			check("oracle", oracle.CompressScratch(&scr[10], line, refs), oracle.Compress(line, refs))
+		}
+	}
+}
+
+// TestEngineScratchAllocs pins every table engine's allocations per line
+// once its Scratch and DecScratch are warm. Only two engines allocate,
+// each by design: the oracle is Fig 20's upper bound and builds its
+// byte region and both arms' streams per line, and gzip-seeded decodes
+// through a fresh window decoder per line.
+func TestEngineScratchAllocs(t *testing.T) {
+	want := map[string][2]float64{"oracle": {23, 0}, "gzip-seeded": {0, 3}} // {compress, decompress}
+	type job struct {
+		line []byte
+		refs [][]byte
+		enc  Encoded
+	}
+	rng := rand.New(rand.NewSource(30))
+	lines := make([][]byte, 64)
+	for i := range lines {
+		lines[i] = engineTestLine(rng, lines[:i])
+	}
+	for _, name := range EngineNames() {
+		e, err := NewEngine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scr Scratch
+		var dec DecScratch
+		// Warm both scratches: every line, with up to three earlier ones
+		// as references, compressed once and decoded once.
+		jobs := make([]job, len(lines))
+		for i, line := range lines {
+			refs := lines[max(i-3, 0):i]
+			enc := e.CompressScratch(&scr, line, refs)
+			jobs[i] = job{line, refs, Encoded{Data: append([]byte(nil), enc.Data...), NBits: enc.NBits}}
+			if _, err := DecompressWith(e, &dec, jobs[i].enc, refs, len(line)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k := 0
+		next := func() *job { k++; return &jobs[k%len(jobs)] }
+		comp := testing.AllocsPerRun(len(jobs), func() {
+			j := next()
+			e.CompressScratch(&scr, j.line, j.refs)
+		})
+		decomp := testing.AllocsPerRun(len(jobs), func() {
+			j := next()
+			if _, err := DecompressWith(e, &dec, j.enc, j.refs, len(j.line)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := [2]float64{comp, decomp}; got != want[name] {
+			t.Errorf("%s: %v compress and %v decompress allocations a line, want %v", name, comp, decomp, want[name])
 		}
 	}
 }

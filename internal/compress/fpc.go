@@ -34,15 +34,8 @@ func fitsSignedBits(w uint32, n int) bool {
 	return v >= -limit && v < limit
 }
 
-// Compress implements Engine.
-func (f *FPC) Compress(line []byte, refs [][]byte) Encoded {
-	// The throwaway scratch dies here, so the result owns its bits.
-	var s Scratch
-	return f.CompressScratch(&s, line, refs)
-}
-
-// CompressScratch implements ScratchEngine: the source words and the
-// bit buffer live in s. The returned Encoded aliases s.
+// CompressScratch implements Engine: the source words and the bit buffer
+// live in s. refs are ignored.
 func (*FPC) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
 	words := AppendWords(s.src[:0], line)
 	s.src = words
@@ -97,11 +90,6 @@ func halfwordsFitBytes(word uint32) bool {
 func signExtend32(v uint64, n int) uint32 {
 	shift := uint(32 - n)
 	return uint32(int32(uint32(v)<<shift) >> shift)
-}
-
-// Decompress implements Engine.
-func (f *FPC) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	return DecompressWith(f, nil, enc, refs, lineSize)
 }
 
 // DecompressFrom implements Engine. refs are ignored.

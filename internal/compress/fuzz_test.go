@@ -38,7 +38,7 @@ func FuzzDecoderRobustness(f *testing.F) {
 		n := len(engineList)
 		e := engineList[((which%n)+n)%n]
 		// Must not panic; errors are fine.
-		out, err := e.Decompress(enc, refs, 64)
+		out, err := DecompressWith(e, nil, enc, refs, 64)
 		if err == nil && len(out) != 64 {
 			t.Fatalf("%s: nil error but %d bytes", e.Name(), len(out))
 		}
@@ -56,8 +56,8 @@ func FuzzEngineRoundTrip(f *testing.F) {
 		refs := fuzzRefs(line)
 		n := len(engineList)
 		e := engineList[((which%n)+n)%n]
-		enc := e.Compress(line, refs)
-		got, err := e.Decompress(enc, refs, 64)
+		enc := CompressWith(e, nil, line, refs)
+		got, err := DecompressWith(e, nil, enc, refs, 64)
 		if err != nil {
 			t.Fatalf("%s: valid stream rejected: %v", e.Name(), err)
 		}
@@ -77,7 +77,7 @@ func FuzzLZSSStream(f *testing.F) {
 			line := make([]byte, 64)
 			copy(line, chunk)
 			enc := c.Compress(line)
-			got, err := d.Decompress(enc, 64)
+			got, err := d.DecompressFrom(enc.Reader(), 64)
 			if err != nil {
 				t.Fatalf("stream decode: %v", err)
 			}

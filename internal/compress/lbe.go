@@ -192,16 +192,9 @@ func (d *lbeDict) partialMatch(w uint32) (idx, matchBytes int) {
 
 func (d *lbeDict) idxBits() int { return indexBits(d.cap) }
 
-// Compress implements Engine.
-func (l *LBE) Compress(line []byte, refs [][]byte) Encoded {
-	// The throwaway scratch dies here, so the result owns its bits.
-	var s Scratch
-	return l.CompressScratch(&s, line, refs)
-}
-
-// CompressScratch implements ScratchEngine: the hot-path form used by
-// CABLE link ends, which compress one line per fill and must not
-// allocate in steady state. The returned Encoded aliases s.
+// CompressScratch implements Engine: dictionary, its index, source words
+// and bit buffer all live in s, so CABLE link ends, which compress one
+// line per fill, allocate nothing in steady state.
 func (l *LBE) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
 	d := &lbeDict{words: s.dict[:0], cap: l.entries, ix: &s.lbe}
 	for _, r := range refs {
@@ -260,11 +253,6 @@ func (l *LBE) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
 	}
 	s.dict, s.src = d.words, src
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
-}
-
-// Decompress implements Engine.
-func (l *LBE) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	return DecompressWith(l, nil, enc, refs, lineSize)
 }
 
 // DecompressFrom implements Engine: the decode dictionary, word buffers

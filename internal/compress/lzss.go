@@ -259,14 +259,10 @@ func (z *LZSSDecoder) Reset() {
 	z.history = z.history[:0]
 }
 
-// Decompress inverts Compress: it decodes enc against the window of
-// previously decoded lines, then appends the line to it.
-func (z *LZSSDecoder) Decompress(enc Encoded, lineSize int) ([]byte, error) {
-	return z.decompressFrom(enc.Reader(), lineSize)
-}
-
-// decompressFrom is the decoder body, leaving r after the last bit used.
-func (z *LZSSDecoder) decompressFrom(r *bits.Reader, lineSize int) ([]byte, error) {
+// DecompressFrom inverts Compress: it decodes a line from r against the
+// window of previously decoded lines, appends the line to it, and leaves
+// r after the last bit used.
+func (z *LZSSDecoder) DecompressFrom(r *bits.Reader, lineSize int) ([]byte, error) {
 	ob := indexBits(z.window)
 	out := make([]byte, 0, lineSize)
 	for len(out) < lineSize {

@@ -223,7 +223,7 @@ func checkLZSSParity(t *testing.T, rng *rand.Rand, z *LZSS, ref *refLZSS, dec *L
 		if got.NBits != want.NBits || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("line %d (%d bytes): %d bits %x, reference %d bits %x", i, len(line), got.NBits, got.Data, want.NBits, want.Data)
 		}
-		back, err := dec.Decompress(got, len(line))
+		back, err := dec.DecompressFrom(got.Reader(), len(line))
 		if err != nil || !bytes.Equal(back, line) {
 			t.Fatalf("line %d: round trip: %v", i, err)
 		}
@@ -300,7 +300,7 @@ func TestLZSSResetFromTrimmedState(t *testing.T) {
 func TestLZSSShortLines(t *testing.T) {
 	z, dec := NewLZSS("gzip", 4096), NewLZSSDecoder(4096)
 	for i, line := range [][]byte{{7, 7, 7, 7}, {7}, {}, {7}, {7, 7}, {}, {7, 7, 7, 7, 7, 7}} {
-		back, err := dec.Decompress(z.Compress(line), len(line))
+		back, err := dec.DecompressFrom(z.Compress(line).Reader(), len(line))
 		if err != nil || !bytes.Equal(back, line) {
 			t.Fatalf("line %d %x: decoded %x, %v", i, line, back, err)
 		}

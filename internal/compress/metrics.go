@@ -5,8 +5,7 @@ import "cable/internal/obs"
 // compressCounters aggregates engine invocations process-wide. Each
 // Scratch lazily resolves its block and draws its own shard the first
 // time a BatchCompressor flushes through it, so concurrent experiment
-// cells do not contend on one cache line; scratch-less callers use
-// shard 0 of the process-default block.
+// cells do not contend on one cache line.
 type compressCounters struct {
 	ops     *obs.Counter
 	outBits *obs.Counter
@@ -22,9 +21,6 @@ func newCompressCounters(r *obs.Registry) compressCounters {
 // metrics resolves the scratch's counter block and shard on first use
 // (the zero Scratch is valid and counts into the process default).
 func (s *Scratch) metrics() (compressCounters, uint32) {
-	if s == nil {
-		return newCompressCounters(nil), 0
-	}
 	if s.mx.ops == nil {
 		s.mx = newCompressCounters(nil)
 	}

@@ -42,10 +42,18 @@ const (
 	oracleMaxMatch = oracleMinMatch + 63 // 6-bit length field
 )
 
-// Compress implements Engine.
+// CompressScratch implements Engine by forwarding to Compress: the
+// oracle is Fig 20's upper bound, not a hardware design, so it allocates
+// and leaves s unused.
+func (o *Oracle) CompressScratch(_ *Scratch, line []byte, refs [][]byte) Encoded {
+	return o.Compress(line, refs)
+}
+
+// Compress is the oracle's encoder body; the result owns its bits.
 func (o *Oracle) Compress(line []byte, refs [][]byte) Encoded {
 	lz := o.compressLZ(line, refs)
-	wa := o.lbe.Compress(line, refs)
+	var s Scratch
+	wa := o.lbe.CompressScratch(&s, line, refs)
 	var w bits.Writer
 	best := lz
 	if wa.NBits < lz.NBits {
@@ -125,11 +133,6 @@ func (*Oracle) compressLZ(line []byte, refs [][]byte) Encoded {
 		}
 	}
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
-}
-
-// Decompress implements Engine.
-func (o *Oracle) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	return DecompressWith(o, nil, enc, refs, lineSize)
 }
 
 // DecompressFrom implements Engine: the selector bit, then the chosen

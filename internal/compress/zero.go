@@ -18,23 +18,20 @@ func NewZero() *Zero { return &Zero{} }
 // Name implements Engine.
 func (*Zero) Name() string { return "zero" }
 
-// Compress implements Engine. refs are ignored.
-func (*Zero) Compress(line []byte, refs [][]byte) Encoded {
-	var w bits.Writer
-	for _, word := range Words(line) {
+// CompressScratch implements Engine: the source words and the bit buffer
+// live in s. refs are ignored.
+func (*Zero) CompressScratch(s *Scratch, line []byte, refs [][]byte) Encoded {
+	s.src = AppendWords(s.src[:0], line)
+	w := &s.w
+	w.Reset()
+	for _, word := range s.src {
 		if word == 0 {
 			w.WriteBit(0)
 		} else {
-			w.WriteBit(1)
-			w.WriteBits(uint64(word), 32)
+			w.WriteBits(1<<32|uint64(word), 33) // flag and word as one write (see LBE)
 		}
 	}
 	return Encoded{Data: w.Bytes(), NBits: w.Len()}
-}
-
-// Decompress implements Engine.
-func (z *Zero) Decompress(enc Encoded, refs [][]byte, lineSize int) ([]byte, error) {
-	return DecompressWith(z, nil, enc, refs, lineSize)
 }
 
 // DecompressFrom implements Engine. refs are ignored.

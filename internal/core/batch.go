@@ -21,9 +21,10 @@ import (
 // field accumulates in plain fields (encodeAcc) that an entry point
 // flushes when it is done — after its one line, or after its whole batch
 // — instead of ~30 atomic increments a line; the home cache is probed
-// once per line; the pointer width and the devirtualized way-map are
-// read from the end; and the hash-table probe is fused with candidate
-// deduplication.
+// once per line; the pointer width is read from the end; and the
+// hash-table probe is fused with candidate deduplication. The way-map
+// and the engine are called through their interfaces only: a private WMT
+// and a SuperWMT view take the same path, as every engine does.
 //
 // Line i+1 may reference line i (the Shared branch inserts the filled
 // line into the HT/WMT before the next encode), so lines are processed
@@ -185,11 +186,7 @@ func (h *HomeEnd) fill(req BatchFill, data, cached []byte, homeID cache.LineID, 
 	rSlot := cache.LineID{Index: int(req.LineAddr & uint64(h.remoteSets-1)), Way: req.ReplWay}
 	acc.htRemoves += h.noteDisplacement(rSlot)
 	if req.State == cache.Shared && cached != nil {
-		if h.pwmt != nil {
-			h.pwmt.Set(rSlot, homeID)
-		} else {
-			h.wmt.Set(rSlot, homeID)
-		}
+		h.wmt.Set(rSlot, homeID)
 		h.insertLine(cached, homeID)
 	}
 	out.AckSeq = h.AckSeq
@@ -346,12 +343,7 @@ func (h *HomeEnd) gatherCandidates(data []byte, sigs []sig.Signature) []candidat
 	out := cands[:0]
 	for _, c := range cands {
 		var resident bool
-		if h.pwmt != nil {
-			c.remoteID, resident = h.pwmt.Lookup(c.id)
-		} else {
-			c.remoteID, resident = h.wmt.Lookup(c.id)
-		}
-		if !resident {
+		if c.remoteID, resident = h.wmt.Lookup(c.id); !resident {
 			acc.wmtMisses++
 			continue
 		}
@@ -399,13 +391,7 @@ func (h *HomeEnd) removeLine(data []byte, id cache.LineID) uint64 {
 // slot is about to be displaced, so its signatures must be removed.
 // Returns removeLine's count (0 when the slot tracked nothing).
 func (h *HomeEnd) noteDisplacement(rSlot cache.LineID) uint64 {
-	var displaced cache.LineID
-	var ok bool
-	if h.pwmt != nil {
-		displaced, ok = h.pwmt.Clear(rSlot)
-	} else {
-		displaced, ok = h.wmt.Clear(rSlot)
-	}
+	displaced, ok := h.wmt.Clear(rSlot)
 	if !ok {
 		return 0
 	}

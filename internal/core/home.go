@@ -23,10 +23,6 @@ type HomeEnd struct {
 	ht     *HashTable
 	wmt    WayMap
 
-	// pwmt is wmt when that is a private WMT: the pipeline calls it
-	// directly instead of through the interface.
-	pwmt *WMT
-
 	remoteSets int
 	lineSize   int
 
@@ -139,7 +135,6 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 		remoteSets: remote.NumSets(),
 		lineSize:   home.Config().LineSize,
 	}
-	h.pwmt, _ = wm.(*WMT)
 	h.mx, h.shard = homeMetricsIn(cfg.Metrics)
 	h.scr.init(eng, cfg, remote.IndexBits()+remote.WayBits())
 	return h, nil

@@ -76,7 +76,7 @@ func (h *HomeEnd) Release() {
 		w.Release()
 	}
 	h.ht = nil
-	h.wmt, h.pwmt = nil, nil
+	h.wmt = nil
 	h.home = nil
 }
 

@@ -33,7 +33,7 @@ func referenceFill(h *HomeEnd, remote *cache.Cache, data []byte) Payload {
 		return 1 + 2 + len(p.Refs)*lidBits + p.Diff.NBits
 	}
 
-	standalone := h.engine.Compress(data, nil)
+	standalone := h.engine.CompressScratch(new(compress.Scratch), data, nil)
 	best := Payload{Compressed: true, Diff: standalone}
 	if raw := (Payload{Raw: append([]byte(nil), data...)}); sized(raw) < sized(best) {
 		best = raw
@@ -97,7 +97,7 @@ func referenceFill(h *HomeEnd, remote *cache.Cache, data []byte) Payload {
 		p.Refs = append(p.Refs, c.remoteID)
 		refData = append(refData, c.data)
 	}
-	p.Diff = h.engine.Compress(data, refData)
+	p.Diff = h.engine.CompressScratch(new(compress.Scratch), data, refData)
 	if sized(p) < sized(best) {
 		best = p
 	}

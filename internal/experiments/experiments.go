@@ -19,7 +19,7 @@ import (
 
 // Options tune experiment scale. Quick mode shrinks caches, access
 // counts and benchmark subsets so the whole suite runs in seconds (for
-// tests and benches); full mode is for cmd/cablereport.
+// tests, CI and benchmark/run.sh); full mode is for cmd/cablereport.
 type Options struct {
 	Quick bool
 

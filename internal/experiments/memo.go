@@ -59,8 +59,8 @@ type memoEntry struct {
 
 // cellMemo is one mutex over one map: a quick report makes 295 lookups
 // in 23 s, one per ~80 ms of simulation, so there is nothing to stripe.
-// Digests are version-tagged per simulator ("memlink/v1", "topo/v1",
-// ...), so every simulator shares the map without aliasing.
+// Each digest (sim.DigestOf) starts with its config type's package path
+// and name, so every simulator shares the map without aliasing.
 type cellMemo struct {
 	mu      sync.Mutex
 	entries map[sim.Digest]*memoEntry

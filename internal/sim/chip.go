@@ -37,8 +37,8 @@ type ChipConfig struct {
 	// simulation this way.
 	Scheme string
 	// Verify decodes every CABLE payload and checks it bit-exact
-	// against the home data. Always on in tests; the pure-throughput
-	// benches may disable it.
+	// against the home data. On by default; TestGoldenDrivers' Verify-off
+	// rows pin that turning it off changes no result.
 	Verify bool
 	// TagPointers prices each reference at 40 tag bits instead of
 	// RemoteLID width — the §III-D ablation quantifying what the WMT

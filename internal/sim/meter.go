@@ -133,26 +133,18 @@ func (m *RawMeter) OnWriteback(data []byte, owner int) { m.OnFill(data, owner) }
 // whose payload carries the §III-E header.
 type EngineMeter struct {
 	meterBase
-	engine  compress.Engine
-	scratch compress.ScratchEngine // engine's allocation-free path, if it has one
+	engine compress.Engine
 }
 
 // NewEngineMeterIn wraps a per-line engine.
 func NewEngineMeterIn(e compress.Engine, cfg link.Config, reg *obs.Registry) *EngineMeter {
-	m := &EngineMeter{meterBase: newMeterBaseIn(e.Name(), cfg, reg), engine: e}
-	m.scratch, _ = e.(compress.ScratchEngine)
-	return m
+	return &EngineMeter{meterBase: newMeterBaseIn(e.Name(), cfg, reg), engine: e}
 }
 
 // measure calls the engine directly, not through compress.CompressWith:
 // the compress.* counters belong to CABLE's own link ends.
 func (m *EngineMeter) measure(data []byte, owner int) {
-	var enc compress.Encoded
-	if m.scratch != nil {
-		enc = m.scratch.CompressScratch(&m.scr, data, nil)
-	} else {
-		enc = m.engine.Compress(data, nil)
-	}
+	enc := m.engine.CompressScratch(&m.scr, data, nil)
 	m.account(owner, len(data)*8, enc.NBits, enc)
 }
 
