@@ -300,8 +300,8 @@ func LoadWorkloadSpec(path string) (*WorkloadSpec, error) { return spec.Load(pat
 type RecordedTrace = trace.Trace
 
 // LoadTrace reads a capture file written by cabletrace (or
-// spec.RecordClients); both the current CBLT0002 format and the legacy
-// CBLT0001 format load.
+// spec.RecordClients) in the CBLT0002 format; a legacy CBLT0001 file is
+// rejected with an error naming its version.
 func LoadTrace(path string) (*RecordedTrace, error) { return trace.Load(path) }
 
 // FaultConfig describes deterministic link fault injection (per-bit

@@ -77,6 +77,60 @@ func TestNewLinkValidates(t *testing.T) {
 	}
 }
 
+// TestDriversRejectBadGeometry: every public driver handed a cache
+// geometry the cache package rejects returns that error before it
+// builds anything — none panics, including inside the topology
+// engine's worker goroutines, where a panic would kill the process.
+func TestDriversRejectBadGeometry(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func() error
+	}{
+		{"RunMemoryLink", func() error {
+			cfg := cable.DefaultMemoryLinkConfig("gobmk")
+			cfg.Chip.LLCBytes = 3 << 20
+			_, err := cable.RunMemoryLink(cfg)
+			return err
+		}},
+		{"RunMultiChip", func() error {
+			cfg := cable.DefaultMultiChipConfig("gobmk")
+			cfg.LLCBytes = 3 << 20
+			_, err := cable.RunMultiChip(cfg)
+			return err
+		}},
+		{"RunTiming", func() error {
+			cfg := cable.DefaultTimingConfig("cable", "gobmk")
+			cfg.LLCPerThread = 3 << 20
+			_, err := cable.RunTiming(cfg)
+			return err
+		}},
+		{"RunNonInclusive", func() error {
+			cfg := cable.DefaultNonInclusiveConfig("gobmk")
+			cfg.RemoteWays = 0
+			_, err := cable.RunNonInclusive(cfg)
+			return err
+		}},
+		{"RunTopology", func() error {
+			cfg := cable.DefaultTopologyConfig("gobmk")
+			cfg.HomeBytes = 3 << 20
+			_, err := cable.RunTopology(cfg)
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := d.run(); err == nil {
+				t.Fatal("bad cache geometry accepted")
+			}
+		})
+	}
+}
+
 func TestEnginesRegistry(t *testing.T) {
 	for _, name := range cable.Engines() {
 		e, err := cable.NewEngine(name)

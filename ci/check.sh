@@ -75,8 +75,11 @@ go test -race -count=1 -run 'FaultSoak|FaultDeterminism|ZeroRateInert|TestPairSt
 go test -race -count=1 -run 'TestGoldenTopology' ./internal/topo
 
 echo "== payload fault fuzz smoke"
-# Short corruption fuzz over the guarded decode path: bit flips and
-# truncations must surface as classified errors, never panics.
+# Short corruption fuzz over the link transfer's receive path, both
+# directions: a bit-flipped and/or truncated guarded image is unguarded
+# and decoded from the bits by a remote end's fill decoder and a home
+# end's write-back decoder; every failure must surface as a classified
+# error, never a panic.
 go test -run=NOTHING -fuzz=FuzzPayloadDecodeFaults -fuzztime=10s ./internal/core
 
 echo "== bit-IO word/reference parity fuzz smoke"

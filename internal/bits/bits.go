@@ -15,6 +15,7 @@ package bits
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Writer accumulates a bit stream most-significant-bit first within each
@@ -292,9 +293,9 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	return v, nil
 }
 
-// AppendBytes consumes 8·n bits and appends them to dst: with a reused
-// dst the steady-state decode path allocates nothing. At a byte
-// boundary this is a single copy. On an error dst comes back unchanged.
+// AppendBytes consumes 8·n bits and appends them to dst, growing it at
+// most once (a reused dst allocates nothing). At a byte boundary this is
+// a single copy. On an error dst comes back unchanged.
 func (r *Reader) AppendBytes(dst []byte, n int) ([]byte, error) {
 	if n < 0 {
 		return dst, fmt.Errorf("bits: AppendBytes count %d out of range", n)
@@ -308,11 +309,10 @@ func (r *Reader) AppendBytes(dst []byte, n int) ([]byte, error) {
 		r.pos += 8 * n
 		return dst, nil
 	}
+	dst = slices.Grow(dst, n)
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		var tmp [8]byte
-		binary.BigEndian.PutUint64(tmp[:], r.peek64(r.pos, 64))
-		dst = append(dst, tmp[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, r.peek64(r.pos, 64))
 		r.pos += 64
 	}
 	for ; i < n; i++ {

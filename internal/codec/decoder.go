@@ -241,7 +241,7 @@ func (d *Decoder) nextFrame() error {
 func (d *Decoder) decodeCableFrame(count int) error {
 	d.br.Reset(d.body, 8*len(d.body))
 	for i := 0; i < count; i++ {
-		line, err := d.re.DecodeFillFrom(&d.br)
+		line, err := d.re.DecodeFillFrom(&d.br, 0)
 		if err != nil {
 			return fmt.Errorf("codec: payload %d of the frame at line %d: %w", i, d.seq, err)
 		}

@@ -9,7 +9,8 @@ import (
 
 // This file is the fill pipeline — the one implementation behind
 // EncodeFill, EncodeFillData and EncodeFills (the decode side has one
-// entry point per form, DecodeFill and DecodeFillFrom, in remote.go).
+// decoder per end, reading the wire image: DecodeFillFrom in remote.go,
+// which DecodeFill forwards to, and DecodeWritebackFrom in home.go).
 // Where a fill's time goes, by CPU
 // share of fill on the codec's mixed stream (bash benchmark/run.sh
 // --workload codec_mix --trace 1, at PR 24): the standalone compress
@@ -230,14 +231,15 @@ func (h *HomeEnd) encode(data []byte, out *Payload) (bits int, skip bool, lat Fi
 	return scr.tryDiff(data, cands, h.cfg.MaxRefs, bestBits, out), false, lat
 }
 
-// init binds the scratch to its end's engine, registry and pointer
-// width (geomBits unless the tag-pointer ablation overrides it).
-func (s *encScratch) init(e compress.Engine, cfg Config, geomBits int) {
+// init binds the scratch to its end's engine, registry and remote
+// geometry, whose pointer width the tag-pointer ablation may override.
+func (s *encScratch) init(e compress.Engine, cfg Config, remote *cache.Cache) {
 	s.standalone.UseRegistry(cfg.Metrics)
 	s.diff.UseRegistry(cfg.Metrics)
 	s.standaloneC = compress.NewBatchCompressor(e, &s.standalone)
 	s.diffC = compress.NewBatchCompressor(e, &s.diff)
-	s.lidBits = geomBits
+	s.idxBits, s.wayBits = remote.IndexBits(), remote.WayBits()
+	s.lidBits = s.idxBits + s.wayBits
 	if cfg.PointerBitsOverride > 0 {
 		s.lidBits = cfg.PointerBitsOverride
 	}

@@ -34,34 +34,49 @@ func FuzzUnmarshalPayloadScratch(f *testing.F) {
 	})
 }
 
-// fuzzRemote builds one small remote end whose decode path the fault
-// fuzzer drives. Built once per fuzz worker process; the fuzz engine
-// runs the body sequentially, matching the end's single-simulation
+// fuzzLink builds one small warm link whose two decoders the fault
+// fuzzer drives: 32 Shared fills went home → remote through the ends,
+// so fuzzed references can resolve on either side (remote slots, WMT
+// entries). Built once per fuzz worker process; the fuzz engine runs
+// the body sequentially, matching the ends' single-simulation
 // concurrency contract.
-var fuzzRemote = sync.OnceValues(func() (*RemoteEnd, *cache.Cache) {
+var fuzzLink = sync.OnceValues(func() (*HomeEnd, *RemoteEnd) {
+	home := cache.New(cache.Config{Name: "fuzzl4", SizeBytes: 64 << 10, Ways: 8, LineSize: 64})
 	llc := cache.New(cache.Config{Name: "fuzzllc", SizeBytes: 16 << 10, Ways: 4, LineSize: 64})
+	he, err := NewHomeEnd(DefaultConfig(), home, llc)
+	if err != nil {
+		panic(err)
+	}
 	re, err := NewRemoteEnd(DefaultConfig(), llc)
 	if err != nil {
 		panic(err)
 	}
-	// Populate a few shared lines so some fuzzed references resolve.
 	for i := 0; i < 32; i++ {
 		line := make([]byte, 64)
 		for j := range line {
 			line[j] = byte(i * j)
 		}
-		addr := uint64(i * 64)
-		idx := llc.IndexOf(addr)
-		way := llc.VictimWay(idx)
-		llc.InsertAt(addr, line, cache.Shared, way)
+		addr := uint64(i)
+		home.InsertAt(addr, line, cache.Shared, home.VictimWay(home.IndexOf(addr)))
+		id := cache.LineID{Index: llc.IndexOf(addr), Way: llc.VictimWay(llc.IndexOf(addr))}
+		p, _, err := he.EncodeFill(addr, cache.Shared, id.Way)
+		if err != nil {
+			panic(err)
+		}
+		data, err := re.DecodeFill(p)
+		if err != nil {
+			panic(err)
+		}
+		llc.InsertAt(addr, data, cache.Shared, id.Way)
+		re.OnFillInstalled(id, data, cache.Shared)
 	}
-	return re, llc
+	return he, re
 })
 
-// fuzzSeedImages marshals real payloads — a raw line and genuine
-// write-back encodings — as the guarded-image seed corpus.
+// fuzzSeedImages marshals real payloads — a raw line, a fill and a
+// write-back encoding — as the guarded-image seed corpus.
 func fuzzSeedImages() []compress.Encoded {
-	re, _ := fuzzRemote()
+	he, re := fuzzLink()
 	line := make([]byte, 64)
 	for i := range line {
 		line[i] = byte(i*7 + 3)
@@ -69,22 +84,31 @@ func fuzzSeedImages() []compress.Encoded {
 	seeds := []compress.Encoded{
 		Payload{Raw: line}.MarshalGuarded(9, 3),
 	}
-	p := re.EncodeWriteback(line).Clone()
-	seeds = append(seeds, p.MarshalGuarded(9, 3))
-	return seeds
+	fill, _, err := he.EncodeFill(3, cache.Shared, 0)
+	if err != nil {
+		panic(err)
+	}
+	seeds = append(seeds, fill.MarshalGuarded(9, 3))
+	// A near-copy of Shared line 3: a write-back with references.
+	for j := range line {
+		line[j] = byte(3 * j)
+	}
+	line[5] ^= 1
+	wb := re.EncodeWriteback(line)
+	return append(seeds, wb.MarshalGuarded(9, 3))
 }
 
-// FuzzPayloadDecodeFaults models the full receive path under arbitrary
-// wire corruption: a guarded image is bit-flipped and/or truncated,
-// then unmarshaled and — if the guard passes — decoded against a live
-// remote end. The contract under fuzz: never panic, and every failure
-// is classified under the decode-error taxonomy so drivers can degrade
-// gracefully.
+// FuzzPayloadDecodeFaults models the link transfer's receive path
+// under arbitrary wire corruption, in both directions: a guarded image
+// is bit-flipped and/or truncated, then unguarded and — if the guard
+// passes — decoded from the bits by a live remote end's fill decoder
+// and a live home end's write-back decoder. The contract under fuzz:
+// never panic, and every failure is classified under the decode-error
+// taxonomy so drivers can degrade gracefully.
 func FuzzPayloadDecodeFaults(f *testing.F) {
 	for _, s := range fuzzSeedImages() {
 		f.Add(s.Data, s.NBits, uint16(0), uint16(s.NBits))
 	}
-	q, ps := new(Payload), new(PayloadScratch)
 	f.Fuzz(func(t *testing.T, data []byte, nbits int, flipPos, trunc uint16) {
 		if nbits < 0 || nbits > len(data)*8 {
 			return
@@ -95,16 +119,23 @@ func FuzzPayloadDecodeFaults(f *testing.F) {
 			img[pos/8] ^= 0x80 >> uint(pos%8)
 			nbits = int(trunc) % (nbits + 1)
 		}
-		if err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: img, NBits: nbits}, 9, 3, 64); err != nil {
+		body, err := Unguard(compress.Encoded{Data: img, NBits: nbits})
+		if err != nil {
 			if !errors.Is(err, ErrCRCMismatch) && !errors.Is(err, ErrTruncatedPayload) {
-				t.Fatalf("unmarshal error outside the taxonomy: %v", err)
+				t.Fatalf("unguard error outside the taxonomy: %v", err)
 			}
 			return
 		}
-		re, _ := fuzzRemote()
-		if _, err := re.DecodeFill(*q); err != nil {
-			if !errors.Is(err, ErrTruncatedPayload) && !errors.Is(err, ErrBadReference) && !errors.Is(err, ErrCorruptDiff) {
-				t.Fatalf("decode error outside the taxonomy: %v", err)
+		he, re := fuzzLink()
+		decoders := []func(*bits.Reader) ([]byte, error){
+			func(br *bits.Reader) ([]byte, error) { return re.DecodeFillFrom(br, 0) },
+			he.DecodeWritebackFrom,
+		}
+		for i, decode := range decoders {
+			if _, err := decode(body.Reader()); err != nil {
+				if !errors.Is(err, ErrTruncatedPayload) && !errors.Is(err, ErrBadReference) && !errors.Is(err, ErrCorruptDiff) {
+					t.Fatalf("decoder %d: error outside the taxonomy: %v", i, err)
+				}
 			}
 		}
 	})

@@ -46,13 +46,12 @@ func TestGuardedMarshalRoundTrip(t *testing.T) {
 // rejected with ErrCRCMismatch.
 func TestGuardDetectsEverySingleBitFlip(t *testing.T) {
 	idxBits, wayBits := 9, 3
-	q, ps := new(Payload), new(PayloadScratch)
 	for i, p := range guardTestPayloads() {
 		enc := p.MarshalGuarded(idxBits, wayBits)
 		for pos := 0; pos < enc.NBits; pos++ {
 			img := append([]byte(nil), enc.Data...)
 			img[pos/8] ^= 0x80 >> uint(pos%8)
-			err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: img, NBits: enc.NBits}, idxBits, wayBits, 64)
+			_, err := Unguard(compress.Encoded{Data: img, NBits: enc.NBits})
 			if !errors.Is(err, ErrCRCMismatch) {
 				t.Fatalf("case %d: flip at bit %d not caught: %v", i, pos, err)
 			}
@@ -65,11 +64,10 @@ func TestGuardDetectsEverySingleBitFlip(t *testing.T) {
 // on another byte-aligned boundary cannot alias a valid image.
 func TestGuardDetectsTruncation(t *testing.T) {
 	idxBits, wayBits := 9, 3
-	q, ps := new(Payload), new(PayloadScratch)
 	for i, p := range guardTestPayloads() {
 		enc := p.MarshalGuarded(idxBits, wayBits)
 		for nb := 0; nb < enc.NBits; nb++ {
-			err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: enc.Data, NBits: nb}, idxBits, wayBits, 64)
+			_, err := Unguard(compress.Encoded{Data: enc.Data, NBits: nb})
 			if err == nil {
 				t.Fatalf("case %d: truncation to %d/%d bits accepted", i, nb, enc.NBits)
 			}
@@ -78,7 +76,7 @@ func TestGuardDetectsTruncation(t *testing.T) {
 			}
 		}
 		// A declared length past the physical buffer is truncation too.
-		err := UnmarshalPayloadGuardedScratch(q, ps, compress.Encoded{Data: enc.Data, NBits: 8*len(enc.Data) + 1}, idxBits, wayBits, 64)
+		_, err := Unguard(compress.Encoded{Data: enc.Data, NBits: 8*len(enc.Data) + 1})
 		if !errors.Is(err, ErrTruncatedPayload) {
 			t.Fatalf("case %d: overlong declared length misclassified: %v", i, err)
 		}

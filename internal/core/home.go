@@ -56,17 +56,20 @@ type HomeEnd struct {
 	Stats HomeStats
 }
 
-// encScratch holds the reusable buffers of the encode pipeline so that
-// steady-state encodes allocate nothing, plus the two steps of the
-// decision sequence both ends run over them (floor, tryDiff). A link
-// end owns exactly one (ends are not goroutine-safe; parallel
-// simulations build one link per worker).
+// encScratch holds the reusable buffers of the encode and decode paths
+// so that steady-state transfers allocate nothing, plus the steps both
+// ends run over them (floor and tryDiff; receive). A link end owns
+// exactly one (ends are not goroutine-safe; parallel simulations build
+// one link per worker).
 type encScratch struct {
 	// standaloneC/diffC compress through standalone/diff with their
 	// counters deferred to flushCompress; lidBits is the link's
 	// transmitted pointer width. All three are fixed by init.
 	standaloneC, diffC compress.BatchCompressor
 	lidBits            int
+	// idxBits/wayBits are the remote geometry wire images carry
+	// RemoteLIDs in.
+	idxBits, wayBits int
 
 	searchSigs []sig.Signature
 	insertSigs []sig.Signature
@@ -78,7 +81,8 @@ type encScratch struct {
 	decRefs    [][]byte
 	decOut     []byte // raw-path decode output
 	dec        compress.DecScratch
-	decR       bits.Reader // over a materialized payload's DIFF
+	decW       bits.Writer // DecodeFill's image of a payload
+	decR       bits.Reader // over decW
 	standalone compress.Scratch
 	diff       compress.Scratch
 	dedup      dedupIndex
@@ -136,7 +140,7 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 		lineSize:   home.Config().LineSize,
 	}
 	h.mx, h.shard = homeMetricsIn(cfg.Metrics)
-	h.scr.init(eng, cfg, remote.IndexBits()+remote.WayBits())
+	h.scr.init(eng, cfg, remote)
 	return h, nil
 }
 
@@ -279,38 +283,30 @@ func (h *HomeEnd) scrub(lineAddr uint64) {
 	h.mx.htRemoves.Add(h.shard, h.removeLine(line.Data, homeID))
 }
 
-// DecodeWriteback reconstructs a write-back payload produced by the
-// remote end. Reference RemoteLIDs are translated through the WMT back
-// to home positions (§III-G). The result aliases this end's decode
-// scratch and is valid until the next decode; retainers must copy.
-func (h *HomeEnd) DecodeWriteback(p Payload) ([]byte, error) {
-	h.Stats.WBDecodes++
-	h.mx.wbDecodes.Inc(h.shard)
-	if h.rec != nil {
-		defer h.rec.Span(h.recTrack, obs.EvWBDecode, p.Bits(h.RemoteLIDBits()))
-	}
-	if !p.Compressed {
-		if len(p.Raw) != h.lineSize {
-			return nil, fmt.Errorf("core: raw writeback of %dB, want %dB: %w", len(p.Raw), h.lineSize, ErrTruncatedPayload)
-		}
-		h.scr.decOut = append(h.scr.decOut[:0], p.Raw...)
-		return h.scr.decOut, nil
-	}
-	h.scr.decRefs = h.scr.decRefs[:0]
-	for _, rid := range p.Refs {
+// DecodeWritebackFrom is the write-back decoder: it reconstructs the
+// line from the remote end's image at br (Payload.AppendTo's layout),
+// leaving br after the image's last bit, and counts the decode once the
+// header has parsed. Reference RemoteLIDs are translated through the
+// WMT back to home positions (§III-G). The result aliases this end's
+// decode scratch and is valid until the next decode; retainers must copy.
+func (h *HomeEnd) DecodeWritebackFrom(br *bits.Reader) ([]byte, error) {
+	line, spanBits, err := h.scr.receive(br, h.engine, h.lineSize, func(rid cache.LineID) ([]byte, error) {
 		homeID, ok := h.wmt.Reverse(rid)
 		if !ok {
 			return nil, fmt.Errorf("core: writeback references untracked remote slot %v: %w", rid, ErrBadReference)
 		}
-		line := h.home.ReadByID(homeID)
-		if line == nil {
-			return nil, fmt.Errorf("core: WMT maps %v to empty home slot %v: %w", rid, homeID, ErrBadReference)
+		if l := h.home.ReadByID(homeID); l != nil {
+			return l.Data, nil
 		}
-		h.scr.decRefs = append(h.scr.decRefs, line.Data)
+		return nil, fmt.Errorf("core: WMT maps %v to empty home slot %v: %w", rid, homeID, ErrBadReference)
+	})
+	if spanBits < 0 {
+		return nil, err
 	}
-	out, err := compress.DecompressWith(h.engine, &h.scr.dec, p.Diff, h.scr.decRefs, h.lineSize)
-	if err != nil {
-		return nil, fmt.Errorf("core: writeback diff: %w: %w", ErrCorruptDiff, err)
+	h.Stats.WBDecodes++
+	h.mx.wbDecodes.Inc(h.shard)
+	if h.rec != nil {
+		h.rec.Span(h.recTrack, obs.EvWBDecode, spanBits)
 	}
-	return out, nil
+	return line, err
 }

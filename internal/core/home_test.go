@@ -145,6 +145,6 @@ func TestWritebackRefsAlwaysResolvable(t *testing.T) {
 	if h.re.Stats.WBDiffWins == 0 {
 		t.Fatal("no reference-carrying write-backs exercised")
 	}
-	// The harness already hard-fails on DecodeWriteback errors; reaching
+	// The harness already hard-fails on DecodeWritebackFrom errors; reaching
 	// here with WBDiffWins > 0 is the assertion.
 }

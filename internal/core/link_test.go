@@ -98,10 +98,7 @@ func (h *linkHarness) evictRemote(ev cache.Eviction) {
 		wb := h.re.EncodeWriteback(ev.Data)
 		h.wbs++
 		h.roundTripWire(&wb, h.remote)
-		got, err := h.he.DecodeWriteback(wb)
-		if err != nil {
-			h.t.Fatalf("writeback decode: %v", err)
-		}
+		got := h.decodeFrom(wb, "DecodeWritebackFrom", h.he.DecodeWritebackFrom)
 		if !bytes.Equal(got, ev.Data) {
 			h.t.Fatalf("writeback corrupted:\n got %x\nwant %x", got, ev.Data)
 		}
@@ -154,11 +151,12 @@ func (h *linkHarness) roundTripWire(p *Payload, geom *cache.Cache) {
 }
 
 // decodeFrom decodes p's image out of the middle of a longer bit stream
-// through DecodeFillFrom — the streaming codec's path — and demands
-// that it stop on the image's last bit. (Every eviction of this request
-// is already acknowledged and none of their slots can be referenced, so
-// the image acknowledging nothing resolves the same lines.)
-func (h *linkHarness) decodeFrom(p Payload) []byte {
+// through decode — a fill's DecodeFillFrom, as the streaming codec
+// calls it, or a write-back's DecodeWritebackFrom — and demands that it
+// stop on the image's last bit. (Every eviction of a fill's request is
+// already acknowledged and none of their slots can be referenced, so
+// the fill image acknowledging nothing resolves the same lines.)
+func (h *linkHarness) decodeFrom(p Payload, name string, decode func(*bits.Reader) ([]byte, error)) []byte {
 	idx, way := h.remote.IndexBits(), h.remote.WayBits()
 	lead := h.fills % 9
 	junk := uint64(h.fills+1) * 0x9E3779B97F4A7C15
@@ -168,12 +166,12 @@ func (h *linkHarness) decodeFrom(p Payload) []byte {
 	w.WriteBits(junk, 64)
 	r := bits.NewReader(w.Bytes(), w.Len())
 	r.ReadBits(lead)
-	data, err := h.re.DecodeFillFrom(r)
+	data, err := decode(r)
 	if err != nil {
-		h.t.Fatalf("DecodeFillFrom: %v", err)
+		h.t.Fatalf("%s: %v", name, err)
 	}
 	if used := w.Len() - lead - r.Remaining(); used != p.Bits(idx+way) {
-		h.t.Fatalf("DecodeFillFrom consumed %d bits of a %d-bit image", used, p.Bits(idx+way))
+		h.t.Fatalf("%s consumed %d bits of a %d-bit image", name, used, p.Bits(idx+way))
 	}
 	return append([]byte(nil), data...)
 }
@@ -218,7 +216,7 @@ func (h *linkHarness) request(addr uint64, write bool) {
 		h.t.Fatalf("latency %d exceeds worst case %d", lat.Total(), EndToEndLatency)
 	}
 	h.roundTripWire(&p, h.remote)
-	streamed := h.decodeFrom(p)
+	streamed := h.decodeFrom(p, "DecodeFillFrom", func(r *bits.Reader) ([]byte, error) { return h.re.DecodeFillFrom(r, 0) })
 	data, err := h.re.DecodeFill(p)
 	if err != nil {
 		h.t.Fatalf("decode fill %#x: %v", addr, err)

@@ -93,11 +93,10 @@ func (p Payload) AppendTo(w *bits.Writer, idxBits, wayBits int) {
 }
 
 // MarshalGuarded is MarshalInto, into a fresh Writer, plus an appended
-// CRC-8 guard over the payload image; UnmarshalPayloadGuardedScratch
-// verifies and strips it. The
-// guard costs crcBits on the wire, so it is an option the fault-aware
-// drivers enable rather than part of the baseline format (whose bit
-// accounting matches the paper).
+// CRC-8 guard over the payload image; Unguard verifies and strips it.
+// The guard costs crcBits on the wire, so it is an option the
+// fault-aware drivers enable rather than part of the baseline format
+// (whose bit accounting matches the paper).
 func (p Payload) MarshalGuarded(idxBits, wayBits int) compress.Encoded {
 	var w bits.Writer
 	return p.MarshalGuardedInto(&w, idxBits, wayBits)
@@ -111,6 +110,93 @@ func (p Payload) MarshalGuardedInto(w *bits.Writer, idxBits, wayBits int) compre
 	return compress.Encoded{Data: w.Bytes(), NBits: w.Len()}
 }
 
+// Unguard verifies and strips the CRC-8 guard MarshalGuarded appended,
+// returning the payload image it covered (aliasing enc). A failed check
+// returns the bare ErrCRCMismatch sentinel, so a condemned frame
+// allocates nothing; an image too short to carry the guard returns a
+// wrapped ErrTruncatedPayload.
+func Unguard(enc compress.Encoded) (compress.Encoded, error) {
+	if enc.NBits < crcBits+flagBits {
+		return compress.Encoded{}, fmt.Errorf("core: %d-bit image below guard size: %w", enc.NBits, ErrTruncatedPayload)
+	}
+	if enc.NBits > 8*len(enc.Data) {
+		return compress.Encoded{}, fmt.Errorf("core: %d-bit image in %d-byte buffer: %w", enc.NBits, len(enc.Data), ErrTruncatedPayload)
+	}
+	bodyBits := enc.NBits - crcBits
+	var got byte
+	for i := 0; i < crcBits; i++ {
+		pos := bodyBits + i
+		got = got<<1 | enc.Data[pos/8]>>(7-uint(pos%8))&1
+	}
+	if want := crc8Image(enc.Data, bodyBits); got != want {
+		return compress.Encoded{}, ErrCRCMismatch
+	}
+	return compress.Encoded{Data: enc.Data, NBits: bodyBits}, nil
+}
+
+// readHeader is the one parser of an image's header: the flag, then
+// either the raw line, appended to raw, or the reference count and that
+// many RemoteLIDs, appended to refs. It returns the grown slice of the
+// image's form (raw is nil for a compressed image), leaving r on the
+// DIFF's first bit. Every failure wraps ErrTruncatedPayload: that
+// class, and only it, means the header did not parse.
+func readHeader(r *bits.Reader, refs []cache.LineID, raw []byte, idxBits, wayBits, lineSize int) ([]cache.LineID, []byte, error) {
+	flag, err := r.ReadBit()
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: empty payload: %w: %w", ErrTruncatedPayload, err)
+	}
+	if flag == 0 {
+		if raw, err = r.AppendBytes(raw[:0], lineSize); err != nil {
+			return nil, nil, fmt.Errorf("core: raw payload: %w: %w", ErrTruncatedPayload, err)
+		}
+		return nil, raw, nil
+	}
+	n, err := r.ReadBits(refCountBits)
+	for i := 0; err == nil && i < int(n); i++ {
+		var id uint64
+		id, err = r.ReadBits(idxBits + wayBits)
+		refs = append(refs, cache.LineID{Index: int(id >> wayBits), Way: int(id & (1<<wayBits - 1))})
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: references: %w: %w", ErrTruncatedPayload, err)
+	}
+	return refs, nil, nil
+}
+
+// receive is the body of both ends' decoders: it parses the image at
+// br — the header, then for a compressed image the DIFF, decompressed
+// against the data resolve returns for each RemoteLID — leaving br
+// after the image's last bit; the line aliases the scratch. spanBits is
+// -1 when the header did not parse (no decode ran), else the consumed
+// image priced at the link's pointer width: Payload.Bits(lidBits),
+// which differs from the image's length only under the tag-pointer
+// ablation.
+func (s *encScratch) receive(br *bits.Reader, e compress.Engine, lineSize int, resolve func(cache.LineID) ([]byte, error)) (line []byte, spanBits int, err error) {
+	start := br.Remaining()
+	var ids [MaxRefsLimit]cache.LineID
+	refs, raw, err := readHeader(br, ids[:0], s.decOut, s.idxBits, s.wayBits, lineSize)
+	if err != nil {
+		return nil, -1, err
+	}
+	s.decRefs = s.decRefs[:0]
+	for _, rid := range refs {
+		var data []byte
+		if data, err = resolve(rid); err != nil {
+			break
+		}
+		s.decRefs = append(s.decRefs, data)
+	}
+	switch {
+	case raw != nil:
+		s.decOut, line = raw, raw
+	case err == nil:
+		if line, err = e.DecompressFrom(&s.dec, br, s.decRefs, lineSize); err != nil {
+			line, err = nil, fmt.Errorf("core: diff: %w: %w", ErrCorruptDiff, err)
+		}
+	}
+	return line, start - br.Remaining() + len(refs)*(s.lidBits-s.idxBits-s.wayBits), err
+}
+
 // PayloadScratch holds the reusable buffers of the allocation-free
 // unmarshal path. One scratch belongs to one decoded payload at a time:
 // the payload written by UnmarshalPayloadScratch aliases it and is valid
@@ -122,33 +208,26 @@ type PayloadScratch struct {
 	diff bits.Writer
 }
 
-// UnmarshalPayloadScratch is the payload parser: the parsed payload is
-// written through p and aliases s, so steady-state decodes allocate
-// nothing once the scratch has grown to payload size. lineSize bounds
-// the raw form. Anomalies surface as wrapped ErrTruncatedPayload, never a
-// panic: the bit reader bounds every access to the physical buffer even
-// when enc.NBits overstates it.
+// UnmarshalPayloadScratch materializes an image as a Payload: the
+// parsed payload is written through p and aliases s, so steady-state
+// unmarshals allocate nothing once the scratch has grown to payload
+// size. lineSize bounds the raw form. Anomalies surface as wrapped
+// ErrTruncatedPayload, never a panic: the bit reader bounds every
+// access to the physical buffer even when enc.NBits overstates it.
 func UnmarshalPayloadScratch(p *Payload, s *PayloadScratch, enc compress.Encoded, idxBits, wayBits, lineSize int) error {
 	*p = Payload{}
 	r := enc.Reader()
-	flag, err := r.ReadBit()
-	if err != nil {
-		return fmt.Errorf("core: empty payload: %w: %w", ErrTruncatedPayload, err)
-	}
-	if flag == 0 {
-		s.raw, err = r.AppendBytes(s.raw[:0], lineSize)
-		if err != nil {
-			return fmt.Errorf("core: raw payload: %w: %w", ErrTruncatedPayload, err)
-		}
-		p.Raw = s.raw
+	refs, raw, err := readHeader(r, s.refs[:0], s.raw, idxBits, wayBits, lineSize)
+	switch {
+	case err != nil:
+		return err
+	case raw != nil:
+		s.raw, p.Raw = raw, raw
 		return nil
 	}
-	p.Compressed = true
-	if s.refs, err = readRefs(r, s.refs[:0], idxBits, wayBits); err != nil {
-		return err
-	}
-	if len(s.refs) > 0 {
-		p.Refs = s.refs
+	s.refs, p.Compressed = refs, true
+	if len(refs) > 0 {
+		p.Refs = refs
 	}
 	nbits := r.Remaining()
 	s.diff.Reset()
@@ -157,50 +236,12 @@ func UnmarshalPayloadScratch(p *Payload, s *PayloadScratch, enc compress.Encoded
 	return nil
 }
 
-// readRefs parses what follows a compressed image's flag bit — the
-// reference count and that many RemoteLIDs — appending them to refs. It
-// is the one parser of that field, for the materializing unmarshal
-// above and for RemoteEnd.DecodeFillFrom.
-func readRefs(r *bits.Reader, refs []cache.LineID, idxBits, wayBits int) ([]cache.LineID, error) {
-	n, err := r.ReadBits(refCountBits)
-	if err != nil {
-		return refs, fmt.Errorf("core: refcount: %w: %w", ErrTruncatedPayload, err)
-	}
-	for i := 0; i < int(n); i++ {
-		idx, err := r.ReadBits(idxBits)
-		if err != nil {
-			return refs, fmt.Errorf("core: ref %d index: %w: %w", i, ErrTruncatedPayload, err)
-		}
-		way, err := r.ReadBits(wayBits)
-		if err != nil {
-			return refs, fmt.Errorf("core: ref %d way: %w: %w", i, ErrTruncatedPayload, err)
-		}
-		refs = append(refs, cache.LineID{Index: int(idx), Way: int(way)})
-	}
-	return refs, nil
-}
-
-// UnmarshalPayloadGuardedScratch verifies and strips the CRC-8 guard
-// appended by MarshalGuarded, then parses the remaining image into
-// caller scratch (see UnmarshalPayloadScratch). A failed check returns
-// the bare ErrCRCMismatch sentinel, so a condemned frame allocates
-// nothing; an image too short to carry the guard returns a wrapped
-// ErrTruncatedPayload.
+// UnmarshalPayloadGuardedScratch is Unguard, then UnmarshalPayloadScratch
+// over the image the guard covered.
 func UnmarshalPayloadGuardedScratch(p *Payload, s *PayloadScratch, enc compress.Encoded, idxBits, wayBits, lineSize int) error {
-	if enc.NBits < crcBits+flagBits {
-		return fmt.Errorf("core: %d-bit image below guard size: %w", enc.NBits, ErrTruncatedPayload)
+	body, err := Unguard(enc)
+	if err != nil {
+		return err
 	}
-	if enc.NBits > 8*len(enc.Data) {
-		return fmt.Errorf("core: %d-bit image in %d-byte buffer: %w", enc.NBits, len(enc.Data), ErrTruncatedPayload)
-	}
-	bodyBits := enc.NBits - crcBits
-	var got byte
-	for i := 0; i < crcBits; i++ {
-		pos := bodyBits + i
-		got = got<<1 | enc.Data[pos/8]>>(7-uint(pos%8))&1
-	}
-	if want := crc8Image(enc.Data, bodyBits); got != want {
-		return ErrCRCMismatch
-	}
-	return UnmarshalPayloadScratch(p, s, compress.Encoded{Data: enc.Data, NBits: bodyBits}, idxBits, wayBits, lineSize)
+	return UnmarshalPayloadScratch(p, s, body, idxBits, wayBits, lineSize)
 }

@@ -75,7 +75,7 @@ func NewRemoteEnd(cfg Config, remote *cache.Cache) (*RemoteEnd, error) {
 		lineSize: remote.Config().LineSize,
 	}
 	r.mx, r.shard = remoteMetricsIn(cfg.Metrics)
-	r.scr.init(eng, cfg, remote.IndexBits()+remote.WayBits())
+	r.scr.init(eng, cfg, remote)
 	return r, nil
 }
 
@@ -93,112 +93,58 @@ func (r *RemoteEnd) EvictionBuffer() *EvictionBuffer { return r.evbuf }
 // configured override for the tag-pointer ablation.
 func (r *RemoteEnd) RemoteLIDBits() int { return r.scr.lidBits }
 
-// countDecode publishes one fill decode and the references the
-// eviction buffer served it.
-func (r *RemoteEnd) countDecode(rescues uint64) {
+// DecodeFill reconstructs a fill payload, rejecting a raw one that is
+// not one line: it writes the payload's image into this end's scratch
+// and decodes that with DecodeFillFrom, AckSeq riding beside it. Errors
+// and the result's lifetime are DecodeFillFrom's.
+func (r *RemoteEnd) DecodeFill(p Payload) ([]byte, error) {
+	if !p.Compressed && len(p.Raw) != r.lineSize {
+		return nil, fmt.Errorf("core: raw fill of %dB, want %dB: %w", len(p.Raw), r.lineSize, ErrTruncatedPayload)
+	}
+	w := &r.scr.decW
+	w.Reset()
+	p.AppendTo(w, r.scr.idxBits, r.scr.wayBits)
+	r.scr.decR.Reset(w.Bytes(), w.Len())
+	return r.DecodeFillFrom(&r.scr.decR, p.AckSeq)
+}
+
+// DecodeFillFrom is the fill decoder. It reads one payload image
+// (Payload.AppendTo's layout, for this cache's geometry) at br's
+// position and reconstructs the line, leaving br just after the image's
+// last bit, so images packed back to back decode one call each — the
+// next image's references may name the slot this line is about to be
+// installed in. References are read from the remote data array by
+// RemoteLID; if a referenced slot was evicted after the home end,
+// having acknowledged ack (the AckSeq that rides beside the image,
+// §IV-A), chose it, the eviction buffer supplies the copy. The decode
+// is counted once the image's header has parsed. The result aliases
+// this end's decode scratch and is valid until the next decode;
+// retainers must copy (the simulators' caches all copy on install).
+func (r *RemoteEnd) DecodeFillFrom(br *bits.Reader, ack uint64) ([]byte, error) {
+	var rescues uint64
+	line, spanBits, err := r.scr.receive(br, r.engine, r.lineSize, func(rid cache.LineID) ([]byte, error) {
+		if data := r.evbuf.Resolve(rid, ack); data != nil {
+			rescues++
+			return data, nil
+		}
+		if l := r.remote.ReadByID(rid); l != nil {
+			return l.Data, nil
+		}
+		return nil, fmt.Errorf("core: fill references empty remote slot %v: %w", rid, ErrBadReference)
+	})
+	if spanBits < 0 {
+		return nil, err
+	}
+	if r.rec != nil {
+		r.rec.Span(r.recTrack, obs.EvDecode, spanBits)
+	}
 	r.Stats.FillDecodes++
 	r.Stats.RescuedRefs += rescues
 	r.mx.fillDecodes.Inc(r.shard)
 	if rescues != 0 {
 		r.mx.evictRescues.Add(r.shard, rescues)
 	}
-}
-
-// DecodeFill reconstructs a fill payload. References are read from the
-// remote data array by RemoteLID; if a referenced slot was evicted
-// after the home end produced the payload, the eviction buffer supplies
-// the copy (§IV-A). The result aliases this end's decode scratch and
-// is valid until the next decode; retainers must copy (the simulators'
-// caches all copy on install).
-func (r *RemoteEnd) DecodeFill(p Payload) ([]byte, error) {
-	var rescues uint64
-	out, err := r.reconstruct(&p, &rescues)
-	if r.rec != nil {
-		r.rec.Span(r.recTrack, obs.EvDecode, p.Bits(r.scr.lidBits))
-	}
-	r.countDecode(rescues)
-	return out, err
-}
-
-// reconstruct rebuilds the line: a raw payload is copied out, a
-// compressed one is decompressed against its resolved references.
-func (r *RemoteEnd) reconstruct(p *Payload, rescues *uint64) ([]byte, error) {
-	if !p.Compressed {
-		if len(p.Raw) != r.lineSize {
-			return nil, fmt.Errorf("core: raw fill of %dB, want %dB: %w", len(p.Raw), r.lineSize, ErrTruncatedPayload)
-		}
-		r.scr.decOut = append(r.scr.decOut[:0], p.Raw...)
-		return r.scr.decOut, nil
-	}
-	r.scr.decR.Reset(p.Diff.Data, p.Diff.NBits)
-	return r.decodeDiff(&r.scr.decR, p.Refs, p.AckSeq, rescues)
-}
-
-// decodeDiff is the one tail of both decode paths: resolve each
-// reference — the eviction buffer's copy if the slot was evicted after
-// the home end, having acknowledged ack, chose it (§IV-A), else the
-// slot's occupant, counted in rescues — and decompress the DIFF at br
-// against them, leaving br after the DIFF's last bit.
-func (r *RemoteEnd) decodeDiff(br *bits.Reader, refs []cache.LineID, ack uint64, rescues *uint64) ([]byte, error) {
-	r.scr.decRefs = r.scr.decRefs[:0]
-	for _, rid := range refs {
-		if data := r.evbuf.Resolve(rid, ack); data != nil {
-			*rescues++
-			r.scr.decRefs = append(r.scr.decRefs, data)
-			continue
-		}
-		line := r.remote.ReadByID(rid)
-		if line == nil {
-			return nil, fmt.Errorf("core: fill references empty remote slot %v: %w", rid, ErrBadReference)
-		}
-		r.scr.decRefs = append(r.scr.decRefs, line.Data)
-	}
-	out, err := r.engine.DecompressFrom(&r.scr.dec, br, r.scr.decRefs, r.lineSize)
-	if err != nil {
-		return nil, fmt.Errorf("core: fill diff: %w: %w", ErrCorruptDiff, err)
-	}
-	return out, nil
-}
-
-// DecodeFillFrom is DecodeFill off a bit stream: it reads one payload
-// image (Payload.AppendTo's layout, for this cache's geometry) at br's
-// position and reconstructs the line, leaving br just after the image's
-// last bit, so images packed back to back decode one call each — the
-// next image's references may name the slot this line is about to be
-// installed in. AckSeq is not part of the image; as with an
-// unmarshalled payload, the image acknowledges nothing. Errors and the
-// result's lifetime are DecodeFill's.
-func (r *RemoteEnd) DecodeFillFrom(br *bits.Reader) ([]byte, error) {
-	var rescues uint64
-	start := br.Remaining()
-	out, err := r.reconstructFrom(br, &rescues)
-	if r.rec != nil {
-		r.rec.Span(r.recTrack, obs.EvDecode, start-br.Remaining())
-	}
-	r.countDecode(rescues)
-	return out, err
-}
-
-// reconstructFrom is reconstruct with the payload still on the wire:
-// it parses the flag, the raw line or the references, and hands the
-// rest to decodeDiff.
-func (r *RemoteEnd) reconstructFrom(br *bits.Reader, rescues *uint64) ([]byte, error) {
-	flag, err := br.ReadBit()
-	if err != nil {
-		return nil, fmt.Errorf("core: empty payload: %w: %w", ErrTruncatedPayload, err)
-	}
-	if flag == 0 {
-		if r.scr.decOut, err = br.AppendBytes(r.scr.decOut[:0], r.lineSize); err != nil {
-			return nil, fmt.Errorf("core: raw payload: %w: %w", ErrTruncatedPayload, err)
-		}
-		return r.scr.decOut, nil
-	}
-	var ids [MaxRefsLimit]cache.LineID
-	refs, err := readRefs(br, ids[:0], r.remote.IndexBits(), r.remote.WayBits())
-	if err != nil {
-		return nil, err
-	}
-	return r.decodeDiff(br, refs, 0, rescues)
+	return line, err
 }
 
 // insertLine and removeLine mirror the home end's scratch-backed

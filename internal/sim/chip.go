@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"cable/internal/cache"
@@ -153,8 +154,12 @@ type Chip struct {
 func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 	// The chip-level registry scopes every sub-component's counters.
 	cfg.Cable.Metrics = cfg.Metrics
-	llc := cache.New(cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: cfg.LineSize, Policy: cfg.LLCPolicy})
-	l4 := cache.New(cache.Config{Name: "l4", SizeBytes: cfg.L4Bytes, Ways: cfg.L4Ways, LineSize: cfg.LineSize, Policy: cfg.L4Policy})
+	llcCfg := cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: cfg.LineSize, Policy: cfg.LLCPolicy}
+	l4Cfg := cache.Config{Name: "l4", SizeBytes: cfg.L4Bytes, Ways: cfg.L4Ways, LineSize: cfg.LineSize, Policy: cfg.L4Policy}
+	if err := errors.Join(llcCfg.Validate(), l4Cfg.Validate()); err != nil {
+		return nil, err
+	}
+	llc, l4 := cache.New(llcCfg), cache.New(l4Cfg)
 	if cfg.TagPointers {
 		cfg.Cable.PointerBitsOverride = 40
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"cable/internal/bits"
@@ -13,12 +14,13 @@ import (
 )
 
 // LinkTransfer carries CABLE payloads across one link on behalf of a
-// protocol driver: marshal → meter the wire → (with an injector)
-// corrupt → unmarshal → decode → verify against the driver's ground
-// truth → degrade a failure to a raw resend. Every driver — Chip,
-// RunMultiChip, RunNonInclusive and the topology engine — sends fills
-// and write-backs through Send, so the wire format, the guard and the
-// recovery rule each live here and nowhere else.
+// protocol driver: marshal → meter the wire → (with an injector: guard
+// → corrupt → unguard) → decode from the received image → verify
+// against the driver's ground truth → degrade a failure to a raw
+// resend. Every driver — Chip, RunMultiChip, RunNonInclusive and the
+// topology engine — sends fills and write-backs through Send, so the
+// wire format, the guard and the recovery rule each live here and
+// nowhere else.
 //
 // The exported fields are set once by the driver that builds the
 // component; a LinkTransfer serves one goroutine.
@@ -29,11 +31,11 @@ type LinkTransfer struct {
 	// the baseline unguarded format whose bit accounting matches the
 	// paper; non-nil appends the CRC-8 guard to every image.
 	Injector *fault.Injector
-	// IdxBits/WayBits/LineSize are the remote-cache geometry the wire
-	// format is parsed with. LIDBits is the pointer width an unguarded
-	// payload is priced at — the ends' RemoteLIDBits, which differs from
+	// IdxBits/WayBits are the remote-cache geometry the wire image
+	// carries RemoteLIDs in. LIDBits is the pointer width an unguarded
+	// image is priced at — the ends' RemoteLIDBits, which differs from
 	// IdxBits+WayBits only under the tag-pointer ablation.
-	IdxBits, WayBits, LineSize, LIDBits int
+	IdxBits, WayBits, LIDBits int
 	// Verify panics when a clean image fails to decode bit-exact.
 	Verify bool
 	// Recorder/Track, when non-nil, receive the fault, degradation and
@@ -52,10 +54,10 @@ type LinkTransfer struct {
 	// the driver publishes its own, as the topology engine does).
 	degrade *degradeCounters
 
-	// mw and ps are the marshal and unmarshal scratch: every wire image
-	// is sent, corrupted and parsed before the next one is marshaled.
+	// mw and br are the marshal scratch and the receiver's reader over it:
+	// each image is sent, corrupted and decoded before the next is marshaled.
 	mw bits.Writer
-	ps core.PayloadScratch
+	br bits.Reader
 }
 
 // TransferResult is what one Send did.
@@ -76,8 +78,9 @@ type TransferResult struct {
 }
 
 // Send transfers p, which the sending end just encoded from want, and
-// reconstructs it with the receiving end's decode (RemoteEnd.DecodeFill
-// for a fill, HomeEnd.DecodeWriteback for a write-back).
+// has decode — the receiving end's from-bits decoder:
+// RemoteEnd.DecodeFillFrom for a fill, HomeEnd.DecodeWritebackFrom for
+// a write-back — reconstruct it from the image that crossed the link.
 //
 // Every injector-touched frame is degraded, even the ~2^-8 of multi-bit
 // patterns that alias the CRC — the ground truth catches those silent
@@ -88,27 +91,20 @@ type TransferResult struct {
 // link-level retransmission a production link pairs with its guard: a
 // fresh raw transfer, delivered clean, charged on top of the failed
 // attempt.
-func (x *LinkTransfer) Send(p core.Payload, decode func(core.Payload) ([]byte, error), want []byte, lineAddr uint64) TransferResult {
+func (x *LinkTransfer) Send(p core.Payload, decode func(*bits.Reader) ([]byte, error), want []byte, lineAddr uint64) TransferResult {
 	togglesBefore := x.Link.Toggles
-	var res TransferResult
+	enc, wire := x.meter(p)
+	res := TransferResult{Wire: wire}
 	var derr error
-	if x.Injector == nil {
-		res.Data, derr = decode(p)
-		res.Decoded = true
-		enc := p.MarshalInto(&x.mw, x.IdxBits, x.WayBits)
-		res.Wire = x.Link.SendWire(enc.Data, p.Bits(x.LIDBits))
-	} else {
-		enc := p.MarshalGuardedInto(&x.mw, x.IdxBits, x.WayBits)
-		res.Wire = x.Link.SendWire(enc.Data, enc.NBits)
+	if x.Injector != nil {
 		enc.NBits, res.Faulted = x.Injector.Corrupt(enc.Data, enc.NBits)
-		var q core.Payload
-		derr = core.UnmarshalPayloadGuardedScratch(&q, &x.ps, enc, x.IdxBits, x.WayBits, x.LineSize)
-		if derr == nil {
-			// AckSeq rides the transport header, not the marshaled image.
-			q.AckSeq = p.AckSeq
-			res.Data, derr = decode(q)
-			res.Decoded = true
-		}
+		enc, derr = core.Unguard(enc)
+	}
+	if derr == nil {
+		x.br.Reset(enc.Data, enc.NBits)
+		res.Data, derr = decode(&x.br)
+		// A header that did not parse is the one failure no decode ran on.
+		res.Decoded = !errors.Is(derr, core.ErrTruncatedPayload)
 	}
 	if res.Faulted {
 		x.FaultsInjected++
@@ -134,14 +130,7 @@ func (x *LinkTransfer) Send(p core.Payload, decode func(core.Payload) ([]byte, e
 			d.resolve().decodeErrors.Inc(d.shard)
 			d.rawFallbacks.Inc(d.shard)
 		}
-		raw := core.Payload{Raw: want}
-		var enc compress.Encoded
-		if x.Injector != nil {
-			enc = raw.MarshalGuardedInto(&x.mw, x.IdxBits, x.WayBits)
-		} else {
-			enc = raw.MarshalInto(&x.mw, x.IdxBits, x.WayBits)
-		}
-		resend := x.Link.SendWire(enc.Data, enc.NBits)
+		_, resend := x.meter(core.Payload{Raw: want})
 		if x.Recorder != nil {
 			x.Recorder.Degrade(x.Track, resend)
 		}
@@ -155,4 +144,16 @@ func (x *LinkTransfer) Send(p core.Payload, decode func(core.Payload) ([]byte, e
 		x.Recorder.Transfer(x.Track, len(want)*8, res.Wire, res.Toggles)
 	}
 	return res
+}
+
+// meter marshals p — with the CRC-8 guard when an injector is on — and
+// sends the image over the link, returning the image and its wire cost.
+// An unguarded image is priced at the link's pointer width.
+func (x *LinkTransfer) meter(p core.Payload) (compress.Encoded, int) {
+	if x.Injector == nil {
+		enc := p.MarshalInto(&x.mw, x.IdxBits, x.WayBits)
+		return enc, x.Link.SendWire(enc.Data, p.Bits(x.LIDBits))
+	}
+	enc := p.MarshalGuardedInto(&x.mw, x.IdxBits, x.WayBits)
+	return enc, x.Link.SendWire(enc.Data, enc.NBits)
 }

@@ -3,9 +3,11 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/compress"
 	"cable/internal/core"
@@ -73,25 +75,37 @@ func newXferRig(t *testing.T) *xferRig {
 	return r
 }
 
+// decoder is the from-bits decoder form Send takes.
+type decoder = func(br *bits.Reader) ([]byte, error)
+
+// decoder returns the rig's receiving end for a fill (acknowledging
+// ack) or a write-back.
+func (r *xferRig) decoder(writeback bool, ack uint64) decoder {
+	if writeback {
+		return r.he.DecodeWritebackFrom
+	}
+	return func(br *bits.Reader) ([]byte, error) { return r.re.DecodeFillFrom(br, ack) }
+}
+
 // transfer encodes the rig's pending fill or write-back and hands back
 // everything Send needs.
-func (r *xferRig) transfer(t *testing.T, writeback bool) (core.Payload, func(core.Payload) ([]byte, error), []byte) {
+func (r *xferRig) transfer(t *testing.T, writeback bool) (core.Payload, decoder, []byte) {
 	t.Helper()
 	if writeback {
-		return r.re.EncodeWriteback(r.wbData), r.he.DecodeWriteback, r.wbData
+		return r.re.EncodeWriteback(r.wbData), r.decoder(true, 0), r.wbData
 	}
 	p, _, err := r.he.EncodeFill(r.fillAddr, cache.Shared, r.fillWay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	line, _, _ := r.home.Probe(r.fillAddr)
-	return p, r.re.DecodeFill, line.Data
+	return p, r.decoder(false, p.AckSeq), line.Data
 }
 
 func (r *xferRig) newTransfer(inj *fault.Injector, verify bool) *LinkTransfer {
 	return &LinkTransfer{
 		Link: link.New(link.DefaultConfig()), Injector: inj,
-		IdxBits: r.remote.IndexBits(), WayBits: r.remote.WayBits(), LineSize: 64,
+		IdxBits: r.remote.IndexBits(), WayBits: r.remote.WayBits(),
 		LIDBits: r.he.RemoteLIDBits(), Verify: verify,
 		degrade: &degradeCounters{reg: obs.NewRegistry()},
 	}
@@ -122,25 +136,29 @@ func TestLinkTransferFaultPatterns(t *testing.T) {
 	patterns := []struct {
 		name    string
 		cfg     fault.Config
-		want    func(st fault.Stats, rx compress.Encoded, idx, way int) bool
+		want    func(st fault.Stats, rx compress.Encoded, decode decoder) bool
 		faulted bool
 	}{
 		{"clean", fault.Config{BitRate: 1e-12},
-			func(st fault.Stats, _ compress.Encoded, _, _ int) bool { return st.Corrupted == 0 }, false},
+			func(st fault.Stats, _ compress.Encoded, _ decoder) bool { return st.Corrupted == 0 }, false},
 		{"single-bit-flip", fault.Config{BitRate: 0.01},
-			func(st fault.Stats, _ compress.Encoded, _, _ int) bool { return st.BitsFlipped == 1 }, true},
+			func(st fault.Stats, _ compress.Encoded, _ decoder) bool { return st.BitsFlipped == 1 }, true},
 		{"truncation", fault.Config{TruncRate: 1},
-			func(st fault.Stats, _ compress.Encoded, _, _ int) bool { return st.Truncations == 1 }, true},
-		// A multi-bit pattern the CRC-8 does not see: the image parses,
+			func(st fault.Stats, _ compress.Encoded, _ decoder) bool { return st.Truncations == 1 }, true},
+		// A multi-bit pattern the CRC-8 does not see: the header parses,
 		// so only the ground truth (or the every-touched-frame rule) can
 		// keep it out of the cache.
 		{"crc-alias", fault.Config{BitRate: 0.03},
-			func(st fault.Stats, rx compress.Encoded, idx, way int) bool {
+			func(st fault.Stats, rx compress.Encoded, decode decoder) bool {
 				if st.BitsFlipped < 2 {
 					return false
 				}
-				var p core.Payload
-				return core.UnmarshalPayloadGuardedScratch(&p, new(core.PayloadScratch), rx, idx, way, 64) == nil
+				body, err := core.Unguard(rx)
+				if err != nil {
+					return false
+				}
+				_, err = decode(body.Reader())
+				return !errors.Is(err, core.ErrTruncatedPayload)
 			}, true},
 	}
 	for _, pat := range patterns {
@@ -150,12 +168,11 @@ func TestLinkTransferFaultPatterns(t *testing.T) {
 				name = pat.name + "/writeback"
 			}
 			t.Run(name, func(t *testing.T) {
-				rig := newXferRig(t)
-				idx, way := rig.remote.IndexBits(), rig.remote.WayBits()
+				rig, probe := newXferRig(t), newXferRig(t)
 				p, decode, want := rig.transfer(t, writeback)
-				image := p.MarshalGuarded(idx, way)
+				image := p.MarshalGuarded(rig.remote.IndexBits(), rig.remote.WayBits())
 				inj := findFault(t, pat.cfg, image, func(st fault.Stats, rx compress.Encoded) bool {
-					return pat.want(st, rx, idx, way)
+					return pat.want(st, rx, probe.decoder(writeback, 0))
 				})
 				// Verify stays on: a damaged frame must never reach the
 				// clean-image checks.
@@ -213,15 +230,15 @@ func TestLinkTransferFaultPatterns(t *testing.T) {
 // image that mis-decodes, or fails to decode, panics; with Verify off
 // the failed decode degrades to a counted raw resend instead.
 func TestLinkTransferVerify(t *testing.T) {
-	garble := func(decode func(core.Payload) ([]byte, error)) func(core.Payload) ([]byte, error) {
-		return func(p core.Payload) ([]byte, error) {
-			out, err := decode(p)
+	garble := func(decode decoder) decoder {
+		return func(br *bits.Reader) ([]byte, error) {
+			out, err := decode(br)
 			out = append([]byte(nil), out...)
 			out[3] ^= 1
 			return out, err
 		}
 	}
-	fail := func(core.Payload) ([]byte, error) { return nil, core.ErrCorruptDiff }
+	fail := func(*bits.Reader) ([]byte, error) { return nil, core.ErrCorruptDiff }
 	panics := func(f func()) (p bool) {
 		defer func() { p = recover() != nil }()
 		f()
@@ -256,9 +273,8 @@ func TestLinkTransferVerify(t *testing.T) {
 }
 
 // TestLinkTransferScratchIsolation: whatever the caller does to the
-// buffer a Send returned, the next Send is unaffected — on the clean
-// path, where the buffer is the decoding end's scratch, and on the
-// guarded one, where the unmarshal scratch sits in between.
+// buffer a Send returned, the next Send is unaffected — the buffer is
+// the decoding end's scratch, on the clean path and on the guarded one.
 func TestLinkTransferScratchIsolation(t *testing.T) {
 	for _, guarded := range []bool{false, true} {
 		run := func(scribble bool) (fill, wb TransferResult, fillData, wbData []byte) {

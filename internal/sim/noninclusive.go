@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+
 	"cable/internal/cache"
 	"cable/internal/core"
 	"cable/internal/fault"
@@ -86,9 +88,13 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	remoteCfg := cache.Config{Name: "ca", SizeBytes: cfg.RemoteBytes, Ways: cfg.RemoteWays, LineSize: 64}
+	homeCfg := cache.Config{Name: "ha", SizeBytes: cfg.HomeBytes, Ways: cfg.HomeWays, LineSize: 64}
+	if err := errors.Join(remoteCfg.Validate(), homeCfg.Validate()); err != nil {
+		return nil, err
+	}
 	store := mem.NewStore(64, gen.LineData)
-	remote := cache.New(cache.Config{Name: "ca", SizeBytes: cfg.RemoteBytes, Ways: cfg.RemoteWays, LineSize: 64})
-	home := cache.New(cache.Config{Name: "ha", SizeBytes: cfg.HomeBytes, Ways: cfg.HomeWays, LineSize: 64})
+	remote, home := cache.New(remoteCfg), cache.New(homeCfg)
 	rec := cfg.Recorder
 	pair, err := NewPair(home, remote, PairConfig{
 		Cable: cfg.Cable, Link: link.New(cfg.Link), Injector: fault.New(cfg.Fault), Verify: cfg.Verify,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"cable/internal/bits"
 	"cable/internal/cache"
 	"cable/internal/core"
 	"cable/internal/fault"
@@ -57,10 +58,8 @@ type Pair struct {
 	// wbRefs: write-backs may use references (false for non-inclusive
 	// homes and pooled way-maps, §IV-C).
 	wbRefs bool
-	// The decode method values, bound once.
-	decodeFill, decodeWB func(core.Payload) ([]byte, error)
-	fills                uint64 // counted only while syncCheckEvery is on
-	victim               []byte // FillResult.Victim.Data under the silent protocol
+	fills  uint64 // counted only while syncCheckEvery is on
+	victim []byte // FillResult.Victim.Data under the silent protocol
 }
 
 // NewPair builds both ends over the given caches and wires the transfer
@@ -78,11 +77,10 @@ func NewPair(home, remote *cache.Cache, cfg PairConfig) (*Pair, error) {
 		HomeCache: home, RemoteCache: remote, Home: he, Remote: re,
 		Xfer: LinkTransfer{
 			Link: cfg.Link, Injector: cfg.Injector,
-			IdxBits: remote.IndexBits(), WayBits: remote.WayBits(), LineSize: remote.Config().LineSize,
+			IdxBits: remote.IndexBits(), WayBits: remote.WayBits(),
 			LIDBits: he.RemoteLIDBits(), Verify: cfg.Verify, degrade: cfg.degrade,
 		},
 		silent: cfg.Silent, wbRefs: cfg.Cable.WritebackCompression,
-		decodeFill: re.DecodeFill, decodeWB: he.DecodeWriteback,
 	}
 	if rec := cfg.Recorder; rec != nil {
 		p.Xfer.Recorder, p.Xfer.Track = rec, rec.Track(cfg.Track)
@@ -133,7 +131,8 @@ func (p *Pair) Fill(addr uint64, data []byte, state cache.State, way int) FillRe
 		// simulator invariant violation, not a link fault: always fatal.
 		panic(fmt.Sprintf("sim: encode fill %#x: %v", addr, err))
 	}
-	res := FillResult{TransferResult: p.Xfer.Send(pay, p.decodeFill, data, addr), Latency: lat}
+	decode := func(br *bits.Reader) ([]byte, error) { return p.Remote.DecodeFillFrom(br, pay.AckSeq) }
+	res := FillResult{TransferResult: p.Xfer.Send(pay, decode, data, addr), Latency: lat}
 	id := cache.LineID{Index: p.RemoteCache.IndexOf(addr), Way: way}
 	if p.silent {
 		if victim, ok := p.RemoteCache.LineAddrOf(id); ok {
@@ -178,7 +177,7 @@ func (p *Pair) EvictRemote(ev cache.Eviction) (wb TransferResult, absorbed bool)
 				// Sender-side protocol invariant (§IV-C), not a link fault.
 				panic("sim: write-back used references with write-back compression off")
 			}
-			wb = p.Xfer.Send(pay, p.decodeWB, ev.Data, ev.LineAddr)
+			wb = p.Xfer.Send(pay, p.Home.DecodeWritebackFrom, ev.Data, ev.LineAddr)
 		}
 		// The home copy takes what the decode reconstructed, or the raw
 		// retry delivered: the ground truth either way.

@@ -277,10 +277,37 @@ func TestPairSteps(t *testing.T) {
 // Modified victim. Each step cycles 16 lines through one 8-way remote
 // set, so every fill displaces a line; the lines fit the home cache and
 // the store has them all.
+//
+// The fault-injected row runs the dirty step through the guarded path
+// at a bit rate that damages most images, and the measured steps must
+// include every outcome the receive path has: guard rejections, silent
+// escapes (a damaged image whose CRC-8 aliases, decoded anyway) and the
+// raw resends that recover both. AllocsPerRun reports whole
+// allocations a step, so a cost on every guarded image or every resend
+// shows; the error value an escape's failed decode builds, a few
+// allocations once in the run, does not.
 func TestPairStepAllocs(t *testing.T) {
-	step := func(silent, dirty bool) (*Pair, func()) {
-		r := newPairRig(t, 1, 16, func(c *PairConfig) { c.Silent = silent }, nil)
+	// outcomes tallies the measured steps' transfers.
+	type outcomes struct{ rejected, escaped, resent int }
+	step := func(silent, dirty bool, faults fault.Config, o *outcomes) (*Pair, func()) {
+		r := newPairRig(t, 1, 16, func(c *PairConfig) {
+			c.Silent = silent
+			if faults.Enabled() {
+				c.Injector = fault.New(faults)
+			}
+		}, nil)
 		p, i := r.pairs[0], 0
+		tally := func(x TransferResult) {
+			switch {
+			case x.Faulted && x.Decoded:
+				o.escaped++
+			case x.Faulted:
+				o.rejected++
+			}
+			if x.Degraded {
+				o.resent++
+			}
+		}
 		return p, func() {
 			a := uint64(i%16) * 32
 			i++
@@ -296,23 +323,30 @@ func TestPairStepAllocs(t *testing.T) {
 			}
 			if occupied && !silent {
 				ev, _ := r.remote.Invalidate(victim)
-				p.EvictRemote(ev)
+				wb, _ := p.EvictRemote(ev)
+				tally(wb)
 			}
-			p.Fill(a, line.Data, cache.Shared, way)
+			tally(p.Fill(a, line.Data, cache.Shared, way).TransferResult)
 		}
 	}
 	for _, tc := range []struct {
 		name          string
 		silent, dirty bool
+		faults        fault.Config
 	}{
-		{"explicit evict+fill", false, false},
-		{"explicit dirty write-back+fill", false, true},
-		{"silent fill over a Modified victim", true, true},
+		{"explicit evict+fill", false, false, fault.Config{}},
+		{"explicit dirty write-back+fill", false, true, fault.Config{}},
+		{"silent fill over a Modified victim", true, true, fault.Config{}},
+		// About one damaged image in 256 aliases the CRC-8; seed 32's
+		// measured steps hold one.
+		{"fault-injected dirty write-back+fill", false, true, fault.Config{BitRate: 0.03, Seed: 32}},
 	} {
-		p, f := step(tc.silent, tc.dirty)
+		var o outcomes
+		p, f := step(tc.silent, tc.dirty, tc.faults, &o)
 		for range 64 {
 			f() // warm: every line materialized, every buffer grown
 		}
+		o = outcomes{}
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s: %.2f allocations a step, want 0", tc.name, allocs)
 		}
@@ -320,6 +354,10 @@ func TestPairStepAllocs(t *testing.T) {
 		// displacing a line from the second lap on.
 		if wb := p.Remote.Stats.Writebacks; tc.dirty != (wb >= 150) || (!tc.silent) != (p.Home.AckSeq >= 150) {
 			t.Errorf("%s: %d write-backs, %d notices acknowledged", tc.name, wb, p.Home.AckSeq)
+		}
+		if faulted := tc.faults.Enabled(); faulted != (o.rejected > 0 && o.escaped > 0 && o.resent > 0) {
+			t.Errorf("%s: measured steps had %d guard rejections, %d silent escapes, %d resends",
+				tc.name, o.rejected, o.escaped, o.resent)
 		}
 	}
 }

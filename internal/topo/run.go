@@ -132,12 +132,8 @@ func (r *Result) publish(reg *obs.Registry, withFault bool) {
 // the end of the run, not per event.
 func (e *engine) newLinkPair(li int, reg *obs.Registry) (*sim.Pair, error) {
 	lm := e.topo.links[li]
-	home := cache.New(cache.Config{
-		Name: "topo-h" + lm.name, SizeBytes: e.cfg.HomeBytes, Ways: e.cfg.HomeWays, LineSize: 64,
-	})
-	remote := cache.New(cache.Config{
-		Name: "topo-r" + lm.name, SizeBytes: e.cfg.RemoteBytes, Ways: e.cfg.RemoteWays, LineSize: 64,
-	})
+	hc, rc := e.cfg.caches(lm.name)
+	home, remote := cache.New(hc), cache.New(rc)
 	cableCfg := e.cfg.Cable
 	cableCfg.Metrics = reg
 	return sim.NewPair(home, remote, sim.PairConfig{

@@ -32,9 +32,11 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
+	"cable/internal/cache"
 	"cable/internal/core"
 	"cable/internal/fault"
 	"cable/internal/link"
@@ -179,6 +181,10 @@ func (c Config) Validate() error {
 	if c.PageLines == 0 || c.MeanGap <= 0 || c.EncodeCycles <= 0 || c.HopCycles < 0 {
 		return fmt.Errorf("topo: non-positive timing/interleave parameter")
 	}
+	home, remote := c.caches("")
+	if err := errors.Join(home.Validate(), remote.Validate()); err != nil {
+		return fmt.Errorf("topo: %w", err)
+	}
 	if c.Workload != nil && len(c.Replay) > 0 {
 		return fmt.Errorf("topo: combined workload spec + replay is not supported in topology runs (replay spec captures through the memlink driver)")
 	}
@@ -203,6 +209,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: no benchmark, workload, or replay configured")
 	}
 	return nil
+}
+
+// caches returns the geometries of a link's two caches, name
+// suffixing their names.
+func (c Config) caches(name string) (home, remote cache.Config) {
+	return cache.Config{Name: "topo-h" + name, SizeBytes: c.HomeBytes, Ways: c.HomeWays, LineSize: 64},
+		cache.Config{Name: "topo-r" + name, SizeBytes: c.RemoteBytes, Ways: c.RemoteWays, LineSize: 64}
 }
 
 // Digest fingerprints every behavioral field with the sim package's

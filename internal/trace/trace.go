@@ -6,8 +6,8 @@
 //
 // Format v2 ("CBLT0002") headers carry the record count so readers can
 // pre-size buffers and detect truncation even when the file is cut at a
-// record boundary. v1 ("CBLT0001") files remain readable; their count
-// is reported as 0, meaning unknown.
+// record boundary. It is the only format written or read: a v1
+// ("CBLT0001") header is rejected with an error naming the version.
 package trace
 
 import (
@@ -17,15 +17,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"cable/internal/workload"
 )
 
-// Magic strings identify the trace file format versions.
-const (
-	magicV1 = "CBLT0001"
-	magicV2 = "CBLT0002"
-)
+// magicV2 identifies the trace file format; the last four bytes are
+// the version.
+const magicV2 = "CBLT0002"
 
 // ErrTruncated reports a trace whose body ends before the record count
 // declared in its header.
@@ -37,8 +36,8 @@ type Header struct {
 	Instance  uint32
 	AddrBase  uint64
 	// Records is the number of records the trace declares. 0 means
-	// unknown (v1 files, or a streaming v2 writer that could not
-	// backpatch); readers skip truncation validation when unknown.
+	// unknown (a streaming writer that could not backpatch); readers
+	// skip truncation validation when unknown.
 	Records uint64
 }
 
@@ -156,20 +155,17 @@ type Reader struct {
 	read   uint64
 }
 
-// NewReader parses the header (v1 or v2) and prepares record iteration.
+// NewReader parses the header and prepares record iteration.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
 	got := make([]byte, len(magicV2))
 	if _, err := io.ReadFull(br, got); err != nil {
 		return nil, fmt.Errorf("trace: short header: %w", err)
 	}
-	var version int
-	switch string(got) {
-	case magicV1:
-		version = 1
-	case magicV2:
-		version = 2
-	default:
+	if string(got) != magicV2 {
+		if v, err := strconv.Atoi(string(got[4:])); err == nil && string(got[:4]) == magicV2[:4] {
+			return nil, fmt.Errorf("trace: %q is format version %d; only version 2 is read", got, v)
+		}
 		return nil, fmt.Errorf("trace: bad magic %q", got)
 	}
 	nameLen, err := br.ReadByte()
@@ -187,13 +183,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	h.Instance = binary.LittleEndian.Uint32(fixed[0:])
 	h.AddrBase = binary.LittleEndian.Uint64(fixed[4:])
-	if version >= 2 {
-		var cnt [8]byte
-		if _, err := io.ReadFull(br, cnt[:]); err != nil {
-			return nil, err
-		}
-		h.Records = binary.LittleEndian.Uint64(cnt[:])
+	var cnt [8]byte
+	if _, err := io.ReadFull(br, cnt[:]); err != nil {
+		return nil, err
 	}
+	h.Records = binary.LittleEndian.Uint64(cnt[:])
 	return &Reader{br: br, header: h}, nil
 }
 

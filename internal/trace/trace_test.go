@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"cable/internal/workload"
@@ -102,6 +103,8 @@ func TestWriterValidation(t *testing.T) {
 // field: every representable value round-trips (including 1<<31, which
 // the historical check wrongly rejected alongside wrongly accepting
 // nothing above it), and the first unrepresentable value is rejected.
+// The records also carry the extreme addresses (^0 down) and both
+// write flags, which must read back verbatim.
 func TestGapBounds(t *testing.T) {
 	accepted := []int{0, 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
 	var buf bytes.Buffer
@@ -109,8 +112,11 @@ func TestGapBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range accepted {
-		if err := w.Write(workload.Access{LineAddr: 1, Gap: g}); err != nil {
+	record := func(i int) workload.Access {
+		return workload.Access{LineAddr: ^uint64(i), Gap: accepted[i], Write: i%2 == 1}
+	}
+	for i, g := range accepted {
+		if err := w.Write(record(i)); err != nil {
 			t.Fatalf("gap %d should be accepted: %v", g, err)
 		}
 	}
@@ -126,13 +132,13 @@ func TestGapBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range accepted {
+	for i := range accepted {
 		a, err := r.Next()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if a.Gap != g {
-			t.Fatalf("record %d: gap %d != %d", i, a.Gap, g)
+		if a != record(i) {
+			t.Fatalf("record %d: %+v != %+v", i, a, record(i))
 		}
 	}
 	if _, err := r.Next(); err != io.EOF {
@@ -217,41 +223,12 @@ func TestRecordsBackpatch(t *testing.T) {
 	}
 }
 
-// TestV1Golden proves back-compat against a committed CBLT0001 file:
-// the header parses with Records reported as 0 (unknown), and every
-// record — including gaps above the v1 writer's wrong 1<<31 bound —
-// reads back verbatim.
-func TestV1Golden(t *testing.T) {
-	f, err := os.Open("testdata/v1_gcc.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.Header()
-	if h.Benchmark != "gcc" || h.Instance != 2 || h.AddrBase != 4096 || h.Records != 0 {
-		t.Fatalf("v1 header = %+v", h)
-	}
-	want := []workload.Access{
-		{LineAddr: 4096, Gap: 1},
-		{LineAddr: 4097, Gap: 100, Write: true},
-		{LineAddr: 4096 + 999, Gap: 1 << 31},
-		{LineAddr: ^uint64(0), Gap: 1<<32 - 1, Write: true},
-	}
-	for i, wa := range want {
-		a, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if a != wa {
-			t.Fatalf("record %d: %+v != %+v", i, a, wa)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
+// TestVersion1Rejected: a CBLT0001 (format v1) header fails NewReader
+// with an error naming the version — v2 is the only format read.
+func TestVersion1Rejected(t *testing.T) {
+	_, err := NewReader(bytes.NewReader([]byte("CBLT0001\x03gcc" + strings.Repeat("\x00", 12))))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 header: err = %v, want one naming version 1", err)
 	}
 }
 
