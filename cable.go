@@ -210,8 +210,10 @@ type WayMap = core.WayMap
 // full WMTs.
 type SuperWMT = core.SuperWMT
 
-// NewSuperWMT builds a pooled way-map with roughly capacity entries.
-func NewSuperWMT(capacity, ways int, home, remote *Cache) *SuperWMT {
+// NewSuperWMT builds a pooled way-map with roughly capacity entries. It
+// returns an error for ways < 1 and for a cache pair no link could use
+// (home with fewer sets than remote, unequal line sizes).
+func NewSuperWMT(capacity, ways int, home, remote *Cache) (*SuperWMT, error) {
 	return core.NewSuperWMT(capacity, ways, home, remote)
 }
 

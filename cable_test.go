@@ -77,10 +77,22 @@ func TestNewLinkValidates(t *testing.T) {
 	}
 }
 
-// TestDriversRejectBadGeometry: every public driver handed a cache
-// geometry the cache package rejects returns that error before it
-// builds anything — none panics, including inside the topology
-// engine's worker goroutines, where a panic would kill the process.
+// newCache builds an 8-way cache or fails the test.
+func newCache(t *testing.T, size, line int) *cable.Cache {
+	t.Helper()
+	c, err := cable.NewCache(cable.CacheConfig{Name: "c", SizeBytes: size, Ways: 8, LineSize: line})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestDriversRejectBadGeometry: every public driver and link
+// constructor handed a cache geometry the cache package rejects, or a
+// home/remote pair no link can use (core.CheckPair), returns that error
+// before it builds anything — none panics, including inside the
+// topology engine's worker goroutines, where a panic would kill the
+// process.
 func TestDriversRejectBadGeometry(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -114,6 +126,37 @@ func TestDriversRejectBadGeometry(t *testing.T) {
 			cfg := cable.DefaultTopologyConfig("gobmk")
 			cfg.HomeBytes = 3 << 20
 			_, err := cable.RunTopology(cfg)
+			return err
+		}},
+		// A home cache with fewer sets than its remote cannot map the
+		// remote's slots; on a topology's encode worker it used to kill
+		// the process.
+		{"RunTopology home smaller", func() error {
+			cfg := cable.DefaultTopologyConfig("gobmk")
+			cfg.HomeBytes, cfg.RemoteBytes = 64<<10, 256<<10
+			_, err := cable.RunTopology(cfg)
+			return err
+		}},
+		{"RunMemoryLink L4 smaller", func() error {
+			cfg := cable.DefaultMemoryLinkConfig("gobmk")
+			cfg.Chip.L4Bytes, cfg.Chip.L4Ways = 256<<10, 8
+			_, err := cable.RunMemoryLink(cfg)
+			return err
+		}},
+		{"NewLink home smaller", func() error {
+			_, _, err := cable.NewLink(cable.DefaultConfig(), newCache(t, 16<<10, 64), newCache(t, 64<<10, 64))
+			return err
+		}},
+		{"NewLink line sizes differ", func() error {
+			_, _, err := cable.NewLink(cable.DefaultConfig(), newCache(t, 256<<10, 128), newCache(t, 64<<10, 64))
+			return err
+		}},
+		{"NewSuperWMT home smaller", func() error {
+			_, err := cable.NewSuperWMT(64, 4, newCache(t, 16<<10, 64), newCache(t, 64<<10, 64))
+			return err
+		}},
+		{"NewSuperWMT no ways", func() error {
+			_, err := cable.NewSuperWMT(64, 0, newCache(t, 64<<10, 64), newCache(t, 64<<10, 64))
 			return err
 		}},
 	}
@@ -205,7 +248,10 @@ func TestPublicSimulations(t *testing.T) {
 func TestPublicExtensions(t *testing.T) {
 	home, _ := cable.NewCache(cable.CacheConfig{Name: "h", SizeBytes: 64 << 10, Ways: 16, LineSize: 64})
 	remote, _ := cable.NewCache(cable.CacheConfig{Name: "r", SizeBytes: 16 << 10, Ways: 8, LineSize: 64})
-	pool := cable.NewSuperWMT(128, 4, home, remote)
+	pool, err := cable.NewSuperWMT(128, 4, home, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
 	he, re, err := cable.NewLinkWithWayMap(cable.DefaultConfig(), home, remote, pool.View(0))
 	if err != nil || he == nil || re == nil {
 		t.Fatal(err)

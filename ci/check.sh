@@ -133,6 +133,12 @@ echo "== workload-spec parse fuzz smoke"
 # typed errors (ErrInvalid) or a valid workload, never a panic.
 go test -run=NOTHING -fuzz=FuzzParseSpec -fuzztime=10s ./internal/workload/spec
 
+echo "== trace-reader fuzz smoke"
+# Short fuzz over the capture reader behind cable.LoadTrace: arbitrary
+# bytes must give an error or a trace with the declared record count,
+# never a panic, and allocate no more than the input's length bounds.
+go test -run=NOTHING -fuzz=FuzzTraceReader -fuzztime=10s ./internal/trace
+
 echo "== codec frame-decode fuzz smoke"
 # Short fuzz over the streaming wire format: arbitrary bytes must
 # surface as typed errors (ErrBadFrame or the core payload taxonomy),

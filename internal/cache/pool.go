@@ -1,6 +1,6 @@
 package cache
 
-import "sync"
+import "cable/internal/pool"
 
 // A cache's line array plus its data arena is by far the largest
 // allocation a simulation cell makes (MBs at paper geometries), and
@@ -23,7 +23,7 @@ type backingKey struct {
 	lineSize int
 }
 
-var backingPools sync.Map // backingKey -> *sync.Pool of *backing
+var backingPools pool.Keyed[backingKey, *backing]
 
 // getBacking returns a reset backing for the geometry: every Line is
 // zeroed with its Data pointed at its arena slot. Arena bytes are not
@@ -31,13 +31,8 @@ var backingPools sync.Map // backingKey -> *sync.Pool of *backing
 func getBacking(sets, ways, lineSize int) *backing {
 	total := sets * ways
 	key := backingKey{lines: total, ways: ways, lineSize: lineSize}
-	var b *backing
-	if c, ok := backingPools.Load(key); ok {
-		if v := c.(*sync.Pool).Get(); v != nil {
-			b = v.(*backing)
-		}
-	}
-	if b == nil {
+	b, ok := backingPools.Get(key)
+	if !ok {
 		b = &backing{
 			lines: make([]Line, total),
 			sets:  make([][]Line, sets),
@@ -57,12 +52,7 @@ func putBacking(b *backing, lineSize int) {
 	if b == nil || len(b.lines) == 0 {
 		return
 	}
-	key := backingKey{lines: len(b.lines), ways: len(b.lines) / len(b.sets), lineSize: lineSize}
-	c, ok := backingPools.Load(key)
-	if !ok {
-		c, _ = backingPools.LoadOrStore(key, &sync.Pool{})
-	}
-	c.(*sync.Pool).Put(b)
+	backingPools.Put(backingKey{lines: len(b.lines), ways: len(b.lines) / len(b.sets), lineSize: lineSize}, b)
 }
 
 // Release returns the cache's line backing to the geometry pool. The

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cable/internal/bits"
+	"cable/internal/pool"
 )
 
 // LZSS is the gzip-class streaming baseline (the paper models gzip as
@@ -46,10 +47,20 @@ const (
 	lzssRebase = 1 << 30
 )
 
+// lzssPool holds released compressors, keyed by window size.
+var lzssPool pool.Keyed[int, *LZSS]
+
 // NewLZSS returns a streaming compressor with the given window size.
+// When the pool holds a released compressor of that window it returns
+// that one, Reset: a Reset compressor emits what a newly built one does.
 func NewLZSS(name string, window int) *LZSS {
 	if window < lzssMaxMatch || window > lzssRebase/4 {
 		panic(fmt.Sprintf("compress: lzss window %d out of range", window))
+	}
+	if z, ok := lzssPool.Get(window); ok {
+		z.name = name
+		z.Reset()
+		return z
 	}
 	// One bucket per window byte, within deflate's 2^8..2^15.
 	hashBits := min(max(indexBits(window), 8), 15)
@@ -72,6 +83,11 @@ func (z *LZSS) Reset() {
 	z.retire()
 	z.history = z.history[:0]
 }
+
+// Release hands the compressor to the next NewLZSS of its window. Only
+// an owner that can prove nothing retains the compressor may call it,
+// and must not use it afterwards: it may already belong to another.
+func (z *LZSS) Release() { lzssPool.Put(z.window, z) }
 
 func lzssKey(p []byte) uint32 {
 	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16

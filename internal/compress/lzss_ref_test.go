@@ -306,3 +306,43 @@ func TestLZSSShortLines(t *testing.T) {
 		}
 	}
 }
+
+// TestLZSSRecycledMatchesFresh proves NewLZSS's reuse promise: a
+// released compressor comes back from the pool, after one of another
+// window was built and released in between, and must emit exactly what
+// a fresh one does — the map-chain reference, which never touches the
+// pool. Stream A crosses the position rebase before the release and
+// stream B after it.
+func TestLZSSRecycledMatchesFresh(t *testing.T) {
+	const window = 4096
+	rng := rand.New(rand.NewSource(21))
+	var scr Scratch
+	z := NewLZSS("gzip", window)
+	z.base = lzssRebase - 2*window
+	checkLZSSParity(t, rng, z, newRefLZSS("gzip", window), NewLZSSDecoder(window), &scr, 4*window/64+8)
+	if z.base >= lzssRebase-2*window {
+		t.Fatalf("base %d: stream A did not cross the rebase", z.base)
+	}
+	// Raising base only turns chain entries stale, as retire does: the
+	// recycled compressor's Reset lands one window below the rebase.
+	z.base = lzssRebase - window - len(z.history)
+	z.Release()
+
+	other := NewLZSS("gzip", 1024)
+	checkLZSSParity(t, rng, other, newRefLZSS("gzip", 1024), NewLZSSDecoder(1024), &scr, 40)
+	other.Release()
+
+	z2 := NewLZSS("lzss", window)
+	if z2 != z {
+		// sync.Pool may drop a Put (always possible, and a quarter of
+		// them under the race detector); B still has to match.
+		t.Log("the pool did not hand the released compressor back")
+	}
+	if z2.Name() != "lzss" {
+		t.Fatalf("recycled compressor is named %q", z2.Name())
+	}
+	checkLZSSParity(t, rng, z2, newRefLZSS("lzss", window), NewLZSSDecoder(window), &scr, 2*window/64+8)
+	if z2 == z && z2.base >= lzssRebase-window {
+		t.Fatalf("base %d: stream B did not cross the rebase", z2.base)
+	}
+}

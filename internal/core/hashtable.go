@@ -70,7 +70,7 @@ func NewHashTable(buckets, depth int) *HashTable {
 	for n < buckets {
 		n <<= 1
 	}
-	return &HashTable{entries: htEntryPool.get(n * depth), nbuckets: n, depth: depth}
+	return &HashTable{entries: htEntryPool.Get(n * depth), nbuckets: n, depth: depth}
 }
 
 // NumBuckets returns the bucket count.

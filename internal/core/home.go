@@ -113,9 +113,12 @@ func NewHomeEnd(cfg Config, home, remote *cache.Cache) (*HomeEnd, error) {
 
 // NewHomeEndWithWayMap builds a home end over an explicit way-map —
 // typically a SuperWMT view shared across links (§IV-D). A nil wm gets
-// a private WMT.
+// a private WMT. The cache pair must pass CheckPair.
 func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*HomeEnd, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := CheckPair(home.Config(), remote.Config()); err != nil {
 		return nil, err
 	}
 	eng, err := compress.NewEngine(cfg.EngineName)
@@ -127,7 +130,9 @@ func NewHomeEndWithWayMap(cfg Config, home, remote *cache.Cache, wm WayMap) (*Ho
 		buckets = 1
 	}
 	if wm == nil {
-		wm = NewWMT(home.Config(), remote.Config())
+		if wm, err = NewWMT(home.Config(), remote.Config()); err != nil {
+			return nil, err
+		}
 	}
 	h := &HomeEnd{
 		cfg:        cfg,

@@ -1,6 +1,6 @@
 package core
 
-import "sync"
+import "cable/internal/pool"
 
 // This file pools the big per-link table backings. Every simulation
 // cell builds a fresh chip, and the dominant allocations of that
@@ -16,54 +16,22 @@ import "sync"
 // chip pointer). Released structures nil their backing so accidental
 // reuse fails fast instead of corrupting a pooled array.
 
-// slicePool hands out zeroed slices of one element type, segregated by
-// exact length. Misses allocate; Put zeroes eagerly so Get never hands
-// back stale entries.
-type slicePool[T any] struct {
-	classes sync.Map // length -> *sync.Pool of []T
-}
-
-func (p *slicePool[T]) get(n int) []T {
-	if n <= 0 {
-		return nil
-	}
-	if c, ok := p.classes.Load(n); ok {
-		if v := c.(*sync.Pool).Get(); v != nil {
-			return v.([]T)
-		}
-	}
-	return make([]T, n)
-}
-
-func (p *slicePool[T]) put(s []T) {
-	n := len(s)
-	if n == 0 {
-		return
-	}
-	clear(s)
-	c, ok := p.classes.Load(n)
-	if !ok {
-		c, _ = p.classes.LoadOrStore(n, &sync.Pool{})
-	}
-	c.(*sync.Pool).Put(s)
-}
-
 var (
-	htEntryPool  slicePool[entry]
-	wmtEntryPool slicePool[wmtEntry]
+	htEntryPool  pool.Slices[entry]
+	wmtEntryPool pool.Slices[wmtEntry]
 )
 
 // Release returns the table's backing array to the pool. The table is
 // unusable afterwards.
 func (h *HashTable) Release() {
-	htEntryPool.put(h.entries)
+	htEntryPool.Put(h.entries)
 	h.entries = nil
 }
 
 // Release returns the WMT's backing array to the pool. The table is
 // unusable afterwards.
 func (w *WMT) Release() {
-	wmtEntryPool.put(w.entries)
+	wmtEntryPool.Put(w.entries)
 	w.entries = nil
 }
 

@@ -62,14 +62,14 @@ type superEntry struct {
 }
 
 // NewSuperWMT builds a pool with roughly capacity entries organized
-// ways-wide. home/remote provide the geometry shared by all peers.
-func NewSuperWMT(capacity, ways int, home, remote *cache.Cache) *SuperWMT {
-	if home.IndexBits() < remote.IndexBits() {
-		panic(fmt.Sprintf("core: home cache %q smaller than remote %q",
-			home.Config().Name, remote.Config().Name))
+// ways-wide. home/remote provide the geometry shared by all peers and
+// must pass CheckPair.
+func NewSuperWMT(capacity, ways int, home, remote *cache.Cache) (*SuperWMT, error) {
+	if err := CheckPair(home.Config(), remote.Config()); err != nil {
+		return nil, err
 	}
 	if ways < 1 {
-		panic(fmt.Sprintf("core: super-WMT needs ≥1 way, got %d", ways))
+		return nil, fmt.Errorf("core: super-WMT needs ≥1 way, got %d", ways)
 	}
 	if capacity < ways {
 		capacity = ways
@@ -87,7 +87,7 @@ func NewSuperWMT(capacity, ways int, home, remote *cache.Cache) *SuperWMT {
 	for i := range s.entries {
 		s.entries[i] = make([]superEntry, ways)
 	}
-	return s
+	return s, nil
 }
 
 // Capacity returns the pool's entry capacity.

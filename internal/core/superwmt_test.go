@@ -11,7 +11,11 @@ func superPool(t testing.TB, capacity int) (*SuperWMT, *cache.Cache, *cache.Cach
 	t.Helper()
 	home := cache.New(cache.Config{Name: "home", SizeBytes: 64 << 10, Ways: 16, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "remote", SizeBytes: 16 << 10, Ways: 8, LineSize: 64})
-	return NewSuperWMT(capacity, 4, home, remote), home, remote
+	pool, err := NewSuperWMT(capacity, 4, home, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool, home, remote
 }
 
 func TestSuperWMTBasicsPerPeer(t *testing.T) {
@@ -131,7 +135,10 @@ func TestHomeEndWithSuperWMT(t *testing.T) {
 	cfg.WritebackCompression = false // pool evictions are invisible remotely
 	home := cache.New(cache.Config{Name: "l4", SizeBytes: 64 << 10, Ways: 16, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "llc", SizeBytes: 16 << 10, Ways: 8, LineSize: 64})
-	pool := NewSuperWMT(32, 4, home, remote) // tiny: constant eviction
+	pool, err := NewSuperWMT(32, 4, home, remote) // tiny: constant eviction
+	if err != nil {
+		t.Fatal(err)
+	}
 	he, err := NewHomeEndWithWayMap(cfg, home, remote, pool.View(0))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"cable/internal/cache"
@@ -52,12 +53,36 @@ func (e wmtEntry) valid() bool   { return e&wmtValidBit != 0 }
 func (e wmtEntry) alias() uint64 { return uint64(e & wmtAliasMask) }
 func (e wmtEntry) homeWay() int  { return int(e>>wmtWayShift) & 0x7FFF }
 
+// CheckPair validates a home/remote cache pair for one CABLE link: the
+// home cache (the larger, inclusive one) has at least as many sets as
+// the remote, both hold lines of one size, and the geometry fits the
+// WMT's packed entry (alias < 2^48, home way < 2^15). Both geometries
+// must already be valid (cache.Config.Validate). Every constructor that
+// builds a link's ends or way-map returns its error, so a bad pair is an
+// error before anything is built.
+func CheckPair(home, remote cache.Config) error {
+	var errs []error
+	alias := home.IndexBits() - remote.IndexBits()
+	if alias < 0 {
+		errs = append(errs, fmt.Errorf("core: home cache %q has fewer sets (%d) than remote %q (%d)",
+			home.Name, home.NumSets(), remote.Name, remote.NumSets()))
+	}
+	if home.LineSize != remote.LineSize {
+		errs = append(errs, fmt.Errorf("core: home cache %q holds %dB lines, remote %q %dB",
+			home.Name, home.LineSize, remote.Name, remote.LineSize))
+	}
+	if alias >= wmtWayShift || home.Ways > 0x7FFF {
+		errs = append(errs, fmt.Errorf("core: WMT geometry overflows packed entry (alias bits %d, home ways %d)",
+			alias, home.Ways))
+	}
+	return errors.Join(errs...)
+}
+
 // NewWMT builds a WMT for a home cache of geometry home tracking a
-// remote cache of geometry remote. The home cache must have at least as
-// many sets as the remote (it is the larger, inclusive cache).
-func NewWMT(home, remote cache.Config) *WMT {
-	if home.IndexBits() < remote.IndexBits() {
-		panic(fmt.Sprintf("core: home cache %q has fewer sets than remote %q", home.Name, remote.Name))
+// remote cache of geometry remote; the pair must pass CheckPair.
+func NewWMT(home, remote cache.Config) (*WMT, error) {
+	if err := CheckPair(home, remote); err != nil {
+		return nil, err
 	}
 	w := &WMT{
 		sets:      remote.NumSets(),
@@ -65,12 +90,8 @@ func NewWMT(home, remote cache.Config) *WMT {
 		remoteIdx: remote.IndexBits(),
 		aliasBits: home.IndexBits() - remote.IndexBits(),
 	}
-	if w.aliasBits >= wmtWayShift || home.Ways > 0x7FFF {
-		panic(fmt.Sprintf("core: WMT geometry overflows packed entry (alias bits %d, home ways %d)",
-			w.aliasBits, home.Ways))
-	}
-	w.entries = wmtEntryPool.get(w.sets * w.ways)
-	return w
+	w.entries = wmtEntryPool.Get(w.sets * w.ways)
+	return w, nil
 }
 
 // split decomposes a home LineID into (remoteIndex, alias).

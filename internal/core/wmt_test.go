@@ -10,7 +10,11 @@ func wmtPair(t testing.TB) (*cache.Cache, *cache.Cache, *WMT) {
 	t.Helper()
 	home := cache.New(cache.Config{Name: "home", SizeBytes: 64 << 10, Ways: 16, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "remote", SizeBytes: 16 << 10, Ways: 8, LineSize: 64})
-	return home, remote, NewWMT(home.Config(), remote.Config())
+	w, err := NewWMT(home.Config(), remote.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return home, remote, w
 }
 
 func TestWMTSetLookupClear(t *testing.T) {
@@ -138,7 +142,10 @@ func TestWMTEntryBitsPaperGeometry(t *testing.T) {
 	// ~0.4% of the home data cache.
 	home := cache.New(cache.Config{Name: "l4", SizeBytes: 16 << 20, Ways: 8, LineSize: 64})
 	remote := cache.New(cache.Config{Name: "llc", SizeBytes: 8 << 20, Ways: 8, LineSize: 64})
-	w := NewWMT(home.Config(), remote.Config())
+	w, err := NewWMT(home.Config(), remote.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
 	frac := float64(w.SizeBits(home.WayBits())) / float64(16<<20*8)
 	if frac < 0.002 || frac > 0.006 {
 		t.Fatalf("WMT overhead %.4f, want ≈0.004 (paper: 0.4%%)", frac)
@@ -150,13 +157,50 @@ func TestWMTEntryBitsPaperGeometry(t *testing.T) {
 	}
 }
 
-func TestNewWMTPanicsWhenHomeSmaller(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: home smaller than remote")
-		}
-	}()
-	home := cache.New(cache.Config{Name: "h", SizeBytes: 8 << 10, Ways: 8, LineSize: 64})
-	remote := cache.New(cache.Config{Name: "r", SizeBytes: 64 << 10, Ways: 8, LineSize: 64})
-	NewWMT(home.Config(), remote.Config())
+// TestCheckPairRejectsBadPairs: every pair a link cannot be built over
+// is an error from CheckPair, and from each constructor that returns it
+// (NewWMT, NewSuperWMT, NewHomeEnd) — never a panic.
+func TestCheckPairRejectsBadPairs(t *testing.T) {
+	cfg := func(name string, size, ways, line int) cache.Config {
+		return cache.Config{Name: name, SizeBytes: size, Ways: ways, LineSize: line}
+	}
+	remote := cfg("r", 64<<10, 8, 64)
+	for _, tc := range []struct {
+		name string
+		home cache.Config
+	}{
+		{"home smaller", cfg("h", 8<<10, 8, 64)},
+		{"home fewer sets", cfg("h", 256<<10, 256, 64)},
+		{"line sizes differ", cfg("h", 512<<10, 8, 128)},
+		{"home ways past the packed entry", cfg("h", 64<<21, 1<<15, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.home.Validate(); err != nil {
+				t.Fatalf("the home geometry itself is bad: %v", err)
+			}
+			if err := CheckPair(tc.home, remote); err == nil {
+				t.Fatal("CheckPair accepted the pair")
+			}
+			if _, err := NewWMT(tc.home, remote); err == nil {
+				t.Fatal("NewWMT accepted the pair")
+			}
+			if tc.home.SizeBytes > 1<<20 {
+				return // the cases below build the caches
+			}
+			h, r := cache.New(tc.home), cache.New(remote)
+			if _, err := NewSuperWMT(64, 4, h, r); err == nil {
+				t.Fatal("NewSuperWMT accepted the pair")
+			}
+			if _, err := NewHomeEnd(DefaultConfig(), h, r); err == nil {
+				t.Fatal("NewHomeEnd accepted the pair")
+			}
+		})
+	}
+	if err := CheckPair(cfg("h", 256<<10, 16, 64), remote); err != nil {
+		t.Fatalf("a valid pair: %v", err)
+	}
+	h, r := cache.New(cfg("h", 256<<10, 16, 64)), cache.New(remote)
+	if _, err := NewSuperWMT(64, 0, h, r); err == nil {
+		t.Fatal("NewSuperWMT accepted 0 ways")
+	}
 }

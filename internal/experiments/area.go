@@ -25,7 +25,10 @@ func Tab3(opt Options) (*Result, error) {
 	// Buffer side: half-sized hash table (§VI-A's memory-link
 	// configuration) + the WMT.
 	bufHT := core.NewHashTable(buf.NumLines()/2/2, 2)
-	bufWMT := core.NewWMT(buf, llc)
+	bufWMT, err := core.NewWMT(buf, llc)
+	if err != nil {
+		return nil, err
+	}
 	t.Set("off-chip buffer", "hash-table-%", pct(bufHT.SizeBits(buf.LineIDBits()), buf.SizeBytes*8))
 	t.Set("off-chip buffer", "wmt-%", pct(bufWMT.SizeBits(buf.WayBits()), buf.SizeBytes*8))
 	t.Set("off-chip buffer", "remotelid-bits", float64(llc.LineIDBits()))
@@ -42,7 +45,10 @@ func Tab3(opt Options) (*Result, error) {
 	// (three links per chip in a 4-node system).
 	nodeLLC := cache.Config{Name: "node", SizeBytes: 8 << 20, Ways: 8, LineSize: line}
 	mcHT := core.NewHashTable(nodeLLC.NumLines()/4/2, 2)
-	mcWMT := core.NewWMT(nodeLLC, nodeLLC)
+	mcWMT, err := core.NewWMT(nodeLLC, nodeLLC)
+	if err != nil {
+		return nil, err
+	}
 	t.Set("multi-chip LLC", "hash-table-%", pct(mcHT.SizeBits(nodeLLC.LineIDBits()), nodeLLC.SizeBytes*8))
 	t.Set("multi-chip LLC", "wmt-%", 3*pct(mcWMT.SizeBits(nodeLLC.WayBits()), nodeLLC.SizeBytes*8))
 	t.Set("multi-chip LLC", "remotelid-bits", float64(nodeLLC.LineIDBits()))

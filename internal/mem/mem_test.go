@@ -76,3 +76,70 @@ func TestStorePanicsOnSizeMismatch(t *testing.T) {
 		s.Write(1, []byte{1})
 	}()
 }
+
+// TestRecycledStoreShowsOnlyFill: a store built after another of its
+// line size was released — with a store of another line size built and
+// released in between — takes the released chunks, and still returns
+// its own fill function's bytes for every line, never one the previous
+// owner read or wrote, and counts only its own lines.
+func TestRecycledStoreShowsOnlyFill(t *testing.T) {
+	line := func(size int, v byte) []byte { return bytes.Repeat([]byte{v}, size) }
+	old := NewStore(8, func(a uint64) []byte { return line(8, byte(a)) })
+	for a := uint64(0); a < 600; a++ { // three chunks
+		old.Read(a)
+	}
+	old.Write(7, line(8, 0xEE))
+	old.Write(900, line(8, 0xEE))
+	released := map[*byte]bool{}
+	for _, c := range old.chunks {
+		released[&c[0]] = true
+	}
+	old.Release()
+
+	// Wider lines than the released store's: its chunks are too short.
+	other := NewStore(16, func(uint64) []byte { return line(16, 0x55) })
+	for a := uint64(0); a < 300; a++ {
+		other.Write(a, line(16, 0x66))
+	}
+	other.Release()
+
+	s := NewStore(8, func(a uint64) []byte { return line(8, 0x80|byte(a)) })
+	if got := s.Read(0); !released[&s.chunks[0][0]] {
+		// sync.Pool may drop a Put (always possible, and a quarter of
+		// them under the race detector); the reads still have to hold.
+		t.Logf("the pool did not hand a released chunk back (line 0 = %x)", got)
+	}
+	if s.Lines() != 1 {
+		t.Fatalf("recycled store holds %d lines after one read", s.Lines())
+	}
+	for _, a := range []uint64{7, 900, 1, 599, 300} {
+		if got, want := s.Read(a), line(8, 0x80|byte(a)); !bytes.Equal(got, want) {
+			t.Fatalf("line %d: read %x, want the fill's %x", a, got, want)
+		}
+	}
+	if s.Lines() != 6 || s.Reads != 6 || s.Writes != 0 {
+		t.Fatalf("lines=%d reads=%d writes=%d", s.Lines(), s.Reads, s.Writes)
+	}
+}
+
+// TestStoreReleasedIsUnusable: a released store fails fast instead of
+// writing into a chunk the next store owns.
+func TestStoreReleasedIsUnusable(t *testing.T) {
+	s := NewStore(4, func(uint64) []byte { return make([]byte, 4) })
+	s.Read(0)
+	s.Release()
+	s.Release() // a second release is harmless
+	for name, use := range map[string]func(){
+		"read":  func() { s.Read(1) },
+		"write": func() { s.Write(1, make([]byte, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a released store served a %s", name)
+				}
+			}()
+			use()
+		}()
+	}
+}

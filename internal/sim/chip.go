@@ -166,7 +166,7 @@ func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 	c := &Chip{
 		cfg: cfg, LLC: llc, L4: l4,
 		Store:         mem.NewStore(cfg.LineSize, fill),
-		writeVersions: writeVersions{},
+		writeVersions: writeVersionPool.Get().(writeVersions),
 	}
 	if cfg.Scheme == "cable" {
 		c.CableLink = link.NewIn(cfg.Link, cfg.Metrics)
@@ -209,15 +209,23 @@ func newSchemeMeter(scheme string, cfg link.Config, reg *obs.Registry) (Meter, e
 	}
 }
 
-// Release recycles the chip's caches and link-end table backings into
-// their pools (see core/pool.go and cache/pool.go). Only callers that
-// can prove nothing retains the chip may call it: the memoizing
-// experiment runner releases chips after deep-copying their results
-// (memoized results carry Chip == nil), and RunTiming releases its
-// private chip before returning. A released chip is unusable.
+// Release recycles the chip's caches, link-end table backings, backing
+// store, write-version map and gzip windows into their pools (see
+// internal/pool). Only callers that can prove nothing retains the chip
+// may call it: the memoizing experiment runner releases chips after
+// deep-copying their results (memoized results carry Chip == nil), and
+// RunTiming releases its private chip before returning. A released chip
+// is unusable.
 func (c *Chip) Release() {
 	c.pair.Release()
-	c.Home, c.Remote = nil, nil
+	c.Store.Release()
+	clear(c.writeVersions)
+	writeVersionPool.Put(c.writeVersions)
+	if c.schemeMeter != nil {
+		c.schemeMeter.Release()
+	}
+	releaseMeters(c.Meters)
+	c.Home, c.Remote, c.writeVersions = nil, nil, nil
 }
 
 // ResetStats zeroes every accumulated counter — event counts, meter

@@ -34,6 +34,9 @@ type Meter interface {
 	// while keeping compressor state (a gzip window survives — only
 	// the bookkeeping restarts after warm-up).
 	ResetCounters()
+	// Release recycles the meter's compressor state (a gzip window)
+	// once its owner is done with it; the meter is unusable afterwards.
+	Release()
 }
 
 // ownerRatios accumulates one scheme's compression ratio per owner and
@@ -108,6 +111,10 @@ func (m *meterBase) ResetCounters() {
 	m.ownerRatios = ownerRatios{}
 	m.lastWire = 0
 }
+
+// Release implements Meter: only a streaming meter holds state worth
+// recycling.
+func (m *meterBase) Release() {}
 
 // RawMeter is the uncompressed baseline: every transfer is a full line.
 type RawMeter struct{ meterBase }
@@ -184,6 +191,23 @@ func (m *StreamMeter) OnFill(data []byte, owner int) {
 func (m *StreamMeter) OnWriteback(data []byte, owner int) {
 	enc := m.up.CompressScratch(&m.scr, data)
 	m.account(owner, len(data)*8, enc.NBits, enc)
+}
+
+// Release implements Meter: both windows go back to the LZSS pool.
+func (m *StreamMeter) Release() {
+	if m.down == nil {
+		return
+	}
+	m.down.Release()
+	m.up.Release()
+	m.down, m.up = nil, nil
+}
+
+// releaseMeters releases every meter of ms.
+func releaseMeters(ms []Meter) {
+	for _, m := range ms {
+		m.Release()
+	}
 }
 
 // DefaultMetersIn builds the paper's comparison set (Fig 12): BDI, CPACK,

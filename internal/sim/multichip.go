@@ -142,7 +142,9 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 			factor = 0.5
 		}
 		// Every node's LLC has the requester's geometry.
-		pool = core.NewSuperWMT(int(float64(reqLLC.NumLines())*factor), 4, reqLLC, reqLLC)
+		if pool, err = core.NewSuperWMT(int(float64(reqLLC.NumLines())*factor), 4, reqLLC, reqLLC); err != nil {
+			return nil, err
+		}
 	}
 	links := make([]*coherenceLink, cfg.Nodes) // index by home node; [0] unused
 	rec := cfg.Recorder
@@ -252,10 +254,10 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	}
 
 	// Fold every link into the result and recycle the run's directory
-	// state: every cache backing and CABLE-end table goes back to the
-	// shared pools and the write-version map to its own, so sweeps that run
-	// many multichip cells stop re-growing the same multi-megabyte
-	// allocations per cell.
+	// state: every cache backing, CABLE-end table, gzip window and the
+	// backing store go back to the shared pools and the write-version
+	// map to its own, so sweeps that run many multichip cells stop
+	// re-growing the same multi-megabyte allocations per cell.
 	merge := func(scheme string, r stats.Ratio) {
 		total := res.Total[scheme]
 		total.Merge(r)
@@ -269,10 +271,12 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 		for _, m := range cl.meters {
 			merge(m.Name(), m.Total())
 		}
+		releaseMeters(cl.meters)
 		cl.Release()
 	}
 	clear(versions)
 	writeVersionPool.Put(versions)
+	store.Release()
 	return res, nil
 }
 

@@ -217,7 +217,10 @@ func TestPairSteps(t *testing.T) {
 					if pool == nil {
 						// 64 entries for a 256-line remote cache: the pool
 						// evicts under contention.
-						pool = core.NewSuperWMT(64, 4, remote, remote)
+						var err error
+						if pool, err = core.NewSuperWMT(64, 4, remote, remote); err != nil {
+							t.Fatal(err)
+						}
 					}
 					return pool.View(h + 1)
 				})

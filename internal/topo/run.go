@@ -237,7 +237,8 @@ func Run(cfg Config) (*Result, error) {
 	// Each worker owns a backing store over the shared pure content
 	// function (line bytes are a function of the address alone, so
 	// worker-local stores are consistent by construction) and recycles
-	// one link's chip state into the pools before starting the next.
+	// one link's chip state into the pools before starting the next; the
+	// stores follow once every link is encoded.
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -286,6 +287,9 @@ func Run(cfg Config) (*Result, error) {
 		}()
 	}
 	wg.Wait()
+	for _, store := range stores {
+		store.Release()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -185,6 +185,9 @@ func (c Config) Validate() error {
 	if err := errors.Join(home.Validate(), remote.Validate()); err != nil {
 		return fmt.Errorf("topo: %w", err)
 	}
+	if err := core.CheckPair(home, remote); err != nil {
+		return fmt.Errorf("topo: %w", err)
+	}
 	if c.Workload != nil && len(c.Replay) > 0 {
 		return fmt.Errorf("topo: combined workload spec + replay is not supported in topology runs (replay spec captures through the memlink driver)")
 	}

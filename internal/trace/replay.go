@@ -24,6 +24,12 @@ type Trace struct {
 	Accesses []workload.Access
 }
 
+// presizeRecords caps how many records ReadAll reserves up front from
+// the header's declared count (24 KiB): the count is read before any
+// record is, so a short file declaring 2^62 records must not size an
+// allocation. Longer traces grow by append.
+const presizeRecords = 1 << 10
+
 // ReadAll loads a complete trace from r, validating the declared record
 // count when the header carries one.
 func ReadAll(r io.Reader) (*Trace, error) {
@@ -34,7 +40,7 @@ func ReadAll(r io.Reader) (*Trace, error) {
 	h := tr.Header()
 	var recs []workload.Access
 	if h.Records > 0 {
-		recs = make([]workload.Access, 0, h.Records)
+		recs = make([]workload.Access, 0, min(h.Records, presizeRecords))
 	}
 	for {
 		a, err := tr.Next()
