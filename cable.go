@@ -159,7 +159,8 @@ type MemoryLinkConfig = sim.MemLinkConfig
 type MemoryLinkResult = sim.MemLinkResult
 
 // DefaultMemoryLinkConfig returns the Table IV memory-link setup for
-// the given co-running benchmarks.
+// the given co-running benchmarks; the run scales its LLC and L4 by
+// their count.
 func DefaultMemoryLinkConfig(benchmarks ...string) MemoryLinkConfig {
 	return sim.DefaultMemLinkConfig(benchmarks...)
 }
@@ -175,7 +176,8 @@ type MultiChipConfig = sim.MultiChipConfig
 // MultiChipResult holds coherence-link compression ratios.
 type MultiChipResult = sim.MultiChipResult
 
-// DefaultMultiChipConfig returns the paper's 4-node NUMA setup.
+// DefaultMultiChipConfig returns the paper's 4-node NUMA setup (4 KB
+// pages interleaved across the nodes and 8-way LLCs are fixed).
 func DefaultMultiChipConfig(benchmark string) MultiChipConfig {
 	return sim.DefaultMultiChipConfig(benchmark)
 }
@@ -192,7 +194,9 @@ type TimingConfig = sim.TimingConfig
 // TimingResult reports IPC, throughput, utilization and energy counts.
 type TimingResult = sim.TimingResult
 
-// DefaultTimingConfig returns the Table IV timing setup.
+// DefaultTimingConfig returns the Table IV timing setup. Table IV's
+// core clock, private L1/L2, LLC/L4 latencies, link setup and DRAM
+// bandwidth are fixed, not fields.
 func DefaultTimingConfig(scheme, benchmark string) TimingConfig {
 	return sim.DefaultTimingConfig(scheme, benchmark)
 }
@@ -238,7 +242,8 @@ type NonInclusiveConfig = sim.NonInclusiveConfig
 // NonInclusiveResult reports the opportunistic-compression outcome.
 type NonInclusiveResult = sim.NonInclusiveResult
 
-// DefaultNonInclusiveConfig returns a Haswell-EP-style setup.
+// DefaultNonInclusiveConfig returns a Haswell-EP-style setup with a
+// fixed 16-way Home Agent cache.
 func DefaultNonInclusiveConfig(benchmark string) NonInclusiveConfig {
 	return sim.DefaultNonInclusiveConfig(benchmark)
 }
@@ -270,7 +275,8 @@ const (
 )
 
 // DefaultTopologyConfig returns the 16-chip mesh setup the scale-out
-// study uses.
+// study uses. Page interleave, arrival gap, encoder and hop cycles and
+// cache ways are fixed for every topology.
 func DefaultTopologyConfig(benchmark string) TopologyConfig {
 	return topo.DefaultConfig(benchmark)
 }

@@ -88,11 +88,11 @@ func newCache(t *testing.T, size, line int) *cable.Cache {
 }
 
 // TestDriversRejectBadGeometry: every public driver and link
-// constructor handed a cache geometry the cache package rejects, or a
-// home/remote pair no link can use (core.CheckPair), returns that error
-// before it builds anything — none panics, including inside the
-// topology engine's worker goroutines, where a panic would kill the
-// process.
+// constructor handed a cache geometry the cache package rejects, a
+// home/remote pair no link can use (core.CheckPair), or a link with no
+// bandwidth, returns that error before it builds anything — none
+// panics, including inside the topology engine's worker goroutines,
+// where a panic would kill the process.
 func TestDriversRejectBadGeometry(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -113,6 +113,14 @@ func TestDriversRejectBadGeometry(t *testing.T) {
 		{"RunTiming", func() error {
 			cfg := cable.DefaultTimingConfig("cable", "gobmk")
 			cfg.LLCPerThread = 3 << 20
+			_, err := cable.RunTiming(cfg)
+			return err
+		}},
+		// With no link bandwidth the run used to return Seconds +Inf and
+		// LinkUtil NaN instead of an error.
+		{"RunTiming no link bandwidth", func() error {
+			cfg := cable.DefaultTimingConfig("cable", "gobmk")
+			cfg.TotalLinkBW = 0
 			_, err := cable.RunTiming(cfg)
 			return err
 		}},
@@ -168,7 +176,7 @@ func TestDriversRejectBadGeometry(t *testing.T) {
 				}
 			}()
 			if err := d.run(); err == nil {
-				t.Fatal("bad cache geometry accepted")
+				t.Fatal("bad configuration accepted")
 			}
 		})
 	}

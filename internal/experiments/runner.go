@@ -118,22 +118,12 @@ func RunAllStream(ids []string, opt Options) <-chan StreamResult {
 // independent: fn writes into its own slot of a pre-sized result
 // slice, and the caller commits slots into the stats.Table serially in
 // loop order afterwards, which keeps row/column order — and therefore
-// the rendered table bytes — identical to a serial run. With
-// workers <= 1 the loop degenerates to a plain serial for, so the
-// serial path is literally the same code.
+// the rendered table bytes — identical to a serial run. Any worker
+// count takes the same path: at workers <= 1 one goroutine runs every
+// cell in index order.
 func cellRun(workers, n int, fn func(int)) {
 	done := runnerMetrics().cells
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		shard := obs.NextShard()
-		for i := 0; i < n; i++ {
-			fn(i)
-			done.Inc(shard)
-		}
-		return
-	}
+	workers = max(1, min(workers, n))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	wg.Add(workers)

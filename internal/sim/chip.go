@@ -15,15 +15,22 @@ import (
 	"cable/internal/workload"
 )
 
+// Every simulated cache holds the workload generators' lines (64 bytes,
+// as in Table IV), and the shared LLC — each node's LLC, in the
+// multichip study — is 8-way.
+const (
+	lineSize = workload.LineSize
+	llcWays  = 8
+)
+
 // ChipConfig sizes a memory-link chip: an on-chip LLC (the remote
 // cache) backed over a narrow off-chip link by a DRAM buffer L4 (the
-// home cache, inclusive of the LLC — the Table IV configuration).
+// home cache, inclusive of the LLC — the Table IV configuration). Lines
+// are lineSize bytes and the LLC is llcWays-way.
 type ChipConfig struct {
 	LLCBytes int
-	LLCWays  int
 	L4Bytes  int
 	L4Ways   int
-	LineSize int
 	// LLCPolicy / L4Policy select replacement policies (LRU default).
 	// CABLE's synchronization is policy-agnostic (§II-C).
 	LLCPolicy cache.Policy
@@ -72,9 +79,9 @@ type ChipConfig struct {
 // 1 MB LLC share, 4 MB L4 share (1:4), 16-bit 9.6 GHz link.
 func DefaultChipConfig() ChipConfig {
 	return ChipConfig{
-		LLCBytes: 1 << 20, LLCWays: 8,
-		L4Bytes: 4 << 20, L4Ways: 16,
-		LineSize: 64,
+		LLCBytes: 1 << 20,
+		L4Bytes:  4 << 20,
+		L4Ways:   16,
 		Link:     link.DefaultConfig(),
 		Cable:    core.DefaultConfig(),
 		Scheme:   "cable",
@@ -143,19 +150,14 @@ type Chip struct {
 	// Notices counts explicit eviction messages (zero under the
 	// silent-eviction protocol).
 	Notices uint64
-	// FaultsInjected / DecodeErrors / RawFallbacks mirror the pair's
-	// degradation counts (see LinkTransfer) since the last ResetStats.
-	FaultsInjected uint64
-	DecodeErrors   uint64
-	RawFallbacks   uint64
 }
 
 // NewChip builds a chip over the given backing content function.
 func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 	// The chip-level registry scopes every sub-component's counters.
 	cfg.Cable.Metrics = cfg.Metrics
-	llcCfg := cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: cfg.LineSize, Policy: cfg.LLCPolicy}
-	l4Cfg := cache.Config{Name: "l4", SizeBytes: cfg.L4Bytes, Ways: cfg.L4Ways, LineSize: cfg.LineSize, Policy: cfg.L4Policy}
+	llcCfg := cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: llcWays, LineSize: lineSize, Policy: cfg.LLCPolicy}
+	l4Cfg := cache.Config{Name: "l4", SizeBytes: cfg.L4Bytes, Ways: cfg.L4Ways, LineSize: lineSize, Policy: cfg.L4Policy}
 	if err := errors.Join(llcCfg.Validate(), l4Cfg.Validate()); err != nil {
 		return nil, err
 	}
@@ -165,7 +167,7 @@ func NewChip(cfg ChipConfig, fill func(lineAddr uint64) []byte) (*Chip, error) {
 	}
 	c := &Chip{
 		cfg: cfg, LLC: llc, L4: l4,
-		Store:         mem.NewStore(cfg.LineSize, fill),
+		Store:         mem.NewStore(lineSize, fill),
 		writeVersions: writeVersionPool.Get().(writeVersions),
 	}
 	if cfg.Scheme == "cable" {
@@ -236,7 +238,6 @@ func (c *Chip) Release() {
 func (c *Chip) ResetStats() {
 	c.Accesses, c.Fills, c.WBs, c.Upgrades = 0, 0, 0, 0
 	c.CompOps, c.DecompOps, c.Notices = 0, 0, 0
-	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = 0, 0, 0
 	x := &c.pair.Xfer
 	x.FaultsInjected, x.DecodeErrors, x.RawFallbacks = 0, 0, 0
 	if x.Injector != nil {
@@ -290,8 +291,6 @@ func (c *Chip) account(r TransferResult, sourceBits, owner int) {
 	if r.Decoded {
 		c.DecompOps++
 	}
-	x := &c.pair.Xfer
-	c.FaultsInjected, c.DecodeErrors, c.RawFallbacks = x.FaultsInjected, x.DecodeErrors, x.RawFallbacks
 	c.cable.add(owner, sourceBits, r.Wire)
 }
 

@@ -21,7 +21,6 @@ func TestDigestStability(t *testing.T) {
 		"benchmark":   func(c *sim.MemLinkConfig) { c.Benchmarks = []string{"mcf"} },
 		"extra bench": func(c *sim.MemLinkConfig) { c.Benchmarks = append(c.Benchmarks, "mcf") },
 		"accesses":    func(c *sim.MemLinkConfig) { c.AccessesPerProgram++ },
-		"scale":       func(c *sim.MemLinkConfig) { c.ScaleCachesByPrograms = !c.ScaleCachesByPrograms },
 		"meters":      func(c *sim.MemLinkConfig) { c.WithMeters = !c.WithMeters },
 		"llc":         func(c *sim.MemLinkConfig) { c.Chip.LLCBytes *= 2 },
 		"link width":  func(c *sim.MemLinkConfig) { c.Chip.Link.WidthBits *= 2 },

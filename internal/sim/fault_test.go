@@ -34,19 +34,19 @@ func TestMemLinkFaultSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Chip
+	c, x := res.Chip, &res.Chip.pair.Xfer
 	transfers := c.Fills + c.WBs
 	if transfers < 10000 {
 		t.Fatalf("soak too small: %d transfers, want ≥10000", transfers)
 	}
-	if c.FaultsInjected == 0 {
+	if x.FaultsInjected == 0 {
 		t.Fatalf("no faults injected over %d transfers at rate %g", transfers, soakFault.BitRate)
 	}
-	if c.DecodeErrors != c.FaultsInjected || c.RawFallbacks != c.FaultsInjected {
+	if x.DecodeErrors != x.FaultsInjected || x.RawFallbacks != x.FaultsInjected {
 		t.Fatalf("accounting broken: faults=%d decodeErrors=%d rawFallbacks=%d",
-			c.FaultsInjected, c.DecodeErrors, c.RawFallbacks)
+			x.FaultsInjected, x.DecodeErrors, x.RawFallbacks)
 	}
-	t.Logf("memlink soak: %d transfers, %d faults degraded gracefully", transfers, c.FaultsInjected)
+	t.Logf("memlink soak: %d transfers, %d faults degraded gracefully", transfers, x.FaultsInjected)
 }
 
 // TestMemLinkFaultDeterminism: same seed and rates must reproduce the
@@ -73,14 +73,15 @@ func TestMemLinkFaultDeterminism(t *testing.T) {
 	if a.Total["cable"] != b.Total["cable"] {
 		t.Fatalf("faulted ratio not deterministic: %+v vs %+v", a.Total["cable"], b.Total["cable"])
 	}
-	if a.Chip.FaultsInjected != b.Chip.FaultsInjected ||
-		a.Chip.DecodeErrors != b.Chip.DecodeErrors ||
-		a.Chip.RawFallbacks != b.Chip.RawFallbacks {
+	xa, xb := &a.Chip.pair.Xfer, &b.Chip.pair.Xfer
+	if xa.FaultsInjected != xb.FaultsInjected ||
+		xa.DecodeErrors != xb.DecodeErrors ||
+		xa.RawFallbacks != xb.RawFallbacks {
 		t.Fatalf("fault counters not deterministic: %d/%d/%d vs %d/%d/%d",
-			a.Chip.FaultsInjected, a.Chip.DecodeErrors, a.Chip.RawFallbacks,
-			b.Chip.FaultsInjected, b.Chip.DecodeErrors, b.Chip.RawFallbacks)
+			xa.FaultsInjected, xa.DecodeErrors, xa.RawFallbacks,
+			xb.FaultsInjected, xb.DecodeErrors, xb.RawFallbacks)
 	}
-	if a.Chip.FaultsInjected == 0 {
+	if xa.FaultsInjected == 0 {
 		t.Fatal("determinism check vacuous: no faults injected")
 	}
 }
@@ -95,15 +96,15 @@ func TestMemLinkZeroRateInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Chip
-	if c.pair.Xfer.Injector != nil {
+	x := &res.Chip.pair.Xfer
+	if x.Injector != nil {
 		t.Fatal("zero-rate run built an injector")
 	}
-	if c.FaultsInjected != 0 || c.DecodeErrors != 0 || c.RawFallbacks != 0 {
+	if x.FaultsInjected != 0 || x.DecodeErrors != 0 || x.RawFallbacks != 0 {
 		t.Fatalf("zero-rate run counted degradation events: %d/%d/%d",
-			c.FaultsInjected, c.DecodeErrors, c.RawFallbacks)
+			x.FaultsInjected, x.DecodeErrors, x.RawFallbacks)
 	}
-	if c.pair.Xfer.degrade.faultsInjected != nil {
+	if x.degrade.faultsInjected != nil {
 		t.Fatal("zero-rate run resolved the degradation counters (would register metric names)")
 	}
 }

@@ -64,7 +64,7 @@ func TestFlightWindowsReconcile(t *testing.T) {
 }
 
 // TestFlightWindowsUnderFault: with the injector on, the recorder's
-// fault/fallback deltas reconcile with the chip's degradation counters.
+// fault/fallback deltas reconcile with the pair's degradation counters.
 func TestFlightWindowsUnderFault(t *testing.T) {
 	rec := obs.NewRecorder(obs.FlightConfig{Window: 512})
 	cfg := DefaultMemLinkConfig("bzip2")
@@ -78,16 +78,16 @@ func TestFlightWindowsUnderFault(t *testing.T) {
 	}
 
 	got := sumWindows(rec.Dump())
-	chip := res.Chip
-	if chip.FaultsInjected == 0 {
+	x := &res.Chip.pair.Xfer
+	if x.FaultsInjected == 0 {
 		t.Fatal("fault injector never fired; raise the rate or accesses")
 	}
-	if got.Faults != chip.FaultsInjected {
-		t.Fatalf("window faults = %d, chip = %d", got.Faults, chip.FaultsInjected)
+	if got.Faults != x.FaultsInjected {
+		t.Fatalf("window faults = %d, pair = %d", got.Faults, x.FaultsInjected)
 	}
-	if got.DecodeErrors != chip.DecodeErrors || got.RawFallbacks != chip.RawFallbacks {
-		t.Fatalf("window errors/fallbacks = %d/%d, chip = %d/%d",
-			got.DecodeErrors, got.RawFallbacks, chip.DecodeErrors, chip.RawFallbacks)
+	if got.DecodeErrors != x.DecodeErrors || got.RawFallbacks != x.RawFallbacks {
+		t.Fatalf("window errors/fallbacks = %d/%d, pair = %d/%d",
+			got.DecodeErrors, got.RawFallbacks, x.DecodeErrors, x.RawFallbacks)
 	}
 	// Raw-fallback resends ride the wire, so the recorder's wire total
 	// must still equal the chip's accumulator (which includes them).

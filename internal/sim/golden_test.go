@@ -43,11 +43,11 @@ func TestGoldenDrivers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, v.Name, err)
 		}
-		c := res.Chip
+		c, x := res.Chip, &res.Chip.pair.Xfer
 		gc := goldenChip{
 			Accesses: c.Accesses, Fills: c.Fills, WBs: c.WBs, Upgrades: c.Upgrades,
 			CompOps: c.CompOps, DecompOps: c.DecompOps, Notices: c.Notices,
-			FaultsInjected: c.FaultsInjected, DecodeErrors: c.DecodeErrors, RawFallbacks: c.RawFallbacks,
+			FaultsInjected: x.FaultsInjected, DecodeErrors: x.DecodeErrors, RawFallbacks: x.RawFallbacks,
 			LLC: c.LLC.Stats, L4: c.L4.Stats,
 			StoreReads: c.Store.Reads, StoreWrites: c.Store.Writes,
 			Scheme: c.SchemeRatio(), Wire: *c.WireLink(),

@@ -18,15 +18,15 @@ const programSpacing = uint64(1) << 32
 // or more programs share an LLC/L4 pair, and every compression scheme
 // measures the identical off-chip transfer stream.
 type MemLinkConfig struct {
+	// Chip sizes one program's share: the run multiplies its LLC and L4
+	// capacity by the program count, matching the paper's per-thread
+	// 1 MB LLC share.
 	Chip ChipConfig
 	// Benchmarks are the co-running programs (1 for single-program
 	// studies, 4 for the multiprogram studies).
 	Benchmarks []string
 	// AccessesPerProgram bounds the simulation length.
 	AccessesPerProgram int
-	// ScaleCachesByPrograms multiplies LLC/L4 capacity by the program
-	// count, matching the paper's per-thread 1 MB LLC share.
-	ScaleCachesByPrograms bool
 	// WithMeters attaches the baseline comparison set.
 	WithMeters bool
 	// Trace is accepted and ignored: the decision tracer is deleted
@@ -59,11 +59,10 @@ type MemLinkConfig struct {
 // DefaultMemLinkConfig returns the Table IV single-program setup.
 func DefaultMemLinkConfig(benchmarks ...string) MemLinkConfig {
 	return MemLinkConfig{
-		Chip:                  DefaultChipConfig(),
-		Benchmarks:            benchmarks,
-		AccessesPerProgram:    60000,
-		ScaleCachesByPrograms: true,
-		WithMeters:            true,
+		Chip:               DefaultChipConfig(),
+		Benchmarks:         benchmarks,
+		AccessesPerProgram: 60000,
+		WithMeters:         true,
 	}
 }
 
@@ -210,10 +209,8 @@ func RunMemoryLink(cfg MemLinkConfig) (*MemLinkResult, error) {
 	if cfg.Recorder != nil {
 		chipCfg.Recorder = cfg.Recorder
 	}
-	if cfg.ScaleCachesByPrograms {
-		chipCfg.LLCBytes *= len(programs)
-		chipCfg.L4Bytes *= len(programs)
-	}
+	chipCfg.LLCBytes *= len(programs)
+	chipCfg.L4Bytes *= len(programs)
 	chip, err := NewChip(chipCfg, feed.LineData)
 	if err != nil {
 		return nil, err

@@ -22,13 +22,9 @@ type MultiChipConfig struct {
 	Nodes     int // 4 in the paper, 2–8 in the NUMA-count study
 	Benchmark string
 	Accesses  int
-	// PageLines is the interleaving granularity (4 KB pages = 64
-	// lines).
-	PageLines uint64
-	// LLCBytes sizes each node's LLC (the requester's remote cache
-	// and each home node's home cache).
+	// LLCBytes sizes each node's llcWays-way LLC (the requester's
+	// remote cache and each home node's home cache).
 	LLCBytes int
-	LLCWays  int
 	Link     link.Config
 	Cable    core.Config
 	// WithMeters attaches the baseline comparison set per link.
@@ -57,6 +53,10 @@ type MultiChipConfig struct {
 	Recorder *obs.Recorder `digest:"-"`
 }
 
+// pageLines is the NUMA interleaving granularity: 4 KB pages of 64
+// lines, dealt round-robin across the nodes.
+const pageLines = 64
+
 // DefaultMultiChipConfig is the paper's 4-node setup.
 func DefaultMultiChipConfig(benchmark string) MultiChipConfig {
 	cable := core.DefaultConfig()
@@ -64,8 +64,7 @@ func DefaultMultiChipConfig(benchmark string) MultiChipConfig {
 	cable.HashSizeFactor = 0.25
 	return MultiChipConfig{
 		Nodes: 4, Benchmark: benchmark, Accesses: 60000,
-		PageLines: 64,
-		LLCBytes:  1 << 20, LLCWays: 8,
+		LLCBytes:   1 << 20,
 		Link:       link.DefaultConfig(),
 		Cable:      cable,
 		WithMeters: true,
@@ -111,13 +110,10 @@ func (cfg MultiChipConfig) validate() error {
 	if cfg.Nodes < 2 {
 		return fmt.Errorf("sim: multichip needs ≥2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.PageLines == 0 {
-		return fmt.Errorf("sim: multichip needs a non-zero PageLines interleave")
-	}
 	if cfg.Accesses <= 0 {
 		return fmt.Errorf("sim: multichip needs a positive access count, got %d", cfg.Accesses)
 	}
-	return cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64}.Validate()
+	return cache.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: llcWays, LineSize: lineSize}.Validate()
 }
 
 // RunMultiChip executes the functional 4-chip coherence simulation.
@@ -129,10 +125,10 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := mem.NewStore(64, gen.LineData)
-	home := func(addr uint64) int { return int((addr / cfg.PageLines) % uint64(cfg.Nodes)) }
+	store := mem.NewStore(lineSize, gen.LineData)
+	home := func(addr uint64) int { return int((addr / pageLines) % uint64(cfg.Nodes)) }
 
-	reqLLC := cache.New(cache.Config{Name: "llc0", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
+	reqLLC := cache.New(cache.Config{Name: "llc0", SizeBytes: cfg.LLCBytes, Ways: llcWays, LineSize: lineSize})
 	cableCfg := cfg.Cable
 	var pool *core.SuperWMT
 	if cfg.PooledWMT {
@@ -153,7 +149,7 @@ func RunMultiChip(cfg MultiChipConfig) (*MultiChipResult, error) {
 	injector := fault.New(cfg.Fault)
 	degrade := &degradeCounters{}
 	for h := 1; h < cfg.Nodes; h++ {
-		homeLLC := cache.New(cache.Config{Name: fmt.Sprintf("llc%d", h), SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays, LineSize: 64})
+		homeLLC := cache.New(cache.Config{Name: fmt.Sprintf("llc%d", h), SizeBytes: cfg.LLCBytes, Ways: llcWays, LineSize: lineSize})
 		pc := PairConfig{
 			Cable: cableCfg, Link: link.New(cfg.Link), Injector: injector, Verify: cfg.Verify,
 			Recorder: rec, Track: fmt.Sprintf("link%d", h), degrade: degrade,

@@ -27,11 +27,11 @@ type NonInclusiveConfig struct {
 	// RemoteBytes sizes the Caching Agent's LLC.
 	RemoteBytes int
 	RemoteWays  int
-	// HomeBytes sizes the Home Agent's non-inclusive data cache;
-	// smaller than the remote is allowed logically, but the WMT
-	// geometry requires ≥ remote sets, as in the paper's systems.
+	// HomeBytes sizes the Home Agent's homeAgentWays-way
+	// non-inclusive data cache; smaller than the remote is allowed
+	// logically, but the WMT geometry requires ≥ remote sets, as in the
+	// paper's systems.
 	HomeBytes int
-	HomeWays  int
 	Link      link.Config
 	Cable     core.Config
 	// Verify checks every decode bit-exact against the sent data and
@@ -48,6 +48,11 @@ type NonInclusiveConfig struct {
 	Recorder *obs.Recorder
 }
 
+// homeAgentWays is the Home Agent data cache's associativity: 16 ways,
+// twice the remote LLC's, so a 2 MB home has as many sets as a 1 MB
+// remote.
+const homeAgentWays = 16
+
 // DefaultNonInclusiveConfig mirrors the memory-link setup with a
 // same-size Home Agent cache.
 func DefaultNonInclusiveConfig(benchmark string) NonInclusiveConfig {
@@ -57,10 +62,10 @@ func DefaultNonInclusiveConfig(benchmark string) NonInclusiveConfig {
 		Benchmark:   benchmark,
 		Accesses:    60000,
 		RemoteBytes: 1 << 20, RemoteWays: 8,
-		HomeBytes: 2 << 20, HomeWays: 16,
-		Link:   link.DefaultConfig(),
-		Cable:  cable,
-		Verify: true,
+		HomeBytes: 2 << 20,
+		Link:      link.DefaultConfig(),
+		Cable:     cable,
+		Verify:    true,
 	}
 }
 
@@ -88,12 +93,12 @@ func RunNonInclusive(cfg NonInclusiveConfig) (*NonInclusiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	remoteCfg := cache.Config{Name: "ca", SizeBytes: cfg.RemoteBytes, Ways: cfg.RemoteWays, LineSize: 64}
-	homeCfg := cache.Config{Name: "ha", SizeBytes: cfg.HomeBytes, Ways: cfg.HomeWays, LineSize: 64}
+	remoteCfg := cache.Config{Name: "ca", SizeBytes: cfg.RemoteBytes, Ways: cfg.RemoteWays, LineSize: lineSize}
+	homeCfg := cache.Config{Name: "ha", SizeBytes: cfg.HomeBytes, Ways: homeAgentWays, LineSize: lineSize}
 	if err := errors.Join(remoteCfg.Validate(), homeCfg.Validate()); err != nil {
 		return nil, err
 	}
-	store := mem.NewStore(64, gen.LineData)
+	store := mem.NewStore(lineSize, gen.LineData)
 	remote, home := cache.New(remoteCfg), cache.New(homeCfg)
 	rec := cfg.Recorder
 	pair, err := NewPair(home, remote, PairConfig{

@@ -2,22 +2,12 @@ package sim
 
 import "cable/internal/cache"
 
-// PrivateConfig sizes the per-core private levels of Table IV: a 32 KB
-// 4-way single-cycle L1 and a 128 KB 8-way 4-cycle L2.
-type PrivateConfig struct {
-	L1Bytes, L1Ways, L1Cycles int
-	L2Bytes, L2Ways, L2Cycles int
-	LineSize                  int
-}
-
-// DefaultPrivateConfig returns the Table IV private hierarchy.
-func DefaultPrivateConfig() PrivateConfig {
-	return PrivateConfig{
-		L1Bytes: 32 << 10, L1Ways: 4, L1Cycles: 1,
-		L2Bytes: 128 << 10, L2Ways: 8, L2Cycles: 4,
-		LineSize: 64,
-	}
-}
+// The per-core private levels of Table IV: a 32 KB 4-way single-cycle
+// L1 and a 128 KB 8-way 4-cycle L2.
+const (
+	l1Bytes, l1Ways, l1Cycles = 32 << 10, 4, 1
+	l2Bytes, l2Ways, l2Cycles = 128 << 10, 8, 4
+)
 
 // privateHier is one thread's private L1/L2 filter in the timing
 // simulator. It tracks residency only — line data lives in the shared
@@ -33,11 +23,13 @@ type privateHier struct {
 	L2Accesses uint64
 }
 
-func newPrivateHier(cfg PrivateConfig) *privateHier {
+// newPrivateHier builds the private levels at the Table IV ways with
+// the given capacities (the timing simulator passes l1Bytes, l2Bytes).
+func newPrivateHier(l1Size, l2Size int) *privateHier {
 	return &privateHier{
-		l1:     cache.New(cache.Config{Name: "l1", SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways, LineSize: cfg.LineSize}),
-		l2:     cache.New(cache.Config{Name: "l2", SizeBytes: cfg.L2Bytes, Ways: cfg.L2Ways, LineSize: cfg.LineSize}),
-		filler: make([]byte, cfg.LineSize),
+		l1:     cache.New(cache.Config{Name: "l1", SizeBytes: l1Size, Ways: l1Ways, LineSize: lineSize}),
+		l2:     cache.New(cache.Config{Name: "l2", SizeBytes: l2Size, Ways: l2Ways, LineSize: lineSize}),
+		filler: make([]byte, lineSize),
 	}
 }
 

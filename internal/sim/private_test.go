@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestPrivateHierFiltering(t *testing.T) {
-	p := newPrivateHier(DefaultPrivateConfig())
+	p := newPrivateHier(l1Bytes, l2Bytes)
 	if lvl := p.lookup(100); lvl != 0 {
 		t.Fatalf("cold access hit level %d", lvl)
 	}
@@ -16,11 +16,7 @@ func TestPrivateHierFiltering(t *testing.T) {
 }
 
 func TestPrivateHierL2Promotion(t *testing.T) {
-	p := newPrivateHier(PrivateConfig{
-		L1Bytes: 4 << 10, L1Ways: 4, L1Cycles: 1,
-		L2Bytes: 64 << 10, L2Ways: 8, L2Cycles: 4,
-		LineSize: 64,
-	})
+	p := newPrivateHier(4<<10, 64<<10)
 	// Touch enough lines to overflow L1 (64 lines) but not L2.
 	for addr := uint64(0); addr < 256; addr++ {
 		p.lookup(addr)

@@ -29,21 +29,9 @@ type TimingConfig struct {
 	// warm-up.
 	InstrPerTh uint64
 
-	CoreHz       float64 // 2 GHz in-order, 1 CPI non-memory
-	Private      PrivateConfig
-	LLCCycles    int     // 30
-	L4Cycles     int     // 30
-	LinkSetupNs  float64 // 20 ns
 	TotalLinkBW  float64 // bytes/s across the whole system (4×19.2 GB/s)
-	TotalDRAMBW  float64 // bytes/s across the whole system (16×12.8 GB/s)
 	LLCPerThread int     // bytes (1 MB)
 	L4Ratio      int     // L4 = ratio × LLC (4)
-	// RequestBits sizes the address-phase request packet (line
-	// address + way-replacement info + EvictSeq ack). Requests travel
-	// the command path — separate wires on DMI/HMC-class buffer
-	// links — so they add latency but do not occupy the data link
-	// (Table IV models no request bandwidth).
-	RequestBits int
 
 	Link  link.Config
 	Cable core.Config
@@ -73,18 +61,37 @@ type TimingConfig struct {
 	Recorder *obs.Recorder `digest:"-"`
 }
 
-// DefaultTimingConfig returns the Table IV system for one benchmark.
+// The Table IV system constants the timing model holds fixed.
+const (
+	// coreHz: 2 GHz in-order cores, 1 CPI for non-memory instructions.
+	coreHz = 2e9
+	// llcCycles / l4Cycles: the shared LLC's and the DRAM-buffer L4's
+	// access latencies, 30 core cycles each.
+	llcCycles = 30
+	l4Cycles  = 30
+	// linkSetupNs: the off-chip link's fixed 20 ns setup per request.
+	linkSetupNs = 20
+	// totalDRAMBW: bytes/s of DRAM behind the L4s across the whole
+	// system, 16 channels × 12.8 GB/s.
+	totalDRAMBW = 4 * 4 * 12.8e9
+	// requestBits sizes the address-phase request packet (line
+	// address + way-replacement info + EvictSeq ack). Requests travel
+	// the command path — separate wires on DMI/HMC-class buffer links —
+	// so they add latency but do not occupy the data link (Table IV
+	// models no request bandwidth).
+	requestBits = 48
+)
+
+// DefaultTimingConfig returns the Table IV system for one benchmark; the
+// rest of Table IV is the constants above and in private.go.
 func DefaultTimingConfig(scheme, benchmark string) TimingConfig {
 	return TimingConfig{
 		Scheme: scheme, Benchmark: benchmark,
 		Threads: 8, TotalTh: 2048, InstrPerTh: 2_000_000,
-		CoreHz: 2e9, Private: DefaultPrivateConfig(),
-		LLCCycles: 30, L4Cycles: 30, LinkSetupNs: 20,
-		TotalLinkBW: 4 * 19.2e9, TotalDRAMBW: 4 * 4 * 12.8e9,
+		TotalLinkBW:  4 * 19.2e9,
 		LLCPerThread: 1 << 20, L4Ratio: 4,
-		RequestBits: 48,
-		Link:        link.DefaultConfig(),
-		Cable:       core.DefaultConfig(),
+		Link:  link.DefaultConfig(),
+		Cable: core.DefaultConfig(),
 	}
 }
 
@@ -152,12 +159,14 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 	if cfg.Threads <= 0 || cfg.TotalTh < cfg.Threads {
 		return nil, fmt.Errorf("sim: bad thread counts %d/%d", cfg.Threads, cfg.TotalTh)
 	}
+	if !(cfg.TotalLinkBW > 0) {
+		return nil, fmt.Errorf("sim: link bandwidth %g B/s is not positive", cfg.TotalLinkBW)
+	}
 	share := float64(cfg.Threads) / float64(cfg.TotalTh)
 
 	chipCfg := ChipConfig{
-		LLCBytes: cfg.LLCPerThread * cfg.Threads, LLCWays: 8,
-		L4Bytes: cfg.LLCPerThread * cfg.Threads * cfg.L4Ratio, L4Ways: 16,
-		LineSize: 64,
+		LLCBytes: cfg.LLCPerThread * cfg.Threads,
+		L4Bytes:  cfg.LLCPerThread * cfg.Threads * cfg.L4Ratio, L4Ways: 16,
 		Link:     cfg.Link,
 		Cable:    cfg.Cable,
 		Scheme:   cfg.Scheme,
@@ -206,16 +215,16 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 	up := mkLink(cfg.TotalLinkBW * share)
 	// The group's DRAM share behind the L4.
 	dcfg := dram.DefaultConfig()
-	dcfg.BusFreqHz = cfg.TotalDRAMBW * share / float64(dcfg.BusWidthBits/8)
+	dcfg.BusFreqHz = totalDRAMBW * share / float64(dcfg.BusWidthBits/8)
 	dchan := dram.NewChannel(dcfg)
 
 	comp, decomp := compLatencies(cfg.Scheme)
-	cyc := 1 / cfg.CoreHz
+	cyc := 1 / coreHz
 
 	h := make(threadHeap, 0, cfg.Threads)
 	allThreads := make([]*threadState, cfg.Threads)
 	for i, g := range gens {
-		allThreads[i] = &threadState{id: i, gen: g, priv: newPrivateHier(cfg.Private)}
+		allThreads[i] = &threadState{id: i, gen: g, priv: newPrivateHier(l1Bytes, l2Bytes)}
 	}
 
 	// Functional warm-up: fill the private levels, shared hierarchy
@@ -275,9 +284,9 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 		// private-level cost; stores write through so the shared-level
 		// coherence (and CABLE synchronization) stays exact.
 		level := th.priv.lookup(a.LineAddr)
-		now += float64(cfg.Private.L1Cycles) * cyc
+		now += l1Cycles * cyc
 		if level >= 2 || level == 0 {
-			now += float64(cfg.Private.L2Cycles) * cyc
+			now += l2Cycles * cyc
 		}
 		if level != 0 && !a.Write {
 			th.time = now
@@ -291,13 +300,13 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 		}
 
 		tr := chip.Access(a, th.id)
-		now += float64(cfg.LLCCycles) * cyc
+		now += llcCycles * cyc
 		if !tr.LLCHit {
 			// Request on the out-of-band command path: serialization
 			// latency at the link rate, no data-channel occupancy.
-			reqLat := float64(cfg.RequestBits) / (cfg.Link.FreqHz * float64(cfg.Link.WidthBits))
-			now += reqLat + cfg.LinkSetupNs*1e-9
-			now += float64(cfg.L4Cycles) * cyc
+			reqLat := requestBits / (cfg.Link.FreqHz * float64(cfg.Link.WidthBits))
+			now += reqLat + linkSetupNs*1e-9
+			now += l4Cycles * cyc
 			if !tr.L4Hit {
 				now = dchan.Access(now, a.LineAddr, 64)
 			}
@@ -329,7 +338,7 @@ func RunTiming(cfg TimingConfig) (*TimingResult, error) {
 	// the last finishing time (the paper keeps co-runners live until
 	// all reach their budget).
 	totalInstr := float64(cfg.InstrPerTh) * float64(cfg.Threads)
-	totalIPC := totalInstr / (maxTime * cfg.CoreHz) / float64(cfg.Threads)
+	totalIPC := totalInstr / (maxTime * coreHz) / float64(cfg.Threads)
 
 	res.IPCPerThread = totalIPC
 	res.Throughput = totalIPC * float64(cfg.TotalTh)

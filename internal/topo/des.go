@@ -337,6 +337,25 @@ func newEngine(cfg Config, t *Topology) *engine {
 // the raw baseline (address/route/ack fields a real message carries).
 const rawHeaderBits = 32
 
+// The topology's fixed timing and interleave, in link cycles and lines.
+const (
+	// encodeCycles is each chip's encoder occupancy per transfer: all of
+	// a chip's outgoing links share one encoder (the shared-home
+	// contention point), so transfers serialize through it. It is the
+	// pipeline's initiation interval, not its latency — latency cost is
+	// the timing simulator's subject (fig17). Every hop re-encodes
+	// through the arrival chip's shared encoder, so a longer interval
+	// would bottleneck raw and CABLE identically and hide the wire
+	// relief this study measures.
+	encodeCycles = 4
+	// hopCycles is the router forward latency between a link's delivery
+	// and the arrival at the next chip's encoder.
+	hopCycles = 4
+	// pageLines is the home-interleave granularity (4 KB pages = 64
+	// lines): line addr a is homed on chip (a/pageLines)%Chips.
+	pageLines = 64
+)
+
 func (e *engine) push(at uint64, kind uint8, id int32, ref uint64) {
 	e.seq++
 	e.q.push(event{at: at, seq: e.seq, kind: kind, id: id, ref: ref})
@@ -422,7 +441,7 @@ func (e *engine) simulate(record bool, feed injectFeed, rec *obs.Recorder, track
 	enqueueEnc := func(c int32, ref, at uint64) {
 		if e.encCur[c] == refNone {
 			e.encCur[c] = ref
-			e.push(at+uint64(e.cfg.EncodeCycles), evEncDone, c, 0)
+			e.push(at+encodeCycles, evEncDone, c, 0)
 		} else {
 			e.encQ[c].push(ref, at)
 		}
@@ -461,7 +480,7 @@ func (e *engine) simulate(record bool, feed injectFeed, rec *obs.Recorder, track
 				if ferr != nil {
 					return ps, ferr
 				}
-				dst := int32((a.LineAddr / e.cfg.PageLines) % uint64(e.cfg.Chips))
+				dst := int32((a.LineAddr / pageLines) % uint64(e.cfg.Chips))
 				if dst == c {
 					s.local++
 				} else {
@@ -503,7 +522,7 @@ func (e *engine) simulate(record bool, feed injectFeed, rec *obs.Recorder, track
 			if !e.encQ[c].empty() {
 				next, _ := e.encQ[c].pop()
 				e.encCur[c] = next
-				e.push(t+uint64(e.cfg.EncodeCycles), evEncDone, c, 0)
+				e.push(t+encodeCycles, evEncDone, c, 0)
 			} else {
 				e.encCur[c] = refNone
 			}
@@ -534,7 +553,7 @@ func (e *engine) simulate(record bool, feed injectFeed, rec *obs.Recorder, track
 				rec.TransferAt(tracks[L], t, 64*8, bits, uint64(s.recToggles[L][k]))
 			}
 			if h+1 < s.routeLen(m) {
-				e.push(t+uint64(e.cfg.HopCycles), evArrive, e.topo.links[L].dst, packRef(m, h+1))
+				e.push(t+hopCycles, evArrive, e.topo.links[L].dst, packRef(m, h+1))
 			}
 		}
 	}

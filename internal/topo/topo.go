@@ -72,33 +72,13 @@ type Config struct {
 	// for at least this many hops, so the realized count overshoots by
 	// at most one route length.
 	Transfers int
-	// PageLines is the home-interleave granularity in lines (4 KB
-	// pages = 64 lines): line addr a is homed on chip
-	// (a/PageLines)%Chips.
-	PageLines uint64
 	// Seed drives the per-chip arrival processes (inter-arrival gaps).
 	Seed uint64
-	// MeanGap is the mean per-chip inter-arrival gap in link cycles.
-	// The default (12) pushes the raw baseline past saturation on a
-	// 16-chip mesh — hot XY links queue heavily — so the
-	// bandwidth-starved regime the paper targets is actually exercised,
-	// while the compressed replay stays below the knee.
-	MeanGap int
-	// EncodeCycles is each chip's encoder occupancy per transfer: all
-	// of a chip's outgoing links share one encoder (the shared-home
-	// contention point), so transfers serialize through it. This is the
-	// pipeline's initiation interval, not its latency — latency cost is
-	// the timing simulator's subject (fig17).
-	EncodeCycles int
-	// HopCycles is the router forward latency between a link's
-	// delivery and the arrival at the next chip's encoder.
-	HopCycles int
-	// HomeBytes/HomeWays size each directed link's home-side
-	// dictionary cache; RemoteBytes/RemoteWays its remote cache.
-	HomeBytes, HomeWays     int
-	RemoteBytes, RemoteWays int
-	Link                    link.Config
-	Cable                   core.Config
+	// HomeBytes sizes each directed link's homeWays-way home-side
+	// dictionary cache; RemoteBytes its remoteWays-way remote cache.
+	HomeBytes, RemoteBytes int
+	Link                   link.Config
+	Cable                  core.Config
 	// Verify checks every clean decode bit-exact against the home data
 	// and panics on mismatch.
 	Verify bool
@@ -143,25 +123,16 @@ func DefaultConfig(benchmark string) Config {
 	// the multichip study.
 	cable.HashSizeFactor = 0.25
 	return Config{
-		Shape:     ShapeMesh,
-		Chips:     16,
-		Benchmark: benchmark,
-		Transfers: 200000,
-		PageLines: 64,
-		Seed:      1,
-		MeanGap:   12,
-		// The encoder accepts a new line every 4 cycles — every hop
-		// re-encodes through the arrival chip's shared encoder, so a
-		// longer interval would bottleneck raw and CABLE identically and
-		// hide the wire relief this study measures. 4 cycles of router
-		// forwarding per hop.
-		EncodeCycles: 4,
-		HopCycles:    4,
-		HomeBytes:    1 << 20, HomeWays: 8,
-		RemoteBytes: 256 << 10, RemoteWays: 8,
-		Link:   link.DefaultConfig(),
-		Cable:  cable,
-		Verify: true,
+		Shape:       ShapeMesh,
+		Chips:       16,
+		Benchmark:   benchmark,
+		Transfers:   200000,
+		Seed:        1,
+		HomeBytes:   1 << 20,
+		RemoteBytes: 256 << 10,
+		Link:        link.DefaultConfig(),
+		Cable:       cable,
+		Verify:      true,
 	}
 }
 
@@ -177,9 +148,6 @@ func (c Config) Validate() error {
 	}
 	if c.Transfers <= 0 {
 		return fmt.Errorf("topo: need a positive transfer target, got %d", c.Transfers)
-	}
-	if c.PageLines == 0 || c.MeanGap <= 0 || c.EncodeCycles <= 0 || c.HopCycles < 0 {
-		return fmt.Errorf("topo: non-positive timing/interleave parameter")
 	}
 	home, remote := c.caches("")
 	if err := errors.Join(home.Validate(), remote.Validate()); err != nil {
@@ -214,11 +182,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Every directed link's home and remote dictionary caches are 8-way.
+const homeWays, remoteWays = 8, 8
+
 // caches returns the geometries of a link's two caches, name
 // suffixing their names.
 func (c Config) caches(name string) (home, remote cache.Config) {
-	return cache.Config{Name: "topo-h" + name, SizeBytes: c.HomeBytes, Ways: c.HomeWays, LineSize: 64},
-		cache.Config{Name: "topo-r" + name, SizeBytes: c.RemoteBytes, Ways: c.RemoteWays, LineSize: 64}
+	return cache.Config{Name: "topo-h" + name, SizeBytes: c.HomeBytes, Ways: homeWays, LineSize: 64},
+		cache.Config{Name: "topo-r" + name, SizeBytes: c.RemoteBytes, Ways: remoteWays, LineSize: 64}
 }
 
 // Digest fingerprints every behavioral field with the sim package's
